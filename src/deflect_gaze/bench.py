@@ -110,30 +110,33 @@ def _rotated(scene: SceneConfig, a: float, axis) -> SceneConfig:
     return replace(scene, eye=rotate_eye(scene.eye, a, 0.0, up=np.array(axis)))
 
 
-def _stereo_direction(scene_a: SceneConfig, corr1, corr2, config, seeds):
+# The estimators get the loaded scene, never the rotated one: the stage pose
+# is for scoring only, so it must not reach the sweep window or the
+# optimizer's start.
+
+def _stereo_direction(scene: SceneConfig, corr1, corr2, config, seeds):
     if config.sigma_c > 0:
         corr1 = add_correspondence_noise(
             corr1, config.sigma_c, int(seeds[0]),
-            screen_resolution=scene_a.screen.resolution,
+            screen_resolution=scene.screen.resolution,
         )
         corr2 = add_correspondence_noise(
             corr2, config.sigma_c, int(seeds[1]),
-            screen_resolution=scene_a.screen.resolution,
+            screen_resolution=scene.screen.resolution,
         )
-    field_ = reconstruct_field(scene_a, corr1, corr2,
+    field_ = reconstruct_field(scene, corr1, corr2,
                                stride=config.stereo_stride)
     cluster = replace(config.cluster, rng_seed=int(seeds[2]))
     return estimate_gaze_two_center(field_, cluster).direction
 
 
-def _optimize_direction(scene_a: SceneConfig, corr, config, seeds):
-    scene1 = replace(scene_a, cameras=scene_a.cameras[:1])
+def _optimize_direction(scene: SceneConfig, corr, config, seeds):
+    nominal = replace(scene, cameras=scene.cameras[:1])
     if config.sigma_c > 0:
         corr = add_correspondence_noise(
             corr, config.sigma_c, int(seeds[0]),
-            screen_resolution=scene1.screen.resolution,
+            screen_resolution=nominal.screen.resolution,
         )
-    nominal = replace(scene1, eye=rotate_eye(scene1.eye, 0.0, 0.0))
     init = init_guess([corr], nominal)
     _, est, _ = optimize_gaze(init, [corr], nominal, config.opt)
     return est.direction
@@ -157,10 +160,10 @@ def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
             if config.method == METHOD_STEREO:
                 corr1 = render_correspondence(scene_a, 0)
                 corr2 = render_correspondence(scene_a, 1)
-                direction = _stereo_direction(scene_a, corr1, corr2, config, s)
+                direction = _stereo_direction(scene, corr1, corr2, config, s)
             else:
                 corr = render_correspondence(scene_a, 0)
-                direction = _optimize_direction(scene_a, corr, config, s)
+                direction = _optimize_direction(scene, corr, config, s)
             thetas.append(relative_gaze_angle(direction, reference_direction,
                                               axis))
         except DeflectGazeError as e:
@@ -217,11 +220,10 @@ def run_benchmark(
         if config.method == METHOD_STEREO:
             c1 = render_correspondence(scene_ref, 0)
             c2 = render_correspondence(scene_ref, 1)
-            reference = _stereo_direction(scene_ref, c1, c2, ref_cfg,
-                                          seeds_ref)
+            reference = _stereo_direction(scene, c1, c2, ref_cfg, seeds_ref)
         else:
             c = render_correspondence(scene_ref, 0)
-            reference = _optimize_direction(scene_ref, c, ref_cfg, seeds_ref)
+            reference = _optimize_direction(scene, c, ref_cfg, seeds_ref)
     except DeflectGazeError as e:
         raise BenchmarkAbortError(
             f"noiseless reference run failed: {type(e).__name__}: {e}"

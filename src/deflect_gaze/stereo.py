@@ -24,7 +24,15 @@ NORMAL_FIELD_HEADER = "px,py,X,Y,Z,nx,ny,nz,consistency"
 
 @dataclass(frozen=True)
 class DepthSweepParams:
-    """Depth hypothesis sweep along the camera-1 ray, in mm."""
+    """Depth hypotheses along the camera-1 ray, in mm: the grid
+    ``linspace(t_min, t_max, n_steps)``, optionally polished by a parabolic
+    fit (``refine``).
+
+    The sweep does not score every grid depth: it scores a coarse subset,
+    then the grid around each pixel's coarse minimum. ``reconstruct_field``
+    lists the passes and the only cases in which the result can differ
+    from scoring the whole grid.
+    """
 
     t_min: float
     t_max: float
@@ -36,17 +44,6 @@ class DepthSweepParams:
             raise InvariantViolation("sweep: t_min < t_max")
         if self.n_steps < 16:
             raise InvariantViolation("sweep: n_steps >= 16")
-
-
-@dataclass(frozen=True)
-class NormalSample:
-    """One reconstructed surface point with its deflectometric normal and
-    the stereo disagreement (radians) at the chosen depth."""
-
-    point: np.ndarray
-    normal: np.ndarray
-    pixel: tuple[int, int]
-    consistency: float
 
 
 @dataclass
@@ -62,12 +59,6 @@ class NormalField:
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    def samples(self):
-        for i in range(len(self.pixels)):
-            yield NormalSample(self.points[i], self.normals[i],
-                               (int(self.pixels[i, 0]), int(self.pixels[i, 1])),
-                               float(self.consistency[i]))
 
     def to_csv(self, path) -> None:
         data = np.column_stack([
@@ -98,16 +89,13 @@ class NormalField:
 
 def candidate_normal(
     camera: CameraModel, pixel: tuple[int, int], t: float, screen_point: np.ndarray
-) -> NormalSample:
-    """Normal implied by one camera ray at depth hypothesis ``t``: the
+) -> np.ndarray:
+    """Unit normal implied by one camera ray at depth hypothesis ``t``: the
     bisector of the directions back to the camera and to the screen point."""
     if t <= 0:
         raise ValueError("depth must be positive")
-    ray = camera.pixel_ray(*pixel)
-    p = ray.at(t)
-    n = half_vector_normal(unit(camera.center - p), unit(screen_point - p))
-    return NormalSample(point=p, normal=n, pixel=(int(pixel[0]), int(pixel[1])),
-                        consistency=0.0)
+    p = camera.pixel_ray(*pixel).at(t)
+    return half_vector_normal(unit(camera.center - p), unit(screen_point - p))
 
 
 def _bilinear_uv(corr, x, y):
@@ -182,9 +170,54 @@ def stereo_consistency(
     return float(ang[0]) if ok[0] else None
 
 
+_COARSE_STEP = 8      # grid steps between the coarse pass's regular depths
+_BLOCK_ROWS = 16384   # (pixel, depth) pairs per block of the usability pass
+
+
+def _usable_depths(cam1, cam2, dirs1, valid2, ts):
+    """(n, n_steps) mask of the grid depths that ``_consistency_at`` can
+    score: camera 2 sees the point in front of it, inside four valid
+    corners of its correspondence map.
+
+    Projection only, a block of pixels at a time. Camera-2 coordinates are
+    affine in the depth along a camera-1 ray, a + t*b, and are computed so;
+    the mask can differ from ``_consistency_at``'s own test only for a
+    point within rounding error of a pixel-cell edge.
+    """
+    h, w = valid2.shape
+    cell_ok = (valid2[:-1, :-1] & valid2[:-1, 1:]
+               & valid2[1:, :-1] & valid2[1:, 1:]).ravel()
+    a = cam2.pose.inverse_points(cam1.center)[:, None]
+    b = dirs1 @ cam2.pose.rotation
+    f = cam2.focal_length
+    cx, cy = cam2.principal_point
+    n, n_steps = len(dirs1), len(ts)
+    usable = np.empty((n, n_steps), dtype=bool)
+    block = max(1, _BLOCK_ROWS // n_steps)
+    for j in range(0, n, block):
+        pc = a + ts * b[j:j + block, :, None]    # (pixels, xyz, depths)
+        ok = pc[:, 2] > 1e-9
+        z = np.where(ok, pc[:, 2], 1.0)
+        x = f * pc[:, 0] / z + cx
+        y = f * pc[:, 1] / z + cy
+        ok &= (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+        # on the frame floor is truncation; the last row and column belong
+        # to the cell before them, as in _bilinear_uv
+        x0 = np.minimum(x[ok].astype(int), w - 2)
+        y0 = np.minimum(y[ok].astype(int), h - 2)
+        ok[ok] = cell_ok[y0 * (w - 1) + x0]
+        usable[j:j + block] = ok
+    return usable
+
+
 def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
                   min_usable=8):
-    """Vectorized depth sweep over many camera-1 pixels at once."""
+    """Coarse-to-fine depth sweep over many camera-1 pixels at once.
+
+    ``cost[j, i]`` is pixel j's disagreement at grid depth i, inf where the
+    depth is unusable or not scored. The passes of ``reconstruct_field``
+    score part of the grid.
+    """
     cam1 = scene.cameras[cam1_index]
     cam2 = scene.cameras[cam2_index]
     n = len(pixels)
@@ -199,28 +232,58 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
                                   corr1.v[pixels[:, 1], pixels[:, 0]])
 
     ts = np.linspace(params.t_min, params.t_max, params.n_steps)
-    cost = np.empty((params.n_steps, n))
-    for i, t in enumerate(ts):
-        ang, _, _ = _consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
-                                    np.full(n, t))
-        cost[i] = ang
-    usable = np.isfinite(cost)
-    n_usable = usable.sum(axis=0)
-    good = n_usable >= min_usable
-
-    i_best = np.argmin(np.where(usable, cost, np.inf), axis=0)
+    usable = _usable_depths(cam1, cam2, dirs1, corr2.valid, ts)
+    good = usable.sum(axis=1) >= min_usable
+    cost = np.full(usable.shape, np.inf)
+    pending = usable.copy()   # usable depths not scored yet
     cols = np.arange(n)
-    c_best = cost[i_best, cols]
+
+    def score(where):
+        j, i = np.nonzero(where & pending)
+        pending[j, i] = False
+        # rows are independent, so batching cannot change a value; n rows
+        # a call hold the memory to that of scoring one grid depth
+        for k in range(0, len(j), n):
+            jj, ii = j[k:k + n], i[k:k + n]
+            cost[jj, ii] = _consistency_at(scene, cam1, cam2, dirs1[jj],
+                                           s1[jj], corr2, ts[ii])[0]
+        return len(j)
+
+    # coarse: every _COARSE_STEP-th depth, both grid ends and both ends of
+    # each run of usable depths, which cuts every run into intervals of at
+    # most _COARSE_STEP steps with both ends scored
+    steps = np.arange(params.n_steps)
+    edge = np.zeros_like(usable)
+    edge[:, [0, -1]] = True
+    edge[:, 1:] |= usable[:, 1:] != usable[:, :-1]
+    edge[:, :-1] |= usable[:, :-1] != usable[:, 1:]
+    score(edge | (steps % _COARSE_STEP == 0))
+    # fine: the coarse intervals on both sides of the coarse minimum and
+    # one depth beyond each, where a second minimum next to a coarse
+    # depth would hide
+    score(np.abs(steps - cost.argmin(axis=1)[:, None]) <= _COARSE_STEP + 1)
+    i_best = cost.argmin(axis=1)
+    # the refine reads both grid neighbours of the minimum; a neighbour can
+    # turn out lower, so repeat until the minimum stays
+    while params.refine:
+        nbr = np.zeros_like(usable)
+        nbr[cols, np.maximum(i_best - 1, 0)] = True
+        nbr[cols, np.minimum(i_best + 1, params.n_steps - 1)] = True
+        if not score(nbr):
+            break
+        i_best = cost.argmin(axis=1)
+
+    c_best = cost[cols, i_best]
     t_best = ts[i_best]
     good &= np.isfinite(c_best)
 
     if params.refine:
         interior = good & (i_best > 0) & (i_best < params.n_steps - 1)
         im = np.where(interior, i_best, 1)
-        cm1 = cost[im - 1, cols]
-        cp1 = cost[im + 1, cols]
+        cm1 = cost[cols, im - 1]
+        cp1 = cost[cols, im + 1]
         with np.errstate(invalid="ignore"):
-            denom = cm1 - 2.0 * cost[im, cols] + cp1
+            denom = cm1 - 2.0 * cost[cols, im] + cp1
             convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
                 & (denom > 1e-18)
             step = ts[1] - ts[0]
@@ -240,33 +303,6 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
                                    unit(s1 - p_best))
     good &= ok_n
     return t_best, c_best, p_best, n_best, good
-
-
-def solve_depth(
-    scene: SceneConfig,
-    pixel1: tuple[int, int],
-    corr1: CorrespondenceMap,
-    corr2: CorrespondenceMap,
-    params: DepthSweepParams,
-    cam1_index: int = 0,
-    cam2_index: int = 1,
-) -> NormalSample | None:
-    """Depth-sweep minimization of stereo disagreement for one pixel.
-
-    Returns None when fewer than 8 sweep hypotheses are usable. With
-    ``params.refine`` the minimum is polished by a parabolic fit through the
-    minimizer and its neighbors, re-evaluated at the vertex.
-    """
-    px, py = pixel1
-    if not corr1.valid[py, px]:
-        raise ValueError(f"pixel {pixel1} is invalid in corr1")
-    pixels = np.array([[px, py]], dtype=int)
-    t, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2, params,
-                                       cam1_index, cam2_index)
-    if not good[0]:
-        return None
-    return NormalSample(point=p[0], normal=nrm[0], pixel=(int(px), int(py)),
-                        consistency=float(c[0]))
 
 
 def default_sweep(scene: SceneConfig, cam1_index: int = 0,
@@ -295,6 +331,28 @@ def reconstruct_field(
     max_consistency: float | None = None,
 ) -> NormalField:
     """Solve depth at every valid camera-1 pixel (optionally strided).
+
+    Each pixel takes the depth of ``params``' grid (default:
+    ``default_sweep``) with the least stereo disagreement. A depth is usable
+    when camera 2 sees its point in front of it, inside four valid corners
+    of ``corr2``; a pixel needs 8 usable depths. The search scores only
+    part of the grid, in two passes:
+
+    1. coarse: the usable depths at every 8th grid step, at both ends of
+       the grid and at both ends of each run of usable depths;
+    2. fine: every usable depth within 9 grid steps of the coarse minimum,
+       which covers the coarse intervals on both sides of it, and
+       with ``params.refine`` the two grid neighbours of the minimum, which
+       the parabolic refine reads, until the minimum stays put.
+
+    A pixel gets the dense search's depth, disagreement, point and normal
+    bit for bit whenever the dense minimum is among the scored depths. It
+    can differ only when a coarse interval away from the coarse minimum
+    hides a value below every scored one, when a usable depth has a
+    degenerate bisector (a screen point on the view ray behind the surface
+    point), which the dense search leaves out of the usable count, or when
+    a point lies within rounding error of a cell edge of ``corr2``, where
+    the usable mask is computed in another order than the scoring.
 
     Pixels with no usable depth are dropped, as are pixels whose best
     stereo disagreement is an outlier (default: above 10x the field median,

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from deflect_gaze import bench
 from deflect_gaze.bench import (BenchmarkConfig, epsilon, parse_csv_report,
                                 report, run_benchmark)
-from deflect_gaze.errors import BenchmarkAbortError, InvariantViolation
+from deflect_gaze.errors import (BenchmarkAbortError, InvariantViolation,
+                                 NoDescentError)
 
 
 class TestEpsilon:
@@ -86,6 +88,36 @@ class TestRunBenchmark:
             cluster=ClusterParams(min_inliers=5000))
         with pytest.raises(BenchmarkAbortError):
             run_benchmark(cfg, scene, max_workers=1)
+
+
+class TestEstimatorInputs:
+    def test_estimators_get_the_loaded_eye(self, scene, monkeypatch):
+        # the stage pose is for scoring only: at a = 3 deg neither the
+        # sweep window nor the optimizer's start may see the rotated eye
+        seen = []
+        real_reconstruct = bench.reconstruct_field
+
+        def reconstruct(scene_in, *args, **kwargs):
+            seen.append(scene_in.eye)
+            return real_reconstruct(scene_in, *args, **kwargs)
+
+        def init_guess(measured, nominal, *args, **kwargs):
+            seen.append(nominal.eye)
+            raise NoDescentError("stop after init")
+
+        monkeypatch.setattr(bench, "reconstruct_field", reconstruct)
+        monkeypatch.setattr(bench, "init_guess", init_guess)
+        for method in ("stereo-normals", "optimize"):
+            cfg = BenchmarkConfig(method=method, positions=(0.0, 3.0),
+                                  reps=1, sigma_c=0.5)
+            bench._run_position(scene, cfg, 1, np.array([0.0, 0.0, 1.0]))
+        rotated = bench._rotated(scene, 3.0, (0.0, 1.0, 0.0)).eye
+        assert not np.array_equal(rotated.optical_axis,
+                                  scene.eye.optical_axis)
+        assert len(seen) == 2
+        for eye in seen:
+            assert np.array_equal(eye.optical_axis, scene.eye.optical_axis)
+            assert np.array_equal(eye.sclera_center, scene.eye.sclera_center)
 
 
 class TestReport:

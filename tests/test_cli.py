@@ -1,3 +1,4 @@
+import filecmp
 import json
 from pathlib import Path
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from deflect_gaze import imagefiles
-from deflect_gaze.cli import main
-from deflect_gaze.scene import make_default_scene, save_scene
+from deflect_gaze.cli import _read_corr, main
+from deflect_gaze.scene import load_scene, make_default_scene, save_scene
+from deflect_gaze.stereo import default_sweep, reconstruct_field
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,39 @@ class TestReconstructAndGaze:
         header = trace_csv.read_text().splitlines()[0]
         assert header == "iter,loss,step,azimuth,elevation,tx,ty,tz"
         assert out_csv.exists()
+
+
+class TestReconstructOptions:
+    @pytest.fixture(scope="class")
+    def simdir(self, scene_file, tmp_path_factory):
+        simdir = tmp_path_factory.mktemp("sim")
+        assert main(["simulate", "--scene", scene_file, "--out",
+                     str(simdir)]) == 0
+        return simdir
+
+    def test_grid_options_without_window(self, scene_file, simdir, tmp_path):
+        out = tmp_path / "field.csv"
+        assert main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                     str(simdir), "--out", str(out), "--n-steps", "40",
+                     "--no-refine"]) == 0
+        scene = load_scene(scene_file)
+        maps = [_read_corr(simdir, cam) for cam in (0, 1)]
+        expected = tmp_path / "expected.csv"
+        reconstruct_field(scene, *maps, params=default_sweep(
+            scene, n_steps=40, refine=False)).to_csv(expected)
+        default = tmp_path / "default.csv"
+        reconstruct_field(scene, *maps).to_csv(default)
+        assert filecmp.cmp(out, expected, shallow=False)
+        assert not filecmp.cmp(out, default, shallow=False)
+
+    @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
+    def test_single_window_bound_is_rejected(self, scene_file, simdir,
+                                             tmp_path, bound):
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                   str(simdir), "--out", str(out), bound, "60"])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestBenchCli:

@@ -2,15 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from deflect_gaze import stereo
 from deflect_gaze.errors import EmptyFieldError
-from deflect_gaze.geometry import unit
+from deflect_gaze.geometry import bisector_masked, unit
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
+from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import (DepthSweepParams, NormalField,
                                  candidate_normal, default_sweep,
-                                 reconstruct_field, solve_depth,
-                                 stereo_consistency)
+                                 reconstruct_field, stereo_consistency)
 
 
 def truth_for(field, truth):
@@ -38,8 +41,8 @@ class TestCandidateNormal:
         p_true = truth_cam0["points"][py, px]
         t_true = float(np.linalg.norm(p_true - cam.center))
         spt = scene.screen.uv_to_world(corr.u[py, px], corr.v[py, px])
-        sample = candidate_normal(cam, (px, py), t_true, spt)
-        assert np.abs(sample.normal - truth_cam0["normals"][py, px]).max() < 1e-6
+        normal = candidate_normal(cam, (px, py), t_true, spt)
+        assert np.abs(normal - truth_cam0["normals"][py, px]).max() < 1e-6
 
     def test_depth_error_tilts_normal(self, scene, corr_pair, truth_cam0):
         corr = corr_pair[0]
@@ -50,8 +53,8 @@ class TestCandidateNormal:
         t_true = float(np.linalg.norm(p_true - cam.center))
         spt = scene.screen.uv_to_world(corr.u[py, px], corr.v[py, px])
         for dt in (-2.0, 2.0):
-            s = candidate_normal(cam, (px, py), t_true + dt, spt)
-            ang = np.degrees(np.arccos(np.clip(s.normal @ n_true, -1, 1)))
+            normal = candidate_normal(cam, (px, py), t_true + dt, spt)
+            ang = np.degrees(np.arccos(np.clip(normal @ n_true, -1, 1)))
             assert ang > 0.5
 
     def test_degenerate_bisector(self, scene):
@@ -125,10 +128,8 @@ class TestSolveDepth:
         empty = CorrespondenceMap(u=np.full_like(corr2.u, np.nan),
                                   v=np.full_like(corr2.v, np.nan),
                                   valid=np.zeros_like(corr2.valid))
-        ys, xs = np.nonzero(corr1.valid)
-        px, py = int(xs[100]), int(ys[100])
-        assert solve_depth(scene, (px, py), corr1, empty,
-                           default_sweep(scene)) is None
+        with pytest.raises(EmptyFieldError):
+            reconstruct_field(scene, corr1, empty, min_samples=1)
 
     def test_noisy_normal_error(self, scene, corr_pair, truth_cam0):
         corr1 = add_correspondence_noise(corr_pair[0], 0.5, 31)
@@ -212,3 +213,195 @@ class TestReconstructField:
         assert np.allclose(back.normals, field.normals, atol=1e-12)
         header = p.read_text().splitlines()[0]
         assert header == "px,py,X,Y,Z,nx,ny,nz,consistency"
+
+
+def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
+                min_usable=8):
+    """Reference for ``stereo._sweep_pixels``: score every grid depth, then
+    pick and refine the minimum exactly as the sweep does."""
+    cam1 = scene.cameras[cam1_index]
+    cam2 = scene.cameras[cam2_index]
+    n = len(pixels)
+    cx, cy = cam1.principal_point
+    d_cam = np.column_stack([
+        (pixels[:, 0] - cx) / cam1.focal_length,
+        (pixels[:, 1] - cy) / cam1.focal_length,
+        np.ones(n),
+    ])
+    dirs1 = unit(d_cam) @ cam1.pose.rotation.T
+    s1 = scene.screen.uv_to_world(corr1.u[pixels[:, 1], pixels[:, 0]],
+                                  corr1.v[pixels[:, 1], pixels[:, 0]])
+
+    ts = np.linspace(params.t_min, params.t_max, params.n_steps)
+    cost = np.empty((params.n_steps, n))
+    for i, t in enumerate(ts):
+        cost[i] = stereo._consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
+                                         np.full(n, t))[0]
+    usable = np.isfinite(cost)
+    good = usable.sum(axis=0) >= min_usable
+
+    i_best = np.argmin(np.where(usable, cost, np.inf), axis=0)
+    cols = np.arange(n)
+    c_best = cost[i_best, cols]
+    t_best = ts[i_best]
+    good &= np.isfinite(c_best)
+
+    if params.refine:
+        interior = good & (i_best > 0) & (i_best < params.n_steps - 1)
+        im = np.where(interior, i_best, 1)
+        cm1 = cost[im - 1, cols]
+        cp1 = cost[im + 1, cols]
+        with np.errstate(invalid="ignore"):
+            denom = cm1 - 2.0 * cost[im, cols] + cp1
+            convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
+                & (denom > 1e-18)
+            step = ts[1] - ts[0]
+            shift = np.where(convex,
+                             0.5 * np.where(convex, cm1 - cp1, 0.0)
+                             / np.where(convex, denom, 1.0), 0.0)
+            shift = np.clip(shift, -1.0, 1.0)
+        t_ref = t_best + shift * step
+        ang_ref, _, ok_ref = stereo._consistency_at(scene, cam1, cam2, dirs1,
+                                                    s1, corr2, t_ref)
+        take = convex & ok_ref
+        t_best = np.where(take, t_ref, t_best)
+        c_best = np.where(take, ang_ref, c_best)
+
+    p_best = cam1.center + t_best[:, None] * dirs1
+    n_best, ok_n = bisector_masked(unit(cam1.center - p_best),
+                                   unit(s1 - p_best))
+    good &= ok_n
+    return t_best, c_best, p_best, n_best, good
+
+
+def dense_field(*args, **kwargs):
+    """``reconstruct_field`` with the dense reference sweep."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(stereo, "_sweep_pixels", dense_sweep)
+        return reconstruct_field(*args, **kwargs)
+
+
+def assert_same_field(a, b):
+    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.normals, b.normals)
+    assert np.array_equal(a.consistency, b.consistency)
+
+
+def noisy(maps, sigma, seed):
+    return [add_correspondence_noise(m, sigma, seed + i)
+            for i, m in enumerate(maps)]
+
+
+@pytest.fixture(scope="module")
+def noisy_pair(corr_pair):
+    return noisy(corr_pair, 0.5, 80)
+
+
+@pytest.fixture(scope="module")
+def noisy_field_all(scene, noisy_pair):
+    return reconstruct_field(scene, *noisy_pair, max_consistency=np.inf)
+
+
+class TestCoarseToFineSweep:
+    """The sweep scores part of the grid; on these fields it must return
+    what scoring every grid depth returns, bit for bit."""
+
+    @pytest.mark.parametrize("sigma_c", [0.0, 0.5])
+    @pytest.mark.parametrize("a", [-6.0, -3.0, 0.0, 3.0, 6.0])
+    def test_equals_dense_grid(self, scene, a, sigma_c):
+        eye = rotate_eye(scene.eye, a, 0.0, up=np.array([0.0, 1.0, 0.0]))
+        scene_a = replace(scene, eye=eye)
+        maps = [render_correspondence(scene_a, cam) for cam in (0, 1)]
+        if sigma_c > 0:
+            maps = noisy(maps, sigma_c, 70)
+        assert_same_field(reconstruct_field(scene, *maps),
+                          dense_field(scene, *maps))
+
+    @pytest.mark.parametrize("n_steps,refine", [(16, True), (100, True),
+                                                (257, True), (256, False)])
+    def test_other_grids_equal_dense_grid(self, scene, noisy_pair, n_steps,
+                                          refine):
+        params = default_sweep(scene, n_steps=n_steps, refine=refine)
+        assert_same_field(
+            reconstruct_field(scene, *noisy_pair, params=params),
+            dense_field(scene, *noisy_pair, params=params))
+
+    def test_holes_in_camera2_map_equal_dense_grid(self, scene, corr_pair):
+        # decoded maps have holes, which split the usable depths of a ray
+        # into several runs
+        c1, c2 = corr_pair
+        g = np.random.default_rng(5)
+        holes = CorrespondenceMap(u=c2.u, v=c2.v,
+                                  valid=c2.valid & (g.random(c2.valid.shape)
+                                                    > 0.03))
+        assert_same_field(reconstruct_field(scene, c1, holes),
+                          dense_field(scene, c1, holes))
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.005, 1.0))
+    def test_pixel_subset_gives_matching_rows(self, scene, noisy_pair,
+                                              noisy_field_all, seed, frac):
+        c1, c2 = noisy_pair
+        keep = c1.valid & (np.random.default_rng(seed).random(c1.valid.shape)
+                           < frac)
+        assume(keep.any())
+        sub = reconstruct_field(scene, replace(c1, valid=keep), c2,
+                                max_consistency=np.inf, min_samples=0)
+        full = noisy_field_all
+        rows = keep[full.pixels[:, 1], full.pixels[:, 0]]
+        assert_same_field(sub, NormalField(full.pixels[rows],
+                                           full.points[rows],
+                                           full.normals[rows],
+                                           full.consistency[rows]))
+
+
+class TestSweepContract:
+    """``reconstruct_field``'s contract: a pixel gets the dense result
+    whenever the dense minimum is among the depths the sweep scored."""
+
+    @settings(max_examples=5, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dense_result_whenever_its_minimum_was_scored(self, scene,
+                                                          corr_pair, seed):
+        # a disagreement with several minima in every coarse interval, on
+        # usable depths split into runs by holes in the camera-2 map
+        g = np.random.default_rng(seed)
+        c1, c2 = corr_pair
+        c2 = replace(c2, valid=c2.valid & (g.random(c2.valid.shape) > 0.1))
+        k = g.uniform(5.0, 20.0, 3)
+        consistency_at = stereo._consistency_at
+        calls = []
+
+        def wavy(scene_, cam1, cam2, dirs1, s1, corr2, t):
+            _, n1, ok = consistency_at(scene_, cam1, cam2, dirs1, s1, corr2,
+                                       t)
+            calls.append(set(zip(map(bytes, dirs1), t)))
+            # elementwise, so that a row's value never depends on its batch
+            phase = 1e3 * (k[1] * dirs1[:, 0] + k[2] * dirs1[:, 1])
+            value = 2.0 + np.sin(k[0] * t + phase)
+            return np.where(ok, value, np.inf), n1, ok
+
+        ys, xs = np.nonzero(c1.valid)
+        pixels = np.column_stack([xs, ys])
+        params = default_sweep(scene)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(stereo, "_consistency_at", wavy)
+            got = stereo._sweep_pixels(scene, pixels, c1, c2, params, 0, 1)
+            # the last call is the refine's, at depths between grid steps
+            by_sweep = set().union(*calls[:-1])
+            want = dense_sweep(scene, pixels, c1, c2, params, 0, 1)
+            t_grid = dense_sweep(scene, pixels, c1, c2,
+                                 replace(params, refine=False), 0, 1)[0]
+        dirs = unit(np.column_stack([
+            (pixels - scene.cameras[0].principal_point)
+            / scene.cameras[0].focal_length, np.ones(len(pixels))
+        ])) @ scene.cameras[0].pose.rotation.T
+        hit = np.array([(bytes(d), t) in by_sweep
+                        for d, t in zip(dirs, t_grid)])
+        assert np.array_equal(got[4], want[4])
+        assert 0 < hit[want[4]].sum() < want[4].sum()
+        for a, b in zip(got[:4], want[:4]):
+            assert np.array_equal(a[hit], b[hit])
