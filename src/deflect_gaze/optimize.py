@@ -15,17 +15,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
+from .decode import FOUR_CONN
 from .errors import EmptyMapError, NoDescentError, UnreliableLossError
 from .gaze import GazeEstimate
-from .render import (CorrespondenceMap, Frame, PatternSpec,
-                     render_correspondence, render_frame, render_margins)
+from .render import (CorrespondenceMap, Frame, PatternSpec, ray_margins,
+                     render_correspondence, render_frame,
+                     screen_correspondence, trace_rays)
 from .scene import EyeModel, SceneConfig, rotate_eye
 
 PARAM_NAMES = ("azimuth", "elevation", "tx", "ty", "tz",
                "cornea_radius", "sclera_radius", "cornea_offset")
 ANGLE_PARAMS = (0, 1)
 DEFAULT_ACTIVE = (True, True, True, True, True, False, False, False)
-FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class OptConfig:
     step_mm: float = 0.5
     step_decay: float = 0.5
     momentum: float = 0.8
-    grad_mode: str = "finite-diff"
     fd_step_deg: float = 1e-3
     fd_step_mm: float = 1e-3
     rel_tol: float = 1e-7
@@ -118,8 +118,14 @@ class OptConfig:
             raise ValueError("steps must be positive")
         if not 0 < self.step_decay < 1:
             raise ValueError("step_decay in (0, 1)")
-        if self.grad_mode not in ("finite-diff", "analytic-if-available"):
-            raise ValueError("unknown grad_mode")
+        if self.pixel_stride < 1:
+            raise ValueError("pixel_stride must be >= 1")
+
+    @property
+    def grid_boundary_px(self) -> int:
+        """``boundary_px`` is stated at full resolution; on the
+        ``pixel_stride`` grid the erosion depth scales accordingly."""
+        return max(1, int(round(self.boundary_px / self.pixel_stride)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,45 @@ def _seam_mask(m: CorrespondenceMap, dilate_px: int) -> np.ndarray:
     return seam
 
 
+@dataclass(frozen=True)
+class _MeasuredTerms:
+    """Loss terms of one camera that depend only on its measured map and
+    the loss settings: constant over a fit."""
+
+    meas: CorrespondenceMap  # measured map on the loss grid
+    eroded: np.ndarray       # its validity, eroded by the boundary guard
+    weight: np.ndarray       # boundary fade ramp, zero on the seam
+    step_scale: float        # median measured step per full-res pixel
+
+
+def _measured_terms(
+    measured: list[CorrespondenceMap],
+    scene: SceneConfig,
+    config: OptConfig,
+) -> tuple[_MeasuredTerms, ...]:
+    if len(measured) != len(scene.cameras):
+        raise ValueError("need one measured map per configured camera")
+    grid_b = config.grid_boundary_px
+    terms = []
+    for meas_full in measured:
+        meas = _strided(meas_full, config.pixel_stride)
+        weight = _fade_weight(meas.valid, grid_b)
+        weight[_seam_mask(meas, grid_b)] = 0.0
+        # a loss evaluation that gets past its core-pixel floor has an
+        # eroded, hence horizontally paired, measured pixel, so the
+        # fallback scale is never used
+        pairs = meas.valid[:, 1:] & meas.valid[:, :-1]
+        step_scale = 1.0
+        if pairs.any():
+            steps = np.hypot(np.diff(meas.u, axis=1), np.diff(meas.v, axis=1))
+            step_scale = (float(np.nanmedian(steps[pairs]))
+                          / config.pixel_stride)
+        terms.append(_MeasuredTerms(meas=meas,
+                                    eroded=_erode(meas.valid, grid_b),
+                                    weight=weight, step_scale=step_scale))
+    return tuple(terms)
+
+
 def correspondence_loss(
     params: EyeParamVector,
     measured: list[CorrespondenceMap],
@@ -200,37 +245,54 @@ def correspondence_loss(
     and region boundaries). The penalty is ``mismatch_weight`` times the
     fraction of pixels valid in exactly one map.
 
+    The measured-map terms (the map on the ``pixel_stride`` grid, its
+    eroded validity, the boundary fade weight with the seam zeroed and the
+    median measured step) are constant over a fit: :func:`optimize_gaze`
+    and :func:`loss_gradient` build them once, a standalone call builds
+    them itself. Each evaluation traces every camera once and reads the
+    silhouette, aperture and cap-edge margins only at the jointly valid
+    pixels, the only ones given weight.
+
     Raises:
         UnreliableLossError: fewer than ``n_min`` jointly valid pixels for
             any camera.
+        ValueError: not one measured map per camera, or ``pixel_stride``
+            below 1.
     """
-    if len(measured) != len(scene.cameras):
-        raise ValueError("need one measured map per configured camera")
+    config = OptConfig(n_min=n_min, boundary_px=boundary_px,
+                       mismatch_weight=mismatch_weight,
+                       pixel_stride=pixel_stride)
+    return _evaluate_loss(params, _measured_terms(measured, scene, config),
+                          scene, config)
+
+
+def _evaluate_loss(params: EyeParamVector,
+                   measured_terms: tuple[_MeasuredTerms, ...],
+                   scene: SceneConfig, config: OptConfig) -> LossReport:
+    """:func:`correspondence_loss` on prepared measured-map terms."""
     eye = params.materialize(scene.eye)
     sim_scene = replace(scene, eye=eye)
+    boundary_px = config.boundary_px
+    pixel_stride = config.pixel_stride
+    # n_min is stated at full resolution; on a strided grid the
+    # pixel-count floor scales accordingly
+    n_min = max(8, config.n_min // (pixel_stride * pixel_stride))
     per_cam = []
     totals = []
     penalties = []
     n_total = 0
-    # boundary_px and n_min are stated at full resolution; on a strided
-    # grid the erosion depth and the pixel-count floor scale accordingly
-    grid_b = max(1, int(round(boundary_px / pixel_stride)))
-    n_min_eff = max(8, n_min // (pixel_stride * pixel_stride))
-    for i, meas_full in enumerate(measured):
-        sim = render_correspondence(sim_scene, i, stride=pixel_stride)
-        margins = render_margins(sim_scene, i, stride=pixel_stride)
-        meas = _strided(meas_full, pixel_stride)
-        sil = margins["silhouette"]
-        aper = margins["aperture"]
-        cap_edge = margins["cap_edge"]
+    for i, terms in enumerate(measured_terms):
+        tr = trace_rays(sim_scene, i, stride=pixel_stride)
+        sim = screen_correspondence(scene.screen, tr)
+        meas = terms.meas
 
-        er_meas = _erode(meas.valid, grid_b)
-        er_sim = _erode(sim.valid, grid_b)
+        er_meas = terms.eroded
+        er_sim = _erode(sim.valid, config.grid_boundary_px)
         core = er_meas & er_sim
         n_core = int(core.sum())
-        if n_core < n_min_eff:
+        if n_core < n_min:
             raise UnreliableLossError(
-                f"camera {i}: {n_core} jointly valid core pixels < {n_min_eff}"
+                f"camera {i}: {n_core} jointly valid core pixels < {n_min}"
             )
 
         # Weights near every discontinuity fade to zero. The measured map is
@@ -238,31 +300,32 @@ def correspondence_loss(
         # there; the simulated side uses ramps of continuous quantities
         # (panel-edge distance in screen px, silhouette clearance, aperture
         # angle margin) so the loss stays smooth in the eye parameters.
+        # Margins are zero off the joint pixels, whose weight is zero.
         joint = meas.valid & sim.valid
-        w = _fade_weight(meas.valid, grid_b)
-        w[_seam_mask(meas, grid_b)] = 0.0
+        sil = np.zeros(joint.shape)
+        aper = np.zeros(joint.shape)
+        cap_edge = np.zeros(joint.shape)
+        sil[joint], aper[joint], cap_edge[joint] = ray_margins(
+            eye, tr.origin, tr.dirs[joint], tr.points[joint])
 
-        steps = np.hypot(np.diff(meas.u, axis=1), np.diff(meas.v, axis=1))
-        step_scale = float(np.nanmedian(
-            steps[meas.valid[:, 1:] & meas.valid[:, :-1]]
-        )) / pixel_stride if joint.any() else 1.0
+        step_scale = terms.step_scale
         w_s, h_s = scene.screen.resolution
         edge = np.minimum(np.minimum(sim.u, w_s - 1 - sim.u),
                           np.minimum(sim.v, h_s - 1 - sim.v))
-        w = w * np.clip(np.where(joint, edge, 0.0)
-                        / max(boundary_px * step_scale, 1e-9), 0.0, 1.0)
+        w = terms.weight * np.clip(np.where(joint, edge, 0.0)
+                                   / max(boundary_px * step_scale, 1e-9),
+                                   0.0, 1.0)
         footprint = (np.linalg.norm(scene.cameras[i].center
                                     - scene.eye.sclera_center)
                      / scene.cameras[i].focal_length)
-        w = w * np.clip(np.where(joint, sil, 0.0)
-                        / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
+        w = w * np.clip(sil / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
         ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
-        w = w * np.clip(np.abs(np.where(joint, aper, 0.0))
-                        / max(boundary_px * ang_scale, 1e-9), 0.0, 1.0)
+        w = w * np.clip(np.abs(aper) / max(boundary_px * ang_scale, 1e-9),
+                        0.0, 1.0)
         # the cap edge occludes the sclera behind it: rays grazing the cap
         # edge circle carry a correspondence jump just like the seam
-        w = w * np.clip(np.where(joint, cap_edge, 0.0)
-                        / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
+        w = w * np.clip(cap_edge / max(boundary_px * footprint, 1e-9),
+                        0.0, 1.0)
         w[~joint] = 0.0
 
         du = np.where(joint, meas.u - sim.u, 0.0)
@@ -281,7 +344,7 @@ def correspondence_loss(
         # so silhouette-grazing pixel flips cannot jolt the penalty
         band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
         mismatch = float(np.mean((meas.valid ^ sim.valid) & ~band))
-        pen = mismatch_weight * mismatch
+        pen = config.mismatch_weight * mismatch
         per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
                         "mismatch_penalty": pen})
         totals.append(sq + pen)
@@ -292,15 +355,6 @@ def correspondence_loss(
                       per_camera=tuple(per_cam))
 
 
-def _loss_from_config(params, measured, scene, config: OptConfig) -> LossReport:
-    return correspondence_loss(
-        params, measured, scene, n_min=config.n_min,
-        boundary_px=config.boundary_px,
-        mismatch_weight=config.mismatch_weight,
-        pixel_stride=config.pixel_stride,
-    )
-
-
 def loss_gradient(
     params: EyeParamVector,
     measured: list[CorrespondenceMap],
@@ -308,13 +362,14 @@ def loss_gradient(
     config: OptConfig,
 ) -> np.ndarray:
     """Central finite-difference gradient over the active parameters."""
-    g, _ = _fd_gradient_curvature(params, measured, scene, config)
+    g, _ = _fd_gradient_curvature(
+        params, _measured_terms(measured, scene, config), scene, config)
     return g
 
 
 def _fd_gradient_curvature(
     params: EyeParamVector,
-    measured: list[CorrespondenceMap],
+    measured_terms: tuple[_MeasuredTerms, ...],
     scene: SceneConfig,
     config: OptConfig,
     loss0: float | None = None,
@@ -331,8 +386,10 @@ def _fd_gradient_curvature(
         xp[idx] += h
         xm = x0.copy()
         xm[idx] -= h
-        lp = _loss_from_config(params.with_array(xp), measured, scene, config)
-        lm = _loss_from_config(params.with_array(xm), measured, scene, config)
+        lp = _evaluate_loss(params.with_array(xp), measured_terms, scene,
+                            config)
+        lm = _evaluate_loss(params.with_array(xm), measured_terms, scene,
+                            config)
         g[j] = (lp.total - lm.total) / (2.0 * h)
         if curv is not None:
             curv[j] = (lp.total + lm.total - 2.0 * loss0) / (h * h)
@@ -357,8 +414,9 @@ def optimize_gaze(
         UnreliableLossError: the loss is unreliable at ``init``.
     """
     config = config or OptConfig()
+    measured_terms = _measured_terms(measured, scene, config)
     p = project_params(init)
-    loss = _loss_from_config(p, measured, scene, config).total
+    loss = _evaluate_loss(p, measured_terms, scene, config).total
     active = np.nonzero(p.active)[0]
     base = np.array([
         config.step_deg if idx in ANGLE_PARAMS else config.step_mm
@@ -407,8 +465,8 @@ def optimize_gaze(
         if loss < 1e-12:
             break
         if grad is None:
-            grad, curv = _fd_gradient_curvature(p, measured, scene, config,
-                                                loss0=loss)
+            grad, curv = _fd_gradient_curvature(p, measured_terms, scene,
+                                                config, loss0=loss)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-15:
             break
@@ -418,7 +476,8 @@ def optimize_gaze(
         p_new = project_params(p.with_array(x_new))
         n_proposals += 1
         try:
-            loss_new = _loss_from_config(p_new, measured, scene, config).total
+            loss_new = _evaluate_loss(p_new, measured_terms, scene,
+                                      config).total
         except UnreliableLossError:
             loss_new = np.inf
         if loss_new < loss:

@@ -10,12 +10,13 @@ consume correspondences rather than radiometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .geometry import reflect
-from .scene import SceneConfig, eye_surface_hit_batch
+from .scene import EyeModel, SceneConfig, ScreenModel, eye_surface_hit_batch
 
 BACKGROUND_INTENSITY = 0.02  # near-dark surround, as in real captures
 
@@ -152,6 +153,65 @@ class Frame:
         return self.intensity.shape[0]
 
 
+class RayTrace(NamedTuple):
+    """One camera's pixel rays and their eye-surface hits.
+
+    ``dirs`` keeps the (H, W, 3) pixel layout of the (strided) grid;
+    ``points`` and ``normals`` are NaN where ``hit`` is False.
+    """
+
+    origin: np.ndarray
+    dirs: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    hit: np.ndarray
+
+
+def trace_rays(
+    scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
+) -> RayTrace:
+    """Hit test of every ``stride``-th camera pixel ray with the eye;
+    ``surface`` as in :func:`render_correspondence`."""
+    origin, dirs = scene.cameras[cam_index].pixel_rays()
+    if stride > 1:
+        dirs = dirs[::stride, ::stride]
+    if surface is None:
+        points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
+    else:
+        points, normals, _, hit = surface(origin, dirs)
+    return RayTrace(origin, dirs, points, normals, hit)
+
+
+def screen_correspondence(screen: ScreenModel,
+                          tr: RayTrace) -> CorrespondenceMap:
+    """Screen correspondences of a ray trace: the reflection half of
+    :func:`render_correspondence`."""
+    hit = tr.hit
+    shape = hit.shape
+    u = np.full(shape, np.nan)
+    v = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
+    if np.any(hit):
+        d_h = tr.dirs[hit]
+        p_h = tr.points[hit]
+        r = reflect(d_h, tr.normals[hit])
+        p0 = screen.plane_point
+        nrm = screen.plane_normal
+        denom = r @ nrm
+        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+        t = ((p0 - p_h) @ nrm) / safe
+        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
+
+        q = p_h + t[:, None] * r
+        uu, vv = screen.world_to_uv(q)
+        w_s, h_s = screen.resolution
+        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
+        u[hit] = np.where(ok, uu, np.nan)
+        v[hit] = np.where(ok, vv, np.nan)
+        valid[hit] = ok
+    return CorrespondenceMap(u=u, v=v, valid=valid)
+
+
 def render_correspondence(
     scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
 ) -> CorrespondenceMap:
@@ -167,38 +227,53 @@ def render_correspondence(
     ``surface(origin, dirs) -> (points, normals, region, hit)``); used by
     tests with analytic reference surfaces.
     """
-    cam = scene.cameras[cam_index]
-    origin, dirs = cam.pixel_rays()
-    if stride > 1:
-        dirs = dirs[::stride, ::stride]
-    if surface is None:
-        points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
-    else:
-        points, normals, _, hit = surface(origin, dirs)
+    return screen_correspondence(
+        scene.screen, trace_rays(scene, cam_index, surface, stride))
 
-    shape = dirs.shape[:-1]
-    u = np.full(shape, np.nan)
-    v = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    if np.any(hit):
-        d_h = dirs[hit]
-        p_h = points[hit]
-        r = reflect(d_h, normals[hit])
-        p0 = scene.screen.plane_point
-        nrm = scene.screen.plane_normal
-        denom = r @ nrm
-        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
-        t = ((p0 - p_h) @ nrm) / safe
-        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
 
-        q = p_h + t[:, None] * r
-        uu, vv = scene.screen.world_to_uv(q)
-        w_s, h_s = scene.screen.resolution
-        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
-        u[hit] = np.where(ok, uu, np.nan)
-        v[hit] = np.where(ok, vv, np.nan)
-        valid[hit] = ok
-    return CorrespondenceMap(u=u, v=v, valid=valid)
+def ray_margins(
+    eye: EyeModel, origin: np.ndarray, dirs: np.ndarray, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Silhouette, aperture and cap-edge margins (see
+    :func:`render_margins`) of rays ``dirs`` (N, 3) from ``origin`` with
+    eye hits ``points`` (N, 3), NaN at misses.
+
+    Every margin of a ray depends on that ray alone, so any subset of a
+    trace's rays gets the values the whole trace would give it.
+    """
+
+    def perp_margin(center, radius):
+        oc = origin - center
+        proj = dirs @ oc
+        d2 = oc @ oc - proj * proj
+        return radius - np.sqrt(np.maximum(d2, 0.0))
+
+    sil = np.maximum(perp_margin(eye.cornea_center, eye.cornea_radius),
+                     perp_margin(eye.sclera_center, eye.sclera_radius))
+
+    rel = points - eye.cornea_center
+    with np.errstate(invalid="ignore"):
+        norm = np.linalg.norm(rel, axis=1)
+        cosang = np.where(norm > 0, (rel @ eye.optical_axis)
+                          / np.maximum(norm, 1e-12), np.nan)
+        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    aper = ang - eye.cornea_aperture
+
+    # clearance to the cap-edge circle (evaluated at the ray's closest
+    # approach to the circle center; exact at zero crossing, smooth in the
+    # eye parameters)
+    ap_rad = np.radians(eye.cornea_aperture)
+    circle_center = eye.cornea_center \
+        + eye.cornea_radius * np.cos(ap_rad) * eye.optical_axis
+    circle_radius = eye.cornea_radius * np.sin(ap_rad)
+    to_c = circle_center - origin
+    t_star = dirs @ to_c
+    p_star = origin + t_star[:, None] * dirs
+    v = p_star - circle_center
+    h = v @ eye.optical_axis
+    rho = np.linalg.norm(v - h[:, None] * eye.optical_axis, axis=1)
+    cap_edge = np.hypot(rho - circle_radius, h)
+    return sil, aper, cap_edge
 
 
 def render_margins(scene: SceneConfig, cam_index: int, stride: int = 1) -> dict:
@@ -218,47 +293,11 @@ def render_margins(scene: SceneConfig, cam_index: int, stride: int = 1) -> dict:
       edge circle. Rays grazing that circle jump between the cap flank and
       the sclera it occludes, so the correspondence is discontinuous there.
     """
-    cam = scene.cameras[cam_index]
-    origin, dirs = cam.pixel_rays()
-    if stride > 1:
-        dirs = dirs[::stride, ::stride]
-    eye = scene.eye
-    flat = dirs.reshape(-1, 3)
-
-    def perp_margin(center, radius):
-        oc = origin - center
-        proj = flat @ oc
-        d2 = oc @ oc - proj * proj
-        return radius - np.sqrt(np.maximum(d2, 0.0))
-
-    sil = np.maximum(perp_margin(eye.cornea_center, eye.cornea_radius),
-                     perp_margin(eye.sclera_center, eye.sclera_radius))
-
-    points, _, _, hit = eye_surface_hit_batch(eye, origin, dirs)
-    rel = points.reshape(-1, 3) - eye.cornea_center
-    with np.errstate(invalid="ignore"):
-        norm = np.linalg.norm(rel, axis=1)
-        cosang = np.where(norm > 0, (rel @ eye.optical_axis)
-                          / np.maximum(norm, 1e-12), np.nan)
-        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    aper = ang - eye.cornea_aperture
-
-    # clearance to the cap-edge circle (evaluated at the ray's closest
-    # approach to the circle center; exact at zero crossing, smooth in the
-    # eye parameters)
-    ap_rad = np.radians(eye.cornea_aperture)
-    circle_center = eye.cornea_center \
-        + eye.cornea_radius * np.cos(ap_rad) * eye.optical_axis
-    circle_radius = eye.cornea_radius * np.sin(ap_rad)
-    to_c = circle_center - origin
-    t_star = flat @ to_c
-    p_star = origin + t_star[:, None] * flat
-    v = p_star - circle_center
-    h = v @ eye.optical_axis
-    rho = np.linalg.norm(v - h[:, None] * eye.optical_axis, axis=1)
-    cap_edge = np.hypot(rho - circle_radius, h)
-
-    shape = dirs.shape[:-1]
+    tr = trace_rays(scene, cam_index, stride=stride)
+    sil, aper, cap_edge = ray_margins(scene.eye, tr.origin,
+                                      tr.dirs.reshape(-1, 3),
+                                      tr.points.reshape(-1, 3))
+    shape = tr.hit.shape
     return {"silhouette": sil.reshape(shape),
             "aperture": aper.reshape(shape),
             "cap_edge": cap_edge.reshape(shape)}

@@ -1,0 +1,52 @@
+"""Layer benchmark of the inverse-rendering loss and one optimizer fit.
+
+Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
+
+    PYTHONPATH=src python -m pytest tests/bench_optimize.py
+
+Both cases use the default scene's first camera (128 px) and a measured map
+with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
+standalone ``correspondence_loss`` call builds the measured-map terms
+itself; inside a fit they are built once, so the fit case shows what a
+loss evaluation costs there.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from deflect_gaze.optimize import (OptConfig, correspondence_loss, init_guess,
+                                   optimize_gaze)
+from deflect_gaze.render import add_correspondence_noise, render_correspondence
+from deflect_gaze.scene import rotate_eye
+
+
+@pytest.fixture(scope="module")
+def scene1(scene):
+    return replace(scene, cameras=scene.cameras[:1])
+
+
+def measured_at(scene1, a):
+    sc = replace(scene1, eye=rotate_eye(scene1.eye, a, 0.0))
+    return [add_correspondence_noise(render_correspondence(sc, 0), 0.5, 11,
+                                     screen_resolution=sc.screen.resolution)]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_correspondence_loss_128(benchmark, scene1, stride):
+    measured = measured_at(scene1, -2.0)
+    init = init_guess(measured, scene1)
+    rep = benchmark(correspondence_loss, init, measured, scene1,
+                    pixel_stride=stride)
+    assert rep.total > 0
+
+
+def test_optimize_gaze_128_stride2(benchmark, scene1):
+    measured = measured_at(scene1, -2.0)
+    init = init_guess(measured, scene1)
+    config = OptConfig(pixel_stride=2)
+    params, _, trace = benchmark.pedantic(
+        optimize_gaze, args=(init, measured, scene1, config), rounds=3,
+        iterations=1)
+    assert abs(params.azimuth + 2.0) < 0.1
+    assert len(trace) > 1

@@ -86,6 +86,20 @@ class TestReconstructAndGaze:
         assert header == "iter,loss,step,azimuth,elevation,tx,ty,tz"
         assert out_csv.exists()
 
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_gaze_optimize_rejects_pixel_stride(self, scene_file, tmp_path,
+                                                capsys, stride):
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out",
+                     str(simdir)]) == 0
+        out_csv = tmp_path / "est.csv"
+        rc = main(["gaze-optimize", "--scene", scene_file, "--measured",
+                   str(simdir), "--pixel-stride", stride,
+                   "--out", str(out_csv)])
+        assert rc == 2
+        assert "pixel_stride" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestReconstructOptions:
     @pytest.fixture(scope="class")

@@ -3,17 +3,109 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from deflect_gaze import optimize
 from deflect_gaze.errors import EmptyMapError, UnreliableLossError
 from deflect_gaze.gaze import relative_gaze_angle
-from deflect_gaze.optimize import (EyeParamVector, OptConfig,
+from deflect_gaze.optimize import (EyeParamVector, LossReport, OptConfig,
+                                   _erode, _fade_weight, _seam_mask, _strided,
                                    correspondence_loss, image_loss,
                                    init_guess, loss_gradient, optimize_gaze,
                                    project_params)
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
-                                 render_correspondence, render_frame)
+                                 add_correspondence_noise,
+                                 render_correspondence, render_frame,
+                                 render_margins)
 from deflect_gaze.scene import rotate_eye
 
 UP = np.array([0.0, 1.0, 0.0])
+
+
+def reference_loss(params, measured, scene, n_min=200, boundary_px=2,
+                   mismatch_weight=25.0, pixel_stride=1):
+    """The correspondence loss as first written: two renders per camera
+    (correspondence, then margins of every ray) and the measured-map terms
+    rebuilt on every call. ``correspondence_loss`` must equal it."""
+    if len(measured) != len(scene.cameras):
+        raise ValueError("need one measured map per configured camera")
+    eye = params.materialize(scene.eye)
+    sim_scene = replace(scene, eye=eye)
+    per_cam = []
+    totals = []
+    penalties = []
+    n_total = 0
+    grid_b = max(1, int(round(boundary_px / pixel_stride)))
+    n_min_eff = max(8, n_min // (pixel_stride * pixel_stride))
+    for i, meas_full in enumerate(measured):
+        sim = render_correspondence(sim_scene, i, stride=pixel_stride)
+        margins = render_margins(sim_scene, i, stride=pixel_stride)
+        meas = _strided(meas_full, pixel_stride)
+        sil = margins["silhouette"]
+        aper = margins["aperture"]
+        cap_edge = margins["cap_edge"]
+
+        er_meas = _erode(meas.valid, grid_b)
+        er_sim = _erode(sim.valid, grid_b)
+        core = er_meas & er_sim
+        n_core = int(core.sum())
+        if n_core < n_min_eff:
+            raise UnreliableLossError(
+                f"camera {i}: {n_core} jointly valid core pixels < {n_min_eff}"
+            )
+
+        joint = meas.valid & sim.valid
+        w = _fade_weight(meas.valid, grid_b)
+        w[_seam_mask(meas, grid_b)] = 0.0
+
+        steps = np.hypot(np.diff(meas.u, axis=1), np.diff(meas.v, axis=1))
+        step_scale = float(np.nanmedian(
+            steps[meas.valid[:, 1:] & meas.valid[:, :-1]]
+        )) / pixel_stride if joint.any() else 1.0
+        w_s, h_s = scene.screen.resolution
+        edge = np.minimum(np.minimum(sim.u, w_s - 1 - sim.u),
+                          np.minimum(sim.v, h_s - 1 - sim.v))
+        w = w * np.clip(np.where(joint, edge, 0.0)
+                        / max(boundary_px * step_scale, 1e-9), 0.0, 1.0)
+        footprint = (np.linalg.norm(scene.cameras[i].center
+                                    - scene.eye.sclera_center)
+                     / scene.cameras[i].focal_length)
+        w = w * np.clip(np.where(joint, sil, 0.0)
+                        / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
+        ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
+        w = w * np.clip(np.abs(np.where(joint, aper, 0.0))
+                        / max(boundary_px * ang_scale, 1e-9), 0.0, 1.0)
+        w = w * np.clip(np.where(joint, cap_edge, 0.0)
+                        / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
+        w[~joint] = 0.0
+
+        du = np.where(joint, meas.u - sim.u, 0.0)
+        dv = np.where(joint, meas.v - sim.v, 0.0)
+        wsum = float(np.sum(w))
+        if wsum <= 0:
+            raise UnreliableLossError(f"camera {i}: zero total loss weight")
+        v2 = du * du + dv * dv
+        cap = (4.0 * step_scale * pixel_stride) ** 2
+        sq = float(np.sum(w * cap * v2 / (cap + v2)) / wsum)
+        band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
+        mismatch = float(np.mean((meas.valid ^ sim.valid) & ~band))
+        pen = mismatch_weight * mismatch
+        per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
+                        "mismatch_penalty": pen})
+        totals.append(sq + pen)
+        penalties.append(pen)
+        n_total += n_core
+    return LossReport(total=float(np.mean(totals)), n_valid=n_total,
+                      mismatch_penalty=float(np.mean(penalties)),
+                      per_camera=tuple(per_cam))
+
+
+def noisy_maps(scene, a, seed):
+    """Measured maps of ``scene`` with the eye turned by ``a`` degrees, with
+    0.5 screen-px correspondence noise."""
+    sc = replace(scene, eye=rotate_eye(scene.eye, a, 0.0))
+    return [add_correspondence_noise(render_correspondence(sc, cam), 0.5,
+                                     seed + cam,
+                                     screen_resolution=scene.screen.resolution)
+            for cam in range(len(scene.cameras))]
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +160,45 @@ class TestCorrespondenceLoss:
         tiny.valid &= mask
         with pytest.raises(UnreliableLossError):
             correspondence_loss(truth_params(scene1), [tiny], scene1)
+
+
+class TestLossMatchesReference:
+    """One trace per camera, margins on the joint pixels only and the
+    measured-map terms built once must not change a bit of the loss."""
+
+    @pytest.mark.parametrize("a", [-4.0, 0.0, 4.0])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_equal_report(self, scene, a, stride):
+        measured = noisy_maps(scene, a, seed=31)
+        truth = EyeParamVector.from_eye(scene.eye)
+        x = truth.as_array()
+        x[0] = a
+        for dx in (np.zeros(8), [0.7, -0.4, 0.2, -0.1, 0.3, 0, 0, 0],
+                   [-1.5, 0.5, -0.3, 0.2, -0.2, 0, 0, 0]):
+            p = truth.with_array(x + np.asarray(dx))
+            got = correspondence_loss(p, measured, scene,
+                                      pixel_stride=stride)
+            assert got == reference_loss(p, measured, scene,
+                                         pixel_stride=stride)
+
+    def test_fit_trace_equal_at_stall(self, scene1, monkeypatch):
+        # +2 deg from the nominal eye at stride 2 is where the descent
+        # stalls; every accepted and rejected proposal must be the same
+        measured = noisy_maps(scene1, 2.0, seed=12)
+        cfg = OptConfig(pixel_stride=2)
+        init = init_guess(measured, scene1)
+        p_new, est_new, trace_new = optimize_gaze(init, measured, scene1, cfg)
+        monkeypatch.setattr(
+            optimize, "_evaluate_loss",
+            lambda params, terms, scene, config: reference_loss(
+                params, measured, scene, n_min=config.n_min,
+                boundary_px=config.boundary_px,
+                mismatch_weight=config.mismatch_weight,
+                pixel_stride=config.pixel_stride))
+        p_ref, est_ref, trace_ref = optimize_gaze(init, measured, scene1, cfg)
+        assert trace_new == trace_ref
+        assert np.array_equal(est_new.direction, est_ref.direction)
+        assert np.array_equal(p_new.as_array(), p_ref.as_array())
 
 
 class TestGradient:
@@ -148,6 +279,13 @@ class TestOptimize:
         q = project_params(p.with_array(x))
         eye = q.materialize(scene1.eye)  # must not raise
         assert eye.cornea_radius < eye.sclera_radius
+
+
+class TestOptConfig:
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_rejects_pixel_stride_below_one(self, stride):
+        with pytest.raises(ValueError, match="pixel_stride"):
+            OptConfig(pixel_stride=stride)
 
 
 class TestInitGuess:

@@ -4,12 +4,102 @@ import numpy as np
 import pytest
 
 from deflect_gaze.errors import InvariantViolation
-from deflect_gaze.geometry import unit
-from deflect_gaze.render import (CrossedFringe, ImagePattern, PhaseShiftSet,
+from deflect_gaze.geometry import reflect, unit
+from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
+                                 ImagePattern, PhaseShiftSet,
                                  add_correspondence_noise, pattern_value,
-                                 render_correspondence, render_frame)
-from deflect_gaze.scene import RigidPose, ScreenModel
+                                 ray_margins, render_correspondence,
+                                 render_frame, render_margins, trace_rays)
+from deflect_gaze.scene import (RigidPose, ScreenModel, eye_surface_hit_batch,
+                                rotate_eye)
 from helpers import plane_mirror_surface
+
+
+def reference_correspondence(scene, cam_index, surface=None, stride=1):
+    """``render_correspondence`` as first written, in one function."""
+    cam = scene.cameras[cam_index]
+    origin, dirs = cam.pixel_rays()
+    if stride > 1:
+        dirs = dirs[::stride, ::stride]
+    if surface is None:
+        points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
+    else:
+        points, normals, _, hit = surface(origin, dirs)
+
+    shape = dirs.shape[:-1]
+    u = np.full(shape, np.nan)
+    v = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
+    if np.any(hit):
+        d_h = dirs[hit]
+        p_h = points[hit]
+        r = reflect(d_h, normals[hit])
+        p0 = scene.screen.plane_point
+        nrm = scene.screen.plane_normal
+        denom = r @ nrm
+        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+        t = ((p0 - p_h) @ nrm) / safe
+        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
+
+        q = p_h + t[:, None] * r
+        uu, vv = scene.screen.world_to_uv(q)
+        w_s, h_s = scene.screen.resolution
+        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
+        u[hit] = np.where(ok, uu, np.nan)
+        v[hit] = np.where(ok, vv, np.nan)
+        valid[hit] = ok
+    return CorrespondenceMap(u=u, v=v, valid=valid)
+
+
+def reference_margins(scene, cam_index, stride=1):
+    """``render_margins`` as first written, with its own hit test."""
+    cam = scene.cameras[cam_index]
+    origin, dirs = cam.pixel_rays()
+    if stride > 1:
+        dirs = dirs[::stride, ::stride]
+    eye = scene.eye
+    flat = dirs.reshape(-1, 3)
+
+    def perp_margin(center, radius):
+        oc = origin - center
+        proj = flat @ oc
+        d2 = oc @ oc - proj * proj
+        return radius - np.sqrt(np.maximum(d2, 0.0))
+
+    sil = np.maximum(perp_margin(eye.cornea_center, eye.cornea_radius),
+                     perp_margin(eye.sclera_center, eye.sclera_radius))
+
+    points, _, _, hit = eye_surface_hit_batch(eye, origin, dirs)
+    rel = points.reshape(-1, 3) - eye.cornea_center
+    with np.errstate(invalid="ignore"):
+        norm = np.linalg.norm(rel, axis=1)
+        cosang = np.where(norm > 0, (rel @ eye.optical_axis)
+                          / np.maximum(norm, 1e-12), np.nan)
+        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+    aper = ang - eye.cornea_aperture
+
+    ap_rad = np.radians(eye.cornea_aperture)
+    circle_center = eye.cornea_center \
+        + eye.cornea_radius * np.cos(ap_rad) * eye.optical_axis
+    circle_radius = eye.cornea_radius * np.sin(ap_rad)
+    to_c = circle_center - origin
+    t_star = flat @ to_c
+    p_star = origin + t_star[:, None] * flat
+    v = p_star - circle_center
+    h = v @ eye.optical_axis
+    rho = np.linalg.norm(v - h[:, None] * eye.optical_axis, axis=1)
+    cap_edge = np.hypot(rho - circle_radius, h)
+
+    shape = dirs.shape[:-1]
+    return {"silhouette": sil.reshape(shape),
+            "aperture": aper.reshape(shape),
+            "cap_edge": cap_edge.reshape(shape)}
+
+
+def assert_maps_equal(a, b):
+    assert np.array_equal(a.valid, b.valid)
+    assert np.array_equal(a.u, b.u, equal_nan=True)
+    assert np.array_equal(a.v, b.v, equal_nan=True)
 
 
 class TestPatternValue:
@@ -111,6 +201,50 @@ class TestRenderCorrespondence:
         from deflect_gaze.scene import eye_surface_hit_batch
         _, _, _, hit1 = eye_surface_hit_batch(scene.eye, origin, dirs)
         assert corr_pair[1].valid.sum() >= 0.2 * hit1.sum()
+
+
+class TestOneTracePerRender:
+    """Both renders share one ray trace; outputs must equal the original
+    single-function renders bit for bit."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("a", [-6.0, 0.0, 6.0])
+    @pytest.mark.parametrize("which", ["scene", "dec_scene"])
+    def test_equal_to_reference(self, request, which, a, stride):
+        base = request.getfixturevalue(which)
+        sc = replace(base, eye=rotate_eye(base.eye, a, 0.0))
+        for cam in range(len(sc.cameras)):
+            assert_maps_equal(render_correspondence(sc, cam, stride=stride),
+                              reference_correspondence(sc, cam,
+                                                       stride=stride))
+            got = render_margins(sc, cam, stride=stride)
+            ref = reference_margins(sc, cam, stride=stride)
+            assert got.keys() == ref.keys()
+            for key in ref:
+                assert np.array_equal(got[key], ref[key], equal_nan=True)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_surface_hook_is_honoured(self, scene, stride):
+        p0 = np.array([0.0, 0.0, 12.0])
+        cam = scene.cameras[0]
+        screen_mid = scene.screen.uv_to_world(299.5, 169.5)
+        n = unit(unit(cam.center - p0) + unit(screen_mid - p0))
+        mirror = plane_mirror_surface(p0, n)
+        got = render_correspondence(scene, 0, surface=mirror, stride=stride)
+        assert_maps_equal(got, reference_correspondence(
+            scene, 0, surface=mirror, stride=stride))
+        assert got.n_valid > render_correspondence(scene, 0,
+                                                   stride=stride).n_valid
+
+    def test_margins_of_a_ray_subset(self, scene):
+        # the loss evaluates margins on the jointly valid rays only
+        sc = replace(scene, eye=rotate_eye(scene.eye, 3.0, 0.0))
+        full = render_margins(sc, 1, stride=2)
+        tr = trace_rays(sc, 1, stride=2)
+        pick = tr.hit & (np.random.default_rng(5).random(tr.hit.shape) < 0.3)
+        sub = ray_margins(sc.eye, tr.origin, tr.dirs[pick], tr.points[pick])
+        for key, vals in zip(("silhouette", "aperture", "cap_edge"), sub):
+            assert np.array_equal(vals, full[key][pick])
 
 
 class TestRenderFrame:
