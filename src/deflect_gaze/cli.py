@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with measured correspondence PFMs")
     s.add_argument("--freeze", choices=["shape", "pose", "none"],
                    default="shape")
-    s.add_argument("--max-iters", type=int, default=300)
+    s.add_argument("--max-iters", type=int, default=300,
+                   help="cap on trial steps")
     s.add_argument("--pixel-stride", type=int, default=1)
     s.add_argument("--trace", default=None, help="trace CSV path")
     s.add_argument("--out", default=None)

@@ -62,7 +62,8 @@ class UnreliableLossError(DeflectGazeError):
 
 
 class NoDescentError(DeflectGazeError):
-    """Optimizer found no accepted step within the proposal budget."""
+    """Optimizer accepted no trial step from a start whose gradient is
+    not zero."""
 
 
 class EmptyMapError(DeflectGazeError):

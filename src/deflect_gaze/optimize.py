@@ -3,9 +3,9 @@
 A simulated eye is adjusted until the correspondences its renders produce
 match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
-bearing channel), the gradient by central finite differences, and the
-descent is momentum plus backtracking with projection onto the valid
-parameter box.
+bearing channel) and is half the squared norm of a fixed-length residual
+vector, which a Levenberg-Marquardt loop minimizes with forward-difference
+Jacobians, projecting every trial onto the valid parameter box.
 """
 
 from __future__ import annotations
@@ -25,8 +25,17 @@ from .scene import EyeModel, SceneConfig, rotate_eye
 
 PARAM_NAMES = ("azimuth", "elevation", "tx", "ty", "tz",
                "cornea_radius", "sclera_radius", "cornea_offset")
-ANGLE_PARAMS = (0, 1)
 DEFAULT_ACTIVE = (True, True, True, True, True, False, False, False)
+
+# Levenberg-Marquardt constants: Jacobian probe step (deg or mm), initial
+# damping and its factors after a rejected and an accepted trial, and the
+# stops on relative cost decrease and on the trial step norm (deg or mm)
+FD_STEP = 1e-3
+LM_LAMBDA0 = 1e-3
+LM_RAISE = 10.0
+LM_LOWER = 0.1
+LM_FTOL = 1e-6
+LM_XTOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,7 @@ class EyeParamVector:
 
     Rotation in degrees about the nominal pivot, translation in mm of the
     sclera center from nominal, and the three shape radii/offsets in mm.
-    ``active`` masks which entries the descent may move (shape is frozen by
+    ``active`` masks which entries the fit may move (shape is frozen by
     default).
     """
 
@@ -95,29 +104,18 @@ def project_params(p: EyeParamVector) -> EyeParamVector:
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Descent settings. Steps are per parameter group (degrees for the
-    rotation entries, mm for the rest)."""
+    """Fit settings: the cap on Levenberg-Marquardt trial steps and the
+    loss settings of :func:`correspondence_loss`."""
 
     max_iters: int = 300
-    step_deg: float = 0.5
-    step_mm: float = 0.5
-    step_decay: float = 0.5
-    momentum: float = 0.8
-    fd_step_deg: float = 1e-3
-    fd_step_mm: float = 1e-3
-    rel_tol: float = 1e-7
-    rel_window: int = 10
-    min_step: float = 1e-5
     n_min: int = 200
     boundary_px: int = 2
     mismatch_weight: float = 25.0
     pixel_stride: int = 1
 
     def __post_init__(self):
-        if self.step_deg <= 0 or self.step_mm <= 0:
-            raise ValueError("steps must be positive")
-        if not 0 < self.step_decay < 1:
-            raise ValueError("step_decay in (0, 1)")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.pixel_stride < 1:
             raise ValueError("pixel_stride must be >= 1")
 
@@ -248,10 +246,10 @@ def correspondence_loss(
     The measured-map terms (the map on the ``pixel_stride`` grid, its
     eroded validity, the boundary fade weight with the seam zeroed and the
     median measured step) are constant over a fit: :func:`optimize_gaze`
-    and :func:`loss_gradient` build them once, a standalone call builds
-    them itself. Each evaluation traces every camera once and reads the
-    silhouette, aperture and cap-edge margins only at the jointly valid
-    pixels, the only ones given weight.
+    builds them once, a standalone call builds them itself. Each
+    evaluation traces every camera once and reads the silhouette, aperture
+    and cap-edge margins only at the jointly valid pixels, the only ones
+    given weight.
 
     Raises:
         UnreliableLossError: fewer than ``n_min`` jointly valid pixels for
@@ -263,13 +261,21 @@ def correspondence_loss(
                        mismatch_weight=mismatch_weight,
                        pixel_stride=pixel_stride)
     return _evaluate_loss(params, _measured_terms(measured, scene, config),
-                          scene, config)
+                          scene, config)[0]
 
 
-def _evaluate_loss(params: EyeParamVector,
-                   measured_terms: tuple[_MeasuredTerms, ...],
-                   scene: SceneConfig, config: OptConfig) -> LossReport:
-    """:func:`correspondence_loss` on prepared measured-map terms."""
+def _evaluate_loss(
+    params: EyeParamVector,
+    measured_terms: tuple[_MeasuredTerms, ...],
+    scene: SceneConfig,
+    config: OptConfig,
+) -> tuple[LossReport, np.ndarray]:
+    """:func:`correspondence_loss` on prepared measured-map terms, plus the
+    residual vector ``r`` with ``0.5 * r @ r == report.total`` up to
+    rounding: per camera the weighted, saturated ``(du, dv)`` of every
+    loss-grid pixel and the square root of the mismatch penalty, all
+    scaled by ``sqrt(2 / n_cameras)``. Its length depends only on the
+    measured maps."""
     eye = params.materialize(scene.eye)
     sim_scene = replace(scene, eye=eye)
     boundary_px = config.boundary_px
@@ -280,6 +286,7 @@ def _evaluate_loss(params: EyeParamVector,
     per_cam = []
     totals = []
     penalties = []
+    residuals = []
     n_total = 0
     for i, terms in enumerate(measured_terms):
         tr = trace_rays(sim_scene, i, stride=pixel_stride)
@@ -350,50 +357,13 @@ def _evaluate_loss(params: EyeParamVector,
         totals.append(sq + pen)
         penalties.append(pen)
         n_total += n_core
-    return LossReport(total=float(np.mean(totals)), n_valid=n_total,
-                      mismatch_penalty=float(np.mean(penalties)),
-                      per_camera=tuple(per_cam))
-
-
-def loss_gradient(
-    params: EyeParamVector,
-    measured: list[CorrespondenceMap],
-    scene: SceneConfig,
-    config: OptConfig,
-) -> np.ndarray:
-    """Central finite-difference gradient over the active parameters."""
-    g, _ = _fd_gradient_curvature(
-        params, _measured_terms(measured, scene, config), scene, config)
-    return g
-
-
-def _fd_gradient_curvature(
-    params: EyeParamVector,
-    measured_terms: tuple[_MeasuredTerms, ...],
-    scene: SceneConfig,
-    config: OptConfig,
-    loss0: float | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Central-difference gradient, plus the diagonal curvature when the
-    center loss is supplied (the same probes serve both)."""
-    active = np.nonzero(params.active)[0]
-    x0 = params.as_array()
-    g = np.zeros(len(active))
-    curv = np.zeros(len(active)) if loss0 is not None else None
-    for j, idx in enumerate(active):
-        h = config.fd_step_deg if idx in ANGLE_PARAMS else config.fd_step_mm
-        xp = x0.copy()
-        xp[idx] += h
-        xm = x0.copy()
-        xm[idx] -= h
-        lp = _evaluate_loss(params.with_array(xp), measured_terms, scene,
-                            config)
-        lm = _evaluate_loss(params.with_array(xm), measured_terms, scene,
-                            config)
-        g[j] = (lp.total - lm.total) / (2.0 * h)
-        if curv is not None:
-            curv[j] = (lp.total + lm.total - 2.0 * loss0) / (h * h)
-    return g, curv
+        f = np.sqrt(w * cap / ((cap + v2) * wsum))
+        residuals += [(f * du).ravel(), (f * dv).ravel(), [np.sqrt(pen)]]
+    report = LossReport(total=float(np.mean(totals)), n_valid=n_total,
+                        mismatch_penalty=float(np.mean(penalties)),
+                        per_camera=tuple(per_cam))
+    r = np.concatenate(residuals) * np.sqrt(2.0 / len(measured_terms))
+    return report, r
 
 
 def optimize_gaze(
@@ -402,106 +372,89 @@ def optimize_gaze(
     scene: SceneConfig,
     config: OptConfig | None = None,
 ) -> tuple[EyeParamVector, GazeEstimate, list[dict]]:
-    """Momentum descent with backtracking on the correspondence loss.
+    """Levenberg-Marquardt fit of the active parameters to the loss
+    residuals (Moré 1978).
 
-    Proposals that lower the loss are accepted and keep their momentum;
-    rejected proposals halve the step and reset momentum. Parameters stay
-    in the valid box by projection. The trace records (iter, loss, step)
-    plus the parameter state per iteration.
+    At each accepted point a forward-difference Jacobian ``J`` of the
+    residuals is taken; a trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ =
+    -Jᵀr`` and is evaluated at the projection of ``x + δ`` onto the valid
+    box. A trial that lowers the loss is accepted and lowers ``λ``; one
+    that does not, or whose loss is unreliable, raises ``λ``. The fit
+    stops at a zero gradient, a relative loss decrease below ``LM_FTOL``,
+    a trial step below ``LM_XTOL`` or ``max_iters`` trials. The trace has
+    one row per trial (plus row 0 at the start) with the trial's step norm
+    and the loss and parameters of the current point, so its losses never
+    rise.
 
     Raises:
-        NoDescentError: no accepted step within the first 50 proposals.
-        UnreliableLossError: the loss is unreliable at ``init``.
+        NoDescentError: no trial accepted although the gradient at the
+            start is not zero.
+        UnreliableLossError: the loss is unreliable at ``init`` or at a
+            Jacobian probe.
     """
     config = config or OptConfig()
     measured_terms = _measured_terms(measured, scene, config)
+    active = np.nonzero(init.active)[0]
     p = project_params(init)
-    loss = _evaluate_loss(p, measured_terms, scene, config).total
-    active = np.nonzero(p.active)[0]
-    base = np.array([
-        config.step_deg if idx in ANGLE_PARAMS else config.step_mm
-        for idx in active
-    ])
-    velocity = np.zeros(len(active))
-    step = 1.0
+    rep, r = _evaluate_loss(p, measured_terms, scene, config)
+    loss = rep.total
+    lam = LM_LAMBDA0
     trace: list[dict] = []
 
-    def descent_direction(grad, curv):
-        """Diagonal-curvature preconditioned step, trust-capped per group.
-
-        The loss valley couples rotation to a compensating translation
-        (rotating a sphere about an offset pivot looks like translating
-        it); raw gradient steps crawl along it, Newton-diagonal steps do
-        not. Non-convex or tiny curvatures fall back to a unit gradient
-        step at the group base scale."""
-        floor = 1e-8 + 1e-3 * float(np.max(np.abs(curv))) if curv is not None \
-            else 0.0
-        d = np.zeros_like(grad)
-        gnorm = float(np.linalg.norm(grad))
-        for j in range(len(grad)):
-            if curv is not None and curv[j] > floor:
-                d[j] = grad[j] / curv[j]
-            elif gnorm > 0:
-                d[j] = base[j] * grad[j] / gnorm
-        lim = 4.0 * base
-        return np.clip(d, -lim, lim)
-
-    def record(it, cur_loss, cur_step, pv: EyeParamVector):
-        x = pv.as_array()
+    def record(it, step):
+        x = p.as_array()
         trace.append({
-            "iter": it, "loss": cur_loss, "step": cur_step,
+            "iter": it, "loss": loss, "step": step,
             "azimuth": x[0], "elevation": x[1],
             "tx": x[2], "ty": x[3], "tz": x[4],
         })
 
-    record(0, loss, step, p)
-    accepted_losses = [loss]
+    record(0, 0.0)
     grad = None
-    curv = None
-    n_proposals = 0
-    accepted_any = False
-
     for it in range(1, config.max_iters + 1):
-        if loss < 1e-12:
-            break
         if grad is None:
-            grad, curv = _fd_gradient_curvature(p, measured_terms, scene,
-                                                config, loss0=loss)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-15:
-            break
-        delta = config.momentum * velocity - step * descent_direction(grad, curv)
-        x_new = p.as_array()
-        x_new[active] += delta
-        p_new = project_params(p.with_array(x_new))
-        n_proposals += 1
+            x0 = p.as_array()
+            jac = np.empty((len(r), len(active)))
+            for j, idx in enumerate(active):
+                # a probe that would leave the valid box goes the other way
+                for h in (FD_STEP, -FD_STEP):
+                    x = x0.copy()
+                    x[idx] += h
+                    if np.array_equal(
+                            project_params(p.with_array(x)).as_array(), x):
+                        break
+                r_h = _evaluate_loss(p.with_array(x), measured_terms, scene,
+                                     config)[1]
+                jac[:, j] = (r_h - r) / h
+            grad = jac.T @ r
+            jtj = jac.T @ jac
+            if not grad.any():
+                break
+        delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+        x = p.as_array()
+        x[active] += delta
+        p_new = project_params(p.with_array(x))
         try:
-            loss_new = _evaluate_loss(p_new, measured_terms, scene,
-                                      config).total
+            rep, r_new = _evaluate_loss(p_new, measured_terms, scene, config)
+            loss_new = rep.total
         except UnreliableLossError:
             loss_new = np.inf
+        step = float(np.linalg.norm(delta))
+        converged = False
         if loss_new < loss:
-            p, loss = p_new, loss_new
-            velocity = delta
-            accepted_any = True
+            converged = loss - loss_new < LM_FTOL * loss
+            p, r, loss = p_new, r_new, loss_new
+            lam *= LM_LOWER
             grad = None
-            # backtracking recovery: accepted steps regrow toward the base
-            step = min(step / config.step_decay, 1.0)
-            accepted_losses.append(loss)
         else:
-            step *= config.step_decay
-            velocity[:] = 0.0
-        if not accepted_any and n_proposals >= 50:
-            raise NoDescentError("no accepted step in the first 50 proposals")
-        record(it, loss, step, p)
-        if step < config.min_step:
+            lam *= LM_RAISE
+        record(it, step)
+        if converged or step < LM_XTOL:
             break
-        # converged: the last rel_window accepted steps changed the loss
-        # by less than rel_tol relative
-        if len(accepted_losses) > config.rel_window:
-            old = accepted_losses[-1 - config.rel_window]
-            if old - loss <= config.rel_tol * max(old, 1e-30):
-                break
+    # accepted losses strictly fall, so an unchanged loss means no trial
+    # was accepted and the start-point gradient is still at hand
+    if loss == trace[0]["loss"] and grad.any():
+        raise NoDescentError(f"no accepted step in {len(trace) - 1} trials")
 
     eye = p.materialize(scene.eye)
     estimate = GazeEstimate(

@@ -1,14 +1,15 @@
-"""Layer benchmark of the inverse-rendering loss and one optimizer fit.
+"""Layer benchmark of the inverse-rendering loss and two optimizer fits.
 
 Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
     PYTHONPATH=src python -m pytest tests/bench_optimize.py
 
-Both cases use the default scene's first camera (128 px) and a measured map
+All cases use the default scene's first camera (128 px) and a measured map
 with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
 standalone ``correspondence_loss`` call builds the measured-map terms
-itself; inside a fit they are built once, so the fit case shows what a
-loss evaluation costs there.
+itself; inside a fit they are built once, so the fit cases show what a
+loss evaluation costs there. The fits start from ``init_guess`` at -2 and
++2 deg.
 """
 
 from dataclasses import replace
@@ -41,12 +42,13 @@ def test_correspondence_loss_128(benchmark, scene1, stride):
     assert rep.total > 0
 
 
-def test_optimize_gaze_128_stride2(benchmark, scene1):
-    measured = measured_at(scene1, -2.0)
+@pytest.mark.parametrize("a", [-2.0, 2.0])
+def test_optimize_gaze_128_stride2(benchmark, scene1, a):
+    measured = measured_at(scene1, a)
     init = init_guess(measured, scene1)
     config = OptConfig(pixel_stride=2)
     params, _, trace = benchmark.pedantic(
         optimize_gaze, args=(init, measured, scene1, config), rounds=3,
         iterations=1)
-    assert abs(params.azimuth + 2.0) < 0.1
+    assert abs(params.azimuth - a) < 0.1
     assert len(trace) > 1

@@ -100,6 +100,18 @@ class TestReconstructAndGaze:
         assert "pixel_stride" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_gaze_optimize_rejects_zero_max_iters(self, scene_file, tmp_path,
+                                                  capsys):
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out",
+                     str(simdir)]) == 0
+        out_csv = tmp_path / "est.csv"
+        rc = main(["gaze-optimize", "--scene", scene_file, "--measured",
+                   str(simdir), "--max-iters", "0", "--out", str(out_csv)])
+        assert rc == 2
+        assert "max_iters" in capsys.readouterr().err
+        assert not out_csv.exists()
+
 
 class TestReconstructOptions:
     @pytest.fixture(scope="class")

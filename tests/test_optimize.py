@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from deflect_gaze import optimize
-from deflect_gaze.errors import EmptyMapError, UnreliableLossError
+from deflect_gaze.errors import (EmptyMapError, NoDescentError,
+                                 UnreliableLossError)
 from deflect_gaze.gaze import relative_gaze_angle
 from deflect_gaze.optimize import (EyeParamVector, LossReport, OptConfig,
-                                   _erode, _fade_weight, _seam_mask, _strided,
+                                   _erode, _evaluate_loss, _fade_weight,
+                                   _measured_terms, _seam_mask, _strided,
                                    correspondence_loss, image_loss,
-                                   init_guess, loss_gradient, optimize_gaze,
-                                   project_params)
+                                   init_guess, optimize_gaze, project_params)
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  add_correspondence_noise,
                                  render_correspondence, render_frame,
@@ -181,45 +182,26 @@ class TestLossMatchesReference:
             assert got == reference_loss(p, measured, scene,
                                          pixel_stride=stride)
 
-    def test_fit_trace_equal_at_stall(self, scene1, monkeypatch):
-        # +2 deg from the nominal eye at stride 2 is where the descent
-        # stalls; every accepted and rejected proposal must be the same
-        measured = noisy_maps(scene1, 2.0, seed=12)
-        cfg = OptConfig(pixel_stride=2)
-        init = init_guess(measured, scene1)
-        p_new, est_new, trace_new = optimize_gaze(init, measured, scene1, cfg)
-        monkeypatch.setattr(
-            optimize, "_evaluate_loss",
-            lambda params, terms, scene, config: reference_loss(
-                params, measured, scene, n_min=config.n_min,
-                boundary_px=config.boundary_px,
-                mismatch_weight=config.mismatch_weight,
-                pixel_stride=config.pixel_stride))
-        p_ref, est_ref, trace_ref = optimize_gaze(init, measured, scene1, cfg)
-        assert trace_new == trace_ref
-        assert np.array_equal(est_new.direction, est_ref.direction)
-        assert np.array_equal(p_new.as_array(), p_ref.as_array())
-
-
-class TestGradient:
-    def test_stationary_at_truth(self, scene1, measured_truth):
-        g = loss_gradient(truth_params(scene1), measured_truth, scene1,
-                          OptConfig())
-        assert np.linalg.norm(g) < 1e-3
-
-    def test_sign_matches_slope(self, scene1, measured_truth):
-        p = truth_params(scene1)
-        x = p.as_array()
-        x[0] += 1.0
-        p1 = p.with_array(x)
-        cfg = OptConfig()
-        g = loss_gradient(p1, measured_truth, scene1, cfg)
-        l_here = correspondence_loss(p1, measured_truth, scene1).total
-        x2 = x.copy()
-        x2[0] += cfg.fd_step_deg
-        l_up = correspondence_loss(p.with_array(x2), measured_truth,
-                                   scene1).total
-        assert (g[0] > 0) == (l_up > l_here)
+    @pytest.mark.parametrize("n_cam", [1, 2])
+    def test_residuals_match_reference_loss(self, scene, n_cam):
+        # the fit minimizes 0.5 * |r|^2, which must be the reference loss
+        sc = replace(scene, cameras=scene.cameras[:n_cam])
+        truth = EyeParamVector.from_eye(sc.eye)
+        for a in (-4.0, 0.0, 4.0):
+            measured = noisy_maps(sc, a, seed=31)
+            x = truth.as_array()
+            x[0] = a
+            for stride in (1, 2, 3):
+                cfg = OptConfig(pixel_stride=stride)
+                terms = _measured_terms(measured, sc, cfg)
+                for dx in (np.zeros(8), [0.7, -0.4, 0.2, -0.1, 0.3, 0, 0, 0],
+                           [-1.5, 0.5, -0.3, 0.2, -0.2, 0, 0, 0]):
+                    p = truth.with_array(x + np.asarray(dx))
+                    _, r = _evaluate_loss(p, terms, sc, cfg)
+                    ref = reference_loss(p, measured, sc,
+                                         pixel_stride=stride).total
+                    assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
+                                                               abs=0.0)
 
 
 class TestOptimize:
@@ -271,6 +253,81 @@ class TestOptimize:
         pstar, _, _ = optimize_gaze(init, measured, scene1, OptConfig())
         assert abs(pstar.cornea_radius - 8.1) < 0.05
 
+    @pytest.mark.parametrize("a", [-4.0, -2.0, 2.0, 4.0])
+    def test_bench_positions(self, scene1, a):
+        # the optimize benchmark's fit: unrotated nominal, sigma_c 0.5,
+        # stride 2, started from init_guess
+        measured = noisy_maps(scene1, a, seed=5)
+        init = init_guess(measured, scene1)
+        pstar, _, trace = optimize_gaze(init, measured, scene1,
+                                        OptConfig(pixel_stride=2))
+        assert abs(pstar.azimuth - a) < 0.1
+        assert trace[-1]["loss"] <= 3 * 2 * 0.5 ** 2
+
+    def test_trace_losses_are_row_losses(self, scene1):
+        measured = noisy_maps(scene1, 2.0, seed=12)
+        init = init_guess(measured, scene1)
+        _, _, trace = optimize_gaze(init, measured, scene1,
+                                    OptConfig(pixel_stride=2))
+        assert len(trace) > 2
+        x = init.as_array()
+        for row in trace:
+            x[:5] = [row[k] for k in ("azimuth", "elevation", "tx", "ty",
+                                      "tz")]
+            rep = correspondence_loss(init.with_array(x), measured, scene1,
+                                      pixel_stride=2)
+            assert row["loss"] == rep.total
+
+    def test_unreliable_trials_are_rejected(self, scene1, monkeypatch):
+        # the loss is unreliable beyond 2.2 deg azimuth, which the first
+        # undamped step from 0 deg overshoots into
+        evaluate = optimize._evaluate_loss
+        n_unreliable = 0
+
+        def bounded(params, terms, scene, config):
+            nonlocal n_unreliable
+            if params.azimuth > 2.2:
+                n_unreliable += 1
+                raise UnreliableLossError("beyond 2.2 deg")
+            return evaluate(params, terms, scene, config)
+
+        monkeypatch.setattr(optimize, "_evaluate_loss", bounded)
+        measured = noisy_maps(scene1, 2.0, seed=12)
+        init = init_guess(measured, scene1)
+        pstar, _, trace = optimize_gaze(init, measured, scene1,
+                                        OptConfig(pixel_stride=2))
+        assert n_unreliable > 0
+        assert abs(pstar.azimuth - 2.0) < 0.1
+        assert all(row["azimuth"] <= 2.2 for row in trace)
+
+    def test_no_accepted_trial_raises(self, scene1, monkeypatch):
+        # every point but the start has an infinite loss (the residuals,
+        # hence the Jacobian, are kept), so no trial is accepted although
+        # the gradient at the start is far from zero
+        evaluate = optimize._evaluate_loss
+        measured = noisy_maps(scene1, 2.0, seed=12)
+        init = init_guess(measured, scene1)
+
+        def worse_off_start(params, terms, scene, config):
+            rep, r = evaluate(params, terms, scene, config)
+            if np.array_equal(params.as_array(), init.as_array()):
+                return rep, r
+            return replace(rep, total=np.inf), r
+
+        monkeypatch.setattr(optimize, "_evaluate_loss", worse_off_start)
+        with pytest.raises(NoDescentError):
+            optimize_gaze(init, measured, scene1, OptConfig(pixel_stride=2))
+
+    def test_shape_fit_from_box_boundary(self, scene1, measured_truth):
+        # the projected start has the smallest cornea offset the box allows;
+        # a forward probe of the sclera radius from there leaves the box
+        init = project_params(EyeParamVector(
+            cornea_radius=8.02, sclera_radius=12.0, cornea_offset=1.0,
+            active=(True,) * 8))
+        _, _, trace = optimize_gaze(init, measured_truth, scene1,
+                                    OptConfig(pixel_stride=2))
+        assert trace[-1]["loss"] < trace[0]["loss"]
+
     def test_projection_keeps_invariants(self, scene1):
         p = EyeParamVector.from_eye(scene1.eye)
         x = p.as_array()
@@ -286,6 +343,11 @@ class TestOptConfig:
     def test_rejects_pixel_stride_below_one(self, stride):
         with pytest.raises(ValueError, match="pixel_stride"):
             OptConfig(pixel_stride=stride)
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_rejects_max_iters_below_one(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptConfig(max_iters=max_iters)
 
 
 class TestInitGuess:
