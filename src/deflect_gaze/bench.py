@@ -32,6 +32,9 @@ DEFAULT_POSITIONS = {
     METHOD_OPTIMIZE: (-4.0, -2.0, 0.0, 2.0, 4.0),
 }
 THREADS_ENV = "DEFLECT_GAZE_THREADS"
+DEFAULT_WORKER_CAP = 8
+# the optimize method fits on every second pixel
+OPT_CONFIG = OptConfig(pixel_stride=2)
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,7 @@ class BenchmarkConfig:
     sigma_c: float = 0.0
     rotation_axis: tuple[float, float, float] = (0.0, 1.0, 0.0)
     master_seed: int = 0
-    stereo_stride: int = 1
     cluster: ClusterParams = field(default_factory=ClusterParams)
-    opt: OptConfig = field(default_factory=lambda: OptConfig(pixel_stride=2))
 
     def __post_init__(self):
         if self.method not in (METHOD_STEREO, METHOD_OPTIMIZE):
@@ -124,8 +125,7 @@ def _stereo_direction(scene: SceneConfig, corr1, corr2, config, seeds):
             corr2, config.sigma_c, int(seeds[1]),
             screen_resolution=scene.screen.resolution,
         )
-    field_ = reconstruct_field(scene, corr1, corr2,
-                               stride=config.stereo_stride)
+    field_ = reconstruct_field(scene, corr1, corr2)
     cluster = replace(config.cluster, rng_seed=int(seeds[2]))
     return estimate_gaze_two_center(field_, cluster).direction
 
@@ -138,7 +138,7 @@ def _optimize_direction(scene: SceneConfig, corr, config, seeds):
             screen_resolution=nominal.screen.resolution,
         )
     init = init_guess([corr], nominal)
-    _, est, _ = optimize_gaze(init, [corr], nominal, config.opt)
+    _, est, _ = optimize_gaze(init, [corr], nominal, OPT_CONFIG)
     return est.direction
 
 
@@ -187,11 +187,21 @@ def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
     )
 
 
-def max_workers_from_env(default_cap: int = 8) -> int:
+def max_workers_from_env() -> int:
+    """Worker count from ``DEFLECT_GAZE_THREADS``, else the CPU count capped
+    at ``DEFAULT_WORKER_CAP``.
+
+    Raises:
+        ValueError: the variable is set but not an integer.
+    """
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
-    return max(1, min(default_cap, os.cpu_count() or 1))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    return max(1, min(DEFAULT_WORKER_CAP, os.cpu_count() or 1))
 
 
 def run_benchmark(
@@ -233,7 +243,10 @@ def run_benchmark(
     if max_workers <= 1 or len(indices) == 1:
         results = [_run_position(scene, config, i, reference) for i in indices]
     else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        # the pool starts all its workers at once; more than one per
+        # position would sit idle
+        with ProcessPoolExecutor(
+                max_workers=min(max_workers, len(indices))) as pool:
             futures = [
                 pool.submit(_run_position, scene, config, i, reference)
                 for i in indices

@@ -31,32 +31,44 @@ from .render import CorrespondenceMap, CrossedFringe, Frame, PhaseShiftSet
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# Morlet sweep: scales per orientation, the ridge-quality floor, and the
+# absolute ridge-modulus floor (a real carrier sits near half its fringe
+# amplitude)
+N_SCALES = 16
+Q_MIN = 0.15
+MOD_FLOOR = 1e-3
+# phase-shift modulation floor, relative to its 95th percentile
+M_MIN = 0.05
+# foreground mask: local-mean threshold, its window (px) and the erosion (px)
+FG_THRESHOLD = 0.2
+FG_SIZE = 5
+FG_ERODE = 2
+# smallest valid component that is unwrapped and anchored (px)
+MIN_COMPONENT = 64
+# half-width (camera px) of the geometric cornea/sclera seam band
+SEAM_WIDTH_PX = 2.5
+
 
 @dataclass(frozen=True)
 class WaveletParams:
     """Morlet sweep configuration for one fringe orientation.
 
-    The sweep resolves local fringe periods in
-    ``[2 pi scale_min / omega0, 2 pi scale_max / omega0]`` camera px.
-    Pixels closer to the frame border than twice their ridge scale are
-    dropped rather than decoded with badly truncated kernels.
+    The sweep runs over ``N_SCALES`` log-spaced scales and resolves local
+    fringe periods in ``[2 pi scale_min / omega0, 2 pi scale_max / omega0]``
+    camera px. Pixels closer to the frame border than twice their ridge
+    scale are dropped rather than decoded with badly truncated kernels.
     """
 
     orientation: str
     scale_min: float = 6.0
     scale_max: float = 24.0
-    n_scales: int = 16
     omega0: float = 5.5
-    q_min: float = 0.15
-    mod_floor: float = 1e-3  # absolute ridge-modulus floor; a real carrier sits near half its fringe amplitude
 
     def __post_init__(self):
         if self.orientation not in ("x", "y"):
             raise InvariantViolation("wavelet: orientation must be 'x' or 'y'")
         if not 0 < self.scale_min < self.scale_max:
             raise InvariantViolation("wavelet: 0 < scale_min < scale_max")
-        if self.n_scales < 8:
-            raise InvariantViolation("wavelet: n_scales >= 8")
 
 
 @dataclass
@@ -83,7 +95,7 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     For each pixel the transform modulus is maximized over a log-spaced
     scale sweep; the phase is the argument at that ridge and the quality is
     the ridge modulus normalized by its 95th percentile. Pixels below
-    ``q_min`` quality are invalid.
+    ``Q_MIN`` quality or ``MOD_FLOOR`` modulus are invalid.
 
     Raises:
         NoRidgeError: fewer than 1% of pixels pass the quality threshold.
@@ -93,7 +105,7 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     carrier_axis = 1 if params.orientation == "x" else 0
     env_axis = 1 - carrier_axis
 
-    scales = np.geomspace(params.scale_min, params.scale_max, params.n_scales)
+    scales = np.geomspace(params.scale_min, params.scale_max, N_SCALES)
     best_mod = np.zeros((h, w))
     best_re = np.zeros((h, w))
     best_im = np.zeros((h, w))
@@ -127,11 +139,11 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
         admitted_any |= admissible
 
     ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
-    if ref < params.mod_floor:
+    if ref < MOD_FLOOR:
         quality = np.zeros((h, w))
     else:
         quality = np.clip(best_mod / ref, 0.0, 1.0)
-    valid = admitted_any & (quality >= params.q_min) & (best_mod >= params.mod_floor)
+    valid = admitted_any & (quality >= Q_MIN) & (best_mod >= MOD_FLOOR)
     if valid.mean() < 0.01:
         raise NoRidgeError(
             f"orientation {params.orientation!r}: fewer than 1% of pixels pass "
@@ -142,15 +154,13 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
 
 
-def phase_shift_decode(
-    frames: list[Frame], pattern: PhaseShiftSet, m_min: float = 0.05
-) -> PhaseMap:
+def phase_shift_decode(frames: list[Frame], pattern: PhaseShiftSet) -> PhaseMap:
     """Wrapped phase from N phase-shifted frames.
 
     ``phi = atan2(-sum I_k sin(2 pi k / N), sum I_k cos(2 pi k / N))``, the
     sign convention that reproduces ``2 pi coord / period`` on a noiseless
     render. Quality is the modulation amplitude normalized by its 95th
-    percentile; pixels below ``m_min`` are invalid.
+    percentile; pixels below ``M_MIN`` are invalid.
 
     Raises:
         ShiftCountError: len(frames) != pattern.n_shifts.
@@ -170,7 +180,7 @@ def phase_shift_decode(
         valid = np.zeros(amp.shape, dtype=bool)
     else:
         quality = np.clip(amp / ref, 0.0, 1.0)
-        valid = quality >= m_min
+        valid = quality >= M_MIN
     phase = np.where(valid, phase, np.nan)
     return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
 
@@ -276,19 +286,16 @@ def assert_continuity(pmap: PhaseMap):
 # ---------------------------------------------------------------------------
 # Frame-to-correspondence pipelines.
 
-def foreground_mask(
-    frame: Frame, threshold: float = 0.2, size: int = 5, erode: int = 2
-) -> np.ndarray:
-    """Bright-region mask: local mean intensity above ``threshold``, eroded.
+def foreground_mask(frame: Frame) -> np.ndarray:
+    """Bright-region mask: mean intensity over a ``FG_SIZE`` window above
+    ``FG_THRESHOLD``, eroded by ``FG_ERODE`` px.
 
     Separates the fringe-lit eye surface from the dark surround so halo
     pixels (wavelet support bleeding into background) are not decoded.
     """
-    mean = ndimage.uniform_filter(np.asarray(frame.intensity, float), size)
-    mask = mean > threshold
-    if erode > 0:
-        mask = ndimage.binary_erosion(mask, FOUR_CONN, iterations=erode)
-    return mask
+    mean = ndimage.uniform_filter(np.asarray(frame.intensity, float), FG_SIZE)
+    return ndimage.binary_erosion(mean > FG_THRESHOLD, FOUR_CONN,
+                                  iterations=FG_ERODE)
 
 
 def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
@@ -329,8 +336,6 @@ def correspondence_from_phases(
     period_x: float,
     period_y: float,
     anchor_truth: CorrespondenceMap,
-    min_component: int = 64,
-    sever_seams: bool = True,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """Unwrap wrapped phase pairs per connected component and anchor each
@@ -341,8 +346,8 @@ def correspondence_from_phases(
     unwrapping cannot carry a wrong 2 pi multiple across. Wrapped-step
     severing alone cannot do this reliably: the multi-period seam jump
     aliases below pi three times out of four. The returned map is the
-    union of all components large enough; smaller fragments and components
-    with no anchorable pixel are dropped.
+    union of all components of at least ``MIN_COMPONENT`` pixels; smaller
+    fragments and components with no anchorable pixel are dropped.
     """
     if seam_mask is not None:
         phi_x = phi_x.copy()
@@ -350,9 +355,8 @@ def correspondence_from_phases(
         for pm in (phi_x, phi_y):
             pm.valid &= ~seam_mask
             pm.phase[~pm.valid] = np.nan
-    if sever_seams:
-        phi_x = _sever_phase_seams(phi_x)
-        phi_y = _sever_phase_seams(phi_y)
+    phi_x = _sever_phase_seams(phi_x)
+    phi_y = _sever_phase_seams(phi_y)
     joint = phi_x.valid & phi_y.valid
     labels, n_comp = ndimage.label(joint, structure=FOUR_CONN)
     h, w = joint.shape
@@ -364,7 +368,7 @@ def correspondence_from_phases(
 
     for comp in range(1, n_comp + 1):
         mask = labels == comp
-        if mask.sum() < min_component:
+        if mask.sum() < MIN_COMPONENT:
             continue
         anchorable = mask & anchor_truth.valid
         if not anchorable.any():
@@ -397,14 +401,12 @@ def decode_crossed_fringe(
     anchor_truth: CorrespondenceMap,
     wavelet_x: WaveletParams | None = None,
     wavelet_y: WaveletParams | None = None,
-    min_component: int = 64,
-    mask_threshold: float = 0.2,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """Single-shot decode: crossed-fringe frame to correspondence map."""
     wx = wavelet_x or WaveletParams(orientation="x")
     wy = wavelet_y or WaveletParams(orientation="y")
-    fg = foreground_mask(frame, threshold=mask_threshold)
+    fg = foreground_mask(frame)
     pm_x = cwt2_phase(frame, wx)
     pm_y = cwt2_phase(frame, wy)
     for pm in (pm_x, pm_y):
@@ -412,7 +414,7 @@ def decode_crossed_fringe(
         pm.phase[~pm.valid] = np.nan
     return correspondence_from_phases(
         pm_x, pm_y, pattern.period_x, pattern.period_y, anchor_truth,
-        min_component=min_component, seam_mask=seam_mask,
+        seam_mask=seam_mask,
     )
 
 
@@ -422,7 +424,6 @@ def decode_phase_shift(
     pattern_x: PhaseShiftSet,
     pattern_y: PhaseShiftSet,
     anchor_truth: CorrespondenceMap,
-    min_component: int = 64,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """N-step decode: two phase-shifted stacks to a correspondence map."""
@@ -430,16 +431,17 @@ def decode_phase_shift(
     pm_y = phase_shift_decode(frames_y, pattern_y)
     return correspondence_from_phases(
         pm_x, pm_y, pattern_x.period, pattern_y.period, anchor_truth,
-        min_component=min_component, seam_mask=seam_mask,
+        seam_mask=seam_mask,
     )
 
 
-def scene_seam_mask(scene, cam_index: int, width_px: float = 2.5) -> np.ndarray:
+def scene_seam_mask(scene, cam_index: int) -> np.ndarray:
     """Geometric cornea/sclera seam band for a camera view.
 
     The known stage pose predicts where the cap boundary images; pixels
-    whose aperture-angle margin is within ~``width_px`` pixels of zero are
-    flagged so unwrapping treats the two regions as separate components.
+    whose aperture-angle margin is within ~``SEAM_WIDTH_PX`` pixels of zero
+    are flagged so unwrapping treats the two regions as separate
+    components.
     """
     from .render import render_margins
 
@@ -450,4 +452,4 @@ def scene_seam_mask(scene, cam_index: int, width_px: float = 2.5) -> np.ndarray:
                       / cam.focal_length)
     deg_per_px = np.degrees(footprint / eye.cornea_radius)
     ap = margins["aperture"]
-    return np.isfinite(ap) & (np.abs(ap) < width_px * deg_per_px)
+    return np.isfinite(ap) & (np.abs(ap) < SEAM_WIDTH_PX * deg_per_px)

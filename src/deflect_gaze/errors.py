@@ -13,10 +13,6 @@ class SceneParseError(DeflectGazeError):
     """Scene file could not be parsed, or contains unknown/missing fields."""
 
 
-class DegenerateBisectorError(DeflectGazeError):
-    """View and illumination directions are (nearly) anti-parallel."""
-
-
 class DegenerateBundleError(DeflectGazeError):
     """Line bundle has no well-defined common point or symmetry axis."""
 

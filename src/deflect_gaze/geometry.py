@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBisectorError, DegenerateBundleError, InvariantViolation
+from .errors import DegenerateBundleError, InvariantViolation
 
 # Geometric degeneracy threshold; algebraic identities on unit vectors are
 # tested at 1e-12, far below any mm-scale physical tolerance.
 EPS_GEOM = 1e-9
+# line pairs above which closest_approach_midpoints subsamples
+MAX_PAIRS = 2000
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -37,21 +39,6 @@ def check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > EPS_GEOM):
         raise InvariantViolation(f"{name} is not unit length")
     return v
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Directed ray: ``origin + t * dir`` for t >= 0."""
-
-    origin: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float))
-        object.__setattr__(self, "dir", check_unit(self.dir, "Ray.dir"))
-
-    def at(self, t: float) -> np.ndarray:
-        return self.origin + t * self.dir
 
 
 @dataclass(frozen=True)
@@ -91,9 +78,6 @@ class RigidPose:
     def transform_points(self, p: np.ndarray) -> np.ndarray:
         return np.asarray(p, dtype=float) @ self.rotation.T + self.translation
 
-    def transform_dirs(self, d: np.ndarray) -> np.ndarray:
-        return np.asarray(d, dtype=float) @ self.rotation.T
-
     def inverse_points(self, p: np.ndarray) -> np.ndarray:
         return (np.asarray(p, dtype=float) - self.translation) @ self.rotation
 
@@ -109,38 +93,18 @@ def reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
     return d - 2.0 * np.sum(d * n, axis=-1, keepdims=True) * n
 
 
-def half_vector_normal(to_camera: np.ndarray, to_screen: np.ndarray) -> np.ndarray:
-    """Deflectometric surface normal: bisector of the view and illumination
-    directions (both pointing away from the surface point)."""
-    s = np.asarray(to_camera, dtype=float) + np.asarray(to_screen, dtype=float)
-    norm = np.linalg.norm(s, axis=-1)
-    if np.any(norm < EPS_GEOM):
-        raise DegenerateBisectorError(
-            "view and illumination directions are anti-parallel"
-        )
-    return s / norm[..., None]
-
-
 def bisector_masked(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisector returning an ok-mask instead of raising."""
+    """Deflectometric surface normals: unit bisectors of the view and
+    illumination directions ``a`` and ``b`` (both pointing away from the
+    surface point), vectorized over leading axes. Returns (normals, ok);
+    rows where the two are (nearly) anti-parallel are NaN with ok False."""
     s = a + b
     norm = np.linalg.norm(s, axis=-1)
     ok = norm > EPS_GEOM
-    out = np.empty_like(s)
-    out[...] = np.nan
-    out[ok] = s[ok] / norm[ok][..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = s / norm[..., None]
+    out[~ok] = np.nan
     return out, ok
-
-
-def intersect_ray_sphere(ray: Ray, center: np.ndarray, radius: float) -> float | None:
-    """Smallest t > 1e-9 where the ray meets the sphere, or None on a miss."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    t_lo, t_hi = ray_sphere_roots(ray.origin, ray.dir[None, :], center, radius)
-    for t in (t_lo[0], t_hi[0]):
-        if np.isfinite(t) and t > EPS_GEOM:
-            return float(t)
-    return None
 
 
 def ray_sphere_roots(
@@ -198,34 +162,32 @@ def least_squares_point(
 
 
 def closest_approach_midpoints(
-    points: np.ndarray,
-    dirs: np.ndarray,
-    max_pairs: int = 2000,
-    return_gaps: bool = False,
-):
-    """Midpoints of the closest-approach segments of line pairs.
+    points: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints of the closest-approach segments of line pairs, and the
+    pairwise miss distances.
 
-    Uses all pairs when there are at most ``max_pairs`` of them, otherwise a
+    Uses all pairs when there are at most ``MAX_PAIRS`` of them, otherwise a
     fixed-seed random subsample (deterministic). Near-parallel pairs are
-    skipped. With ``return_gaps`` the pairwise miss distances come along.
+    skipped.
     """
     points = np.asarray(points, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     n = len(points)
     n_pairs = n * (n - 1) // 2
-    if n_pairs <= max_pairs:
+    if n_pairs <= MAX_PAIRS:
         ii, jj = np.triu_indices(n, k=1)
     else:
         rng = np.random.Generator(np.random.PCG64(0))
         ii = np.empty(0, dtype=np.int64)
         jj = np.empty(0, dtype=np.int64)
-        while len(ii) < max_pairs:
-            a = rng.integers(0, n, size=2 * max_pairs)
-            b = rng.integers(0, n, size=2 * max_pairs)
+        while len(ii) < MAX_PAIRS:
+            a = rng.integers(0, n, size=2 * MAX_PAIRS)
+            b = rng.integers(0, n, size=2 * MAX_PAIRS)
             keep = a < b
             ii = np.concatenate([ii, a[keep]])
             jj = np.concatenate([jj, b[keep]])
-        ii, jj = ii[:max_pairs], jj[:max_pairs]
+        ii, jj = ii[:MAX_PAIRS], jj[:MAX_PAIRS]
 
     p1, d1 = points[ii], dirs[ii]
     p2, d2 = points[jj], dirs[jj]
@@ -241,20 +203,18 @@ def closest_approach_midpoints(
     t = np.where(ok, (e - b * d) / np.where(ok, denom, 1.0), 0.0)
     q1 = p1 + s[:, None] * d1
     q2 = p2 + t[:, None] * d2
-    mid = 0.5 * (q1 + q2)[ok]
-    if return_gaps:
-        return mid, np.linalg.norm((q1 - q2)[ok], axis=1)
-    return mid
+    return 0.5 * (q1 + q2)[ok], np.linalg.norm((q1 - q2)[ok], axis=1)
 
 
 def best_fit_axis(points: np.ndarray, dirs: np.ndarray) -> Line3:
     """Symmetry axis of a line bundle generated by a surface of revolution.
 
-    Computes pairwise closest-approach midpoints (subsampled to at most 2000
-    pairs) and fits a total-least-squares 3D line through them. The bundle of
-    a rotationally symmetric surface concentrates those midpoints along its
-    axis; an isotropic midpoint cloud (e.g. from a single sphere, whose
-    normals meet at a point) has no dominant direction and is rejected.
+    Computes pairwise closest-approach midpoints (subsampled to at most
+    ``MAX_PAIRS`` pairs) and fits a total-least-squares 3D line through
+    them. The bundle of a rotationally symmetric surface concentrates those
+    midpoints along its axis; an isotropic midpoint cloud (e.g. from a
+    single sphere, whose normals meet at a point) has no dominant direction
+    and is rejected.
 
     Raises:
         DegenerateBundleError: fewer than 3 lines, or midpoints isotropic
@@ -264,7 +224,7 @@ def best_fit_axis(points: np.ndarray, dirs: np.ndarray) -> Line3:
     dirs = np.asarray(dirs, dtype=float)
     if len(points) < 3:
         raise DegenerateBundleError("need at least 3 lines for an axis fit")
-    mid, gaps = closest_approach_midpoints(points, dirs, return_gaps=True)
+    mid, gaps = closest_approach_midpoints(points, dirs)
     if len(mid) < 2:
         raise DegenerateBundleError("all line pairs near-parallel")
     # keep only pairs that nearly intersect: midpoints of genuinely crossing

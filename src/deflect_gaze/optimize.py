@@ -37,6 +37,13 @@ LM_LOWER = 0.1
 LM_FTOL = 1e-6
 LM_XTOL = 1e-5
 
+# Loss settings, stated at full resolution: the floor on jointly valid core
+# pixels, the boundary guard (px) and the weight of the validity-mismatch
+# fraction
+N_MIN = 200
+BOUNDARY_PX = 2
+MISMATCH_WEIGHT = 25.0
+
 
 @dataclass(frozen=True)
 class EyeParamVector:
@@ -105,12 +112,9 @@ def project_params(p: EyeParamVector) -> EyeParamVector:
 @dataclass(frozen=True)
 class OptConfig:
     """Fit settings: the cap on Levenberg-Marquardt trial steps and the
-    loss settings of :func:`correspondence_loss`."""
+    pixel stride of the :func:`correspondence_loss` grid."""
 
     max_iters: int = 300
-    n_min: int = 200
-    boundary_px: int = 2
-    mismatch_weight: float = 25.0
     pixel_stride: int = 1
 
     def __post_init__(self):
@@ -121,9 +125,9 @@ class OptConfig:
 
     @property
     def grid_boundary_px(self) -> int:
-        """``boundary_px`` is stated at full resolution; on the
+        """``BOUNDARY_PX`` is stated at full resolution; on the
         ``pixel_stride`` grid the erosion depth scales accordingly."""
-        return max(1, int(round(self.boundary_px / self.pixel_stride)))
+        return max(1, int(round(BOUNDARY_PX / self.pixel_stride)))
 
 
 @dataclass(frozen=True)
@@ -230,17 +234,14 @@ def correspondence_loss(
     params: EyeParamVector,
     measured: list[CorrespondenceMap],
     scene: SceneConfig,
-    n_min: int = 200,
-    boundary_px: int = 2,
-    mismatch_weight: float = 25.0,
     pixel_stride: int = 1,
 ) -> LossReport:
     """Mean squared screen-px distance between measured and simulated
     correspondences, plus a penalty on validity mismatch.
 
-    Pixels within ``boundary_px`` of either validity boundary are excluded
+    Pixels within ``BOUNDARY_PX`` of either validity boundary are excluded
     from the mean (the correspondence field is discontinuous at silhouette
-    and region boundaries). The penalty is ``mismatch_weight`` times the
+    and region boundaries). The penalty is ``MISMATCH_WEIGHT`` times the
     fraction of pixels valid in exactly one map.
 
     The measured-map terms (the map on the ``pixel_stride`` grid, its
@@ -252,14 +253,12 @@ def correspondence_loss(
     given weight.
 
     Raises:
-        UnreliableLossError: fewer than ``n_min`` jointly valid pixels for
-            any camera.
+        UnreliableLossError: fewer than ``N_MIN`` jointly valid pixels for
+            any camera (scaled down by ``pixel_stride`` squared).
         ValueError: not one measured map per camera, or ``pixel_stride``
             below 1.
     """
-    config = OptConfig(n_min=n_min, boundary_px=boundary_px,
-                       mismatch_weight=mismatch_weight,
-                       pixel_stride=pixel_stride)
+    config = OptConfig(pixel_stride=pixel_stride)
     return _evaluate_loss(params, _measured_terms(measured, scene, config),
                           scene, config)[0]
 
@@ -278,11 +277,9 @@ def _evaluate_loss(
     measured maps."""
     eye = params.materialize(scene.eye)
     sim_scene = replace(scene, eye=eye)
-    boundary_px = config.boundary_px
     pixel_stride = config.pixel_stride
-    # n_min is stated at full resolution; on a strided grid the
-    # pixel-count floor scales accordingly
-    n_min = max(8, config.n_min // (pixel_stride * pixel_stride))
+    # on a strided grid the pixel-count floor scales down
+    n_min = max(8, N_MIN // (pixel_stride * pixel_stride))
     per_cam = []
     totals = []
     penalties = []
@@ -320,18 +317,18 @@ def _evaluate_loss(
         edge = np.minimum(np.minimum(sim.u, w_s - 1 - sim.u),
                           np.minimum(sim.v, h_s - 1 - sim.v))
         w = terms.weight * np.clip(np.where(joint, edge, 0.0)
-                                   / max(boundary_px * step_scale, 1e-9),
+                                   / max(BOUNDARY_PX * step_scale, 1e-9),
                                    0.0, 1.0)
         footprint = (np.linalg.norm(scene.cameras[i].center
                                     - scene.eye.sclera_center)
                      / scene.cameras[i].focal_length)
-        w = w * np.clip(sil / max(boundary_px * footprint, 1e-9), 0.0, 1.0)
+        w = w * np.clip(sil / max(BOUNDARY_PX * footprint, 1e-9), 0.0, 1.0)
         ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
-        w = w * np.clip(np.abs(aper) / max(boundary_px * ang_scale, 1e-9),
+        w = w * np.clip(np.abs(aper) / max(BOUNDARY_PX * ang_scale, 1e-9),
                         0.0, 1.0)
         # the cap edge occludes the sclera behind it: rays grazing the cap
         # edge circle carry a correspondence jump just like the seam
-        w = w * np.clip(cap_edge / max(boundary_px * footprint, 1e-9),
+        w = w * np.clip(cap_edge / max(BOUNDARY_PX * footprint, 1e-9),
                         0.0, 1.0)
         w[~joint] = 0.0
 
@@ -351,7 +348,7 @@ def _evaluate_loss(
         # so silhouette-grazing pixel flips cannot jolt the penalty
         band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
         mismatch = float(np.mean((meas.valid ^ sim.valid) & ~band))
-        pen = config.mismatch_weight * mismatch
+        pen = MISMATCH_WEIGHT * mismatch
         per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
                         "mismatch_penalty": pen})
         totals.append(sq + pen)
@@ -490,9 +487,9 @@ def init_guess(
 
     def centroid_point(m: CorrespondenceMap) -> np.ndarray:
         ys, xs = np.nonzero(m.valid)
-        ray = cam.pixel_ray(float(xs.mean()), float(ys.mean()))
+        d = cam.pixel_ray(float(xs.mean()), float(ys.mean()))
         depth = float(np.linalg.norm(cam.center - scene.eye.sclera_center))
-        return ray.at(depth)
+        return cam.center + depth * d
 
     shift = centroid_point(meas) - centroid_point(nominal)
     return EyeParamVector.from_eye(scene.eye, active=active).with_array(

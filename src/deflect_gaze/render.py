@@ -123,14 +123,6 @@ class CorrespondenceMap:
     valid: np.ndarray
 
     @property
-    def width(self) -> int:
-        return self.u.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.u.shape[0]
-
-    @property
     def n_valid(self) -> int:
         return int(self.valid.sum())
 
@@ -143,14 +135,6 @@ class Frame:
     """Intensity image in [0, 1]."""
 
     intensity: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.intensity.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.intensity.shape[0]
 
 
 class RayTrace(NamedTuple):

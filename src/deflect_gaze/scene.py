@@ -15,13 +15,12 @@ import numpy as np
 
 from . import geometry
 from .errors import InvariantViolation, SceneParseError
-from .geometry import Ray, RigidPose, ray_sphere_roots, rotation_about_axis, unit
+from .geometry import RigidPose, ray_sphere_roots, rotation_about_axis, unit
 
 WORLD_UP = np.array([0.0, 1.0, 0.0])
 
 CORNEA = 0
 SCLERA = 1
-REGION_NAMES = {CORNEA: "cornea", SCLERA: "sclera"}
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,13 @@ class CameraModel:
         object.__setattr__(self, "_ray_cache", out)
         return out
 
-    def pixel_ray(self, px: float, py: float) -> Ray:
+    def pixel_ray(self, px: float, py: float) -> np.ndarray:
+        """World-space unit direction of the ray from ``center`` through
+        the (sub-)pixel position (px, py)."""
         cx, cy = self.principal_point
         d = np.array([(px - cx) / self.focal_length,
                       (py - cy) / self.focal_length, 1.0])
-        return Ray(self.center, unit(self.pose.rotation @ d))
+        return unit(self.pose.rotation @ d)
 
     def project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Project world points; returns (px, py, z_cam). Points with
@@ -269,19 +270,6 @@ def eye_surface_hit_batch(
             region.reshape(shape), hit_all.reshape(shape))
 
 
-def eye_surface_hit(
-    eye: EyeModel, ray: Ray
-) -> tuple[np.ndarray, np.ndarray, str] | None:
-    """Single-ray version of :func:`eye_surface_hit_batch`.
-
-    Returns (point, normal, region name) or None on a miss.
-    """
-    p, nrm, reg, hit = eye_surface_hit_batch(eye, ray.origin, ray.dir[None, :])
-    if not hit[0]:
-        return None
-    return p[0], nrm[0], REGION_NAMES[int(reg[0])]
-
-
 def rotate_eye(
     eye: EyeModel, azimuth: float, elevation: float, up: np.ndarray = WORLD_UP
 ) -> EyeModel:
@@ -305,22 +293,10 @@ def rotate_eye(
     return replace(eye, optical_axis=unit(rot @ axis))
 
 
-def look_at(position, target, up=WORLD_UP) -> RigidPose:
-    """Pose whose local +z looks from ``position`` toward ``target`` with
-    local +y pointing down relative to ``up`` (image convention)."""
-    position = np.asarray(position, dtype=float)
-    z = unit(np.asarray(target, dtype=float) - position)
-    x = np.cross(z, unit(up))
-    if np.linalg.norm(x) < geometry.EPS_GEOM:
-        raise InvariantViolation("look_at: view direction parallel to up")
-    x = unit(x)
-    y = np.cross(z, x)
-    return RigidPose(rotation=np.stack([x, y, z], axis=1), translation=position)
-
-
 # ---------------------------------------------------------------------------
 # Configuration I/O. JSON, all lengths mm, all angles degrees; unknown fields
-# are rejected so typos fail loudly. See docs/scene-schema.md.
+# are rejected so typos fail loudly. ``scene_from_dict`` defines the fields;
+# the shipped data/default_scene.json and data/decode_scene.json use them all.
 
 _POSE_KEYS = {"rotation", "translation"}
 _EYE_KEYS = {"sclera_center", "optical_axis", "sclera_radius", "cornea_radius",
@@ -439,90 +415,13 @@ def save_scene(scene: SceneConfig, path) -> None:
         f.write("\n")
 
 
-def make_default_scene() -> SceneConfig:
-    """Build the shipped default scene from its design numbers.
-
-    VR-headset-like scale: 120x68 mm screen (600x340 px at 0.2 mm pitch)
-    about 35 mm from the eye and tilted 30 degrees off the gaze axis, two
-    128x128 px cameras about 50 mm away with a ~15 degree stereo baseline.
-    """
-    eye = EyeModel(
-        sclera_center=np.zeros(3),
-        optical_axis=np.array([0.0, 0.0, 1.0]),
-        sclera_radius=12.0,
-        cornea_radius=7.8,
-        cornea_offset=5.6,
-        cornea_aperture=45.0,
-    )
-
-    target = np.array([0.0, 0.0, 10.0])
-    cam_dist = 50.0
-    half_base = np.radians(7.5)
-    cams = []
-    for s in (-1.0, 1.0):
-        pos = np.array(
-            [cam_dist * np.sin(s * half_base), 4.0,
-             cam_dist * np.cos(half_base)]
-        )
-        cams.append(CameraModel(
-            pose=look_at(pos, target),
-            focal_length=170.0,
-            principal_point=(63.5, 63.5),
-            resolution=(128, 128),
-        ))
-
-    beta = np.radians(30.0)
-    screen_center = 35.0 * np.array([0.0, np.sin(beta), np.cos(beta)])
-    nrm = -unit(screen_center)  # faces the eye
-    x_s = np.array([1.0, 0.0, 0.0])
-    y_s = np.cross(nrm, x_s)
-    rot = np.stack([x_s, y_s, nrm], axis=1)
-    w_s, h_s, pitch = 600, 340, 0.2
-    origin = (screen_center - x_s * (w_s - 1) * pitch / 2.0
-              - y_s * (h_s - 1) * pitch / 2.0)
-    screen = ScreenModel(
-        pose=RigidPose(rotation=rot, translation=origin),
-        resolution=(w_s, h_s),
-        pixel_pitch=pitch,
-    )
-    return SceneConfig(screen=screen, cameras=tuple(cams), eye=eye)
-
-
-def make_decode_scene() -> SceneConfig:
-    """Build the shipped fringe-decoding scene.
-
-    Same layout as the default scene but with higher-resolution cameras and
-    a smaller panel that keeps the reflected-fringe magnification in its
-    flat band. Single-shot wavelet decoding needs several well-sampled,
-    slowly-chirping fringe periods across the eye patch; at the default
-    128 px that is physically out of reach (the local fringe frequency
-    changes by over 100% per period), so decode-path tests run here.
-    """
-    base = make_default_scene()
-    cams = tuple(
-        CameraModel(pose=c.pose, focal_length=730.0,
-                    principal_point=(223.5, 223.5), resolution=(448, 448))
-        for c in base.cameras
-    )
-    beta = np.radians(30.0)
-    screen_center = 35.0 * np.array([0.0, np.sin(beta), np.cos(beta)])
-    nrm = -unit(screen_center)
-    x_s = np.array([1.0, 0.0, 0.0])
-    y_s = np.cross(nrm, x_s)
-    rot = np.stack([x_s, y_s, nrm], axis=1)
-    w_s, h_s, pitch = 300, 170, 0.2
-    origin = (screen_center - x_s * (w_s - 1) * pitch / 2.0
-              - y_s * (h_s - 1) * pitch / 2.0)
-    screen = ScreenModel(
-        pose=RigidPose(rotation=rot, translation=origin),
-        resolution=(w_s, h_s),
-        pixel_pitch=pitch,
-    )
-    return SceneConfig(screen=screen, cameras=cams, eye=base.eye)
-
-
 def default_scene() -> SceneConfig:
-    """Load the default scene shipped with the package."""
+    """Load the default scene shipped with the package.
+
+    VR-headset scale: a 120x68 mm panel (600x340 px at 0.2 mm pitch) 35 mm
+    from the eye, tilted 30 degrees off the gaze axis, and two 128x128 px
+    cameras about 50 mm away with a 15 degree stereo baseline.
+    """
     res = importlib.resources.files("deflect_gaze").joinpath(
         "data/default_scene.json"
     )
@@ -531,7 +430,14 @@ def default_scene() -> SceneConfig:
 
 
 def decode_scene() -> SceneConfig:
-    """Load the fringe-decoding scene shipped with the package."""
+    """Load the fringe-decoding scene shipped with the package.
+
+    The default layout with 448x448 px cameras and a 60x34 mm panel (300x170
+    px), which keeps the reflected-fringe magnification flat. Single-shot
+    wavelet decoding needs several well-sampled, slowly chirping fringe
+    periods across the eye; at 128 px the local fringe frequency changes by
+    over 100% per period, so the decode path runs at 448 px.
+    """
     res = importlib.resources.files("deflect_gaze").joinpath(
         "data/decode_scene.json"
     )

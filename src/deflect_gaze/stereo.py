@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFieldError, InvariantViolation
-from .geometry import bisector_masked, half_vector_normal, unit
+from .geometry import bisector_masked, unit
 from .render import CorrespondenceMap
-from .scene import CameraModel, SceneConfig
+from .scene import SceneConfig
 
 NORMAL_FIELD_HEADER = "px,py,X,Y,Z,nx,ny,nz,consistency"
+SWEEP_HALF_RANGE = 8.0  # mm either side of the nominal depth (default_sweep)
 
 
 @dataclass(frozen=True)
@@ -87,17 +88,6 @@ class NormalField:
         )
 
 
-def candidate_normal(
-    camera: CameraModel, pixel: tuple[int, int], t: float, screen_point: np.ndarray
-) -> np.ndarray:
-    """Unit normal implied by one camera ray at depth hypothesis ``t``: the
-    bisector of the directions back to the camera and to the screen point."""
-    if t <= 0:
-        raise ValueError("depth must be positive")
-    p = camera.pixel_ray(*pixel).at(t)
-    return half_vector_normal(unit(camera.center - p), unit(screen_point - p))
-
-
 def _bilinear_uv(corr, x, y):
     """Bilinear interpolation of (u, v) at sub-pixel camera positions.
 
@@ -129,7 +119,11 @@ def _bilinear_uv(corr, x, y):
 
 def _consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
     """Stereo normal disagreement for a batch of camera-1 pixels at
-    per-pixel depths ``t``. Returns (angle_rad, n1, ok)."""
+    per-pixel depths ``t``. Returns (angle_rad, n1, ok): ``n1`` is the
+    normal camera 1 implies at that depth, the bisector of the directions
+    back to the camera and to its screen point ``s1``; ``ok`` is False where
+    camera 2 cannot score the depth (behind it, outside four valid corners
+    of ``corr2``) or a bisector is degenerate."""
     p = cam1.center + t[:, None] * dirs1
     n1, ok1 = bisector_masked(unit(cam1.center - p), unit(s1 - p))
 
@@ -144,30 +138,6 @@ def _consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
     dot = np.clip(np.sum(n1 * n2, axis=-1), -1.0, 1.0)
     ang = np.where(ok, np.arccos(dot), np.inf)
     return ang, n1, ok
-
-
-def stereo_consistency(
-    scene: SceneConfig,
-    pixel1: tuple[int, int],
-    t: float,
-    corr1: CorrespondenceMap,
-    corr2: CorrespondenceMap,
-    cam1_index: int = 0,
-    cam2_index: int = 1,
-) -> float | None:
-    """Normal disagreement (radians) between the two cameras for one depth
-    hypothesis, or None when the hypothesis is unusable (projection outside
-    camera 2, invalid interpolation corners, or a degenerate bisector)."""
-    px, py = pixel1
-    if not corr1.valid[py, px]:
-        raise ValueError(f"pixel {pixel1} is invalid in corr1")
-    cam1 = scene.cameras[cam1_index]
-    cam2 = scene.cameras[cam2_index]
-    ray = cam1.pixel_ray(px, py)
-    s1 = scene.screen.uv_to_world(corr1.u[py, px], corr1.v[py, px])
-    ang, _, ok = _consistency_at(scene, cam1, cam2, ray.dir[None, :],
-                                 s1[None, :], corr2, np.array([float(t)]))
-    return float(ang[0]) if ok[0] else None
 
 
 _COARSE_STEP = 8      # grid steps between the coarse pass's regular depths
@@ -306,16 +276,16 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
 
 
 def default_sweep(scene: SceneConfig, cam1_index: int = 0,
-                  half_range: float = 8.0, n_steps: int = 256,
-                  refine: bool = True) -> DepthSweepParams:
+                  n_steps: int = 256, refine: bool = True) -> DepthSweepParams:
     """Sweep around the nominal surface depth: the camera-to-apex distance
-    plus a small interior margin, plus/minus ``half_range`` mm."""
+    plus a small interior margin, plus/minus ``SWEEP_HALF_RANGE`` mm."""
     eye = scene.eye
     d_center = float(np.linalg.norm(
         scene.cameras[cam1_index].center - eye.sclera_center
     ))
     t_nom = d_center - (eye.cornea_offset + eye.cornea_radius) + 2.5
-    return DepthSweepParams(t_min=t_nom - half_range, t_max=t_nom + half_range,
+    return DepthSweepParams(t_min=t_nom - SWEEP_HALF_RANGE,
+                            t_max=t_nom + SWEEP_HALF_RANGE,
                             n_steps=n_steps, refine=refine)
 
 

@@ -79,6 +79,45 @@ class TestRunBenchmark:
         monkeypatch.setenv("DEFLECT_GAZE_THREADS", "3")
         assert max_workers_from_env() == 3
 
+    def test_env_thread_cap_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("DEFLECT_GAZE_THREADS", "four")
+        with pytest.raises(ValueError, match="DEFLECT_GAZE_THREADS"):
+            bench.max_workers_from_env()
+
+    def test_pool_has_at_most_one_worker_per_position(self, scene,
+                                                      monkeypatch):
+        # an inline stand-in for the pool: it records the size it was asked
+        # for and runs each position in this process, so no process starts
+        sizes = []
+
+        class Done:
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                return self.value
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Done(fn(*args))
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        cfg = BenchmarkConfig(method="stereo-normals", positions=(0.0, 3.0),
+                              reps=1, sigma_c=0.5, master_seed=9)
+        result = run_benchmark(cfg, scene, max_workers=10_000)
+        assert sizes == [2]
+        ref = run_benchmark(cfg, scene, max_workers=1)
+        assert report(result, "csv") == report(ref, "csv")
+
     def test_abort_on_failures(self, scene):
         # an impossible clustering setup: min_inliers above the sample count
         from deflect_gaze.gaze import ClusterParams

@@ -7,14 +7,14 @@ import pytest
 
 from deflect_gaze import imagefiles
 from deflect_gaze.cli import _read_corr, main
-from deflect_gaze.scene import load_scene, make_default_scene, save_scene
+from deflect_gaze.scene import default_scene, load_scene, save_scene
 from deflect_gaze.stereo import default_sweep, reconstruct_field
 
 
 @pytest.fixture(scope="module")
 def scene_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("scene") / "scene.json"
-    save_scene(make_default_scene(), p)
+    save_scene(default_scene(), p)
     return str(p)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from deflect_gaze.errors import DegenerateBisectorError, DegenerateBundleError
-from deflect_gaze.geometry import (Line3, Ray, RigidPose, angle_between_deg,
-                                   best_fit_axis, half_vector_normal,
-                                   intersect_ray_sphere, least_squares_point,
-                                   point_line_distances, reflect,
+from deflect_gaze.errors import DegenerateBundleError
+from deflect_gaze.geometry import (Line3, RigidPose, angle_between_deg,
+                                   best_fit_axis, bisector_masked,
+                                   least_squares_point, point_line_distances,
+                                   ray_sphere_roots, reflect,
                                    rotation_about_axis, unit)
 from helpers import (bundle_through_point, brute_force_min_point,
                      cone_frustum_normal_lines, random_unit_vectors)
@@ -39,22 +39,34 @@ class TestReflect:
 
 class TestHalfVector:
     def test_retro(self):
-        n = half_vector_normal(np.array([0.0, 0, 1]), np.array([0.0, 0, 1]))
-        assert np.allclose(n, [0, 0, 1])
+        n, ok = bisector_masked(np.array([[0.0, 0, 1]]),
+                                np.array([[0.0, 0, 1]]))
+        assert ok.all()
+        assert np.allclose(n, [[0, 0, 1]])
 
     def test_symmetric(self):
-        n = half_vector_normal(np.array([1.0, 0, 0]), np.array([0.0, 1, 0]))
+        n, ok = bisector_masked(np.array([[1.0, 0, 0]]),
+                                np.array([[0.0, 1, 0]]))
         s = np.sqrt(2) / 2
-        assert np.allclose(n, [s, s, 0])
+        assert ok.all()
+        assert np.allclose(n, [[s, s, 0]])
 
     def test_symmetry_in_arguments(self):
         a = random_unit_vectors(1000, seed=5)
         b = random_unit_vectors(1000, seed=6)
-        assert np.allclose(half_vector_normal(a, b), half_vector_normal(b, a))
+        n_ab, ok_ab = bisector_masked(a, b)
+        n_ba, ok_ba = bisector_masked(b, a)
+        assert ok_ab.all() and ok_ba.all()
+        assert np.allclose(n_ab, n_ba)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateBisectorError):
-            half_vector_normal(np.array([0.0, 0, 1]), np.array([0.0, 0, -1]))
+        # an anti-parallel row is flagged and NaN; its neighbour is unharmed
+        n, ok = bisector_masked(np.array([[0.0, 0, 1], [1.0, 0, 0]]),
+                                np.array([[0.0, 0, -1], [0.0, 1, 0]]))
+        assert ok.tolist() == [False, True]
+        assert np.isnan(n[0]).all()
+        s = np.sqrt(2) / 2
+        assert np.allclose(n[1], [s, s, 0])
 
     def test_recovers_sphere_normal_from_render(self, scene, corr_pair,
                                                  truth_cam0):
@@ -64,30 +76,40 @@ class TestHalfVector:
         pts = truth_cam0["points"][m]
         nrm = truth_cam0["normals"][m]
         spt = scene.screen.uv_to_world(corr.u[m], corr.v[m])
-        n_est = half_vector_normal(unit(cam.center - pts), unit(spt - pts))
+        n_est, ok = bisector_masked(unit(cam.center - pts), unit(spt - pts))
+        assert ok.all()
         assert np.abs(n_est - nrm).max() < 1e-9
 
 
 class TestRaySphere:
     def test_axial_hit(self):
-        ray = Ray(np.array([0.0, 0, -20]), np.array([0.0, 0, 1]))
-        assert intersect_ray_sphere(ray, np.zeros(3), 12.0) == pytest.approx(8.0)
+        t_lo, t_hi = ray_sphere_roots(np.array([0.0, 0, -20]),
+                                      np.array([[0.0, 0, 1]]), np.zeros(3),
+                                      12.0)
+        assert t_lo[0] == pytest.approx(8.0)
+        assert t_hi[0] == pytest.approx(32.0)
 
     def test_miss(self):
-        ray = Ray(np.array([0.0, 0, -20]), np.array([0.0, 1, 0]))
-        assert intersect_ray_sphere(ray, np.zeros(3), 12.0) is None
+        t_lo, t_hi = ray_sphere_roots(np.array([0.0, 0, -20]),
+                                      np.array([[0.0, 1, 0]]), np.zeros(3),
+                                      12.0)
+        assert np.isnan(t_lo[0]) and np.isnan(t_hi[0])
 
     def test_residual_random(self):
         g = np.random.default_rng(7)
+        n_hit = 0
         for _ in range(200):
             origin = g.normal(0, 30, 3)
             d = unit(g.normal(size=3))
             center = g.normal(0, 5, 3)
             radius = g.uniform(1.0, 10.0)
-            t = intersect_ray_sphere(Ray(origin, d), center, radius)
-            if t is not None:
-                p = origin + t * d
-                assert abs(np.linalg.norm(p - center) - radius) < 1e-9
+            roots = ray_sphere_roots(origin, d[None, :], center, radius)
+            for t in (roots[0][0], roots[1][0]):
+                if np.isfinite(t):
+                    n_hit += 1
+                    p = origin + t * d
+                    assert abs(np.linalg.norm(p - center) - radius) < 1e-9
+        assert n_hit > 0
 
 
 class TestLeastSquaresPoint:

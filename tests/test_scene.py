@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 from dataclasses import replace
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from deflect_gaze.errors import InvariantViolation, SceneParseError
-from deflect_gaze.geometry import Ray, angle_between_deg, unit
-from deflect_gaze.scene import (EyeModel, default_scene, eye_surface_hit,
-                                eye_surface_hit_batch, load_scene,
-                                make_default_scene, rotate_eye, save_scene,
+from deflect_gaze.geometry import angle_between_deg, unit
+from deflect_gaze.scene import (CORNEA, SCLERA, EyeModel, decode_scene,
+                                default_scene, eye_surface_hit_batch,
+                                load_scene, rotate_eye, save_scene,
                                 scene_to_dict)
+
+SHIPPED = {"default_scene": default_scene, "decode_scene": decode_scene}
 
 
 def make_eye(**kw):
@@ -38,29 +41,36 @@ class TestEyeModel:
             make_eye(cornea_aperture=95.0)
 
 
+def hit_one(eye, origin, direction):
+    """``eye_surface_hit_batch`` on a one-row batch; returns the row."""
+    p, n, reg, hit = eye_surface_hit_batch(eye, np.asarray(origin, float),
+                                           np.asarray(direction, float)[None])
+    return p[0], n[0], reg[0], hit[0]
+
+
 class TestSurfaceHit:
     def test_apex_hit(self):
-        eye = make_eye()
-        hit = eye_surface_hit(eye, Ray(np.array([0.0, 0, 40.0]),
-                                       np.array([0.0, 0, -1.0])))
-        point, normal, region = hit
-        assert region == "cornea"
+        point, normal, region, hit = hit_one(make_eye(), [0.0, 0, 40.0],
+                                             [0.0, 0, -1.0])
+        assert hit
+        assert region == CORNEA
         assert np.allclose(point, [0, 0, 13.4])
         assert np.allclose(normal, [0, 0, 1])
 
     def test_back_of_eye_is_sclera(self):
-        eye = make_eye()
-        hit = eye_surface_hit(eye, Ray(np.array([0.0, 0, -40.0]),
-                                       np.array([0.0, 0, 1.0])))
-        point, normal, region = hit
-        assert region == "sclera"
+        point, normal, region, hit = hit_one(make_eye(), [0.0, 0, -40.0],
+                                             [0.0, 0, 1.0])
+        assert hit
+        assert region == SCLERA
         assert np.allclose(point, [0, 0, -12.0])
         assert np.allclose(normal, [0, 0, -1])
 
     def test_miss(self):
-        eye = make_eye()
-        assert eye_surface_hit(eye, Ray(np.array([0.0, 30, -40.0]),
-                                        np.array([0.0, 0, 1.0]))) is None
+        point, normal, region, hit = hit_one(make_eye(), [0.0, 30, -40.0],
+                                             [0.0, 0, 1.0])
+        assert not hit
+        assert region == -1
+        assert np.isnan(point).all() and np.isnan(normal).all()
 
     def test_dense_grid_residuals(self, scene, truth_cam0):
         pts = truth_cam0["points"]
@@ -89,12 +99,13 @@ class TestSurfaceHit:
             for u, store in ((u_in, "in"), (u_out, "out")):
                 target = cc + eye.cornea_radius * u
                 origin = target + np.array([0.0, 0.0, 30.0])
-                res = eye_surface_hit(eye, Ray(origin, unit(target - origin)))
-                assert res is not None
+                point, _, _, hit = hit_one(eye, origin,
+                                           unit(target - origin))
+                assert hit
                 if store == "in":
-                    p_in = res[0]
+                    p_in = point
                 else:
-                    p_out = res[0]
+                    p_out = point
             assert np.linalg.norm(p_in - p_out) < 0.5
 
 
@@ -135,39 +146,56 @@ class TestSceneIO:
         assert len(scene.cameras) == 2
         assert scene.eye.cornea_radius < scene.eye.sclera_radius
 
+    # the four I/O tests below run on both shipped scenes
+
     def test_round_trip_identity(self, tmp_path):
-        sc = make_default_scene()
-        p = tmp_path / "scene.json"
-        save_scene(sc, p)
-        sc2 = load_scene(p)
-        assert np.array_equal(sc.eye.sclera_center, sc2.eye.sclera_center)
-        assert np.array_equal(sc.cameras[0].pose.rotation,
-                              sc2.cameras[0].pose.rotation)
-        assert sc.screen.pixel_pitch == sc2.screen.pixel_pitch
+        for name, make in SHIPPED.items():
+            sc = make()
+            p = tmp_path / f"{name}.json"
+            save_scene(sc, p)
+            sc2 = load_scene(p)
+            assert scene_to_dict(sc) == scene_to_dict(sc2), name
+            assert np.array_equal(sc.eye.sclera_center, sc2.eye.sclera_center)
+            assert np.array_equal(sc.cameras[0].pose.rotation,
+                                  sc2.cameras[0].pose.rotation)
+            assert sc.screen.pixel_pitch == sc2.screen.pixel_pitch
 
     def test_save_load_save_byte_identical(self, tmp_path):
-        sc = make_default_scene()
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        save_scene(sc, p1)
-        save_scene(load_scene(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for name, make in SHIPPED.items():
+            p1 = tmp_path / f"{name}_a.json"
+            p2 = tmp_path / f"{name}_b.json"
+            save_scene(make(), p1)
+            save_scene(load_scene(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes(), name
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_save_reproduces_shipped_file(self, tmp_path, name):
+        # the shipped JSON is the one source of each scene; it is stored
+        # in the canonical form save_scene writes
+        shipped = importlib.resources.files("deflect_gaze").joinpath(
+            f"data/{name}.json").read_bytes()
+        p = tmp_path / "saved.json"
+        save_scene(SHIPPED[name](), p)
+        assert p.read_bytes() == shipped
 
     def test_invariant_violation_named(self, tmp_path):
-        d = scene_to_dict(make_default_scene())
-        d["eye"]["cornea_radius"] = 13.0
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(d))
-        with pytest.raises(InvariantViolation, match="cornea_radius < sclera_radius"):
-            load_scene(p)
+        for name, make in SHIPPED.items():
+            d = scene_to_dict(make())
+            d["eye"]["cornea_radius"] = 13.0
+            p = tmp_path / f"{name}_bad.json"
+            p.write_text(json.dumps(d))
+            with pytest.raises(InvariantViolation,
+                               match="cornea_radius < sclera_radius"):
+                load_scene(p)
 
     def test_unknown_field_rejected(self, tmp_path):
-        d = scene_to_dict(make_default_scene())
-        d["eye"]["pupil_radius"] = 2.0
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(d))
-        with pytest.raises(SceneParseError, match="pupil_radius"):
-            load_scene(p)
+        for name, make in SHIPPED.items():
+            d = scene_to_dict(make())
+            d["eye"]["pupil_radius"] = 2.0
+            p = tmp_path / f"{name}_bad.json"
+            p.write_text(json.dumps(d))
+            with pytest.raises(SceneParseError, match="pupil_radius"):
+                load_scene(p)
 
     def test_parse_error_has_line_info(self, tmp_path):
         p = tmp_path / "broken.json"

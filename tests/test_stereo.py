@@ -12,8 +12,7 @@ from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import (DepthSweepParams, NormalField,
-                                 candidate_normal, default_sweep,
-                                 reconstruct_field, stereo_consistency)
+                                 default_sweep, reconstruct_field)
 
 
 def truth_for(field, truth):
@@ -33,6 +32,18 @@ def pick_pixel(corr, truth, region=None, seed=0):
     raise AssertionError("no pixel found")
 
 
+def consistency_at(scene, corr1, corr2, px, py, t):
+    """``stereo._consistency_at`` for camera-0 pixels (px, py) at depths
+    ``t`` (arrays of one row per hypothesis) against camera 1: the
+    disagreement, camera 0's candidate normal and the ok mask."""
+    cam1, cam2 = scene.cameras
+    px, py = np.atleast_1d(px), np.atleast_1d(py)
+    dirs1 = np.array([cam1.pixel_ray(x, y) for x, y in zip(px, py)])
+    s1 = scene.screen.uv_to_world(corr1.u[py, px], corr1.v[py, px])
+    return stereo._consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
+                                  np.atleast_1d(np.asarray(t, dtype=float)))
+
+
 class TestCandidateNormal:
     def test_true_depth_recovers_normal(self, scene, corr_pair, truth_cam0):
         corr = corr_pair[0]
@@ -40,9 +51,8 @@ class TestCandidateNormal:
         px, py = pick_pixel(corr, truth_cam0)
         p_true = truth_cam0["points"][py, px]
         t_true = float(np.linalg.norm(p_true - cam.center))
-        spt = scene.screen.uv_to_world(corr.u[py, px], corr.v[py, px])
-        normal = candidate_normal(cam, (px, py), t_true, spt)
-        assert np.abs(normal - truth_cam0["normals"][py, px]).max() < 1e-6
+        _, normal, _ = consistency_at(scene, *corr_pair, px, py, t_true)
+        assert np.abs(normal[0] - truth_cam0["normals"][py, px]).max() < 1e-6
 
     def test_depth_error_tilts_normal(self, scene, corr_pair, truth_cam0):
         corr = corr_pair[0]
@@ -51,20 +61,23 @@ class TestCandidateNormal:
         p_true = truth_cam0["points"][py, px]
         n_true = truth_cam0["normals"][py, px]
         t_true = float(np.linalg.norm(p_true - cam.center))
-        spt = scene.screen.uv_to_world(corr.u[py, px], corr.v[py, px])
         for dt in (-2.0, 2.0):
-            normal = candidate_normal(cam, (px, py), t_true + dt, spt)
-            ang = np.degrees(np.arccos(np.clip(normal @ n_true, -1, 1)))
+            _, normal, _ = consistency_at(scene, *corr_pair, px, py,
+                                          t_true + dt)
+            ang = np.degrees(np.arccos(np.clip(normal[0] @ n_true, -1, 1)))
             assert ang > 0.5
 
-    def test_degenerate_bisector(self, scene):
-        from deflect_gaze.errors import DegenerateBisectorError
-        cam = scene.cameras[0]
-        ray = cam.pixel_ray(64, 64)
-        p = ray.at(30.0)
-        behind = p + (p - cam.center)  # screen point collinear, beyond P
-        with pytest.raises(DegenerateBisectorError):
-            candidate_normal(cam, (64, 64), 30.0, behind)
+    def test_degenerate_bisector(self, scene, corr_pair):
+        cam1, cam2 = scene.cameras
+        d = cam1.pixel_ray(64, 64)
+        p = cam1.center + 30.0 * d
+        behind = p + (p - cam1.center)  # screen point collinear, beyond P
+        ang, normal, ok = stereo._consistency_at(
+            scene, cam1, cam2, d[None], behind[None], corr_pair[1],
+            np.array([30.0]))
+        assert not ok[0]
+        assert np.isnan(normal[0]).all()
+        assert ang[0] == np.inf
 
 
 class TestStereoConsistency:
@@ -75,16 +88,17 @@ class TestStereoConsistency:
             px, py = pick_pixel(corr1, truth_cam0, seed=seed)
             t_true = float(np.linalg.norm(truth_cam0["points"][py, px]
                                           - cam.center))
-            c = stereo_consistency(scene, (px, py), t_true, corr1, corr2)
-            if c is not None:
-                assert c < 1e-3
+            c, _, ok = consistency_at(scene, corr1, corr2, px, py, t_true)
+            if ok[0]:
+                assert c[0] < 1e-3
 
     def test_projection_outside_is_none(self, scene, corr_pair):
         corr1, corr2 = corr_pair
         ys, xs = np.nonzero(corr1.valid)
         px, py = int(xs[0]), int(ys[0])
         # a depth far behind the eye projects outside camera 2's map
-        assert stereo_consistency(scene, (px, py), 500.0, corr1, corr2) is None
+        _, _, ok = consistency_at(scene, corr1, corr2, px, py, 500.0)
+        assert not ok[0]
 
     def test_unimodal_near_truth(self, scene, corr_pair, truth_cam0):
         corr1, corr2 = corr_pair
@@ -92,20 +106,15 @@ class TestStereoConsistency:
         ys, xs = np.nonzero(corr1.valid)
         g = np.random.default_rng(4)
         sel = g.choice(len(xs), size=200, replace=False)
-        wins = 0
-        total = 0
-        for i in sel:
-            px, py = int(xs[i]), int(ys[i])
-            t_true = float(np.linalg.norm(truth_cam0["points"][py, px]
-                                          - cam.center))
-            c0 = stereo_consistency(scene, (px, py), t_true, corr1, corr2)
-            cm = stereo_consistency(scene, (px, py), t_true - 1.0, corr1, corr2)
-            cp = stereo_consistency(scene, (px, py), t_true + 1.0, corr1, corr2)
-            if c0 is None or cm is None or cp is None:
-                continue
-            total += 1
-            if c0 < cm and c0 < cp:
-                wins += 1
+        px, py = xs[sel], ys[sel]
+        t_true = np.linalg.norm(truth_cam0["points"][py, px] - cam.center,
+                                axis=1)
+        c0, _, ok0 = consistency_at(scene, corr1, corr2, px, py, t_true)
+        cm, _, okm = consistency_at(scene, corr1, corr2, px, py, t_true - 1.0)
+        cp, _, okp = consistency_at(scene, corr1, corr2, px, py, t_true + 1.0)
+        usable = ok0 & okm & okp
+        total = int(usable.sum())
+        wins = int(np.sum(usable & (c0 < cm) & (c0 < cp)))
         assert total > 100
         assert wins / total >= 0.95
 
