@@ -11,12 +11,9 @@ rotation-stage evaluation. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import imagefiles
 from .bench import (BenchmarkConfig, max_workers_from_env, report,

@@ -5,6 +5,12 @@ transform of a crossed fringe, or N-step phase shifting), quality-guided
 2D unwrapping, and phase-to-screen-coordinate conversion against an anchor
 pixel of known correspondence.
 
+The wavelet transform evaluates its separable Morlet filter bank as
+products in the Fourier domain (``numpy.fft``) on the frame padded
+symmetrically, which matches direct convolution with a mirrored border to
+rounding. It covers the whole frame rather than the foreground, because
+its ridge quality is normalised by a percentile over the whole frame.
+
 The single-shot path cannot recover the absolute phase offset on its own;
 the anchor is supplied by the simulator here (a real system would use a
 marker). Pipelines unwrap each connected valid component separately and
@@ -15,6 +21,8 @@ continuity.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +97,73 @@ class PhaseMap:
                         self.valid.copy(), self.wrapped)
 
 
+def _kernel_spectrum(n: int, kernel: np.ndarray) -> np.ndarray:
+    """``rfft`` of an odd, centred kernel placed circularly on ``n`` samples,
+    so the spectral product is a true (not a flipped) convolution."""
+    half = len(kernel) // 2
+    g = np.zeros(n)
+    g[np.arange(-half, half + 1) % n] = kernel
+    return np.fft.rfft(g)
+
+
+def _morlet_ridge(img: np.ndarray, params: WaveletParams):
+    """Ridge of the Morlet sweep with the carrier along axis 1 of ``img``.
+
+    Returns the ridge modulus, real and imaginary parts, and the mask of
+    pixels admitted at some scale (at least twice the scale from the border).
+    """
+    h, w = img.shape
+    scales = np.geomspace(params.scale_min, params.scale_max, N_SCALES)
+    # symmetric padding repeats the edge sample, as scipy's "reflect" does,
+    # also when the pad is longer than the frame; the widest kernel half-width
+    # of padding keeps every circular product free of wrap-around
+    pad = int(np.ceil(4.0 * scales[-1]))
+    n_env, n_car = h + 2 * pad, w + 2 * pad
+    env_spec = np.fft.rfft(np.pad(img, pad, mode="symmetric"), axis=0)
+
+    best_mod2 = np.zeros((h, w))
+    best_re = np.zeros((h, w))
+    best_im = np.zeros((h, w))
+    for s in scales:
+        # admissible pixels (border >= 2 s) form the box [b, h - b) x [b, w - b)
+        b = int(np.ceil(2.0 * s))
+        if 2 * b >= min(h, w):
+            continue
+        half = int(np.ceil(4.0 * s))
+        t = np.arange(-half, half + 1, dtype=float)
+        env = np.exp(-t * t / (2.0 * s * s))
+        env /= env.sum()
+        cr = env * np.cos(params.omega0 * t / s)
+        ci = env * np.sin(params.omega0 * t / s)
+
+        rows = np.fft.irfft(env_spec * _kernel_spectrum(n_env, env)[:, None],
+                            n_env, axis=0)
+        spec = np.fft.rfft(rows[pad + b:pad + h - b])
+        del rows
+        cols = slice(pad + b, pad + w - b)
+        re = np.fft.irfft(spec * _kernel_spectrum(n_car, cr), n_car)[:, cols]
+        im = np.fft.irfft(spec * _kernel_spectrum(n_car, ci), n_car)[:, cols]
+        # the ridge compares squared moduli; one square root at the end
+        mod2 = re * re
+        mod2 += im * im
+
+        box = (slice(b, h - b), slice(b, w - b))
+        upd = mod2 > best_mod2[box]
+        np.copyto(best_mod2[box], mod2, where=upd)
+        np.copyto(best_re[box], re, where=upd)
+        np.copyto(best_im[box], im, where=upd)
+        # frame-sized temporaries die here, not when the next scale
+        # reassigns them: they would otherwise raise the peak RSS
+        del spec, re, im, mod2, upd
+
+    ix = np.arange(w)
+    iy = np.arange(h)
+    border = np.minimum(
+        np.minimum(ix, w - 1 - ix)[None, :], np.minimum(iy, h - 1 - iy)[:, None]
+    )
+    return np.sqrt(best_mod2), best_re, best_im, border >= 2.0 * scales[0]
+
+
 def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     """Single-orientation 2D Morlet transform, ridge-picked over scales.
 
@@ -97,46 +172,22 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     the ridge modulus normalized by its 95th percentile. Pixels below
     ``Q_MIN`` quality or ``MOD_FLOOR`` modulus are invalid.
 
+    Each scale's filter is separable: a Gaussian envelope across the fringes
+    times a complex carrier along them. Both 1D convolutions run as products
+    in the Fourier domain (``numpy.fft``) on the frame padded symmetrically
+    by the widest kernel half-width, which reproduces direct convolution
+    with a mirrored border to rounding. The transform covers the whole frame,
+    not just the foreground: the 95th-percentile normaliser is taken over
+    every admitted pixel, so a crop would move ``valid``.
+
     Raises:
         NoRidgeError: fewer than 1% of pixels pass the quality threshold.
     """
     img = np.asarray(frame.intensity, dtype=float)
+    if params.orientation == "y":
+        img = np.ascontiguousarray(img.T)
+    best_mod, best_re, best_im, admitted_any = _morlet_ridge(img, params)
     h, w = img.shape
-    carrier_axis = 1 if params.orientation == "x" else 0
-    env_axis = 1 - carrier_axis
-
-    scales = np.geomspace(params.scale_min, params.scale_max, N_SCALES)
-    best_mod = np.zeros((h, w))
-    best_re = np.zeros((h, w))
-    best_im = np.zeros((h, w))
-    admitted_any = np.zeros((h, w), dtype=bool)
-
-    ix = np.arange(w)
-    iy = np.arange(h)
-    border = np.minimum(
-        np.minimum(ix, w - 1 - ix)[None, :], np.minimum(iy, h - 1 - iy)[:, None]
-    ).astype(float)
-
-    for s in scales:
-        half = int(np.ceil(4.0 * s))
-        t = np.arange(-half, half + 1, dtype=float)
-        env = np.exp(-t * t / (2.0 * s * s))
-        env /= env.sum()
-        cr = env * np.cos(params.omega0 * t / s)
-        ci = env * np.sin(params.omega0 * t / s)
-
-        re = ndimage.convolve1d(img, cr, axis=carrier_axis, mode="reflect")
-        im = ndimage.convolve1d(img, ci, axis=carrier_axis, mode="reflect")
-        re = ndimage.convolve1d(re, env, axis=env_axis, mode="reflect")
-        im = ndimage.convolve1d(im, env, axis=env_axis, mode="reflect")
-        mod = np.hypot(re, im)
-
-        admissible = border >= 2.0 * s
-        upd = admissible & (mod > best_mod)
-        best_mod[upd] = mod[upd]
-        best_re[upd] = re[upd]
-        best_im[upd] = im[upd]
-        admitted_any |= admissible
 
     ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
     if ref < MOD_FLOOR:
@@ -151,6 +202,9 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
         )
     phase = np.arctan2(best_im, best_re)
     phase[~valid] = np.nan
+    if params.orientation == "y":
+        phase, quality, valid = (np.ascontiguousarray(a.T)
+                                 for a in (phase, quality, valid))
     return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
 
 
@@ -188,10 +242,14 @@ def phase_shift_decode(frames: list[Frame], pattern: PhaseShiftSet) -> PhaseMap:
 def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     """Quality-guided flood-fill unwrapping from a seed pixel (px, py).
 
-    Pixels join in descending quality order; each one takes the 2 pi
-    multiple that minimizes its jump against its highest-quality
-    already-unwrapped neighbor. Valid components not 4-connected to the
-    seed stay invalid.
+    Pixels join in descending quality order (ties in row-major order); each
+    one takes the 2 pi multiple that minimizes its jump against its
+    highest-quality already-unwrapped neighbor. Valid components not
+    4-connected to the seed stay invalid.
+
+    The fill runs on the bounding box of ``pmap.valid`` plus a one-pixel
+    invalid rim, so no neighbor needs a bounds test, in flat ``array`` and
+    ``bytearray`` buffers indexed from Python.
 
     Raises:
         InvalidSeedError: the seed pixel is not valid.
@@ -201,43 +259,52 @@ def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     if not (0 <= sx < w and 0 <= sy < h) or not pmap.valid[sy, sx]:
         raise InvalidSeedError(f"seed pixel ({sx}, {sy}) is invalid")
 
-    phase = pmap.phase
-    quality = pmap.quality
-    valid = pmap.valid
-    out = np.full((h, w), np.nan)
-    done = np.zeros((h, w), dtype=bool)
-    queued = np.zeros((h, w), dtype=bool)
-    out[sy, sx] = phase[sy, sx]
-    done[sy, sx] = True
+    rows = np.flatnonzero(pmap.valid.any(axis=1))
+    cols = np.flatnonzero(pmap.valid.any(axis=0))
+    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+    bw = int(cols[-1] - cols[0]) + 3
+
+    def rimmed(a, dtype):
+        return np.pad(np.asarray(a[box], dtype=dtype), 1).ravel()
+
+    phase = array("d", rimmed(pmap.phase, float).tobytes())
+    quality = array("d", rimmed(pmap.quality, float).tobytes())
+    valid = bytearray(rimmed(pmap.valid, bool).tobytes())
+    done = bytearray(len(valid))
+    queued = bytearray(len(valid))
+    out = array("d", [math.nan]) * len(valid)
+    seed = int(sy - rows[0] + 1) * bw + int(sx - cols[0] + 1)
+    out[seed] = phase[seed]
+    done[seed] = 1
 
     two_pi = 2.0 * np.pi
-    heap: list[tuple[float, int, int]] = []
-
-    def push_neighbors(y: int, x: int):
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and valid[ny, nx] \
-                    and not done[ny, nx] and not queued[ny, nx]:
-                queued[ny, nx] = True
-                heapq.heappush(heap, (-quality[ny, nx], ny, nx))
-
-    push_neighbors(sy, sx)
-    while heap:
-        _, y, x = heapq.heappop(heap)
-        if done[y, x]:
-            continue
+    heap: list[tuple[float, int]] = []
+    i = seed
+    while True:
+        for j in (i - bw, i + bw, i - 1, i + 1):
+            if valid[j] and not done[j] and not queued[j]:
+                queued[j] = 1
+                heapq.heappush(heap, (-quality[j], j))
+        if not heap:
+            break
+        i = heapq.heappop(heap)[1]
         best_q = -1.0
         ref = 0.0
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and done[ny, nx] \
-                    and quality[ny, nx] > best_q:
-                best_q = quality[ny, nx]
-                ref = out[ny, nx]
-        k = np.round((ref - phase[y, x]) / two_pi)
-        out[y, x] = phase[y, x] + two_pi * k
-        done[y, x] = True
-        push_neighbors(y, x)
+        for j in (i - bw, i + bw, i - 1, i + 1):
+            if done[j] and quality[j] > best_q:
+                best_q = quality[j]
+                ref = out[j]
+        d = (ref - phase[i]) / two_pi
+        # round half to even, keeping the sign of a zero as np.round does
+        out[i] = phase[i] + two_pi * math.copysign(round(d), d)
+        done[i] = 1
 
-    return PhaseMap(phase=out, quality=quality.copy(), valid=done, wrapped=False)
+    phase_out = np.full((h, w), np.nan)
+    phase_out[box] = np.frombuffer(out).reshape(-1, bw)[1:-1, 1:-1]
+    done_out = np.zeros((h, w), dtype=bool)
+    done_out[box] = np.frombuffer(done, dtype=bool).reshape(-1, bw)[1:-1, 1:-1]
+    return PhaseMap(phase=phase_out, quality=pmap.quality.copy(),
+                    valid=done_out, wrapped=False)
 
 
 def phase_to_correspondence(
@@ -271,18 +338,6 @@ def phase_to_correspondence(
     return CorrespondenceMap(u=u, v=v, valid=valid)
 
 
-def assert_continuity(pmap: PhaseMap):
-    """Raise if any valid 4-neighbor pair of an unwrapped map jumps >= pi."""
-    if pmap.wrapped:
-        raise ValueError("continuity is defined for unwrapped maps")
-    p, m = pmap.phase, pmap.valid
-    dx = np.abs(np.diff(p, axis=1))[m[:, 1:] & m[:, :-1]]
-    dy = np.abs(np.diff(p, axis=0))[m[1:, :] & m[:-1, :]]
-    worst = max(dx.max(initial=0.0), dy.max(initial=0.0))
-    if worst >= np.pi:
-        raise AssertionError(f"unwrapped map has a {worst:.3f} rad jump")
-
-
 # ---------------------------------------------------------------------------
 # Frame-to-correspondence pipelines.
 
@@ -306,7 +361,10 @@ def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
     periods and the wrapped step is effectively random. Cutting those pixels
     splits the valid region so each side unwraps (and anchors) separately.
     """
-    p, m = pm.phase, pm.valid
+    m = pm.valid
+    # NaN makes ``%`` several times slower; pairs with an invalid pixel are
+    # masked out below, so any finite stand-in gives the same cut
+    p = np.where(m, pm.phase, 0.0)
     lim = max_step_scale * np.pi
 
     def wrapdiff(a, b):
@@ -376,14 +434,10 @@ def correspondence_from_phases(
         q = np.where(anchorable, combined_q, -1.0)
         ay, ax = np.unravel_index(np.argmax(q), q.shape)
 
-        px = phi_x.copy()
-        px.valid &= mask
-        px.phase[~px.valid] = np.nan
-        py = phi_y.copy()
-        py.valid &= mask
-        py.phase[~py.valid] = np.nan
-        ux = unwrap2(px, (ax, ay))
-        uy = unwrap2(py, (ax, ay))
+        # unwrap2 reads phase and quality at valid pixels only, so the
+        # component needs its own mask but no copy of either map
+        ux = unwrap2(PhaseMap(phi_x.phase, phi_x.quality, mask, True), (ax, ay))
+        uy = unwrap2(PhaseMap(phi_y.phase, phi_y.quality, mask, True), (ax, ay))
         anchor = ((ax, ay), float(anchor_truth.u[ay, ax]),
                   float(anchor_truth.v[ay, ax]))
         corr = phase_to_correspondence(ux, uy, pattern, anchor)

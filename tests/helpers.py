@@ -1,8 +1,16 @@
-"""Shared test utilities: analytic surfaces and synthetic line bundles."""
+"""Shared test utilities: analytic surfaces, synthetic line bundles, and
+the direct-evaluation references of the decode stages."""
+
+import heapq
 
 import numpy as np
+from scipy import ndimage
 
+from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
+                                 Q_MIN, PhaseMap, phase_to_correspondence)
+from deflect_gaze.errors import InvalidSeedError, NoRidgeError
 from deflect_gaze.geometry import unit
+from deflect_gaze.render import CorrespondenceMap, CrossedFringe
 
 
 def plane_mirror_surface(point, normal):
@@ -87,3 +95,199 @@ def brute_force_min_point(points, dirs, lo, hi, step):
             best_val = float(tot[k])
             best_x = grid[k]
     return best_x, best_val
+
+
+# ---------------------------------------------------------------------------
+# Decode references: slower evaluations of the same decode stages, which the
+# tests require ``decode`` to reproduce.
+
+def reference_cwt2_phase(frame, params):
+    """``cwt2_phase`` by direct convolution: 4 ``convolve1d`` passes per
+    scale with scipy's ``reflect`` boundary."""
+    img = np.asarray(frame.intensity, dtype=float)
+    h, w = img.shape
+    carrier_axis = 1 if params.orientation == "x" else 0
+    env_axis = 1 - carrier_axis
+
+    scales = np.geomspace(params.scale_min, params.scale_max, N_SCALES)
+    best_mod = np.zeros((h, w))
+    best_re = np.zeros((h, w))
+    best_im = np.zeros((h, w))
+    admitted_any = np.zeros((h, w), dtype=bool)
+
+    ix = np.arange(w)
+    iy = np.arange(h)
+    border = np.minimum(
+        np.minimum(ix, w - 1 - ix)[None, :], np.minimum(iy, h - 1 - iy)[:, None]
+    ).astype(float)
+
+    for s in scales:
+        half = int(np.ceil(4.0 * s))
+        t = np.arange(-half, half + 1, dtype=float)
+        env = np.exp(-t * t / (2.0 * s * s))
+        env /= env.sum()
+        cr = env * np.cos(params.omega0 * t / s)
+        ci = env * np.sin(params.omega0 * t / s)
+
+        re = ndimage.convolve1d(img, cr, axis=carrier_axis, mode="reflect")
+        im = ndimage.convolve1d(img, ci, axis=carrier_axis, mode="reflect")
+        re = ndimage.convolve1d(re, env, axis=env_axis, mode="reflect")
+        im = ndimage.convolve1d(im, env, axis=env_axis, mode="reflect")
+        mod = np.hypot(re, im)
+
+        admissible = border >= 2.0 * s
+        upd = admissible & (mod > best_mod)
+        best_mod[upd] = mod[upd]
+        best_re[upd] = re[upd]
+        best_im[upd] = im[upd]
+        admitted_any |= admissible
+
+    ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
+    if ref < MOD_FLOOR:
+        quality = np.zeros((h, w))
+    else:
+        quality = np.clip(best_mod / ref, 0.0, 1.0)
+    valid = admitted_any & (quality >= Q_MIN) & (best_mod >= MOD_FLOOR)
+    if valid.mean() < 0.01:
+        raise NoRidgeError(
+            f"orientation {params.orientation!r}: fewer than 1% of pixels pass "
+            f"the ridge quality threshold"
+        )
+    phase = np.arctan2(best_im, best_re)
+    phase[~valid] = np.nan
+    return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
+
+
+def reference_unwrap2(pmap, seed_pixel):
+    """``unwrap2`` on the full grid with numpy scalar indexing and a
+    ``(-quality, y, x)`` heap."""
+    sx, sy = seed_pixel
+    h, w = pmap.phase.shape
+    if not (0 <= sx < w and 0 <= sy < h) or not pmap.valid[sy, sx]:
+        raise InvalidSeedError(f"seed pixel ({sx}, {sy}) is invalid")
+
+    phase = pmap.phase
+    quality = pmap.quality
+    valid = pmap.valid
+    out = np.full((h, w), np.nan)
+    done = np.zeros((h, w), dtype=bool)
+    queued = np.zeros((h, w), dtype=bool)
+    out[sy, sx] = phase[sy, sx]
+    done[sy, sx] = True
+
+    two_pi = 2.0 * np.pi
+    heap = []
+
+    def push_neighbors(y, x):
+        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+            if 0 <= ny < h and 0 <= nx < w and valid[ny, nx] \
+                    and not done[ny, nx] and not queued[ny, nx]:
+                queued[ny, nx] = True
+                heapq.heappush(heap, (-quality[ny, nx], ny, nx))
+
+    push_neighbors(sy, sx)
+    while heap:
+        _, y, x = heapq.heappop(heap)
+        if done[y, x]:
+            continue
+        best_q = -1.0
+        ref = 0.0
+        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+            if 0 <= ny < h and 0 <= nx < w and done[ny, nx] \
+                    and quality[ny, nx] > best_q:
+                best_q = quality[ny, nx]
+                ref = out[ny, nx]
+        k = np.round((ref - phase[y, x]) / two_pi)
+        out[y, x] = phase[y, x] + two_pi * k
+        done[y, x] = True
+        push_neighbors(y, x)
+
+    return PhaseMap(phase=out, quality=quality.copy(), valid=done, wrapped=False)
+
+
+def reference_sever_phase_seams(pm, max_step_scale=0.75):
+    """``_sever_phase_seams`` taking wrapped steps on the NaN-filled map."""
+    p, m = pm.phase, pm.valid
+    lim = max_step_scale * np.pi
+
+    def wrapdiff(a, b):
+        d = a - b
+        return np.abs((d + np.pi) % (2.0 * np.pi) - np.pi)
+
+    bad = np.zeros_like(m)
+    dx = wrapdiff(p[:, 1:], p[:, :-1])
+    both = m[:, 1:] & m[:, :-1]
+    cut = both & (dx > lim)
+    bad[:, 1:] |= cut
+    bad[:, :-1] |= cut
+    dy = wrapdiff(p[1:, :], p[:-1, :])
+    both = m[1:, :] & m[:-1, :]
+    cut = both & (dy > lim)
+    bad[1:, :] |= cut
+    bad[:-1, :] |= cut
+    out = pm.copy()
+    out.valid &= ~bad
+    out.phase[~out.valid] = np.nan
+    return out
+
+
+
+def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
+                                         anchor_truth, seam_mask=None):
+    """``correspondence_from_phases`` with the reference seam cut and fill,
+    unwrapping masked full-frame copies of both maps per component."""
+    if seam_mask is not None:
+        phi_x = phi_x.copy()
+        phi_y = phi_y.copy()
+        for pm in (phi_x, phi_y):
+            pm.valid &= ~seam_mask
+            pm.phase[~pm.valid] = np.nan
+    phi_x = reference_sever_phase_seams(phi_x)
+    phi_y = reference_sever_phase_seams(phi_y)
+    joint = phi_x.valid & phi_y.valid
+    labels, n_comp = ndimage.label(joint, structure=FOUR_CONN)
+    h, w = joint.shape
+    u_out = np.full((h, w), np.nan)
+    v_out = np.full((h, w), np.nan)
+    valid_out = np.zeros((h, w), dtype=bool)
+    combined_q = np.minimum(phi_x.quality, phi_y.quality)
+    pattern = CrossedFringe(period_x=period_x, period_y=period_y)
+
+    for comp in range(1, n_comp + 1):
+        mask = labels == comp
+        if mask.sum() < MIN_COMPONENT:
+            continue
+        anchorable = mask & anchor_truth.valid
+        if not anchorable.any():
+            continue
+        q = np.where(anchorable, combined_q, -1.0)
+        ay, ax = np.unravel_index(np.argmax(q), q.shape)
+
+        px = phi_x.copy()
+        px.valid &= mask
+        px.phase[~px.valid] = np.nan
+        py = phi_y.copy()
+        py.valid &= mask
+        py.phase[~py.valid] = np.nan
+        ux = reference_unwrap2(px, (ax, ay))
+        uy = reference_unwrap2(py, (ax, ay))
+        anchor = ((ax, ay), float(anchor_truth.u[ay, ax]),
+                  float(anchor_truth.v[ay, ax]))
+        corr = phase_to_correspondence(ux, uy, pattern, anchor)
+        m = corr.valid
+        u_out[m] = corr.u[m]
+        v_out[m] = corr.v[m]
+        valid_out |= m
+
+    return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
+
+def assert_continuity(pmap):
+    """Raise if any valid 4-neighbor pair of an unwrapped map jumps >= pi."""
+    if pmap.wrapped:
+        raise ValueError("continuity is defined for unwrapped maps")
+    p, m = pmap.phase, pmap.valid
+    dx = np.abs(np.diff(p, axis=1))[m[:, 1:] & m[:, :-1]]
+    dy = np.abs(np.diff(p, axis=0))[m[1:, :] & m[:-1, :]]
+    worst = max(dx.max(initial=0.0), dy.max(initial=0.0))
+    if worst >= np.pi:
+        raise AssertionError(f"unwrapped map has a {worst:.3f} rad jump")

@@ -1,21 +1,25 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from deflect_gaze.decode import (WaveletParams, _sever_phase_seams,
-                                 assert_continuity, cwt2_phase,
+                                 correspondence_from_phases, cwt2_phase,
                                  decode_crossed_fringe, decode_phase_shift,
-                                 phase_shift_decode, phase_to_correspondence,
-                                 scene_seam_mask, unwrap2, PhaseMap)
+                                 foreground_mask, phase_shift_decode,
+                                 phase_to_correspondence, scene_seam_mask,
+                                 unwrap2, PhaseMap)
 from deflect_gaze.errors import (InvalidAnchorError, InvalidSeedError,
                                  NoRidgeError, ShiftCountError)
 from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CrossedFringe, Frame, PhaseShiftSet,
-                                 pattern_value, render_correspondence,
-                                 render_frame)
-from helpers import plane_mirror_surface
+                                 render_correspondence, render_frame)
+from helpers import (assert_continuity, plane_mirror_surface,
+                     reference_correspondence_from_phases,
+                     reference_cwt2_phase, reference_sever_phase_seams,
+                     reference_unwrap2)
 
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -29,6 +33,22 @@ def fringe_frame(h=128, w=128, px=16.0, py=None, crossed=False):
     else:
         img = 0.5 + 0.4 * np.cos(2 * np.pi * x / px)
     return Frame(img)
+
+
+SINGLESHOT_WAVELET = dict(omega0=3.2, scale_min=3.0, scale_max=16.0)
+
+
+@pytest.fixture(scope="module")
+def eye_frame(dec_scene):
+    """Camera 0 of the decode scene under the single-shot crossed fringe."""
+    corr = render_correspondence(dec_scene, 0)
+    pat = CrossedFringe(period_x=36.0, period_y=36.0)
+    return render_frame(dec_scene, 0, pat, sigma_i=0.01, seed=11,
+                        correspondence=corr)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def interior_mask(valid, margin=8):
@@ -69,6 +89,34 @@ class TestCwt2:
         m = interior_mask(pm_p.valid & pm_c.valid)
         d = np.angle(np.exp(1j * (pm_c.phase - pm_p.phase)))[m]
         assert np.abs(d).max() < 0.1
+
+    @pytest.mark.parametrize("orientation", ["x", "y"])
+    @pytest.mark.parametrize("case", ["fringe128", "frame40x52", "eye448"])
+    def test_matches_direct_convolution(self, case, orientation, eye_frame):
+        # the Fourier-domain sweep against 4 convolve1d passes per scale;
+        # the 40x52 frame is shorter than its 96 px padding on both axes
+        if case == "fringe128":
+            frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+            wp = WaveletParams(orientation=orientation, scale_min=8.0,
+                               scale_max=24.0)
+        elif case == "frame40x52":
+            g = np.random.default_rng(4)
+            frame = Frame(fringe_frame(40, 52, px=14.0, py=19.0,
+                                       crossed=True).intensity
+                          + g.normal(0.0, 0.02, (40, 52)))
+            wp = WaveletParams(orientation=orientation, scale_min=8.0,
+                               scale_max=24.0)
+        else:
+            frame = eye_frame
+            wp = WaveletParams(orientation=orientation, **SINGLESHOT_WAVELET)
+        got = cwt2_phase(frame, wp)
+        ref = reference_cwt2_phase(frame, wp)
+        assert np.array_equal(got.valid, ref.valid)
+        assert got.valid.any()
+        assert np.abs(got.quality - ref.quality).max() <= 1e-12
+        assert np.array_equal(np.isnan(got.phase), np.isnan(ref.phase))
+        d = got.phase[got.valid] - ref.phase[ref.valid]
+        assert np.abs(d).max() <= 1e-12
 
     def test_quality_in_unit_range(self):
         pm = cwt2_phase(fringe_frame(), WaveletParams(orientation="x",
@@ -153,6 +201,50 @@ class TestUnwrap2:
         assert out.valid[:, :3].all()
         assert not out.valid[:, 5:].any()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_grid_reference(self, data):
+        # arbitrary wrapped or unwrapped phases, so a continuous unwrap
+        # usually does not exist; few quality levels, so heap ties are
+        # common; exact multiples of pi exercise round-half-to-even and
+        # signed zeros
+        h = data.draw(st.integers(1, 14), label="h")
+        w = data.draw(st.integers(1, 14), label="w")
+        valid = data.draw(arrays(bool, (h, w)), label="valid")
+        sy = data.draw(st.integers(0, h - 1), label="seed y")
+        sx = data.draw(st.integers(0, w - 1), label="seed x")
+        valid[sy, sx] = True
+        phase = data.draw(arrays(float, (h, w), elements=st.one_of(
+            st.floats(-20.0, 20.0),
+            st.sampled_from([0.0, -0.0, np.pi, -np.pi, 3.0 * np.pi]))),
+            label="phase")
+        quality = data.draw(arrays(float, (h, w), elements=st.sampled_from(
+            [0.0, 0.25, 0.5, 1.0])), label="quality")
+        pm = PhaseMap(phase=phase, quality=quality, valid=valid,
+                      wrapped=True)
+        got = unwrap2(pm, (sx, sy))
+        ref = reference_unwrap2(pm, (sx, sy))
+        assert same_bits(got.phase, ref.phase)
+        assert same_bits(got.valid, ref.valid)
+        assert same_bits(got.quality, ref.quality)
+        assert got.wrapped is False
+
+    @pytest.mark.parametrize("fdtype,vdtype", [
+        (np.float32, bool), (np.float64, np.uint8), (np.float32, np.int64)])
+    def test_other_dtypes_match_grid_reference(self, fdtype, vdtype):
+        g = np.random.default_rng(11)
+        valid = g.random((12, 15)) < 0.7
+        valid[6, 7] = True
+        pm = PhaseMap(phase=g.uniform(-12.0, 12.0, (12, 15)).astype(fdtype),
+                      quality=g.choice([0.25, 0.5, 1.0], (12, 15)).astype(fdtype),
+                      valid=valid.astype(vdtype), wrapped=True)
+        got = unwrap2(pm, (7, 6))
+        ref = reference_unwrap2(pm, (7, 6))
+        assert got.valid.sum() > 1
+        assert same_bits(got.phase, ref.phase)
+        assert same_bits(got.valid, ref.valid)
+        assert same_bits(got.quality, ref.quality)
+
     def test_eye_phase_unwrap_matches_truth(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
@@ -177,6 +269,54 @@ class TestUnwrap2:
         resid = d - 2 * np.pi * k
         assert (np.abs(resid) < 0.05).mean() > 0.99
         assert_continuity(out)
+
+
+class TestSeverPhaseSeams:
+    def test_matches_nan_input_reference(self, eye_frame):
+        fg = foreground_mask(eye_frame)
+        maps = [cwt2_phase(eye_frame, WaveletParams(orientation=o,
+                                                    **SINGLESHOT_WAVELET))
+                for o in ("x", "y")]
+        for pm in maps:
+            pm.valid &= fg
+        g = np.random.default_rng(2)
+        maps.append(PhaseMap(phase=g.uniform(-np.pi, np.pi, (37, 41)),
+                             quality=np.ones((37, 41)),
+                             valid=g.random((37, 41)) < 0.7, wrapped=True))
+        for pm in maps:
+            pm.phase[~pm.valid] = np.nan
+            got = _sever_phase_seams(pm)
+            ref = reference_sever_phase_seams(pm)
+            assert same_bits(got.valid, ref.valid)
+            assert same_bits(got.phase, ref.phase)
+            assert (~got.valid & pm.valid).any()
+
+
+class TestCorrespondenceFromPhases:
+    @pytest.mark.parametrize("seam", [False, True])
+    def test_matches_reference(self, dec_scene, seam):
+        for cam in (0, 1):
+            corr = render_correspondence(dec_scene, cam)
+            frame = render_frame(dec_scene, cam,
+                                 CrossedFringe(period_x=36.0, period_y=36.0),
+                                 sigma_i=0.01, seed=20 + cam,
+                                 correspondence=corr)
+            fg = foreground_mask(frame)
+            maps = [cwt2_phase(frame, WaveletParams(orientation=o,
+                                                    **SINGLESHOT_WAVELET))
+                    for o in ("x", "y")]
+            for pm in maps:
+                pm.valid &= fg
+                pm.phase[~pm.valid] = np.nan
+            seam_mask = scene_seam_mask(dec_scene, cam) if seam else None
+            got = correspondence_from_phases(*maps, 36.0, 36.0, corr,
+                                             seam_mask=seam_mask)
+            ref = reference_correspondence_from_phases(*maps, 36.0, 36.0, corr,
+                                                       seam_mask=seam_mask)
+            assert got.n_valid > 3000
+            for a, b in ((got.u, ref.u), (got.v, ref.v),
+                         (got.valid, ref.valid)):
+                assert same_bits(a, b)
 
 
 class TestPhaseToCorrespondence:
