@@ -93,13 +93,51 @@ def backtrace_lines(field: NormalField) -> tuple[np.ndarray, np.ndarray]:
     return field.points.copy(), field.normals.copy()
 
 
+# the quadratic monomials c_j c_k (j <= k) of a point c, and the factor
+# that folds a symmetric form's (j, k) and (k, j) entries into one weight
+_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+_SYM = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+_SCORE_BLOCK = 192
+
+
+def _inlier_counts(centers, points, dirs, tol):
+    """Number of lines ``(points[i], dirs[i])`` within ``tol`` of each of
+    the candidate ``centers``; a candidate with a NaN coordinate counts 0.
+
+    The squared distance from c to the line (p, d) is taken as
+    |v|^2 - (2 - |d|^2)(v.d)^2 with v = c - p, exact for unit d. That is
+    v^T Q v with Q = I - (2 - |d|^2) d d^T, a quadratic form in c:
+    c^T Q c - 2 (Q p).c + p.(Q p). Each line's form is expanded once into
+    weights over the ten monomials of c (c_j c_k for j <= k, c_j, 1), so
+    each block of candidates is scored against every line by one matrix
+    product. Points and candidates are centred on the point mean first:
+    the expanded terms, of the size of |c|^2 and |p|^2, cancel down to the
+    distance, and centring keeps them, and the rounding they leave in the
+    distance, small. The blocks bound the (block, n) temporaries.
+    """
+    mean = points.mean(axis=0)
+    p = points - mean
+    s = 2.0 - np.einsum("nj,nj->n", dirs, dirs)
+    q = np.eye(3) - s[:, None, None] * dirs[:, :, None] * dirs[:, None, :]
+    qp = p - (s * np.einsum("nj,nj->n", p, dirs))[:, None] * dirs
+    weights = np.vstack([(q[:, _ROWS, _COLS] * _SYM).T, -2.0 * qp.T,
+                         np.einsum("nj,nj->n", p, qp)])      # (10, n)
+    c = centers - mean
+    feats = np.hstack([c[:, _ROWS] * c[:, _COLS], c,
+                       np.ones((len(c), 1))])                # (k, 10)
+    return np.concatenate([
+        ((feats[lo:lo + _SCORE_BLOCK] @ weights) < tol * tol).sum(axis=1)
+        for lo in range(0, len(feats), _SCORE_BLOCK)])
+
+
 def _ransac_center(points, dirs, params, rng):
     """Best line-bundle intersection by 3-line RANSAC, then refined over its
     inliers. Returns (center, inlier_mask) or (None, None).
 
-    The minimal solves and inlier counts run batched: all 3-line normal
-    systems are solved at once and candidate-to-line distances are
-    evaluated blockwise.
+    All 3-line normal systems are solved at once and every candidate is
+    scored by ``_inlier_counts``; unsolvable samples score zero. The first
+    candidate with the most inliers wins.
     """
     n = len(points)
     iters = params.ransac_iters
@@ -117,28 +155,12 @@ def _ransac_center(points, dirs, params, rng):
             m[solvable], rhs[solvable][..., None]
         )[..., 0]
 
-    best_count = 0
-    best_center = None
-    block = 64
     tol = params.inlier_tol
-    for lo in range(0, iters, block):
-        c = centers[lo:lo + block]
-        ok = np.isfinite(c[:, 0])
-        if not ok.any():
-            continue
-        v = c[:, None, :] - points[None, :, :]       # (b, n, 3)
-        proj = np.einsum("bnj,nj->bn", v, dirs)
-        perp = v - proj[..., None] * dirs[None]
-        d2 = np.einsum("bnj,bnj->bn", perp, perp)
-        counts = (d2 < tol * tol).sum(axis=1)
-        counts[~ok] = 0
-        k = int(np.argmax(counts))
-        if counts[k] > best_count:
-            best_count = int(counts[k])
-            best_center = c[k]
-    if best_center is None or best_count < 3:
+    counts = _inlier_counts(centers, points, dirs, tol)
+    k = int(np.argmax(counts))
+    if counts[k] < 3:
         return None, None
-    inliers = point_line_distances(best_center, points, dirs) < tol
+    inliers = point_line_distances(centers[k], points, dirs) < tol
     center, _ = least_squares_point(points[inliers], dirs[inliers])
     inliers = point_line_distances(center, points, dirs) < tol
     return center, inliers

@@ -281,6 +281,23 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
 
     return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
 
+def reference_ransac_counts(centers, points, dirs, tol):
+    """``gaze._inlier_counts`` as blocks of 64 candidates, each with its
+    (64, n, 3) offsets to every line and their parts across the lines."""
+    counts = np.zeros(len(centers), dtype=int)
+    for lo in range(0, len(centers), 64):
+        c = centers[lo:lo + 64]
+        ok = np.isfinite(c[:, 0])
+        v = c[:, None, :] - points[None, :, :]
+        proj = np.einsum("bnj,nj->bn", v, dirs)
+        perp = v - proj[..., None] * dirs[None]
+        d2 = np.einsum("bnj,bnj->bn", perp, perp)
+        block = (d2 < tol * tol).sum(axis=1)
+        block[~ok] = 0
+        counts[lo:lo + 64] = block
+    return counts
+
+
 def assert_continuity(pmap):
     """Raise if any valid 4-neighbor pair of an unwrapped map jumps >= pi."""
     if pmap.wrapped:

@@ -2,19 +2,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deflect_gaze.errors import (AmbiguousRadiiError, CentersTooCloseError,
                                  DegenerateBundleError,
                                  SecondCenterNotFoundError)
-from deflect_gaze.gaze import (ClusterParams, backtrace_lines,
-                               estimate_gaze_two_center, gaze_axis_fit,
-                               gaze_from_centers, identify_cornea,
-                               relative_gaze_angle, two_center_cluster)
+from deflect_gaze.gaze import (ClusterParams, _inlier_counts,
+                               backtrace_lines, estimate_gaze_two_center,
+                               gaze_axis_fit, gaze_from_centers,
+                               identify_cornea, relative_gaze_angle,
+                               two_center_cluster)
 from deflect_gaze.geometry import angle_between_deg, rotation_about_axis, unit
 from deflect_gaze.render import add_correspondence_noise, render_correspondence
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import NormalField, reconstruct_field
-from helpers import bundle_through_point, cone_frustum_normal_lines
+from helpers import (bundle_through_point, cone_frustum_normal_lines,
+                     reference_ransac_counts)
 
 UP = np.array([0.0, 1.0, 0.0])
 
@@ -89,6 +93,38 @@ class TestTwoCenterCluster:
         b = two_center_cluster(points, dirs, p)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[2], b[2])
+
+
+class TestInlierCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400),
+           k=st.integers(1, 450), tol=st.floats(0.02, 1.0),
+           offset=st.floats(0.0, 500.0))
+    def test_matches_reference(self, seed, n, k, tol, offset):
+        """Two noisy bundles with non-unit directions, far from the origin;
+        candidates near either center, spread out, or unsolvable (NaN)."""
+        g = np.random.default_rng(seed)
+        base = offset * unit(g.normal(size=3))
+        centers = base + np.array([[0.0, 0, 0], [0.0, 0, 5.6]])
+        which = g.integers(0, 2, n)
+        dirs = g.normal(size=(n, 3))
+        points = (centers[which] + 10.0 * unit(dirs)
+                  + g.normal(0.0, 0.2, (n, 3)))
+        dirs *= g.uniform(0.5, 1.5, (n, 1)) / np.linalg.norm(
+            dirs, axis=1, keepdims=True)
+        cand = (centers[g.integers(0, 2, k)]
+                + g.normal(size=(k, 3)) * g.choice([0.05, 0.5, 5.0],
+                                                   (k, 1)))
+        cand[g.random(k) < 0.1] = np.nan
+        v = cand[:, None, :] - points[None]
+        proj = np.einsum("knj,nj->kn", v, dirs)
+        d2 = np.einsum("knj,knj->kn", v, v) - (
+            2.0 - np.einsum("nj,nj->n", dirs, dirs)) * proj * proj
+        assume(not (np.abs(d2 - tol * tol) < 1e-9).any())
+        got = _inlier_counts(cand, points, dirs, tol)
+        ref = reference_ransac_counts(cand, points, dirs, tol)
+        assert np.array_equal(got, ref)
+        assert np.argmax(got) == np.argmax(ref)
 
 
 class TestIdentifyCornea:
