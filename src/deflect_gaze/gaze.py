@@ -49,6 +49,9 @@ class ClusterParams:
             raise InvariantViolation("cluster: inlier_tol > 0")
         if self.ransac_iters < 10:
             raise InvariantViolation("cluster: ransac_iters >= 10")
+        if self.min_inliers < 3:
+            raise InvariantViolation("cluster: min_inliers >= 3 (the "
+                                     "minimal sample)")
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,21 @@ def _inlier_counts(centers, points, dirs, tol):
         for lo in range(0, len(feats), _SCORE_BLOCK)])
 
 
+def _sample_triples(n, iters, rng):
+    """``iters`` uniform 3-subsets of range(n), n >= 3, as (iters, 3) rows.
+
+    Floyd's algorithm, vectorised over the rows: draw a from [0, n-3],
+    b from [0, n-2] and c from [0, n-1], then let b take n-2 where it
+    repeats a, and c take n-1 where it repeats a or b.
+    """
+    a = rng.integers(0, n - 2, iters)
+    b = rng.integers(0, n - 1, iters)
+    b[b == a] = n - 2
+    c = rng.integers(0, n, iters)
+    c[(c == a) | (c == b)] = n - 1
+    return np.stack([a, b, c], axis=1)
+
+
 def _ransac_center(points, dirs, params, rng):
     """Best line-bundle intersection by 3-line RANSAC, then refined over its
     inliers. Returns (center, inlier_mask) or (None, None).
@@ -139,9 +157,8 @@ def _ransac_center(points, dirs, params, rng):
     scored by ``_inlier_counts``; unsolvable samples score zero. The first
     candidate with the most inliers wins.
     """
-    n = len(points)
     iters = params.ransac_iters
-    idx = np.array([rng.choice(n, size=3, replace=False) for _ in range(iters)])
+    idx = _sample_triples(len(points), iters, rng)
     d3 = dirs[idx]                                   # (iters, 3, 3)
     p3 = points[idx]
     m = 3.0 * np.eye(3) - np.einsum("kij,kil->kjl", d3, d3)

@@ -8,7 +8,8 @@ import pytest
 from deflect_gaze import imagefiles
 from deflect_gaze.cli import _read_corr, main
 from deflect_gaze.scene import default_scene, load_scene, save_scene
-from deflect_gaze.stereo import default_sweep, reconstruct_field
+from deflect_gaze.stereo import (NormalField, default_sweep,
+                                 reconstruct_field)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +86,20 @@ class TestReconstructAndGaze:
         header = trace_csv.read_text().splitlines()[0]
         assert header == "iter,loss,step,azimuth,elevation,tx,ty,tz"
         assert out_csv.exists()
+
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_gaze_normals_rejects_min_inliers(self, tmp_path, capsys, m):
+        field_csv = tmp_path / "field.csv"
+        NormalField(pixels=np.array([[0, 0], [1, 0]]),
+                    points=np.array([[0.0, 0, 10], [1.0, 0, 10]]),
+                    normals=np.array([[0.0, 0, 1], [0.0, 0.6, 0.8]]),
+                    consistency=np.zeros(2)).to_csv(field_csv)
+        out_csv = tmp_path / "gaze.csv"
+        rc = main(["gaze-normals", "--field", str(field_csv),
+                   "--min-inliers", m, "--out", str(out_csv)])
+        assert rc == 2
+        assert "min_inliers" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("stride", ["0", "-2"])
     def test_gaze_optimize_rejects_pixel_stride(self, scene_file, tmp_path,

@@ -6,17 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deflect_gaze.errors import (AmbiguousRadiiError, CentersTooCloseError,
-                                 DegenerateBundleError,
+                                 DegenerateBundleError, InvariantViolation,
                                  SecondCenterNotFoundError)
-from deflect_gaze.gaze import (ClusterParams, _inlier_counts,
+from deflect_gaze.gaze import (ClusterParams, _inlier_counts, _sample_triples,
                                backtrace_lines, estimate_gaze_two_center,
                                gaze_axis_fit, gaze_from_centers,
                                identify_cornea, relative_gaze_angle,
                                two_center_cluster)
 from deflect_gaze.geometry import angle_between_deg, rotation_about_axis, unit
-from deflect_gaze.render import add_correspondence_noise, render_correspondence
+from deflect_gaze.render import render_correspondence
 from deflect_gaze.scene import rotate_eye
-from deflect_gaze.stereo import NormalField, reconstruct_field
+from deflect_gaze.stereo import reconstruct_field
 from helpers import (bundle_through_point, cone_frustum_normal_lines,
                      reference_ransac_counts)
 
@@ -63,14 +63,16 @@ class TestBacktrace:
 class TestTwoCenterCluster:
     def test_exact_bundles(self):
         points, dirs = two_bundles(n=500, seed=1)
-        c_a, c_b, labels, rms = two_center_cluster(points, dirs,
-                                                   ClusterParams(rng_seed=0))
-        got = sorted([c_a, c_b], key=lambda c: c[2])
-        assert np.linalg.norm(got[0] - [0, 0, 0]) < 1e-6
-        assert np.linalg.norm(got[1] - [0, 0, 5.6]) < 1e-6
-        # no mislabels: each cluster holds one bundle
-        assert set(np.unique(labels[:500])) != set(np.unique(labels[500:]))
-        assert max(rms) < 1e-6
+        for seed in range(6):
+            c_a, c_b, labels, rms = two_center_cluster(
+                points, dirs, ClusterParams(rng_seed=seed))
+            got = sorted([c_a, c_b], key=lambda c: c[2])
+            assert np.linalg.norm(got[0] - [0, 0, 0]) < 1e-6
+            assert np.linalg.norm(got[1] - [0, 0, 5.6]) < 1e-6
+            # no mislabels: each cluster holds one bundle
+            assert set(np.unique(labels[:500])) != set(
+                np.unique(labels[500:]))
+            assert max(rms) < 1e-6
 
     def test_full_reconstruction_centers(self, scene, field):
         points, dirs = backtrace_lines(field)
@@ -93,6 +95,40 @@ class TestTwoCenterCluster:
         b = two_center_cluster(points, dirs, p)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[2], b[2])
+
+
+class TestClusterParams:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_min_inliers_below_minimal_sample(self, m):
+        with pytest.raises(InvariantViolation, match="min_inliers"):
+            ClusterParams(min_inliers=m)
+
+    def test_minimal_sample_clusters_six_lines(self):
+        points, dirs = two_bundles(n=3, seed=2)
+        c_a, c_b, _, _ = two_center_cluster(points, dirs,
+                                            ClusterParams(min_inliers=3))
+        got = sorted([c_a, c_b], key=lambda c: c[2])
+        assert np.linalg.norm(got[1] - [0, 0, 5.6]) < 1e-6
+
+
+class TestSampleTriples:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n=st.one_of(st.integers(3, 12), st.integers(3, 10**9)),
+           iters=st.integers(1, 600))
+    def test_distinct_and_in_range(self, seed, n, iters):
+        idx = _sample_triples(n, iters, np.random.default_rng(seed))
+        assert idx.shape == (iters, 3)
+        assert idx.min() >= 0 and idx.max() < n
+        s = np.sort(idx, axis=1)
+        assert (np.diff(s, axis=1) > 0).all()
+
+    def test_uniform_over_subsets(self):
+        idx = _sample_triples(5, 100_000, np.random.default_rng(0))
+        keys = np.sort(idx, axis=1) @ [25, 5, 1]
+        freq = np.unique(keys, return_counts=True)[1] / len(keys)
+        assert len(freq) == 10
+        assert np.abs(freq - 0.1).max() < 0.005
 
 
 class TestInlierCounts:
