@@ -239,6 +239,17 @@ def phase_shift_decode(frames: list[Frame], pattern: PhaseShiftSet) -> PhaseMap:
     return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
 
 
+def _bounding_box(mask: np.ndarray) -> tuple[slice, slice] | None:
+    """Row and column slices of the smallest box holding every set pixel
+    of a 2-D mask, or None when no pixel is set."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return (slice(int(rows[0]), int(rows[-1]) + 1),
+            slice(int(cols[0]), int(cols[-1]) + 1))
+
+
 def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     """Quality-guided flood-fill unwrapping from a seed pixel (px, py).
 
@@ -259,10 +270,8 @@ def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     if not (0 <= sx < w and 0 <= sy < h) or not pmap.valid[sy, sx]:
         raise InvalidSeedError(f"seed pixel ({sx}, {sy}) is invalid")
 
-    rows = np.flatnonzero(pmap.valid.any(axis=1))
-    cols = np.flatnonzero(pmap.valid.any(axis=0))
-    box = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
-    bw = int(cols[-1] - cols[0]) + 3
+    box = _bounding_box(pmap.valid)
+    bw = box[1].stop - box[1].start + 2
 
     def rimmed(a, dtype):
         return np.pad(np.asarray(a[box], dtype=dtype), 1).ravel()
@@ -273,7 +282,7 @@ def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     done = bytearray(len(valid))
     queued = bytearray(len(valid))
     out = array("d", [math.nan]) * len(valid)
-    seed = int(sy - rows[0] + 1) * bw + int(sx - cols[0] + 1)
+    seed = int((sy - box[0].start + 1) * bw + (sx - box[1].start + 1))
     out[seed] = phase[seed]
     done[seed] = 1
 
@@ -360,11 +369,20 @@ def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
     across the cornea/sclera transition the correspondence jumps by many
     periods and the wrapped step is effectively random. Cutting those pixels
     splits the valid region so each side unwraps (and anchors) separately.
+
+    Steps are taken on the bounding box of ``pm.valid`` only: every pair
+    with an invalid pixel is masked out, and outside the box every pixel
+    is invalid.
     """
-    m = pm.valid
+    out = pm.copy()
+    box = _bounding_box(pm.valid)
+    if box is None:
+        out.phase[:] = np.nan
+        return out
+    m = pm.valid[box]
     # NaN makes ``%`` several times slower; pairs with an invalid pixel are
     # masked out below, so any finite stand-in gives the same cut
-    p = np.where(m, pm.phase, 0.0)
+    p = np.where(m, pm.phase[box], 0.0)
     lim = max_step_scale * np.pi
 
     def wrapdiff(a, b):
@@ -382,8 +400,7 @@ def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
     cut = both & (dy > lim)
     bad[1:, :] |= cut
     bad[:-1, :] |= cut
-    out = pm.copy()
-    out.valid &= ~bad
+    out.valid[box] &= ~bad
     out.phase[~out.valid] = np.nan
     return out
 

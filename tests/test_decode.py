@@ -283,13 +283,17 @@ class TestSeverPhaseSeams:
         maps.append(PhaseMap(phase=g.uniform(-np.pi, np.pi, (37, 41)),
                              quality=np.ones((37, 41)),
                              valid=g.random((37, 41)) < 0.7, wrapped=True))
-        for pm in maps:
+        empty = PhaseMap(phase=g.uniform(-np.pi, np.pi, (37, 41)),
+                         quality=np.ones((37, 41)),
+                         valid=np.zeros((37, 41), dtype=bool), wrapped=True)
+        for pm in maps + [empty]:
             pm.phase[~pm.valid] = np.nan
             got = _sever_phase_seams(pm)
             ref = reference_sever_phase_seams(pm)
             assert same_bits(got.valid, ref.valid)
             assert same_bits(got.phase, ref.phase)
-            assert (~got.valid & pm.valid).any()
+            # every non-empty map has a seam to cut
+            assert (~got.valid & pm.valid).any() == (pm is not empty)
 
 
 class TestCorrespondenceFromPhases:
