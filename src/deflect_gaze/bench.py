@@ -345,16 +345,3 @@ def report(result: BenchmarkResult, fmt: str) -> str:
         return "\n".join(lines) + "\n"
 
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def parse_csv_report(text: str) -> dict:
-    """Read back a csv report into {position: (mean, std, epsilon)}."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected csv header")
-    out = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        out[float(parts[0])] = (float(parts[4]), float(parts[5]),
-                                float(parts[6]))
-    return out

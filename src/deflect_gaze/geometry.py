@@ -265,13 +265,6 @@ def best_fit_axis(points: np.ndarray, dirs: np.ndarray) -> Line3:
     return Line3(point=centroid, dir=unit(vt[0]))
 
 
-def angle_between_deg(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """Unsigned angle between unit vectors, degrees in [0, 180]."""
-    dot = np.clip(np.sum(np.asarray(u) * np.asarray(v), axis=-1), -1.0, 1.0)
-    ang = np.degrees(np.arccos(dot))
-    return float(ang) if np.isscalar(ang) or ang.ndim == 0 else ang
-
-
 def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis."""
     k = unit(axis)

@@ -18,8 +18,7 @@ from scipy import ndimage
 from .decode import FOUR_CONN
 from .errors import EmptyMapError, NoDescentError, UnreliableLossError
 from .gaze import GazeEstimate
-from .render import (CorrespondenceMap, Frame, PatternSpec, ray_margins,
-                     render_correspondence, render_frame,
+from .render import (CorrespondenceMap, ray_margins, render_correspondence,
                      screen_correspondence, trace_rays)
 from .scene import EyeModel, SceneConfig, rotate_eye
 
@@ -497,40 +496,3 @@ def init_guess(
                   scene.eye.cornea_radius, scene.eye.sclera_radius,
                   scene.eye.cornea_offset])
     )
-
-
-def image_loss(
-    params: EyeParamVector,
-    frames: list[Frame],
-    pattern: PatternSpec,
-    scene: SceneConfig,
-    n_min: int = 200,
-    boundary_px: int = 2,
-) -> LossReport:
-    """Mean squared intensity difference against a simulated render, over
-    the (eroded) simulated-valid pixels. Optional variant of the
-    correspondence loss for pattern-free or video-frame measurements."""
-    if len(frames) != len(scene.cameras):
-        raise ValueError("need one frame per configured camera")
-    eye = params.materialize(scene.eye)
-    sim_scene = replace(scene, eye=eye)
-    per_cam = []
-    totals = []
-    n_total = 0
-    for i, meas in enumerate(frames):
-        sim_corr = render_correspondence(sim_scene, i)
-        sim = render_frame(sim_scene, i, pattern, correspondence=sim_corr)
-        core = _erode(sim_corr.valid, boundary_px)
-        n_core = int(core.sum())
-        if n_core < n_min:
-            raise UnreliableLossError(
-                f"camera {i}: {n_core} valid core pixels < {n_min}"
-            )
-        d = meas.intensity[core] - sim.intensity[core]
-        sq = float(np.mean(d * d))
-        per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
-                        "mismatch_penalty": 0.0})
-        totals.append(sq)
-        n_total += n_core
-    return LossReport(total=float(np.mean(totals)), n_valid=n_total,
-                      mismatch_penalty=0.0, per_camera=tuple(per_cam))

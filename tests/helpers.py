@@ -1,11 +1,13 @@
-"""Shared test utilities: analytic surfaces, synthetic line bundles, and
-the direct-evaluation references of the decode stages."""
+"""Shared test utilities: analytic surfaces, synthetic line bundles, angle
+and report readers, and the direct-evaluation references of the decode
+stages and of RANSAC scoring."""
 
 import heapq
 
 import numpy as np
 from scipy import ndimage
 
+from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
                                  Q_MIN, PhaseMap, phase_to_correspondence)
 from deflect_gaze.errors import InvalidSeedError, NoRidgeError
@@ -35,6 +37,26 @@ def plane_mirror_surface(point, normal):
                 region.reshape(sh), hit.reshape(sh))
 
     return surface
+
+
+def angle_between_deg(u, v):
+    """Unsigned angle between unit vectors, degrees in [0, 180]."""
+    dot = np.clip(np.sum(np.asarray(u) * np.asarray(v), axis=-1), -1.0, 1.0)
+    ang = np.degrees(np.arccos(dot))
+    return float(ang) if np.isscalar(ang) or ang.ndim == 0 else ang
+
+
+def parse_csv_report(text):
+    """Read back a csv report into {position: (mean, std, epsilon)}."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if lines[0] != CSV_HEADER:
+        raise ValueError("unexpected csv header")
+    out = {}
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        out[float(parts[0])] = (float(parts[4]), float(parts[5]),
+                                float(parts[6]))
+    return out
 
 
 def random_unit_vectors(n, seed=0):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from deflect_gaze import bench
-from deflect_gaze.bench import (BenchmarkConfig, epsilon, parse_csv_report,
-                                report, run_benchmark)
+from deflect_gaze.bench import (BenchmarkConfig, epsilon, report,
+                                run_benchmark)
 from deflect_gaze.errors import (BenchmarkAbortError, InvariantViolation,
                                  NoDescentError)
+from helpers import parse_csv_report
 
 
 class TestEpsilon:

@@ -13,12 +13,12 @@ from deflect_gaze.gaze import (ClusterParams, _inlier_counts, _sample_triples,
                                gaze_axis_fit, gaze_from_centers,
                                identify_cornea, relative_gaze_angle,
                                two_center_cluster)
-from deflect_gaze.geometry import angle_between_deg, rotation_about_axis, unit
+from deflect_gaze.geometry import rotation_about_axis, unit
 from deflect_gaze.render import render_correspondence
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import reconstruct_field
-from helpers import (bundle_through_point, cone_frustum_normal_lines,
-                     reference_ransac_counts)
+from helpers import (angle_between_deg, bundle_through_point,
+                     cone_frustum_normal_lines, reference_ransac_counts)
 
 UP = np.array([0.0, 1.0, 0.0])
 

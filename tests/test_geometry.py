@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from deflect_gaze.errors import DegenerateBundleError
-from deflect_gaze.geometry import (Line3, RigidPose, angle_between_deg,
-                                   best_fit_axis, bisector_masked,
-                                   least_squares_point, point_line_distances,
-                                   ray_sphere_roots, reflect,
-                                   rotation_about_axis, unit)
-from helpers import (bundle_through_point, brute_force_min_point,
-                     cone_frustum_normal_lines, random_unit_vectors)
+from deflect_gaze.geometry import (Line3, RigidPose, best_fit_axis,
+                                   bisector_masked, least_squares_point,
+                                   point_line_distances, ray_sphere_roots,
+                                   reflect, rotation_about_axis, unit)
+from helpers import (angle_between_deg, bundle_through_point,
+                     brute_force_min_point, cone_frustum_normal_lines,
+                     random_unit_vectors)
 
 
 class TestReflect:

@@ -10,12 +10,10 @@ from deflect_gaze.gaze import relative_gaze_angle
 from deflect_gaze.optimize import (EyeParamVector, LossReport, OptConfig,
                                    _erode, _evaluate_loss, _fade_weight,
                                    _measured_terms, _seam_mask, _strided,
-                                   correspondence_loss, image_loss,
-                                   init_guess, optimize_gaze, project_params)
-from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
-                                 add_correspondence_noise,
-                                 render_correspondence, render_frame,
-                                 render_margins)
+                                   correspondence_loss, init_guess,
+                                   optimize_gaze, project_params)
+from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
+                                 render_correspondence, render_margins)
 from deflect_gaze.scene import rotate_eye
 
 UP = np.array([0.0, 1.0, 0.0])
@@ -369,36 +367,3 @@ class TestInitGuess:
         init = init_guess(measured_truth, scene1)
         init.materialize(scene1.eye)  # must not raise
 
-
-class TestImageLoss:
-    def test_zero_against_own_render(self, scene1):
-        pat = CrossedFringe(period_x=200, period_y=200)
-        frames = [render_frame(scene1, 0, pat)]
-        rep = image_loss(truth_params(scene1), frames, pat, scene1)
-        assert rep.total == 0.0
-
-    def test_positive_when_rotated(self, scene1):
-        pat = CrossedFringe(period_x=200, period_y=200)
-        frames = [render_frame(scene1, 0, pat)]
-        p = truth_params(scene1)
-        x = p.as_array()
-        x[0] += 2.0
-        assert image_loss(p.with_array(x), frames, pat, scene1).total > 0
-
-    def test_grid_local_minimum(self, scene1):
-        rng = np.random.default_rng(3)
-        h_s = scene1.screen.resolution[1]
-        w_s = scene1.screen.resolution[0]
-        img = np.clip(rng.random((h_s, w_s)), 0, 1)  # high-texture pattern
-        from deflect_gaze.render import ImagePattern
-        pat = ImagePattern(image=img)
-        frames = [render_frame(scene1, 0, pat)]
-        p = truth_params(scene1)
-        l0 = image_loss(p, frames, pat, scene1).total
-        for daz in (-1.0, 1.0):
-            for del_ in (-1.0, 1.0):
-                x = p.as_array()
-                x[0] += daz
-                x[1] += del_
-                assert image_loss(p.with_array(x), frames, pat,
-                                  scene1).total > l0

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from deflect_gaze.errors import InvariantViolation, SceneParseError
-from deflect_gaze.geometry import angle_between_deg, unit
+from deflect_gaze.geometry import unit
 from deflect_gaze.scene import (CORNEA, SCLERA, EyeModel, decode_scene,
                                 default_scene, eye_surface_hit_batch,
                                 load_scene, rotate_eye, save_scene,
                                 scene_to_dict)
+from helpers import angle_between_deg
 
 SHIPPED = {"default_scene": default_scene, "decode_scene": decode_scene}
 
