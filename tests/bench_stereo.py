@@ -10,34 +10,7 @@ maps decoded from the decode scene at stride 2, as ``singleshot-448`` does;
 decoded maps have holes that split the usable depths of a ray into runs.
 """
 
-import pytest
-
-from deflect_gaze.decode import WaveletParams, decode_crossed_fringe
-from deflect_gaze.render import (CrossedFringe, add_correspondence_noise,
-                                 render_correspondence, render_frame)
 from deflect_gaze.stereo import reconstruct_field
-
-
-@pytest.fixture(scope="module")
-def maps_128(scene):
-    return [add_correspondence_noise(render_correspondence(scene, cam), 0.5,
-                                     11 + cam,
-                                     screen_resolution=scene.screen.resolution)
-            for cam in (0, 1)]
-
-
-@pytest.fixture(scope="module")
-def maps_448(dec_scene):
-    pattern = CrossedFringe(period_x=36.0, period_y=36.0)
-    wavelets = [WaveletParams(orientation=o, omega0=3.2, scale_min=3.0,
-                              scale_max=16.0) for o in ("x", "y")]
-    maps = []
-    for cam in (0, 1):
-        truth = render_correspondence(dec_scene, cam)
-        frame = render_frame(dec_scene, cam, pattern, sigma_i=0.01,
-                             seed=11 + cam, correspondence=truth)
-        maps.append(decode_crossed_fringe(frame, pattern, truth, *wavelets))
-    return maps
 
 
 def test_reconstruct_128_stride1(benchmark, scene, maps_128):

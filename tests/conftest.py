@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from deflect_gaze.render import render_correspondence
+from deflect_gaze.decode import WaveletParams, decode_crossed_fringe
+from deflect_gaze.render import (CrossedFringe, add_correspondence_noise,
+                                 render_correspondence, render_frame)
 from deflect_gaze.scene import (default_scene, decode_scene,
                                 eye_surface_hit_batch)
 from deflect_gaze.stereo import reconstruct_field
@@ -35,6 +37,31 @@ def truth_cam0(scene):
 @pytest.fixture(scope="session")
 def field(scene, corr_pair):
     return reconstruct_field(scene, corr_pair[0], corr_pair[1])
+
+
+@pytest.fixture(scope="session")
+def maps_128(scene):
+    """Both cameras' maps at sigma_c = 0.5, as ``stereo-128`` measures."""
+    return [add_correspondence_noise(render_correspondence(scene, cam), 0.5,
+                                     11 + cam,
+                                     screen_resolution=scene.screen.resolution)
+            for cam in (0, 1)]
+
+
+@pytest.fixture(scope="session")
+def maps_448(dec_scene):
+    """Both cameras' crossed-fringe maps decoded from 448-px frames with
+    the pattern, noise and wavelets of ``singleshot-448``."""
+    pattern = CrossedFringe(period_x=36.0, period_y=36.0)
+    wavelets = [WaveletParams(orientation=o, omega0=3.2, scale_min=3.0,
+                              scale_max=16.0) for o in ("x", "y")]
+    maps = []
+    for cam in (0, 1):
+        truth = render_correspondence(dec_scene, cam)
+        frame = render_frame(dec_scene, cam, pattern, sigma_i=0.01,
+                             seed=11 + cam, correspondence=truth)
+        maps.append(decode_crossed_fringe(frame, pattern, truth, *wavelets))
+    return maps
 
 
 def rng(seed=0):
