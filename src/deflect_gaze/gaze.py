@@ -101,6 +101,8 @@ def backtrace_lines(field: NormalField) -> tuple[np.ndarray, np.ndarray]:
 _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
 _SYM = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+# candidates per matrix product: a (192, n) block of distances holds as
+# many floats as 64 candidates' (n, 3) offsets to every line
 _SCORE_BLOCK = 192
 
 
@@ -114,10 +116,7 @@ def _inlier_counts(centers, points, dirs, tol):
     c^T Q c - 2 (Q p).c + p.(Q p). Each line's form is expanded once into
     weights over the ten monomials of c (c_j c_k for j <= k, c_j, 1), so
     each block of candidates is scored against every line by one matrix
-    product. Points and candidates are centred on the point mean first:
-    the expanded terms, of the size of |c|^2 and |p|^2, cancel down to the
-    distance, and centring keeps them, and the rounding they leave in the
-    distance, small. The blocks bound the (block, n) temporaries.
+    product, on coordinates centred on the point mean.
     """
     mean = points.mean(axis=0)
     p = points - mean
@@ -153,9 +152,17 @@ def _ransac_center(points, dirs, params, rng):
     """Best line-bundle intersection by 3-line RANSAC, then refined over its
     inliers. Returns (center, inlier_mask) or (None, None).
 
-    All 3-line normal systems are solved at once and every candidate is
-    scored by ``_inlier_counts``; unsolvable samples score zero. The first
-    candidate with the most inliers wins.
+    Every hypothesis is drawn at once: ``_sample_triples`` runs Floyd's
+    algorithm vectorised over the ``ransac_iters`` samples, and all 3-line
+    normal systems are solved in one batch. ``_inlier_counts`` scores each
+    candidate as a quadratic form: each line's squared distance is expanded
+    once into weights over the monomials of the candidate, so a block of
+    candidates is scored against every line by one matrix product. Points
+    and candidates are centred on the point mean first, because the
+    expanded terms are of the size of the squared coordinates and cancel
+    down to a distance near ``inlier_tol``; about the mean they stay small,
+    and so does the rounding they leave. Unsolvable samples score zero, and
+    the first candidate with the most inliers wins.
     """
     iters = params.ransac_iters
     idx = _sample_triples(len(points), iters, rng)
