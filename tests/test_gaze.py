@@ -162,6 +162,24 @@ class TestInlierCounts:
         assert np.array_equal(got, ref)
         assert np.argmax(got) == np.argmax(ref)
 
+    def test_threshold_far_from_origin(self):
+        """Lines through a center 1e5 mm out; candidate k sits on a fixed
+        ray from the center, 1e-7 inside or outside ``tol`` of line k,
+        so its count includes line k exactly when it is inside."""
+        g = np.random.default_rng(4)
+        center = 1e5 * unit(np.array([1.0, 2.0, 3.0]))
+        dirs = unit(g.normal(size=(40, 3)))
+        points = center + 10.0 * dirs
+        u = unit(g.normal(size=3))
+        r = 0.3 / np.linalg.norm(np.cross(u, dirs), axis=1)
+        inside = center + (r * (1 - 1e-7))[:, None] * u
+        outside = center + (r * (1 + 1e-7))[:, None] * u
+        cand = np.vstack([inside, outside])
+        got = _inlier_counts(cand, points, dirs, 0.3)
+        assert np.array_equal(got, reference_ransac_counts(cand, points,
+                                                           dirs, 0.3))
+        assert (got[:40] - got[40:] == 1).all()
+
 
 class TestIdentifyCornea:
     def test_radius_rule(self):
