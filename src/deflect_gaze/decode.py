@@ -8,8 +8,11 @@ pixel of known correspondence.
 The wavelet transform evaluates its separable Morlet filter bank as
 products in the Fourier domain (``numpy.fft``) on the frame padded
 symmetrically, which matches direct convolution with a mirrored border to
-rounding. It covers the whole frame rather than the foreground, because
-its ridge quality is normalised by a percentile over the whole frame.
+rounding. Each orientation takes the padded frame's 2-D half-spectrum
+once and derives every scale from it; the bank's spectra are built once
+per frame shape and ``WaveletParams`` and cached read-only. The transform
+covers the whole frame rather than the foreground, because its ridge
+quality is normalised by a percentile over the whole frame.
 
 The single-shot path cannot recover the absolute phase offset on its own;
 the anchor is supplied by the simulator here (a real system would use a
@@ -20,6 +23,7 @@ continuity.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from array import array
@@ -45,6 +49,8 @@ FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 N_SCALES = 16
 Q_MIN = 0.15
 MOD_FLOOR = 1e-3
+# rows per block of the Morlet sweep's carrier stage
+RIDGE_ROWS = 64
 # phase-shift modulation floor, relative to its 95th percentile
 M_MIN = 0.05
 # foreground mask: local-mean threshold, its window (px) and the erosion (px)
@@ -75,8 +81,12 @@ class WaveletParams:
     def __post_init__(self):
         if self.orientation not in ("x", "y"):
             raise InvariantViolation("wavelet: orientation must be 'x' or 'y'")
-        if not 0 < self.scale_min < self.scale_max:
-            raise InvariantViolation("wavelet: 0 < scale_min < scale_max")
+        if not 0 < self.scale_min < self.scale_max < math.inf:
+            raise InvariantViolation(
+                "wavelet: 0 < scale_min < scale_max, and scale_max finite")
+        # omega0 <= 0 flips or flattens the carrier: the map decodes mirrored
+        if not 0 < self.omega0 < math.inf:
+            raise InvariantViolation("wavelet: omega0 must be finite and > 0")
 
 
 @dataclass
@@ -97,13 +107,50 @@ class PhaseMap:
                         self.valid.copy(), self.wrapped)
 
 
-def _kernel_spectrum(n: int, kernel: np.ndarray) -> np.ndarray:
-    """``rfft`` of an odd, centred kernel placed circularly on ``n`` samples,
-    so the spectral product is a true (not a flipped) convolution."""
+def _circular(n: int, kernel: np.ndarray) -> np.ndarray:
+    """An odd, centred kernel placed circularly on ``n`` samples, so the
+    spectral product is a true (not a flipped) convolution."""
     half = len(kernel) // 2
     g = np.zeros(n)
     g[np.arange(-half, half + 1) % n] = kernel
-    return np.fft.rfft(g)
+    return g
+
+
+@functools.lru_cache(maxsize=8)
+def _filter_bank(h: int, w: int, scale_min: float, scale_max: float,
+                 omega0: float):
+    """Morlet filter bank for an ``h`` x ``w`` frame with the carrier along
+    axis 1: the padding, and per admissible scale its border ``b``, the
+    envelope's full spectrum over the padded rows (real: the kernel is
+    even) and the cos and sin carriers' half-spectra over the padded
+    columns. Both orientations and every call with the same arguments
+    share the arrays, so they are read-only.
+    """
+    scales = np.geomspace(scale_min, scale_max, N_SCALES)
+    # symmetric padding repeats the edge sample, as scipy's "reflect" does,
+    # also when the pad is longer than the frame; the widest kernel half-width
+    # of padding keeps every circular product free of wrap-around
+    pad = int(np.ceil(4.0 * scales[-1]))
+    n_env, n_car = h + 2 * pad, w + 2 * pad
+    # admissible pixels (border >= 2 s) form the box [b, h - b) x [b, w - b)
+    borders = [int(np.ceil(2.0 * s)) for s in scales]
+    kept = [(s, b) for s, b in zip(scales, borders) if 2 * b < min(h, w)]
+    env_specs = np.empty((len(kept), n_env))
+    car_specs = np.empty((len(kept), 2, n_car // 2 + 1), dtype=complex)
+    for i, (s, _) in enumerate(kept):
+        half = int(np.ceil(4.0 * s))
+        t = np.arange(-half, half + 1, dtype=float)
+        env = np.exp(-t * t / (2.0 * s * s))
+        env /= env.sum()
+        env_specs[i] = np.fft.fft(_circular(n_env, env)).real
+        car_specs[i, 0] = np.fft.rfft(
+            _circular(n_car, env * np.cos(omega0 * t / s)))
+        car_specs[i, 1] = np.fft.rfft(
+            _circular(n_car, env * np.sin(omega0 * t / s)))
+    env_specs.flags.writeable = False
+    car_specs.flags.writeable = False
+    return pad, tuple(zip([b for _, b in kept], env_specs,
+                          car_specs[:, 0], car_specs[:, 1]))
 
 
 def _morlet_ridge(img: np.ndarray, params: WaveletParams):
@@ -113,55 +160,56 @@ def _morlet_ridge(img: np.ndarray, params: WaveletParams):
     pixels admitted at some scale (at least twice the scale from the border).
     """
     h, w = img.shape
-    scales = np.geomspace(params.scale_min, params.scale_max, N_SCALES)
-    # symmetric padding repeats the edge sample, as scipy's "reflect" does,
-    # also when the pad is longer than the frame; the widest kernel half-width
-    # of padding keeps every circular product free of wrap-around
-    pad = int(np.ceil(4.0 * scales[-1]))
-    n_env, n_car = h + 2 * pad, w + 2 * pad
-    env_spec = np.fft.rfft(np.pad(img, pad, mode="symmetric"), axis=0)
+    edge = int(np.ceil(2.0 * params.scale_min))
+    admitted = np.zeros((h, w), dtype=bool)
+    admitted[edge:h - edge, edge:w - edge] = True
+    pad, bank = _filter_bank(h, w, params.scale_min, params.scale_max,
+                             params.omega0)
+    n_car = w + 2 * pad
+    # the padded frame's 2-D half-spectrum, computed once: rfft along the
+    # carrier, then fft along the envelope, with the envelope axis contiguous
+    spec = np.fft.fft(
+        np.fft.rfft(np.pad(img, pad, mode="symmetric"), axis=1).T, axis=1)
+    env_buf = np.empty_like(spec)
+    # the carrier stage runs on blocks of rows, in buffers reused by every
+    # block and scale: they stay cache-sized, and no scale allocates
+    car_buf = np.empty((RIDGE_ROWS, spec.shape[0]), dtype=complex)
+    re_buf = np.empty((RIDGE_ROWS, n_car))
+    im_buf = np.empty((RIDGE_ROWS, n_car))
+    mod2_buf = np.empty((RIDGE_ROWS, w))
+    sq_buf = np.empty((RIDGE_ROWS, w))
+    upd_buf = np.empty((RIDGE_ROWS, w), dtype=bool)
 
     best_mod2 = np.zeros((h, w))
     best_re = np.zeros((h, w))
     best_im = np.zeros((h, w))
-    for s in scales:
-        # admissible pixels (border >= 2 s) form the box [b, h - b) x [b, w - b)
-        b = int(np.ceil(2.0 * s))
-        if 2 * b >= min(h, w):
-            continue
-        half = int(np.ceil(4.0 * s))
-        t = np.arange(-half, half + 1, dtype=float)
-        env = np.exp(-t * t / (2.0 * s * s))
-        env /= env.sum()
-        cr = env * np.cos(params.omega0 * t / s)
-        ci = env * np.sin(params.omega0 * t / s)
+    for b, env_spec, cos_spec, sin_spec in bank:
+        # envelope filter, back along the envelope axis: each column of
+        # ``env_buf`` is then a filtered row's half-spectrum along the carrier
+        np.multiply(spec, env_spec, out=env_buf)
+        np.fft.ifft(env_buf, axis=1, out=env_buf)
+        cols = slice(b, w - b)
+        car_cols = slice(pad + b, pad + w - b)
+        n_cols = w - 2 * b
+        for r0 in range(b, h - b, RIDGE_ROWS):
+            rows = slice(r0, min(r0 + RIDGE_ROWS, h - b))
+            n = rows.stop - r0
+            half_spec = env_buf[:, pad + r0:pad + rows.stop].T
+            car = car_buf[:n]
+            np.multiply(half_spec, cos_spec, out=car)
+            re = np.fft.irfft(car, n_car, out=re_buf[:n])[:, car_cols]
+            np.multiply(half_spec, sin_spec, out=car)
+            im = np.fft.irfft(car, n_car, out=im_buf[:n])[:, car_cols]
+            # the ridge compares squared moduli; one square root at the end
+            mod2 = np.multiply(re, re, out=mod2_buf[:n, :n_cols])
+            mod2 += np.multiply(im, im, out=sq_buf[:n, :n_cols])
 
-        rows = np.fft.irfft(env_spec * _kernel_spectrum(n_env, env)[:, None],
-                            n_env, axis=0)
-        spec = np.fft.rfft(rows[pad + b:pad + h - b])
-        del rows
-        cols = slice(pad + b, pad + w - b)
-        re = np.fft.irfft(spec * _kernel_spectrum(n_car, cr), n_car)[:, cols]
-        im = np.fft.irfft(spec * _kernel_spectrum(n_car, ci), n_car)[:, cols]
-        # the ridge compares squared moduli; one square root at the end
-        mod2 = re * re
-        mod2 += im * im
-
-        box = (slice(b, h - b), slice(b, w - b))
-        upd = mod2 > best_mod2[box]
-        np.copyto(best_mod2[box], mod2, where=upd)
-        np.copyto(best_re[box], re, where=upd)
-        np.copyto(best_im[box], im, where=upd)
-        # frame-sized temporaries die here, not when the next scale
-        # reassigns them: they would otherwise raise the peak RSS
-        del spec, re, im, mod2, upd
-
-    ix = np.arange(w)
-    iy = np.arange(h)
-    border = np.minimum(
-        np.minimum(ix, w - 1 - ix)[None, :], np.minimum(iy, h - 1 - iy)[:, None]
-    )
-    return np.sqrt(best_mod2), best_re, best_im, border >= 2.0 * scales[0]
+            box = (rows, cols)
+            upd = np.greater(mod2, best_mod2[box], out=upd_buf[:n, :n_cols])
+            np.copyto(best_mod2[box], mod2, where=upd)
+            np.copyto(best_re[box], re, where=upd)
+            np.copyto(best_im[box], im, where=upd)
+    return np.sqrt(best_mod2, out=best_mod2), best_re, best_im, admitted
 
 
 def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
@@ -176,9 +224,14 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     times a complex carrier along them. Both 1D convolutions run as products
     in the Fourier domain (``numpy.fft``) on the frame padded symmetrically
     by the widest kernel half-width, which reproduces direct convolution
-    with a mirrored border to rounding. The transform covers the whole frame,
-    not just the foreground: the 95th-percentile normaliser is taken over
-    every admitted pixel, so a crop would move ``valid``.
+    with a mirrored border to rounding. The padded frame's 2-D half-spectrum
+    (``rfft`` along the carrier, ``fft`` along the envelope) is taken once;
+    each scale multiplies it by its real envelope spectrum, inverts along
+    the envelope and runs the cos and sin carrier ``irfft``s. The bank of
+    spectra is built once per frame shape and ``params`` and cached
+    read-only. The transform covers the whole frame, not just the
+    foreground: the 95th-percentile normaliser is taken over every admitted
+    pixel, so a crop would move ``valid``.
 
     Raises:
         NoRidgeError: fewer than 1% of pixels pass the quality threshold.
@@ -187,20 +240,21 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     if params.orientation == "y":
         img = np.ascontiguousarray(img.T)
     best_mod, best_re, best_im, admitted_any = _morlet_ridge(img, params)
-    h, w = img.shape
-
     ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
+    valid = admitted_any & (best_mod >= MOD_FLOOR)
+    # quality and phase overwrite the ridge arrays they are computed from
+    quality = best_mod
     if ref < MOD_FLOOR:
-        quality = np.zeros((h, w))
+        quality[:] = 0.0
     else:
-        quality = np.clip(best_mod / ref, 0.0, 1.0)
-    valid = admitted_any & (quality >= Q_MIN) & (best_mod >= MOD_FLOOR)
+        np.clip(np.divide(best_mod, ref, out=quality), 0.0, 1.0, out=quality)
+    valid &= quality >= Q_MIN
     if valid.mean() < 0.01:
         raise NoRidgeError(
             f"orientation {params.orientation!r}: fewer than 1% of pixels pass "
             f"the ridge quality threshold"
         )
-    phase = np.arctan2(best_im, best_re)
+    phase = np.arctan2(best_im, best_re, out=best_re)
     phase[~valid] = np.nan
     if params.orientation == "y":
         phase, quality, valid = (np.ascontiguousarray(a.T)
@@ -422,7 +476,8 @@ def correspondence_from_phases(
     severing alone cannot do this reliably: the multi-period seam jump
     aliases below pi three times out of four. The returned map is the
     union of all components of at least ``MIN_COMPONENT`` pixels; smaller
-    fragments and components with no anchorable pixel are dropped.
+    fragments and components with no anchorable pixel are dropped. Each
+    component is processed on its bounding box.
     """
     if seam_mask is not None:
         phi_x = phi_x.copy()
@@ -433,35 +488,39 @@ def correspondence_from_phases(
     phi_x = _sever_phase_seams(phi_x)
     phi_y = _sever_phase_seams(phi_y)
     joint = phi_x.valid & phi_y.valid
-    labels, n_comp = ndimage.label(joint, structure=FOUR_CONN)
+    labels, _ = ndimage.label(joint, structure=FOUR_CONN)
     h, w = joint.shape
     u_out = np.full((h, w), np.nan)
     v_out = np.full((h, w), np.nan)
     valid_out = np.zeros((h, w), dtype=bool)
-    combined_q = np.minimum(phi_x.quality, phi_y.quality)
     pattern = CrossedFringe(period_x=period_x, period_y=period_y)
 
-    for comp in range(1, n_comp + 1):
-        mask = labels == comp
+    # each component's work runs on its bounding box; row-major order in
+    # the box is the frame's, so the anchor and the unwrap order are too
+    for comp, box in enumerate(ndimage.find_objects(labels), start=1):
+        mask = labels[box] == comp
         if mask.sum() < MIN_COMPONENT:
             continue
-        anchorable = mask & anchor_truth.valid
+        anchorable = mask & anchor_truth.valid[box]
         if not anchorable.any():
             continue
-        q = np.where(anchorable, combined_q, -1.0)
+        q = np.where(anchorable,
+                     np.minimum(phi_x.quality[box], phi_y.quality[box]), -1.0)
         ay, ax = np.unravel_index(np.argmax(q), q.shape)
 
         # unwrap2 reads phase and quality at valid pixels only, so the
         # component needs its own mask but no copy of either map
-        ux = unwrap2(PhaseMap(phi_x.phase, phi_x.quality, mask, True), (ax, ay))
-        uy = unwrap2(PhaseMap(phi_y.phase, phi_y.quality, mask, True), (ax, ay))
-        anchor = ((ax, ay), float(anchor_truth.u[ay, ax]),
-                  float(anchor_truth.v[ay, ax]))
+        ux = unwrap2(PhaseMap(phi_x.phase[box], phi_x.quality[box], mask,
+                              True), (ax, ay))
+        uy = unwrap2(PhaseMap(phi_y.phase[box], phi_y.quality[box], mask,
+                              True), (ax, ay))
+        anchor = ((ax, ay), float(anchor_truth.u[box][ay, ax]),
+                  float(anchor_truth.v[box][ay, ax]))
         corr = phase_to_correspondence(ux, uy, pattern, anchor)
         m = corr.valid
-        u_out[m] = corr.u[m]
-        v_out[m] = corr.v[m]
-        valid_out |= m
+        u_out[box][m] = corr.u[m]
+        v_out[box][m] = corr.v[m]
+        valid_out[box] |= m
 
     return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
 

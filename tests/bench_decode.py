@@ -1,5 +1,6 @@
 """Layer benchmark of the single-shot decode: ``cwt2_phase`` per
-orientation and ``correspondence_from_phases``.
+orientation, ``correspondence_from_phases`` and the whole
+``decode_crossed_fringe``.
 
 Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from deflect_gaze.decode import (WaveletParams, correspondence_from_phases,
-                                 cwt2_phase, foreground_mask)
+                                 cwt2_phase, decode_crossed_fringe,
+                                 foreground_mask)
 from deflect_gaze.render import (CrossedFringe, render_correspondence,
                                  render_frame)
 
@@ -54,4 +56,10 @@ def test_cwt2_phase_448(benchmark, frame_448, orientation):
 def test_correspondence_from_phases_448(benchmark, phases_448, truth_448):
     corr = benchmark(correspondence_from_phases, *phases_448,
                      PATTERN.period_x, PATTERN.period_y, truth_448)
+    assert corr.n_valid > 3000
+
+
+def test_decode_crossed_fringe_448(benchmark, frame_448, truth_448):
+    corr = benchmark(decode_crossed_fringe, frame_448, PATTERN, truth_448,
+                     WAVELETS["x"], WAVELETS["y"])
     assert corr.n_valid > 3000

@@ -1,6 +1,5 @@
 import filecmp
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +52,19 @@ class TestSimulateDecode:
                    "--pattern", "crossed", "--cam", "0"])
         assert rc == 0
         assert (simdir / "cam0_frame_000.pgm").exists()
+
+    @pytest.mark.parametrize("omega0", ["-3.2", "0"])
+    def test_decode_rejects_omega0(self, scene_file, tmp_path, capsys,
+                                   omega0):
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                     "--pattern", "crossed", "--cam", "0"]) == 0
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(simdir),
+                   "--out", str(outdir), "--omega0", omega0])
+        assert rc == 2
+        assert "omega0" in capsys.readouterr().err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
 
 
 class TestReconstructAndGaze:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+from deflect_gaze import decode
 from deflect_gaze.decode import (WaveletParams, _sever_phase_seams,
                                  correspondence_from_phases, cwt2_phase,
                                  decode_crossed_fringe, decode_phase_shift,
@@ -12,10 +13,12 @@ from deflect_gaze.decode import (WaveletParams, _sever_phase_seams,
                                  phase_to_correspondence, scene_seam_mask,
                                  unwrap2, PhaseMap)
 from deflect_gaze.errors import (InvalidAnchorError, InvalidSeedError,
-                                 NoRidgeError, ShiftCountError)
+                                 InvariantViolation, NoRidgeError,
+                                 ShiftCountError)
 from deflect_gaze.geometry import unit
-from deflect_gaze.render import (CrossedFringe, Frame, PhaseShiftSet,
-                                 render_correspondence, render_frame)
+from deflect_gaze.render import (CorrespondenceMap, CrossedFringe, Frame,
+                                 PhaseShiftSet, render_correspondence,
+                                 render_frame)
 from helpers import (assert_continuity, plane_mirror_surface,
                      reference_correspondence_from_phases,
                      reference_cwt2_phase, reference_sever_phase_seams,
@@ -124,6 +127,49 @@ class TestCwt2:
                                                       scale_max=24.0))
         assert pm.quality.min() >= 0.0
         assert pm.quality.max() <= 1.0
+
+    def test_filter_bank_cache(self, eye_frame):
+        # interleaved shapes and params: every call equals a call made on a
+        # freshly built bank, and the shared bank arrays are read-only
+        small = Frame(fringe_frame(40, 52, px=14.0, py=19.0,
+                                   crossed=True).intensity)
+        cases = [(frame, WaveletParams(orientation=o, **kw))
+                 for frame in (eye_frame, small)
+                 for o, kw in (("x", SINGLESHOT_WAVELET),
+                               ("y", dict(scale_min=8.0, scale_max=24.0)))]
+        fresh = []
+        for frame, wp in cases:
+            decode._filter_bank.cache_clear()
+            fresh.append(cwt2_phase(frame, wp))
+        for _ in range(2):
+            for (frame, wp), ref in zip(cases, fresh):
+                got = cwt2_phase(frame, wp)
+                for a, b in ((got.phase, ref.phase),
+                             (got.quality, ref.quality),
+                             (got.valid, ref.valid)):
+                    assert same_bits(a, b)
+        for frame, wp in cases:
+            img = frame.intensity if wp.orientation == "x" else frame.intensity.T
+            _, bank = decode._filter_bank(*img.shape, wp.scale_min,
+                                          wp.scale_max, wp.omega0)
+            assert bank
+            for _, *spectra in bank:
+                for a in spectra:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 0.0
+
+
+class TestWaveletParams:
+    @pytest.mark.parametrize("omega0", [0.0, -3.2, np.nan, np.inf])
+    def test_rejects_omega0(self, omega0):
+        with pytest.raises(InvariantViolation, match="omega0"):
+            WaveletParams(orientation="x", omega0=omega0)
+
+    @pytest.mark.parametrize("scale_max", [np.inf, np.nan, 4.0])
+    def test_rejects_scale_range(self, scale_max):
+        with pytest.raises(InvariantViolation, match="scale_max"):
+            WaveletParams(orientation="x", scale_min=6.0, scale_max=scale_max)
 
 
 class TestPhaseShiftDecode:
@@ -296,6 +342,50 @@ class TestSeverPhaseSeams:
             assert (~got.valid & pm.valid).any() == (pm is not empty)
 
 
+@st.composite
+def component_maps(draw):
+    """Wrapped phase maps whose joint valid mask holds a ring along the
+    frame edge, whose bounding box holds every other component's box; an
+    anchorable block; a fragment below ``MIN_COMPONENT``; a block with no
+    anchorable pixel; and optional random holes that split them further."""
+    h = draw(st.integers(32, 44))
+    w = draw(st.integers(32, 44))
+    t = draw(st.integers(2, 3))
+    valid = np.zeros((h, w), dtype=bool)
+    valid[:t] = valid[-t:] = True
+    valid[:, :t] = valid[:, -t:] = True
+    top, bottom = t + 1, h - t - 1
+    left = t + 1
+    block_w = draw(st.integers(7, 9))
+    valid[top:bottom, left:left + block_w] = True
+    frag = left + block_w + 1
+    frag_h = draw(st.integers(1, 63 // 4))
+    valid[top:top + frag_h, frag:frag + 4] = True
+    lone = slice(frag + 5, w - t - 1)
+    valid[top:bottom, lone] = True
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    holes = draw(st.sampled_from([0.0, 0.02, 0.08]))
+    valid &= g.random((h, w)) >= holes
+
+    y, x = np.mgrid[:h, :w]
+    maps = []
+    for _ in range(2):
+        slope = g.uniform(-1.5, 1.5, 2)
+        noise = draw(st.sampled_from([0.0, 0.3, 0.6]))
+        phase = np.angle(np.exp(1j * (slope[0] * x + slope[1] * y
+                                      + g.normal(0.0, noise, (h, w)))))
+        quality = g.integers(1, 6, (h, w)) / 5.0
+        phase[~valid] = np.nan
+        maps.append(PhaseMap(phase, quality, valid.copy(), wrapped=True))
+    anchor_valid = g.random((h, w)) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+    anchor_valid[:, lone] = False
+    anchor = CorrespondenceMap(u=g.uniform(0, 500, (h, w)),
+                               v=g.uniform(0, 500, (h, w)),
+                               valid=anchor_valid)
+    seam = g.random((h, w)) < 0.05 if draw(st.booleans()) else None
+    return maps, anchor, seam
+
+
 class TestCorrespondenceFromPhases:
     @pytest.mark.parametrize("seam", [False, True])
     def test_matches_reference(self, dec_scene, seam):
@@ -321,6 +411,17 @@ class TestCorrespondenceFromPhases:
             for a, b in ((got.u, ref.u), (got.v, ref.v),
                          (got.valid, ref.valid)):
                 assert same_bits(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(component_maps(), st.sampled_from([36.0, 20.0]))
+    def test_matches_reference_on_synthetic_components(self, case, period):
+        (phi_x, phi_y), anchor, seam = case
+        got = correspondence_from_phases(phi_x, phi_y, period, 36.0, anchor,
+                                         seam_mask=seam)
+        ref = reference_correspondence_from_phases(phi_x, phi_y, period, 36.0,
+                                                   anchor, seam_mask=seam)
+        for a, b in ((got.u, ref.u), (got.v, ref.v), (got.valid, ref.valid)):
+            assert same_bits(a, b)
 
 
 class TestPhaseToCorrespondence:
