@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     AmbiguousRadiiError,
     CentersTooCloseError,
-    DegenerateBundleError,
     InsufficientLinesError,
     InvariantViolation,
     SecondCenterNotFoundError,

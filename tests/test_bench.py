@@ -1,6 +1,4 @@
 import json
-import os
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -10,7 +10,7 @@ from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  add_correspondence_noise, pattern_value,
                                  ray_margins, render_correspondence,
                                  render_frame, render_margins, trace_rays)
-from deflect_gaze.scene import (RigidPose, ScreenModel, eye_surface_hit_batch,
+from deflect_gaze.scene import (ScreenModel, eye_surface_hit_batch,
                                 rotate_eye)
 from helpers import plane_mirror_surface
 

@@ -1,6 +1,5 @@
 import importlib.resources
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -11,8 +11,8 @@ from deflect_gaze.geometry import bisector_masked, unit
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
-from deflect_gaze.stereo import (DepthSweepParams, NormalField,
-                                 default_sweep, reconstruct_field)
+from deflect_gaze.stereo import (NormalField, default_sweep,
+                                 reconstruct_field)
 
 
 def truth_for(field, truth):
