@@ -65,8 +65,8 @@ class BenchmarkConfig:
         object.__setattr__(self, "positions", pos)
         if self.reps < 1:
             raise InvariantViolation("bench: reps >= 1")
-        if self.sigma_c < 0:
-            raise InvariantViolation("bench: sigma_c >= 0")
+        if not 0 <= self.sigma_c < np.inf:
+            raise InvariantViolation("bench: sigma_c finite and >= 0")
 
 
 @dataclass(frozen=True)

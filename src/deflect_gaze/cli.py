@@ -47,6 +47,9 @@ def _read_corr(outdir: Path, cam: int, shift: int = 0) -> CorrespondenceMap:
 
 def _cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
+    if args.cam >= len(scene.cameras):
+        raise InvariantViolation(f"--cam {args.cam}: the scene has "
+                                 f"{len(scene.cameras)} camera(s)")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cams = range(len(scene.cameras)) if args.cam < 0 else [args.cam]
@@ -151,8 +154,7 @@ def _cmd_gaze_normals(args) -> int:
                            inlier_tol=args.inlier_tol,
                            min_inliers=args.min_inliers,
                            rng_seed=args.seed)
-    est = estimate_gaze_two_center(field, params,
-                                   fallback_axis=args.fallback_axis)
+    est = estimate_gaze_two_center(field, params)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(GAZE_CSV_HEADER + "\n")
@@ -282,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--inlier-tol", type=float, default=0.3)
     s.add_argument("--min-inliers", type=int, default=50)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--fallback-axis", action="store_true")
     s.set_defaults(func=_cmd_gaze_normals)
 
     s = sub.add_parser("gaze-optimize", help="inverse-rendering gaze")
@@ -316,15 +317,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BenchmarkAbortError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (SceneParseError, InvariantViolation, FileNotFoundError,
-            ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DeflectGazeError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DeflectGazeError, FileNotFoundError, ValueError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, BenchmarkAbortError):
+            return 3
+        if isinstance(e, (SceneParseError, InvariantViolation,
+                          FileNotFoundError, ValueError)):
+            return 2
         return 1
 
 

@@ -61,6 +61,9 @@ FG_ERODE = 2
 MIN_COMPONENT = 64
 # half-width (camera px) of the geometric cornea/sclera seam band
 SEAM_WIDTH_PX = 2.5
+# largest wrapped-phase step between neighbours kept by the seam cut, as a
+# fraction of pi
+MAX_STEP_SCALE = 0.75
 
 
 @dataclass(frozen=True)
@@ -416,8 +419,9 @@ def foreground_mask(frame: Frame) -> np.ndarray:
                                   iterations=FG_ERODE)
 
 
-def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
-    """Invalidate pixels whose wrapped-phase step to a neighbor is too large.
+def _sever_phase_seams(pm: PhaseMap) -> PhaseMap:
+    """Invalidate pixels whose wrapped-phase step to a neighbor exceeds
+    ``MAX_STEP_SCALE`` * pi.
 
     Between correct fringe samples the wrapped step stays well below pi;
     across the cornea/sclera transition the correspondence jumps by many
@@ -437,7 +441,7 @@ def _sever_phase_seams(pm: PhaseMap, max_step_scale: float = 0.75) -> PhaseMap:
     # NaN makes ``%`` several times slower; pairs with an invalid pixel are
     # masked out below, so any finite stand-in gives the same cut
     p = np.where(m, pm.phase[box], 0.0)
-    lim = max_step_scale * np.pi
+    lim = MAX_STEP_SCALE * np.pi
 
     def wrapdiff(a, b):
         d = a - b

@@ -14,7 +14,7 @@ class SceneParseError(DeflectGazeError):
 
 
 class DegenerateBundleError(DeflectGazeError):
-    """Line bundle has no well-defined common point or symmetry axis."""
+    """Line bundle has no well-defined common point."""
 
 
 class NoRidgeError(DeflectGazeError):

@@ -21,12 +21,7 @@ from .errors import (
     InvariantViolation,
     SecondCenterNotFoundError,
 )
-from .geometry import (
-    best_fit_axis,
-    least_squares_point,
-    point_line_distances,
-    unit,
-)
+from .geometry import least_squares_point, point_line_distances, unit
 from .stereo import NormalField
 
 GAZE_CSV_HEADER = ("method,gx,gy,gz,cornea_x,cornea_y,cornea_z,"
@@ -281,31 +276,6 @@ def gaze_from_centers(
     return unit(d)
 
 
-def gaze_axis_fit(points: np.ndarray, dirs: np.ndarray) -> GazeEstimate:
-    """Axis-fit gaze for rotationally symmetric bundles.
-
-    Delegates to the total-least-squares axis of the bundle; the sign is
-    chosen to point from the fitted line's centroid toward the mean surface
-    point (outward). Degenerate bundles (single sphere) propagate
-    DegenerateBundleError.
-    """
-    axis = best_fit_axis(points, dirs)
-    g = axis.dir
-    outward = np.asarray(points, float).mean(axis=0) - axis.point
-    if g @ outward < 0:
-        g = -g
-    return GazeEstimate(
-        direction=g,
-        cornea_center=axis.point.copy(),
-        sclera_center=axis.point.copy(),
-        n_cornea_inliers=0,
-        n_sclera_inliers=0,
-        rms_cornea=0.0,
-        rms_sclera=0.0,
-        method_tag="axis-fit",
-    )
-
-
 def relative_gaze_angle(
     g_a: np.ndarray, g_ref: np.ndarray, rotation_axis: np.ndarray
 ) -> float:
@@ -323,21 +293,15 @@ def relative_gaze_angle(
 def estimate_gaze_two_center(
     field: NormalField,
     params: ClusterParams | None = None,
-    fallback_axis: bool = False,
 ) -> GazeEstimate:
     """Full method-1 gaze stage: back-trace, cluster, identify, connect.
 
-    With ``fallback_axis`` a failed two-center split falls back to the
-    axis fit instead of raising.
+    A failed two-center split raises its typed error
+    (``InsufficientLinesError`` or ``SecondCenterNotFoundError``).
     """
     params = params or ClusterParams()
     points, dirs = backtrace_lines(field)
-    try:
-        c_a, c_b, labels, rms = two_center_cluster(points, dirs, params)
-    except (InsufficientLinesError, SecondCenterNotFoundError):
-        if fallback_axis:
-            return gaze_axis_fit(points, dirs)
-        raise
+    c_a, c_b, labels, rms = two_center_cluster(points, dirs, params)
     cornea, sclera, cl = identify_cornea(c_a, c_b, points, labels)
     direction = gaze_from_centers(cornea, sclera)
     n0 = int((labels == 0).sum())

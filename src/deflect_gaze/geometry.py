@@ -19,8 +19,6 @@ from .errors import DegenerateBundleError, InvariantViolation
 # Geometric degeneracy threshold; algebraic identities on unit vectors are
 # tested at 1e-12, far below any mm-scale physical tolerance.
 EPS_GEOM = 1e-9
-# line pairs above which closest_approach_midpoints subsamples
-MAX_PAIRS = 2000
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -39,21 +37,6 @@ def check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
     if np.any(np.abs(np.linalg.norm(v, axis=-1) - 1.0) > EPS_GEOM):
         raise InvariantViolation(f"{name} is not unit length")
     return v
-
-
-@dataclass(frozen=True)
-class Line3:
-    """Undirected 3D line through ``point`` along ``dir``.
-
-    All operations in this module are invariant under ``dir -> -dir``.
-    """
-
-    point: np.ndarray
-    dir: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "dir", check_unit(self.dir, "Line3.dir"))
 
 
 @dataclass(frozen=True)
@@ -159,110 +142,6 @@ def least_squares_point(
     x = np.linalg.solve(m, rhs)
     d = point_line_distances(x, points, dirs)
     return x, float(np.sqrt(np.mean(d * d)))
-
-
-def closest_approach_midpoints(
-    points: np.ndarray, dirs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints of the closest-approach segments of line pairs, and the
-    pairwise miss distances.
-
-    Uses all pairs when there are at most ``MAX_PAIRS`` of them, otherwise a
-    fixed-seed random subsample (deterministic). Near-parallel pairs are
-    skipped.
-    """
-    points = np.asarray(points, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    n = len(points)
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= MAX_PAIRS:
-        ii, jj = np.triu_indices(n, k=1)
-    else:
-        rng = np.random.Generator(np.random.PCG64(0))
-        ii = np.empty(0, dtype=np.int64)
-        jj = np.empty(0, dtype=np.int64)
-        while len(ii) < MAX_PAIRS:
-            a = rng.integers(0, n, size=2 * MAX_PAIRS)
-            b = rng.integers(0, n, size=2 * MAX_PAIRS)
-            keep = a < b
-            ii = np.concatenate([ii, a[keep]])
-            jj = np.concatenate([jj, b[keep]])
-        ii, jj = ii[:MAX_PAIRS], jj[:MAX_PAIRS]
-
-    p1, d1 = points[ii], dirs[ii]
-    p2, d2 = points[jj], dirs[jj]
-    w = p1 - p2
-    b = np.sum(d1 * d2, axis=1)
-    d = np.sum(d1 * w, axis=1)
-    e = np.sum(d2 * w, axis=1)
-    denom = 1.0 - b * b
-    # shallow crossings put the closest-approach point far along both lines
-    # (conditioning ~ 1/sin of the crossing angle); keep well-crossed pairs
-    ok = denom > np.sin(np.radians(15.0)) ** 2
-    s = np.where(ok, (b * e - d) / np.where(ok, denom, 1.0), 0.0)
-    t = np.where(ok, (e - b * d) / np.where(ok, denom, 1.0), 0.0)
-    q1 = p1 + s[:, None] * d1
-    q2 = p2 + t[:, None] * d2
-    return 0.5 * (q1 + q2)[ok], np.linalg.norm((q1 - q2)[ok], axis=1)
-
-
-def best_fit_axis(points: np.ndarray, dirs: np.ndarray) -> Line3:
-    """Symmetry axis of a line bundle generated by a surface of revolution.
-
-    Computes pairwise closest-approach midpoints (subsampled to at most
-    ``MAX_PAIRS`` pairs) and fits a total-least-squares 3D line through
-    them. The bundle of a rotationally symmetric surface concentrates those
-    midpoints along its axis; an isotropic midpoint cloud (e.g. from a
-    single sphere, whose normals meet at a point) has no dominant direction
-    and is rejected.
-
-    Raises:
-        DegenerateBundleError: fewer than 3 lines, or midpoints isotropic
-            (top two singular values within a factor of 1.5).
-    """
-    points = np.asarray(points, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    if len(points) < 3:
-        raise DegenerateBundleError("need at least 3 lines for an axis fit")
-    mid, gaps = closest_approach_midpoints(points, dirs)
-    if len(mid) < 2:
-        raise DegenerateBundleError("all line pairs near-parallel")
-    # keep only pairs that nearly intersect: midpoints of genuinely crossing
-    # lines trace the axis, skew cross-region pairs only smear it
-    keep = gaps <= max(2.0 * float(np.median(gaps)), 1e-9)
-    if keep.sum() >= 2:
-        mid = mid[keep]
-    # near-parallel pairs sling their midpoints far out; trim before the fit
-    med = np.median(mid, axis=0)
-    r = np.linalg.norm(mid - med, axis=1)
-    r_cap = 3.0 * max(float(np.percentile(r, 90)), 1e-12)
-    mid = mid[r <= r_cap]
-    centroid = mid.mean(axis=0)
-    sv = np.linalg.svd(mid - centroid, compute_uv=False)
-    if sv[0] < 1e-9 or sv[0] < 1.5 * sv[1]:
-        raise DegenerateBundleError(
-            "midpoint cloud is isotropic; bundle has no symmetry axis"
-        )
-
-    # total-least-squares line, re-fit after shedding midpoints that sit far
-    # off-axis relative to the cloud's length (a handful of such outliers
-    # can tilt the fit by over half a degree)
-    pts = mid
-    for _ in range(3):
-        centroid = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-        direction = vt[0]
-        v = pts - centroid
-        along = v @ direction
-        perp = np.linalg.norm(v - along[:, None] * direction, axis=1)
-        cut = max(0.05 * float(np.percentile(np.abs(along), 95)), 1e-9)
-        sel = perp <= cut
-        if sel.all() or sel.sum() < max(10, len(pts) // 2):
-            break
-        pts = pts[sel]
-    centroid = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    return Line3(point=centroid, dir=unit(vt[0]))
 
 
 def rotation_about_axis(axis: np.ndarray, angle_deg: float) -> np.ndarray:

@@ -216,7 +216,7 @@ def _measured_terms(
         weight[_seam_mask(meas, grid_b)] = 0.0
         # a loss evaluation that gets past its core-pixel floor has an
         # eroded, hence horizontally paired, measured pixel, so the
-        # fallback scale is never used
+        # default scale of 1 is never used
         pairs = meas.valid[:, 1:] & meas.valid[:, :-1]
         step_scale = 1.0
         if pairs.any():

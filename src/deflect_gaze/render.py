@@ -58,23 +58,7 @@ class PhaseShiftSet:
             raise InvariantViolation("pattern: direction must be 'x' or 'y'")
 
 
-@dataclass(frozen=True)
-class ImagePattern:
-    """Arbitrary screen content (e.g. an ordinary video frame), bilinearly
-    sampled. ``image[v, u]`` with intensities in [0, 1]."""
-
-    image: np.ndarray
-
-    def __post_init__(self):
-        img = np.asarray(self.image, dtype=float)
-        if img.ndim != 2:
-            raise InvariantViolation("pattern: image must be 2D")
-        if img.min() < 0.0 or img.max() > 1.0:
-            raise InvariantViolation("pattern: image values in [0, 1]")
-        object.__setattr__(self, "image", img)
-
-
-PatternSpec = CrossedFringe | PhaseShiftSet | ImagePattern
+PatternSpec = CrossedFringe | PhaseShiftSet
 
 
 def pattern_value(pattern: PatternSpec, u, v, shift_index: int = 0):
@@ -92,21 +76,6 @@ def pattern_value(pattern: PatternSpec, u, v, shift_index: int = 0):
         phase = (2.0 * np.pi * coord / pattern.period
                  + 2.0 * np.pi * shift_index / pattern.n_shifts)
         return 0.5 + 0.4 * np.cos(phase)
-    if isinstance(pattern, ImagePattern):
-        img = pattern.image
-        h, w = img.shape
-        # screen coordinates live in [0, W) x [0, H); the last fractional
-        # pixel clamps to the edge sample
-        if np.any(u < 0) or np.any(u >= w) or np.any(v < 0) or np.any(v >= h):
-            raise ValueError("pattern coordinates outside the image")
-        x0 = np.minimum(np.floor(u).astype(int), w - 1)
-        y0 = np.minimum(np.floor(v).astype(int), h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        fx = u - x0
-        fy = v - y0
-        return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x1] * fx * (1 - fy)
-                + img[y1, x0] * (1 - fx) * fy + img[y1, x1] * fx * fy)
     raise TypeError(f"unknown pattern type {type(pattern)!r}")
 
 
@@ -155,10 +124,15 @@ def trace_rays(
     scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
 ) -> RayTrace:
     """Hit test of every ``stride``-th camera pixel ray with the eye;
-    ``surface`` as in :func:`render_correspondence`."""
+    ``surface`` as in :func:`render_correspondence`.
+
+    Raises:
+        InvariantViolation: ``stride`` below 1.
+    """
+    if stride < 1:
+        raise InvariantViolation(f"render: stride {stride} < 1")
     origin, dirs = scene.cameras[cam_index].pixel_rays()
-    if stride > 1:
-        dirs = dirs[::stride, ::stride]
+    dirs = dirs[::stride, ::stride]
     if surface is None:
         points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
     else:
@@ -325,8 +299,8 @@ def add_correspondence_noise(
     correspondences; validity is unchanged and the result is deterministic
     per seed. When ``screen_resolution`` is given, noisy coordinates are
     clipped to the panel so the map invariants keep holding at the edges."""
-    if sigma_c < 0:
-        raise ValueError("sigma_c must be >= 0")
+    if not 0 <= sigma_c < np.inf:
+        raise ValueError(f"sigma_c must be finite and >= 0, got {sigma_c}")
     if sigma_c == 0.0:
         return corr.copy()
     rng = np.random.default_rng(seed)

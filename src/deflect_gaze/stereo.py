@@ -142,6 +142,7 @@ def _consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
 
 _COARSE_STEP = 8      # grid steps between the coarse pass's regular depths
 _BLOCK_ROWS = 16384   # (pixel, depth) pairs per block of the usability pass
+_MIN_USABLE = 8       # usable grid depths a pixel needs to be swept
 
 
 def _usable_depths(cam1, cam2, dirs1, valid2, ts):
@@ -180,8 +181,7 @@ def _usable_depths(cam1, cam2, dirs1, valid2, ts):
     return usable
 
 
-def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
-                  min_usable=8):
+def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index):
     """Coarse-to-fine depth sweep over many camera-1 pixels at once.
 
     ``cost[j, i]`` is pixel j's disagreement at grid depth i, inf where the
@@ -203,7 +203,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
 
     ts = np.linspace(params.t_min, params.t_max, params.n_steps)
     usable = _usable_depths(cam1, cam2, dirs1, corr2.valid, ts)
-    good = usable.sum(axis=1) >= min_usable
+    good = usable.sum(axis=1) >= _MIN_USABLE
     cost = np.full(usable.shape, np.inf)
     pending = usable.copy()   # usable depths not scored yet
     cols = np.arange(n)
@@ -331,8 +331,11 @@ def reconstruct_field(
     keep everything. Output is sorted by row-major pixel index.
 
     Raises:
+        InvariantViolation: ``stride`` below 1.
         EmptyFieldError: fewer than ``min_samples`` pixels survive.
     """
+    if stride < 1:
+        raise InvariantViolation(f"stereo: stride {stride} < 1")
     if params is None:
         params = default_sweep(scene, cam1_index)
     ys, xs = np.nonzero(corr1.valid)

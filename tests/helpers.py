@@ -80,24 +80,6 @@ def bundle_through_point(center, n, seed=0, point_radius=10.0,
     return points, dirs
 
 
-def cone_frustum_normal_lines(n_rings=6, n_azimuth=10, half_angle_deg=30.0,
-                              r_lo=3.0, r_hi=8.0, axis_z=True):
-    """Surface points and outward normals of a cone frustum about +z with
-    apex above; all normal lines intersect the z axis."""
-    alpha = np.radians(half_angle_deg)
-    radii = np.linspace(r_lo, r_hi, n_rings)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_azimuth, endpoint=False)
-    pts = []
-    nrms = []
-    for r in radii:
-        z = -r / np.tan(alpha)
-        for th in thetas:
-            pts.append([r * np.cos(th), r * np.sin(th), z])
-            nrms.append([np.cos(alpha) * np.cos(th),
-                         np.cos(alpha) * np.sin(th), np.sin(alpha)])
-    return np.array(pts), np.array(nrms)
-
-
 def brute_force_min_point(points, dirs, lo, hi, step):
     """Grid search of the sum of squared line distances over a cube; the
     independent oracle for the closed-form solver."""

@@ -42,6 +42,11 @@ class TestConfig:
         with pytest.raises(InvariantViolation):
             BenchmarkConfig(method="magic")
 
+    @pytest.mark.parametrize("sigma_c", [np.nan, np.inf, -0.5])
+    def test_rejects_sigma_c(self, sigma_c):
+        with pytest.raises(InvariantViolation, match="sigma_c"):
+            BenchmarkConfig(sigma_c=sigma_c)
+
 
 @pytest.fixture(scope="module")
 def small_result(scene):

@@ -53,6 +53,17 @@ class TestSimulateDecode:
         assert rc == 0
         assert (simdir / "cam0_frame_000.pgm").exists()
 
+    @pytest.mark.parametrize("cam", ["2", "5"])
+    def test_simulate_rejects_camera_index(self, scene_file, tmp_path,
+                                           capsys, cam):
+        # the default scene has two cameras
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                   "--cam", cam])
+        assert rc == 2
+        assert "InvariantViolation" in capsys.readouterr().err
+        assert not simdir.exists()
+
     @pytest.mark.parametrize("omega0", ["-3.2", "0"])
     def test_decode_rejects_omega0(self, scene_file, tmp_path, capsys,
                                    omega0):
@@ -113,6 +124,30 @@ class TestReconstructAndGaze:
         assert "min_inliers" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_gaze_normals_too_few_lines(self, tmp_path, capsys):
+        # 60 lines < 2 * min_inliers = 100: the split raises, and no
+        # direction is written
+        g = np.random.default_rng(4)
+        normals = g.normal(size=(60, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        field_csv = tmp_path / "field.csv"
+        NormalField(pixels=np.column_stack([np.arange(60), np.zeros(60)]),
+                    points=g.normal(size=(60, 3)) + [0.0, 0.0, 10.0],
+                    normals=normals,
+                    consistency=np.zeros(60)).to_csv(field_csv)
+        out_csv = tmp_path / "gaze.csv"
+        rc = main(["gaze-normals", "--field", str(field_csv),
+                   "--out", str(out_csv)])
+        assert rc == 1
+        assert "InsufficientLinesError" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_gaze_normals_has_no_axis_fit_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gaze-normals", "--field", str(tmp_path / "field.csv"),
+                  "--fallback-axis"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("stride", ["0", "-2"])
     def test_gaze_optimize_rejects_pixel_stride(self, scene_file, tmp_path,
                                                 capsys, stride):
@@ -172,6 +207,16 @@ class TestReconstructOptions:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("stride", ["0", "-1", "-2"])
+    def test_stride_below_one_is_rejected(self, scene_file, simdir, tmp_path,
+                                          capsys, stride):
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                   str(simdir), "--out", str(out), "--stride", stride])
+        assert rc == 2
+        assert "stride" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCli:
     def test_bench_outputs(self, scene_file, tmp_path):
@@ -198,3 +243,14 @@ class TestBenchCli:
         rc = main(["simulate", "--scene", str(bad),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("sigma_c", ["nan", "inf"])
+    def test_non_finite_sigma_c_is_rejected(self, scene_file, tmp_path,
+                                            capsys, sigma_c):
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--method", "stereo-normals", "--scene",
+                   scene_file, "--sigma-c", sigma_c, "--reps", "1",
+                   "--out", str(outdir)])
+        assert rc == 2
+        assert "sigma_c" in capsys.readouterr().err
+        assert not (outdir / "result.csv").exists()

@@ -6,19 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deflect_gaze.errors import (AmbiguousRadiiError, CentersTooCloseError,
-                                 DegenerateBundleError, InvariantViolation,
+                                 InvariantViolation,
                                  SecondCenterNotFoundError)
 from deflect_gaze.gaze import (ClusterParams, _inlier_counts, _sample_triples,
                                backtrace_lines, estimate_gaze_two_center,
-                               gaze_axis_fit, gaze_from_centers,
-                               identify_cornea, relative_gaze_angle,
-                               two_center_cluster)
+                               gaze_from_centers, identify_cornea,
+                               relative_gaze_angle, two_center_cluster)
 from deflect_gaze.geometry import rotation_about_axis, unit
 from deflect_gaze.render import render_correspondence
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import reconstruct_field
 from helpers import (angle_between_deg, bundle_through_point,
-                     cone_frustum_normal_lines, reference_ransac_counts)
+                     reference_ransac_counts)
 
 UP = np.array([0.0, 1.0, 0.0])
 
@@ -237,38 +236,6 @@ class TestGazeFromCenters:
         assert err < 0.05
         assert est.method_tag == "two-center"
         assert np.linalg.norm(est.cornea_center - est.sclera_center) >= 0.5
-
-
-class TestGazeAxisFit:
-    def test_surface_of_revolution(self):
-        points, dirs = cone_frustum_normal_lines()
-        est = gaze_axis_fit(points, dirs)
-        ang = min(angle_between_deg(est.direction, np.array([0.0, 0, 1])),
-                  angle_between_deg(-est.direction, np.array([0.0, 0, 1])))
-        assert ang < 0.1
-        assert est.method_tag == "axis-fit"
-
-    def test_outward_sign_cone(self):
-        points, dirs = cone_frustum_normal_lines()
-        est = gaze_axis_fit(points, dirs)
-        # surface points sit below the axis centroid for this frustum;
-        # outward means toward the mean surface point
-        outward = points.mean(axis=0) - est.cornea_center
-        assert est.direction @ outward > 0
-
-    def test_consistent_with_two_center(self, scene, field):
-        points, dirs = backtrace_lines(field)
-        est_axis = gaze_axis_fit(points, dirs)
-        est_two = estimate_gaze_two_center(field, ClusterParams(rng_seed=6))
-        ang = min(angle_between_deg(est_axis.direction, est_two.direction),
-                  angle_between_deg(-est_axis.direction, est_two.direction))
-        assert ang < 0.2
-
-    def test_single_sphere_degenerate(self):
-        points, dirs = bundle_through_point(np.zeros(3), 200, seed=10,
-                                            point_sigma=0.01)
-        with pytest.raises(DegenerateBundleError):
-            gaze_axis_fit(points, dirs)
 
 
 class TestRelativeGazeAngle:

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from deflect_gaze.errors import DegenerateBundleError
-from deflect_gaze.geometry import (Line3, RigidPose, best_fit_axis,
-                                   bisector_masked, least_squares_point,
-                                   point_line_distances, ray_sphere_roots,
-                                   reflect, rotation_about_axis, unit)
+from deflect_gaze.geometry import (RigidPose, bisector_masked,
+                                   least_squares_point, point_line_distances,
+                                   ray_sphere_roots, reflect,
+                                   rotation_about_axis, unit)
 from helpers import (angle_between_deg, bundle_through_point,
-                     brute_force_min_point, cone_frustum_normal_lines,
-                     random_unit_vectors)
+                     brute_force_min_point, random_unit_vectors)
 
 
 class TestReflect:
@@ -165,32 +164,6 @@ class TestLeastSquaresPoint:
         assert r1 == pytest.approx(r2)
 
 
-class TestBestFitAxis:
-    def test_cone_frustum_axis(self):
-        points, dirs = cone_frustum_normal_lines()
-        axis = best_fit_axis(points, dirs)
-        ang = min(angle_between_deg(axis.dir, np.array([0.0, 0, 1])),
-                  angle_between_deg(-axis.dir, np.array([0.0, 0, 1])))
-        assert np.radians(ang) < 1e-6
-
-    def test_sphere_degenerate(self):
-        points, dirs = bundle_through_point(np.zeros(3), 60, seed=12,
-                                            point_sigma=0.01)
-        with pytest.raises(DegenerateBundleError):
-            best_fit_axis(points, dirs)
-
-    def test_two_sphere_eye_bundle(self, scene, field, truth_cam0):
-        # mixed cornea+sclera true normals from the simulator
-        px, py = field.pixels[:, 0], field.pixels[:, 1]
-        points = truth_cam0["points"][py, px]
-        dirs = truth_cam0["normals"][py, px]
-        axis = best_fit_axis(points, dirs)
-        truth = scene.eye.optical_axis
-        ang = min(angle_between_deg(axis.dir, truth),
-                  angle_between_deg(-axis.dir, truth))
-        assert ang < 0.1
-
-
 class TestAngles:
     def test_zero(self):
         v = np.array([0.0, 0, 1])
@@ -216,7 +189,3 @@ class TestPoseAndLine:
     def test_rigid_pose_validation(self):
         with pytest.raises(Exception):
             RigidPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
-
-    def test_line_requires_unit_dir(self):
-        with pytest.raises(Exception):
-            Line3(point=np.zeros(3), dir=np.array([0.0, 0.0, 2.0]))

@@ -6,10 +6,10 @@ import pytest
 from deflect_gaze.errors import InvariantViolation
 from deflect_gaze.geometry import reflect, unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
-                                 ImagePattern, PhaseShiftSet,
-                                 add_correspondence_noise, pattern_value,
-                                 ray_margins, render_correspondence,
-                                 render_frame, render_margins, trace_rays)
+                                 PhaseShiftSet, add_correspondence_noise,
+                                 pattern_value, ray_margins,
+                                 render_correspondence, render_frame,
+                                 render_margins, trace_rays)
 from deflect_gaze.scene import (ScreenModel, eye_surface_hit_batch,
                                 rotate_eye)
 from helpers import plane_mirror_surface
@@ -115,13 +115,6 @@ class TestPatternValue:
         p = PhaseShiftSet(period=32, n_shifts=4)
         vals = [pattern_value(p, 8.0, 0.0, k) for k in range(4)]
         assert np.allclose(vals, [0.5, 0.1, 0.5, 0.9])
-
-    def test_image_pattern_bilinear(self):
-        img = np.array([[0.0, 1.0], [0.0, 1.0]])
-        p = ImagePattern(image=img)
-        assert pattern_value(p, 0.5, 0.5) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            pattern_value(p, 5.0, 0.0)
 
     def test_clipping_invariant(self):
         with pytest.raises(InvariantViolation):
@@ -236,6 +229,13 @@ class TestOneTracePerRender:
         assert got.n_valid > render_correspondence(scene, 0,
                                                    stride=stride).n_valid
 
+    @pytest.mark.parametrize("stride", [0, -1, -2])
+    @pytest.mark.parametrize("render", [trace_rays, render_correspondence,
+                                        render_margins])
+    def test_stride_below_one_is_rejected(self, scene, render, stride):
+        with pytest.raises(InvariantViolation, match="stride"):
+            render(scene, 0, stride=stride)
+
     def test_margins_of_a_ray_subset(self, scene):
         # the loss evaluates margins on the jointly valid rays only
         sc = replace(scene, eye=rotate_eye(scene.eye, 3.0, 0.0))
@@ -306,3 +306,8 @@ class TestCorrespondenceNoise:
     def test_validity_unchanged(self, corr_pair):
         out = add_correspondence_noise(corr_pair[0], 1.0, 2)
         assert np.array_equal(out.valid, corr_pair[0].valid)
+
+    @pytest.mark.parametrize("sigma_c", [np.nan, np.inf, -0.5])
+    def test_rejects_sigma_c(self, corr_pair, sigma_c):
+        with pytest.raises(ValueError, match="sigma_c"):
+            add_correspondence_noise(corr_pair[0], sigma_c, 2)

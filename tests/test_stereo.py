@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from deflect_gaze import stereo
-from deflect_gaze.errors import EmptyFieldError
+from deflect_gaze.errors import EmptyFieldError, InvariantViolation
 from deflect_gaze.geometry import bisector_masked, unit
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
@@ -166,6 +166,12 @@ class TestReconstructField:
         for i, p in enumerate(f4.pixels):
             j = lookup[tuple(p)]
             assert np.allclose(f4.points[i], field.points[j])
+
+    @pytest.mark.parametrize("stride", [0, -1, -2])
+    def test_stride_below_one_is_rejected(self, scene, corr_pair, stride):
+        with pytest.raises(InvariantViolation, match="stride"):
+            reconstruct_field(scene, corr_pair[0], corr_pair[1],
+                              stride=stride)
 
     def test_swapped_cameras_never_silently_plausible(self, scene, corr_pair,
                                                        field):
