@@ -50,6 +50,14 @@ def _cmd_simulate(args) -> int:
     if args.cam >= len(scene.cameras):
         raise InvariantViolation(f"--cam {args.cam}: the scene has "
                                  f"{len(scene.cameras)} camera(s)")
+    # patterns are checked before anything is written
+    if args.pattern == "crossed":
+        crossed = CrossedFringe(period_x=args.period_x, period_y=args.period_y)
+    else:
+        stacks = [(name, PhaseShiftSet(period=period, n_shifts=args.shifts,
+                                       direction=direction))
+                  for direction, name, period in (("x", "psx", args.period_x),
+                                                  ("y", "psy", args.period_y))]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     cams = range(len(scene.cameras)) if args.cam < 0 else [args.cam]
@@ -57,17 +65,12 @@ def _cmd_simulate(args) -> int:
         corr = render_correspondence(scene, cam)
         _write_corr(outdir, cam, corr)
         if args.pattern == "crossed":
-            pattern = CrossedFringe(period_x=args.period_x,
-                                    period_y=args.period_y)
-            frame = render_frame(scene, cam, pattern, sigma_i=args.sigma_i,
+            frame = render_frame(scene, cam, crossed, sigma_i=args.sigma_i,
                                  seed=args.seed + cam, correspondence=corr)
             imagefiles.write_frame_pgm(outdir / f"cam{cam}_frame_000.pgm",
                                        frame.intensity)
         else:
-            for direction, name, period in (("x", "psx", args.period_x),
-                                            ("y", "psy", args.period_y)):
-                pattern = PhaseShiftSet(period=period, n_shifts=args.shifts,
-                                        direction=direction)
+            for name, pattern in stacks:
                 for k in range(args.shifts):
                     frame = render_frame(
                         scene, cam, pattern, shift_index=k,

@@ -14,6 +14,13 @@ per frame shape and ``WaveletParams`` and cached read-only. The transform
 covers the whole frame rather than the foreground, because its ridge
 quality is normalised by a percentile over the whole frame.
 
+A crossed-fringe frame's two orientations are independent sweeps, so the
+single-shot decode runs the x sweep on a worker thread while the calling
+thread runs the foreground mask and the y sweep: ``numpy.fft`` and the
+large-array ufuncs that make up a sweep release the interpreter lock.
+The depth sweep (``stereo``) is not split this way; its many small numpy
+calls hold the lock, and splitting its pixels over two threads was slower.
+
 The single-shot path cannot recover the absolute phase offset on its own;
 the anchor is supplied by the simulator here (a real system would use a
 marker). Pipelines unwrap each connected valid component separately and
@@ -27,6 +34,7 @@ import functools
 import heapq
 import math
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -537,12 +545,40 @@ def decode_crossed_fringe(
     wavelet_y: WaveletParams | None = None,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
-    """Single-shot decode: crossed-fringe frame to correspondence map."""
+    """Single-shot decode: crossed-fringe frame to correspondence map.
+
+    The two orientations' Morlet sweeps run concurrently: the x sweep on
+    a worker thread that ends with the call, the foreground mask and the
+    y sweep on the calling thread. Neither reads the other's output, and
+    the map is bit-identical to running them one after the other. Errors
+    surface in that serial order too: the mask's, then x's, then y's. The
+    y sweep, which also transposes the frame and its outputs, stays on the
+    calling thread because memory it frees there serves later full-frame
+    work; on the worker it raised the benchmark's peak resident memory.
+
+    Raises:
+        InvariantViolation: ``wavelet_x`` is not an "x" orientation or
+            ``wavelet_y`` not a "y" one.
+        NoRidgeError: as :func:`cwt2_phase`, for either orientation.
+    """
     wx = wavelet_x or WaveletParams(orientation="x")
     wy = wavelet_y or WaveletParams(orientation="y")
-    fg = foreground_mask(frame)
-    pm_x = cwt2_phase(frame, wx)
-    pm_y = cwt2_phase(frame, wy)
+    if wx.orientation != "x" or wy.orientation != "y":
+        raise InvariantViolation(
+            f"decode: wavelet_x and wavelet_y must have orientations 'x' and "
+            f"'y', got {wx.orientation!r} and {wy.orientation!r}")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future_x = pool.submit(cwt2_phase, frame, wx)
+        fg = foreground_mask(frame)
+        try:
+            pm_y = cwt2_phase(frame, wy)
+        except Exception:
+            # x's error comes first, as it would in serial order
+            error_x = future_x.exception()
+            if error_x is not None:
+                raise error_x from None
+            raise
+        pm_x = future_x.result()
     for pm in (pm_x, pm_y):
         pm.valid &= fg
         pm.phase[~pm.valid] = np.nan

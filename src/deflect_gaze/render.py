@@ -33,12 +33,13 @@ class CrossedFringe:
     bias: float = 0.5
 
     def __post_init__(self):
-        if min(self.period_x, self.period_y) < 4:
-            raise InvariantViolation("pattern: periods >= 4 px")
+        if not (4 <= self.period_x < np.inf and 4 <= self.period_y < np.inf):
+            raise InvariantViolation("pattern: periods >= 4 px and finite")
         if not (0 <= self.amp_x <= 0.25 and 0 <= self.amp_y <= 0.25):
             raise InvariantViolation("pattern: amplitudes in [0, 0.25]")
-        if self.bias + self.amp_x + self.amp_y > 1.0 or self.bias < 0:
-            raise InvariantViolation("pattern: bias + amp_x + amp_y <= 1")
+        if not (0 <= self.bias and self.bias + self.amp_x + self.amp_y <= 1.0):
+            raise InvariantViolation("pattern: bias >= 0 and "
+                                     "bias + amp_x + amp_y <= 1")
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,8 @@ class PhaseShiftSet:
     direction: str = "x"
 
     def __post_init__(self):
-        if self.period < 4:
-            raise InvariantViolation("pattern: periods >= 4 px")
+        if not 4 <= self.period < np.inf:
+            raise InvariantViolation("pattern: periods >= 4 px and finite")
         if self.n_shifts < 3:
             raise InvariantViolation("pattern: n_shifts >= 3")
         if self.direction not in ("x", "y"):
@@ -276,7 +277,12 @@ def render_frame(
     get the dark background. Additive Gaussian intensity noise (std
     ``sigma_i``) is clamped to [0, 1] and deterministic per seed. Passing a
     precomputed ``correspondence`` skips the ray trace.
+
+    Raises:
+        ValueError: ``sigma_i`` is negative, NaN or infinite.
     """
+    if not 0 <= sigma_i < np.inf:
+        raise ValueError(f"sigma_i must be finite and >= 0, got {sigma_i}")
     corr = correspondence
     if corr is None:
         corr = render_correspondence(scene, cam_index)

@@ -77,6 +77,41 @@ class TestSimulateDecode:
         assert "omega0" in capsys.readouterr().err
         assert not (outdir / "cam0_decoded_000.pfm").exists()
 
+    @pytest.mark.parametrize("sigma_i", ["-1", "nan", "inf"])
+    def test_simulate_rejects_sigma_i(self, scene_file, tmp_path, capsys,
+                                      sigma_i):
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                   "--pattern", "crossed", "--cam", "0",
+                   "--sigma-i", sigma_i])
+        assert rc == 2
+        assert "sigma_i" in capsys.readouterr().err
+        assert not (simdir / "cam0_frame_000.pgm").exists()
+
+    @pytest.mark.parametrize("pattern", ["crossed", "phaseshift"])
+    def test_simulate_rejects_nan_period(self, scene_file, tmp_path, capsys,
+                                         pattern):
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                   "--pattern", pattern, "--cam", "0", "--period-x", "nan"])
+        assert rc == 2
+        assert "periods" in capsys.readouterr().err
+        assert not simdir.exists()
+
+    @pytest.mark.parametrize("pattern,mode", [("crossed", "cwt"),
+                                              ("phaseshift", "phaseshift")])
+    def test_decode_rejects_nan_period(self, scene_file, tmp_path, capsys,
+                                       pattern, mode):
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                     "--pattern", pattern, "--cam", "0"]) == 0
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", mode, "--in", str(simdir),
+                   "--out", str(outdir), "--period-x", "nan"])
+        assert rc == 2
+        assert "periods" in capsys.readouterr().err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
+
 
 class TestReconstructAndGaze:
     def test_full_method1_chain(self, scene_file, tmp_path):

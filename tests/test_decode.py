@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe, Frame,
                                  PhaseShiftSet, render_correspondence,
                                  render_frame)
+from deflect_gaze.scene import rotate_eye
 from helpers import (assert_continuity, plane_mirror_surface,
                      reference_correspondence_from_phases,
                      reference_cwt2_phase, reference_sever_phase_seams,
@@ -557,3 +563,106 @@ class TestDecoderConsistency:
         assert m.sum() > 3000
         e = np.hypot(dec.u[m] - corr.u[m], dec.v[m] - corr.v[m])
         assert np.median(e) < 8.0
+
+
+def serial_decode(frame, pattern, anchor, wavelets, seam_mask=None):
+    """``decode_crossed_fringe`` composed from its stages on one thread."""
+    fg = foreground_mask(frame)
+    maps = [cwt2_phase(frame, w) for w in wavelets]
+    for pm in maps:
+        pm.valid &= fg
+        pm.phase[~pm.valid] = np.nan
+    return correspondence_from_phases(*maps, pattern.period_x,
+                                      pattern.period_y, anchor,
+                                      seam_mask=seam_mask)
+
+
+def all_valid_anchor(shape):
+    return CorrespondenceMap(u=np.zeros(shape), v=np.zeros(shape),
+                             valid=np.ones(shape, dtype=bool))
+
+
+class TestDecodeCrossedFringe:
+    PATTERN = CrossedFringe(period_x=36.0, period_y=36.0)
+    WAVELETS = [WaveletParams(orientation=o, **SINGLESHOT_WAVELET)
+                for o in ("x", "y")]
+    SMALL = [WaveletParams(orientation=o, scale_min=8.0, scale_max=24.0)
+             for o in ("x", "y")]
+
+    @pytest.mark.parametrize("a", [-6.0, 0.0, 6.0])
+    def test_matches_serial_composition(self, dec_scene, a):
+        sc = replace(dec_scene, eye=rotate_eye(dec_scene.eye, a, 0.0))
+        for cam in (0, 1):
+            truth = render_correspondence(sc, cam)
+            frame = render_frame(sc, cam, self.PATTERN, sigma_i=0.01,
+                                 seed=30 + cam, correspondence=truth)
+            for seam in (None, scene_seam_mask(sc, cam)):
+                got = decode_crossed_fringe(frame, self.PATTERN, truth,
+                                            *self.WAVELETS, seam_mask=seam)
+                ref = serial_decode(frame, self.PATTERN, truth, self.WAVELETS,
+                                    seam_mask=seam)
+                assert got.n_valid > 3000
+                for x, y in ((got.u, ref.u), (got.v, ref.v),
+                             (got.valid, ref.valid)):
+                    assert same_bits(x, y)
+
+    def test_errors_in_serial_order(self):
+        # a frame with one carrier fails the other orientation; a flat frame
+        # fails both, and x's error comes first
+        pattern = CrossedFringe(period_x=16.0, period_y=16.0)
+        anchor = all_valid_anchor((128, 128))
+        x_only = fringe_frame(px=16.0)
+        cases = ((x_only, "'y'"), (Frame(x_only.intensity.T.copy()), "'x'"),
+                 (Frame(np.full((128, 128), 0.5)), "'x'"))
+        for frame, name in cases:
+            with pytest.raises(NoRidgeError, match=name):
+                decode_crossed_fringe(frame, pattern, anchor, *self.SMALL)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_rejects_wrong_orientation(self, slot):
+        wavelets = list(self.SMALL)
+        wavelets[slot] = replace(wavelets[slot],
+                                 orientation=wavelets[1 - slot].orientation)
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        with pytest.raises(InvariantViolation, match="orientation"):
+            decode_crossed_fringe(frame, self.PATTERN,
+                                  all_valid_anchor((128, 128)), *wavelets)
+
+    def test_no_thread_outlives_the_call(self):
+        start = threading.active_count()
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        corr = decode_crossed_fringe(frame, self.PATTERN,
+                                     all_valid_anchor((128, 128)),
+                                     *self.SMALL)
+        assert corr.n_valid > 0
+        assert threading.active_count() == start
+        with pytest.raises(NoRidgeError):
+            decode_crossed_fringe(Frame(np.full((128, 128), 0.5)),
+                                  self.PATTERN, all_valid_anchor((128, 128)),
+                                  *self.SMALL)
+        assert threading.active_count() == start
+
+    def test_concurrent_calls_match_serial(self):
+        # more decodes than cores, switching threads often, on a cold
+        # filter-bank cache that both orientations of a square frame share
+        g = np.random.default_rng(5)
+        frames = [Frame(fringe_frame(px=16.0, py=22.0, crossed=True).intensity
+                        + g.normal(0.0, 0.02, (128, 128))) for _ in range(4)]
+        anchor = all_valid_anchor((128, 128))
+        refs = [serial_decode(f, self.PATTERN, anchor, self.SMALL)
+                for f in frames]
+        decode._filter_bank.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(frames)) as pool:
+                futures = [pool.submit(decode_crossed_fringe, f, self.PATTERN,
+                                       anchor, *self.SMALL) for f in frames]
+                got = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for corr, ref in zip(got, refs):
+            assert corr.n_valid > 0
+            for x, y in ((corr.u, ref.u), (corr.v, ref.v),
+                         (corr.valid, ref.valid)):
+                assert same_bits(x, y)

@@ -124,6 +124,19 @@ class TestPatternValue:
         with pytest.raises(InvariantViolation):
             CrossedFringe(period_x=2, period_y=16)
 
+    @pytest.mark.parametrize("period", [np.nan, np.inf])
+    def test_rejects_non_finite_period(self, period):
+        for kw in (dict(period_x=period, period_y=36.0),
+                   dict(period_x=36.0, period_y=period)):
+            with pytest.raises(InvariantViolation, match="periods"):
+                CrossedFringe(**kw)
+        with pytest.raises(InvariantViolation, match="periods"):
+            PhaseShiftSet(period=period)
+
+    def test_rejects_nan_bias(self):
+        with pytest.raises(InvariantViolation, match="bias"):
+            CrossedFringe(period_x=16, period_y=16, bias=np.nan)
+
 
 class TestRenderCorrespondence:
     def test_plane_mirror_matches_analytic_projection(self, scene):
@@ -274,6 +287,13 @@ class TestRenderFrame:
         assert d.size >= 10_000
         mad = d.mean()
         assert 0.006 <= mad <= 0.010  # E|N(0, 0.01)| = 0.00798
+
+    @pytest.mark.parametrize("sigma_i", [np.nan, np.inf, -0.5])
+    def test_rejects_sigma_i(self, scene, corr_pair, sigma_i):
+        pat = CrossedFringe(period_x=200, period_y=200)
+        with pytest.raises(ValueError, match="sigma_i"):
+            render_frame(scene, 0, pat, sigma_i=sigma_i,
+                         correspondence=corr_pair[0])
 
 
 class TestCorrespondenceNoise:
