@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ DEFAULT_POSITIONS = {
     METHOD_STEREO: (-3.0, 0.0, 3.0, 6.0),
     METHOD_OPTIMIZE: (-4.0, -2.0, 0.0, 2.0, 4.0),
 }
+# the cameras each method measures with: the stereo pair, or camera 0 alone
+METHOD_CAMERAS = {METHOD_STEREO: 2, METHOD_OPTIMIZE: 1}
 THREADS_ENV = "DEFLECT_GAZE_THREADS"
 DEFAULT_WORKER_CAP = 8
 # the optimize method fits on every second pixel
@@ -49,7 +51,6 @@ class BenchmarkConfig:
     sigma_c: float = 0.0
     rotation_axis: tuple[float, float, float] = (0.0, 1.0, 0.0)
     master_seed: int = 0
-    cluster: ClusterParams = field(default_factory=ClusterParams)
 
     def __post_init__(self):
         if self.method not in (METHOD_STEREO, METHOD_OPTIMIZE):
@@ -111,35 +112,30 @@ def _rotated(scene: SceneConfig, a: float, axis) -> SceneConfig:
     return replace(scene, eye=rotate_eye(scene.eye, a, 0.0, up=np.array(axis)))
 
 
-# The estimators get the loaded scene, never the rotated one: the stage pose
-# is for scoring only, so it must not reach the sweep window or the
-# optimizer's start.
+def _measure_and_estimate(scene: SceneConfig, scene_a: SceneConfig,
+                          method: str, sigma_c: float, seeds) -> np.ndarray:
+    """One rep: render the stage-rotated ``scene_a`` with the method's
+    cameras, add ``sigma_c`` noise (camera i drawing from ``seeds[i]``)
+    and estimate the gaze direction with ``method``.
 
-def _stereo_direction(scene: SceneConfig, corr1, corr2, config, seeds):
-    if config.sigma_c > 0:
-        corr1 = add_correspondence_noise(
-            corr1, config.sigma_c, int(seeds[0]),
-            screen_resolution=scene.screen.resolution,
-        )
-        corr2 = add_correspondence_noise(
-            corr2, config.sigma_c, int(seeds[1]),
-            screen_resolution=scene.screen.resolution,
-        )
-    field_ = reconstruct_field(scene, corr1, corr2)
-    cluster = replace(config.cluster, rng_seed=int(seeds[2]))
-    return estimate_gaze_two_center(field_, cluster).direction
-
-
-def _optimize_direction(scene: SceneConfig, corr, config, seeds):
+    The estimators get the loaded ``scene``, never the rotated one: the
+    stage pose is for scoring only, so it must not reach the sweep window
+    or the optimizer's start.
+    """
+    maps = [render_correspondence(scene_a, cam)
+            for cam in range(METHOD_CAMERAS[method])]
+    if sigma_c > 0:
+        maps = [add_correspondence_noise(
+                    m, sigma_c, int(seeds[cam]),
+                    screen_resolution=scene.screen.resolution)
+                for cam, m in enumerate(maps)]
+    if method == METHOD_STEREO:
+        field_ = reconstruct_field(scene, *maps)
+        return estimate_gaze_two_center(
+            field_, ClusterParams(rng_seed=int(seeds[2]))).direction
     nominal = replace(scene, cameras=scene.cameras[:1])
-    if config.sigma_c > 0:
-        corr = add_correspondence_noise(
-            corr, config.sigma_c, int(seeds[0]),
-            screen_resolution=nominal.screen.resolution,
-        )
-    init = init_guess([corr], nominal)
-    _, est, _ = optimize_gaze(init, [corr], nominal, OPT_CONFIG)
-    return est.direction
+    init = init_guess(maps, nominal)
+    return optimize_gaze(init, maps, nominal, OPT_CONFIG)[1].direction
 
 
 def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
@@ -156,14 +152,9 @@ def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
         s = _rep_seeds(config.master_seed, pos_index, rep)
         seeds.append(int(s[0]))
         try:
-            scene_a = _rotated(scene, a, axis)
-            if config.method == METHOD_STEREO:
-                corr1 = render_correspondence(scene_a, 0)
-                corr2 = render_correspondence(scene_a, 1)
-                direction = _stereo_direction(scene, corr1, corr2, config, s)
-            else:
-                corr = render_correspondence(scene_a, 0)
-                direction = _optimize_direction(scene, corr, config, s)
+            direction = _measure_and_estimate(
+                scene, _rotated(scene, a, axis), config.method,
+                config.sigma_c, s)
             thetas.append(relative_gaze_angle(direction, reference_direction,
                                               axis))
         except DeflectGazeError as e:
@@ -216,24 +207,24 @@ def run_benchmark(
     the 0-degree position, so per-rep angles isolate method noise.
 
     Raises:
+        InvariantViolation: the scene has fewer cameras than the method
+            measures with.
         BenchmarkAbortError: a position failed more than 20% of its reps.
     """
+    n_cams = METHOD_CAMERAS[config.method]
+    if len(scene.cameras) < n_cams:
+        raise InvariantViolation(
+            f"bench: {config.method} needs {n_cams} camera(s), the scene "
+            f"has {len(scene.cameras)}")
     if max_workers is None:
         max_workers = max_workers_from_env()
     t0 = time.perf_counter()
     axis = np.array(config.rotation_axis, dtype=float)
 
-    scene_ref = _rotated(scene, 0.0, axis)
-    ref_cfg = replace(config, sigma_c=0.0)
-    seeds_ref = _rep_seeds(config.master_seed, 10_000, 0)
     try:
-        if config.method == METHOD_STEREO:
-            c1 = render_correspondence(scene_ref, 0)
-            c2 = render_correspondence(scene_ref, 1)
-            reference = _stereo_direction(scene, c1, c2, ref_cfg, seeds_ref)
-        else:
-            c = render_correspondence(scene_ref, 0)
-            reference = _optimize_direction(scene, c, ref_cfg, seeds_ref)
+        reference = _measure_and_estimate(
+            scene, _rotated(scene, 0.0, axis), config.method, 0.0,
+            _rep_seeds(config.master_seed, 10_000, 0))
     except DeflectGazeError as e:
         raise BenchmarkAbortError(
             f"noiseless reference run failed: {type(e).__name__}: {e}"

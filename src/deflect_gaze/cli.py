@@ -29,19 +29,15 @@ from .scene import load_scene
 from .stereo import NormalField, default_sweep, reconstruct_field
 
 
-def _write_corr(outdir: Path, cam: int, corr: CorrespondenceMap, shift: int = 0):
-    imagefiles.write_two_channel_pfm(
-        outdir / f"cam{cam}_corr_{shift:03d}.pfm", corr.u, corr.v
-    )
-    imagefiles.write_mask_pgm(outdir / f"cam{cam}_mask_{shift:03d}.pgm",
-                              corr.valid)
+def _write_corr(outdir: Path, cam: int, corr: CorrespondenceMap):
+    imagefiles.write_two_channel_pfm(outdir / f"cam{cam}_corr_000.pfm",
+                                     corr.u, corr.v)
+    imagefiles.write_mask_pgm(outdir / f"cam{cam}_mask_000.pgm", corr.valid)
 
 
-def _read_corr(outdir: Path, cam: int, shift: int = 0) -> CorrespondenceMap:
-    u, v = imagefiles.read_two_channel_pfm(
-        outdir / f"cam{cam}_corr_{shift:03d}.pfm"
-    )
-    valid = imagefiles.read_mask_pgm(outdir / f"cam{cam}_mask_{shift:03d}.pgm")
+def _read_corr(outdir: Path, cam: int) -> CorrespondenceMap:
+    u, v = imagefiles.read_two_channel_pfm(outdir / f"cam{cam}_corr_000.pfm")
+    valid = imagefiles.read_mask_pgm(outdir / f"cam{cam}_mask_000.pgm")
     return CorrespondenceMap(u=u, v=v, valid=valid)
 
 
@@ -194,6 +190,7 @@ def _cmd_gaze_optimize(args) -> int:
             f.write(GAZE_CSV_HEADER + "\n")
             f.write(est.csv_row() + "\n")
     print(est.pretty())
+    print(f"final loss:     {trace[-1]['loss']:.6g} px^2")
     return 0
 
 

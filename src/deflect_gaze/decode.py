@@ -541,8 +541,8 @@ def decode_crossed_fringe(
     frame: Frame,
     pattern: CrossedFringe,
     anchor_truth: CorrespondenceMap,
-    wavelet_x: WaveletParams | None = None,
-    wavelet_y: WaveletParams | None = None,
+    wavelet_x: WaveletParams,
+    wavelet_y: WaveletParams,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """Single-shot decode: crossed-fringe frame to correspondence map.
@@ -561,17 +561,16 @@ def decode_crossed_fringe(
             ``wavelet_y`` not a "y" one.
         NoRidgeError: as :func:`cwt2_phase`, for either orientation.
     """
-    wx = wavelet_x or WaveletParams(orientation="x")
-    wy = wavelet_y or WaveletParams(orientation="y")
-    if wx.orientation != "x" or wy.orientation != "y":
+    if wavelet_x.orientation != "x" or wavelet_y.orientation != "y":
         raise InvariantViolation(
             f"decode: wavelet_x and wavelet_y must have orientations 'x' and "
-            f"'y', got {wx.orientation!r} and {wy.orientation!r}")
+            f"'y', got {wavelet_x.orientation!r} and "
+            f"{wavelet_y.orientation!r}")
     with ThreadPoolExecutor(max_workers=1) as pool:
-        future_x = pool.submit(cwt2_phase, frame, wx)
+        future_x = pool.submit(cwt2_phase, frame, wavelet_x)
         fg = foreground_mask(frame)
         try:
-            pm_y = cwt2_phase(frame, wy)
+            pm_y = cwt2_phase(frame, wavelet_y)
         except Exception:
             # x's error comes first, as it would in serial order
             error_x = future_x.exception()

@@ -70,17 +70,21 @@ class GazeEstimate:
         return ",".join(parts)
 
     def pretty(self) -> str:
+        """Method, direction and both centres; a centre fitted to
+        back-traced lines also shows their count and rms distance."""
         g = self.direction
-        return "\n".join([
-            f"method:        {self.method_tag}",
-            f"gaze direction: ({g[0]:+.6f}, {g[1]:+.6f}, {g[2]:+.6f})",
-            f"cornea center:  ({self.cornea_center[0]:.4f}, "
-            f"{self.cornea_center[1]:.4f}, {self.cornea_center[2]:.4f}) mm"
-            f"  [{self.n_cornea_inliers} lines, rms {self.rms_cornea:.4f} mm]",
-            f"sclera center:  ({self.sclera_center[0]:.4f}, "
-            f"{self.sclera_center[1]:.4f}, {self.sclera_center[2]:.4f}) mm"
-            f"  [{self.n_sclera_inliers} lines, rms {self.rms_sclera:.4f} mm]",
-        ])
+        lines = [f"method:        {self.method_tag}",
+                 f"gaze direction: ({g[0]:+.6f}, {g[1]:+.6f}, {g[2]:+.6f})"]
+        for name, c, n, rms in (
+                ("cornea", self.cornea_center, self.n_cornea_inliers,
+                 self.rms_cornea),
+                ("sclera", self.sclera_center, self.n_sclera_inliers,
+                 self.rms_sclera)):
+            line = f"{name} center:  ({c[0]:.4f}, {c[1]:.4f}, {c[2]:.4f}) mm"
+            if n:
+                line += f"  [{n} lines, rms {rms:.4f} mm]"
+            lines.append(line)
+        return "\n".join(lines)
 
 
 def backtrace_lines(field: NormalField) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 
-def write_pfm(path, data: np.ndarray, scale: float = -1.0) -> None:
+def write_pfm(path, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.float32)
     if data.ndim == 2:
         tag = b"Pf"
@@ -24,12 +24,10 @@ def write_pfm(path, data: np.ndarray, scale: float = -1.0) -> None:
         h, w = data.shape[:2]
     else:
         raise ValueError("PFM supports (H,W) or (H,W,3) arrays")
-    if scale >= 0:
-        raise ValueError("only little-endian PFM (negative scale) is written")
     with open(path, "wb") as f:
         f.write(tag + b"\n")
         f.write(f"{w} {h}\n".encode())
-        f.write(f"{scale:.6f}\n".encode())
+        f.write(b"-1.000000\n")
         f.write(np.flipud(data).astype("<f4").tobytes())
 
 

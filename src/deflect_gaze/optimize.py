@@ -147,8 +147,8 @@ def _strided(m: CorrespondenceMap, s: int) -> CorrespondenceMap:
 
 
 def _erode(mask: np.ndarray, px: int) -> np.ndarray:
-    if px <= 0:
-        return mask
+    # px >= 1 (OptConfig.grid_boundary_px): scipy erodes to a fixed point
+    # for iterations below 1
     return ndimage.binary_erosion(mask, FOUR_CONN, iterations=px)
 
 
@@ -156,8 +156,6 @@ def _fade_weight(mask: np.ndarray, px: int) -> np.ndarray:
     """Weight ramp that is 0 at the mask boundary and 1 from ``px + 1``
     pixels inward; a smooth realization of the boundary exclusion that
     keeps the loss from jolting when a silhouette pixel flips."""
-    if px <= 0:
-        return mask.astype(float)
     dt = ndimage.distance_transform_edt(mask)
     return np.clip((dt - 1.0) / px, 0.0, 1.0)
 

@@ -1,10 +1,11 @@
 """Stereo resolution of the deflectometric normal-depth ambiguity.
 
-Any depth along a camera-1 ray is consistent with its screen
-correspondence, each implying a different surface normal. Sweeping depth
-hypotheses and scoring each by the disagreement between the normals the
-two cameras imply selects the true surface point: only there do both
-views bisect to the same normal.
+Any depth along a ray of the scene's camera 0 is consistent with its
+screen correspondence, each implying a different surface normal. Sweeping
+depth hypotheses and scoring each by the disagreement between the normals
+that camera 0 and camera 1 imply selects the true surface point: only
+there do both views bisect to the same normal. The stage uses exactly
+these two cameras; a scene with more uses its first two.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ from .scene import SceneConfig
 
 NORMAL_FIELD_HEADER = "px,py,X,Y,Z,nx,ny,nz,consistency"
 SWEEP_HALF_RANGE = 8.0  # mm either side of the nominal depth (default_sweep)
+# reconstruct_field's floor on kept samples, and its outlier cut at
+# OUTLIER_FACTOR x the field's median disagreement, at least OUTLIER_FLOOR_RAD
+MIN_SAMPLES = 100
+OUTLIER_FACTOR = 10.0
+OUTLIER_FLOOR_RAD = 1e-3
 
 
 @dataclass(frozen=True)
 class DepthSweepParams:
-    """Depth hypotheses along the camera-1 ray, in mm: the grid
+    """Depth hypotheses along the camera-0 ray, in mm: the grid
     ``linspace(t_min, t_max, n_steps)``, optionally polished by a parabolic
     fit (``refine``).
 
@@ -49,7 +55,7 @@ class DepthSweepParams:
 
 @dataclass
 class NormalField:
-    """Dense reconstruction output, one row per camera-1 pixel, sorted by
+    """Dense reconstruction output, one row per camera-0 pixel, sorted by
     row-major pixel index."""
 
     pixels: np.ndarray        # (N, 2) int, (px, py)
@@ -71,7 +77,7 @@ class NormalField:
             np.savetxt(f, data, fmt="%.12g", delimiter=",")
 
     @classmethod
-    def from_csv(cls, path, camera_index: int = 0) -> "NormalField":
+    def from_csv(cls, path) -> "NormalField":
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
             if header != NORMAL_FIELD_HEADER:
@@ -84,7 +90,6 @@ class NormalField:
             points=data[:, 2:5],
             normals=data[:, 5:8],
             consistency=data[:, 8],
-            camera_index=camera_index,
         )
 
 
@@ -181,15 +186,17 @@ def _usable_depths(cam1, cam2, dirs1, valid2, ts):
     return usable
 
 
-def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index):
-    """Coarse-to-fine depth sweep over many camera-1 pixels at once.
+def _sweep_pixels(scene, pixels, corr1, corr2, params):
+    """Coarse-to-fine depth sweep over many camera-0 pixels at once, against
+    camera 1.
 
     ``cost[j, i]`` is pixel j's disagreement at grid depth i, inf where the
     depth is unusable or not scored. The passes of ``reconstruct_field``
-    score part of the grid.
+    score part of the grid. Returns per pixel the depth, disagreement,
+    point and normal, and ``good``: the pixels with a result, before
+    ``reconstruct_field``'s outlier cut.
     """
-    cam1 = scene.cameras[cam1_index]
-    cam2 = scene.cameras[cam2_index]
+    cam1, cam2 = scene.cameras[0], scene.cameras[1]
     n = len(pixels)
     cx, cy = cam1.principal_point
     d_cam = np.column_stack([
@@ -275,13 +282,13 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params, cam1_index, cam2_index):
     return t_best, c_best, p_best, n_best, good
 
 
-def default_sweep(scene: SceneConfig, cam1_index: int = 0,
-                  n_steps: int = 256, refine: bool = True) -> DepthSweepParams:
-    """Sweep around the nominal surface depth: the camera-to-apex distance
+def default_sweep(scene: SceneConfig, n_steps: int = 256,
+                  refine: bool = True) -> DepthSweepParams:
+    """Sweep around the nominal surface depth: the camera-0-to-apex distance
     plus a small interior margin, plus/minus ``SWEEP_HALF_RANGE`` mm."""
     eye = scene.eye
     d_center = float(np.linalg.norm(
-        scene.cameras[cam1_index].center - eye.sclera_center
+        scene.cameras[0].center - eye.sclera_center
     ))
     t_nom = d_center - (eye.cornea_offset + eye.cornea_radius) + 2.5
     return DepthSweepParams(t_min=t_nom - SWEEP_HALF_RANGE,
@@ -295,16 +302,14 @@ def reconstruct_field(
     corr2: CorrespondenceMap,
     params: DepthSweepParams | None = None,
     stride: int = 1,
-    cam1_index: int = 0,
-    cam2_index: int = 1,
-    min_samples: int = 100,
-    max_consistency: float | None = None,
 ) -> NormalField:
-    """Solve depth at every valid camera-1 pixel (optionally strided).
+    """Solve depth at every valid pixel of camera 0 (optionally strided),
+    with ``corr1`` and ``corr2`` the correspondence maps of the scene's
+    cameras 0 and 1.
 
     Each pixel takes the depth of ``params``' grid (default:
     ``default_sweep``) with the least stereo disagreement. A depth is usable
-    when camera 2 sees its point in front of it, inside four valid corners
+    when camera 1 sees its point in front of it, inside four valid corners
     of ``corr2``; a pixel needs 8 usable depths. The search scores only
     part of the grid, in two passes:
 
@@ -325,40 +330,36 @@ def reconstruct_field(
     the usable mask is computed in another order than the scoring.
 
     Pixels with no usable depth are dropped, as are pixels whose best
-    stereo disagreement is an outlier (default: above 10x the field median,
-    floored at 1e-3 rad); those are points the second camera cannot verify,
-    whose sweep minimum is meaningless. Pass ``max_consistency=np.inf`` to
-    keep everything. Output is sorted by row-major pixel index.
+    stereo disagreement is an outlier: above ``OUTLIER_FACTOR`` times the
+    field median, floored at ``OUTLIER_FLOOR_RAD``. Those are points the
+    second camera cannot verify, whose sweep minimum is meaningless. Rows
+    come in row-major pixel order, the order of ``np.nonzero``.
 
     Raises:
-        InvariantViolation: ``stride`` below 1.
-        EmptyFieldError: fewer than ``min_samples`` pixels survive.
+        InvariantViolation: ``stride`` below 1, or fewer than two cameras
+            in ``scene``.
+        EmptyFieldError: fewer than ``MIN_SAMPLES`` pixels survive.
     """
     if stride < 1:
         raise InvariantViolation(f"stereo: stride {stride} < 1")
+    if len(scene.cameras) < 2:
+        raise InvariantViolation(
+            f"stereo: needs cameras 0 and 1, the scene has "
+            f"{len(scene.cameras)} camera(s)")
     if params is None:
-        params = default_sweep(scene, cam1_index)
+        params = default_sweep(scene)
     ys, xs = np.nonzero(corr1.valid)
     keep = (ys % stride == 0) & (xs % stride == 0)
     pixels = np.column_stack([xs[keep], ys[keep]]).astype(int)
     if len(pixels) == 0:
         raise EmptyFieldError("no valid pixels in corr1")
-    t, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2, params,
-                                       cam1_index, cam2_index)
+    _, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2, params)
     if good.any():
-        if max_consistency is None:
-            max_consistency = max(10.0 * float(np.median(c[good])), 1e-3)
-        good &= c <= max_consistency
-    if good.sum() < min_samples:
+        good &= c <= max(OUTLIER_FACTOR * float(np.median(c[good])),
+                         OUTLIER_FLOOR_RAD)
+    if good.sum() < MIN_SAMPLES:
         raise EmptyFieldError(
-            f"only {int(good.sum())} usable samples (need {min_samples})"
+            f"only {int(good.sum())} usable samples (need {MIN_SAMPLES})"
         )
-    pixels = pixels[good]
-    order = np.lexsort((pixels[:, 0], pixels[:, 1]))
-    return NormalField(
-        pixels=pixels[order],
-        points=p[good][order],
-        normals=nrm[good][order],
-        consistency=c[good][order],
-        camera_index=cam1_index,
-    )
+    return NormalField(pixels=pixels[good], points=p[good],
+                       normals=nrm[good], consistency=c[good])

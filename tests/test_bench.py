@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -122,13 +123,14 @@ class TestRunBenchmark:
         ref = run_benchmark(cfg, scene, max_workers=1)
         assert report(result, "csv") == report(ref, "csv")
 
-    def test_abort_on_failures(self, scene):
+    def test_abort_on_failures(self, scene, monkeypatch):
         # an impossible clustering setup: min_inliers above the sample count
         from deflect_gaze.gaze import ClusterParams
+        monkeypatch.setattr(bench, "ClusterParams",
+                            partial(ClusterParams, min_inliers=5000))
         cfg = BenchmarkConfig(
             method="stereo-normals", positions=(0.0, 3.0), reps=2,
-            sigma_c=0.0, master_seed=1,
-            cluster=ClusterParams(min_inliers=5000))
+            sigma_c=0.0, master_seed=1)
         with pytest.raises(BenchmarkAbortError):
             run_benchmark(cfg, scene, max_workers=1)
 

@@ -1,5 +1,7 @@
 import filecmp
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +18,23 @@ def scene_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("scene") / "scene.json"
     save_scene(default_scene(), p)
     return str(p)
+
+
+@pytest.fixture(scope="module")
+def one_camera_scene_file(tmp_path_factory):
+    scene = default_scene()
+    p = tmp_path_factory.mktemp("scene") / "one_camera.json"
+    save_scene(replace(scene, cameras=scene.cameras[:1]), p)
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def simdir(scene_file, tmp_path_factory):
+    """Both cameras' correspondences and frames of the default scene."""
+    simdir = tmp_path_factory.mktemp("sim")
+    assert main(["simulate", "--scene", scene_file, "--out",
+                 str(simdir)]) == 0
+    return simdir
 
 
 class TestSimulateDecode:
@@ -131,19 +150,42 @@ class TestReconstructAndGaze:
         g = np.array([float(x) for x in row[1:4]])
         assert abs(g[2]) > 0.99  # default eye looks along +z
 
-    def test_gaze_optimize_with_trace(self, scene_file, tmp_path):
-        simdir = tmp_path / "sim"
-        assert main(["simulate", "--scene", scene_file, "--out",
-                     str(simdir)]) == 0
+    def test_gaze_optimize_with_trace(self, scene_file, simdir, tmp_path,
+                                      capsys):
         trace_csv = tmp_path / "trace.csv"
         out_csv = tmp_path / "est.csv"
         rc = main(["gaze-optimize", "--scene", scene_file, "--measured",
                    str(simdir), "--max-iters", "40", "--pixel-stride", "2",
                    "--trace", str(trace_csv), "--out", str(out_csv)])
         assert rc == 0
-        header = trace_csv.read_text().splitlines()[0]
-        assert header == "iter,loss,step,azimuth,elevation,tx,ty,tz"
+        rows = trace_csv.read_text().splitlines()
+        assert rows[0] == "iter,loss,step,azimuth,elevation,tx,ty,tz"
         assert out_csv.exists()
+        # the summary gives the final loss in px^2, and no line counts:
+        # the fit has no back-traced lines
+        final_loss = float(rows[-1].split(",")[1])
+        centre = r"\(-?\d+\.\d{4}, -?\d+\.\d{4}, -?\d+\.\d{4}\) mm"
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[0] == "method:        optimize"
+        assert re.fullmatch(r"gaze direction: \([-+]\d\.\d{6}, "
+                            r"[-+]\d\.\d{6}, [-+]\d\.\d{6}\)", lines[1])
+        assert re.fullmatch("cornea center:  " + centre, lines[2])
+        assert re.fullmatch("sclera center:  " + centre, lines[3])
+        assert lines[4] == f"final loss:     {final_loss:.6g} px^2"
+
+    @pytest.mark.parametrize("freeze", ["pose", "none"])
+    def test_gaze_optimize_freeze(self, scene_file, simdir, tmp_path,
+                                  freeze):
+        out_csv = tmp_path / "est.csv"
+        rc = main(["gaze-optimize", "--scene", scene_file, "--measured",
+                   str(simdir), "--freeze", freeze, "--max-iters", "40",
+                   "--pixel-stride", "2", "--out", str(out_csv)])
+        assert rc == 0
+        row = out_csv.read_text().splitlines()[1].split(",")
+        assert row[0] == "optimize"
+        g = np.array([float(x) for x in row[1:4]])
+        assert abs(g[2]) > 0.99  # default eye looks along +z
 
     @pytest.mark.parametrize("m", ["0", "1"])
     def test_gaze_normals_rejects_min_inliers(self, tmp_path, capsys, m):
@@ -211,13 +253,6 @@ class TestReconstructAndGaze:
 
 
 class TestReconstructOptions:
-    @pytest.fixture(scope="class")
-    def simdir(self, scene_file, tmp_path_factory):
-        simdir = tmp_path_factory.mktemp("sim")
-        assert main(["simulate", "--scene", scene_file, "--out",
-                     str(simdir)]) == 0
-        return simdir
-
     def test_grid_options_without_window(self, scene_file, simdir, tmp_path):
         out = tmp_path / "field.csv"
         assert main(["reconstruct", "--scene", scene_file, "--corr-dir",
@@ -252,8 +287,29 @@ class TestReconstructOptions:
         assert "stride" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_camera_scene_is_rejected(self, one_camera_scene_file,
+                                          simdir, tmp_path, capsys):
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", one_camera_scene_file,
+                   "--corr-dir", str(simdir), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "1 camera" in err
+        assert not out.exists()
+
 
 class TestBenchCli:
+    def test_stereo_on_one_camera_scene_is_rejected(
+            self, one_camera_scene_file, tmp_path, capsys):
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--method", "stereo-normals", "--scene",
+                   one_camera_scene_file, "--reps", "1", "--out",
+                   str(outdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "has 1" in err
+        assert not (outdir / "result.csv").exists()
+
     def test_bench_outputs(self, scene_file, tmp_path):
         outdir = tmp_path / "bench"
         rc = main(["bench", "--method", "stereo-normals", "--scene",

@@ -132,13 +132,14 @@ class TestSolveDepth:
         assert (err < step).mean() >= 0.95
         assert np.median(err) < 0.02
 
-    def test_invalid_corr2_gives_none(self, scene, corr_pair):
+    def test_invalid_corr2_gives_none(self, scene, corr_pair, monkeypatch):
         corr1, corr2 = corr_pair
         empty = CorrespondenceMap(u=np.full_like(corr2.u, np.nan),
                                   v=np.full_like(corr2.v, np.nan),
                                   valid=np.zeros_like(corr2.valid))
+        monkeypatch.setattr(stereo, "MIN_SAMPLES", 1)
         with pytest.raises(EmptyFieldError):
-            reconstruct_field(scene, corr1, empty, min_samples=1)
+            reconstruct_field(scene, corr1, empty)
 
     def test_noisy_normal_error(self, scene, corr_pair, truth_cam0):
         corr1 = add_correspondence_noise(corr_pair[0], 0.5, 31)
@@ -178,13 +179,25 @@ class TestReconstructField:
         # misconfigured maps must read grossly inconsistent next to a
         # correct run (here two orders of magnitude), never plausible
         try:
-            f = reconstruct_field(scene, corr_pair[1], corr_pair[0],
-                                  cam1_index=0, cam2_index=1,
-                                  max_consistency=np.inf)
+            f = unfiltered_field(scene, corr_pair[1], corr_pair[0])
             good = np.median(field.consistency)
             assert np.median(f.consistency) > max(50.0 * good, 0.01)
         except EmptyFieldError:
             pass
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.2, 1.0),
+           stride=st.integers(1, 3))
+    def test_rows_in_row_major_order(self, dec_scene, maps_448, seed, frac,
+                                     stride):
+        c1, c2 = maps_448
+        keep = c1.valid & (np.random.default_rng(seed).random(c1.valid.shape)
+                           < frac)
+        f = reconstruct_field(dec_scene, replace(c1, valid=keep), c2,
+                              stride=stride)
+        index = f.pixels[:, 1] * c1.valid.shape[1] + f.pixels[:, 0]
+        assert (np.diff(index) > 0).all()
 
     def test_points_lie_on_surface(self, scene, field, truth_cam0):
         _, _, reg = truth_for(field, truth_cam0)
@@ -230,8 +243,8 @@ class TestReconstructField:
         assert header == "px,py,X,Y,Z,nx,ny,nz,consistency"
 
 
-def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
-                min_usable=8):
+def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index=0,
+                cam2_index=1, min_usable=8):
     """Reference for ``stereo._sweep_pixels``: score every grid depth, then
     pick and refine the minimum exactly as the sweep does."""
     cam1 = scene.cameras[cam1_index]
@@ -289,6 +302,16 @@ def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index, cam2_index,
     return t_best, c_best, p_best, n_best, good
 
 
+def unfiltered_field(scene, corr1, corr2):
+    """The rows ``stereo._sweep_pixels`` keeps at every valid camera-0
+    pixel, before ``reconstruct_field``'s outlier cut and sample floor."""
+    ys, xs = np.nonzero(corr1.valid)
+    pixels = np.column_stack([xs, ys])
+    _, c, p, n, good = stereo._sweep_pixels(scene, pixels, corr1, corr2,
+                                            default_sweep(scene))
+    return NormalField(pixels[good], p[good], n[good], c[good])
+
+
 def dense_field(*args, **kwargs):
     """``reconstruct_field`` with the dense reference sweep."""
     with pytest.MonkeyPatch.context() as m:
@@ -315,7 +338,7 @@ def noisy_pair(corr_pair):
 
 @pytest.fixture(scope="module")
 def noisy_field_all(scene, noisy_pair):
-    return reconstruct_field(scene, *noisy_pair, max_consistency=np.inf)
+    return unfiltered_field(scene, *noisy_pair)
 
 
 class TestCoarseToFineSweep:
@@ -362,8 +385,7 @@ class TestCoarseToFineSweep:
         keep = c1.valid & (np.random.default_rng(seed).random(c1.valid.shape)
                            < frac)
         assume(keep.any())
-        sub = reconstruct_field(scene, replace(c1, valid=keep), c2,
-                                max_consistency=np.inf, min_samples=0)
+        sub = unfiltered_field(scene, replace(c1, valid=keep), c2)
         full = noisy_field_all
         rows = keep[full.pixels[:, 1], full.pixels[:, 0]]
         assert_same_field(sub, NormalField(full.pixels[rows],
@@ -404,12 +426,12 @@ class TestSweepContract:
         params = default_sweep(scene)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(stereo, "_consistency_at", wavy)
-            got = stereo._sweep_pixels(scene, pixels, c1, c2, params, 0, 1)
+            got = stereo._sweep_pixels(scene, pixels, c1, c2, params)
             # the last call is the refine's, at depths between grid steps
             by_sweep = set().union(*calls[:-1])
-            want = dense_sweep(scene, pixels, c1, c2, params, 0, 1)
+            want = dense_sweep(scene, pixels, c1, c2, params)
             t_grid = dense_sweep(scene, pixels, c1, c2,
-                                 replace(params, refine=False), 0, 1)[0]
+                                 replace(params, refine=False))[0]
         dirs = unit(np.column_stack([
             (pixels - scene.cameras[0].principal_point)
             / scene.cameras[0].focal_length, np.ones(len(pixels))
