@@ -110,8 +110,9 @@ class Frame:
 class RayTrace(NamedTuple):
     """One camera's pixel rays and their eye-surface hits.
 
-    ``dirs`` keeps the (H, W, 3) pixel layout of the (strided) grid;
-    ``points`` and ``normals`` are NaN where ``hit`` is False.
+    ``dirs`` keeps the pixel layout of its rays, (H, W, 3) for a (strided)
+    grid or (N, 3) for a pixel list; ``points`` and ``normals`` are NaN
+    where ``hit`` is False.
     """
 
     origin: np.ndarray

@@ -279,8 +279,14 @@ def rotate_eye(
     axis, positive elevation tilting the axis toward ``up``. Radii, offsets,
     and the sclera center are unchanged.
     """
+    return replace(eye, optical_axis=_rotated_axis(eye.optical_axis, azimuth,
+                                                   elevation, up))
+
+
+def _rotated_axis(axis: np.ndarray, azimuth: float, elevation: float,
+                  up: np.ndarray = WORLD_UP) -> np.ndarray:
+    """``axis`` turned as :func:`rotate_eye` turns the optical axis."""
     up = unit(up)
-    axis = eye.optical_axis
     r_az = rotation_about_axis(up, azimuth)
     if elevation != 0.0:
         right = np.cross(up, axis)
@@ -290,7 +296,7 @@ def rotate_eye(
         rot = rotation_about_axis(right, -elevation) @ r_az
     else:
         rot = r_az
-    return replace(eye, optical_axis=unit(rot @ axis))
+    return unit(rot @ axis)
 
 
 # ---------------------------------------------------------------------------

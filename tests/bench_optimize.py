@@ -4,12 +4,14 @@ Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
     PYTHONPATH=src python -m pytest tests/bench_optimize.py
 
-All cases use the default scene's first camera (128 px) and a measured map
+The 128 px cases use the default scene's first camera and a measured map
 with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
 standalone ``correspondence_loss`` call builds the measured-map terms
 itself; inside a fit they are built once, so the fit cases show what a
 loss evaluation costs there. The fits start from ``init_guess`` at -2 and
-+2 deg.
++2 deg. The 448 px case is a full-resolution fit of both decode-scene
+cameras' rendered sigma_c = 0.5 maps at +3 deg, the size the single-shot
+path measures at.
 """
 
 from dataclasses import replace
@@ -40,6 +42,19 @@ def test_correspondence_loss_128(benchmark, scene1, stride):
     rep = benchmark(correspondence_loss, init, measured, scene1,
                     pixel_stride=stride)
     assert rep.total > 0
+
+
+def test_optimize_gaze_448_two_cameras_stride1(benchmark, dec_scene):
+    sc = replace(dec_scene, eye=rotate_eye(dec_scene.eye, 3.0, 0.0))
+    measured = [add_correspondence_noise(
+        render_correspondence(sc, cam), 0.5, 11 + cam,
+        screen_resolution=sc.screen.resolution) for cam in (0, 1)]
+    init = init_guess(measured, dec_scene)
+    params, _, trace = benchmark.pedantic(
+        optimize_gaze, args=(init, measured, dec_scene, OptConfig()),
+        rounds=3, iterations=1)
+    assert abs(params.azimuth - 3.0) < 0.1
+    assert len(trace) > 1
 
 
 @pytest.mark.parametrize("a", [-2.0, 2.0])

@@ -82,18 +82,24 @@ def bundle_through_point(center, n, seed=0, point_radius=10.0,
 
 def brute_force_min_point(points, dirs, lo, hi, step):
     """Grid search of the sum of squared line distances over a cube; the
-    independent oracle for the closed-form solver."""
+    independent oracle for the closed-form solver. With v = g - p per grid
+    point g and line (p, d), |v|^2 = |g|^2 - 2 g.p + |p|^2 and v.d = g.d -
+    p.d, so a z-slice takes matrix products, not per-line 3-D arrays."""
     ax = np.arange(lo, hi + step / 2, step)
     best_val = np.inf
     best_x = None
     yy, xx = np.meshgrid(ax, ax, indexing="ij")
     plane = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    p_sum = points.sum(axis=0)
+    p_sq = float(np.sum(points * points))
+    # v.d of the slice z = 0; a slice at z adds z d_z
+    proj0 = plane @ dirs[:, :2].T - np.sum(points * dirs, axis=1)
     for z in ax:
         grid = np.column_stack([plane, np.full(len(plane), z)])
-        v = grid[:, None, :] - points[None, :, :]
-        proj = np.einsum("gnj,nj->gn", v, dirs)
-        d2 = np.einsum("gnj,gnj->gn", v, v) - proj * proj
-        tot = d2.sum(axis=1)
+        v_sq = (len(points) * np.sum(grid * grid, axis=1)
+                - 2.0 * grid @ p_sum + p_sq)
+        proj = proj0 + z * dirs[:, 2]
+        tot = v_sq - np.einsum("gn,gn->g", proj, proj)
         k = int(np.argmin(tot))
         if tot[k] < best_val:
             best_val = float(tot[k])

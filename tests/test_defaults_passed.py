@@ -3,8 +3,10 @@ call in ``src/`` or ``perfbench/``.
 
 A default that no program call overrides is a setting only tests reach;
 it should be a constant. Public means a module-level function or a method
-of a class, neither named with a leading underscore. A call matches every
-such function of its name (the last part of a dotted callee), and passes
+of a class, neither named with a leading underscore. A call resolves its
+callee through the calling module's own definitions and imports, so it
+matches only the function it names there; a method called on an object
+the module cannot name matches every method of that name. A call passes
 a parameter by keyword or by position, or passes all of them through
 ``*args`` or ``**kwargs``. perfbench's ``tr.call(label, fn, *args,
 **kwargs)`` counts as a call of ``fn``.
@@ -16,21 +18,76 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src").rglob("*.py"))
 CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py"))
-# render_correspondence's ``surface`` lets tests substitute a hit function
-EXEMPT = {("render_correspondence", "surface")}
+# render_correspondence's ``surface`` lets tests substitute a hit function;
+# the ``deflect-gaze`` console script calls ``main()`` with no arguments,
+# and only tests pass ``argv``
+EXEMPT = {("render_correspondence", "surface"), ("main", "argv")}
 
 
-def defaulted_params(source):
-    """(function name, its positional parameter names, defaulted name) of
-    every defaulted parameter of a public function or method; a method's
-    positional names leave out its ``self`` or ``cls``."""
+def modules(paths):
+    """{module name: source} of files under ``src/`` (dotted package
+    names) or ``perfbench/`` (imported there as top-level modules)."""
+    found = {}
+    for path in paths:
+        src = path.is_relative_to(ROOT / "src")
+        rel = path.relative_to(ROOT / "src" if src else path.parent)
+        parts = list(rel.with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts[-1:] = []
+        found[".".join(parts)] = path.read_text()
+    return found
+
+
+def bindings(module, tree):
+    """Dotted path of each top-level definition and each imported name of a
+    module, imports inside functions included. A relative import counts
+    from the module's parent, as in a module that is not a package's
+    ``__init__``; only a top-level package's ``__init__`` may use one."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = f"{module}.{node.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    names[a.asname] = a.name
+                else:
+                    top = a.name.split(".")[0]
+                    names[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module.rsplit(".", node.level)[0]
+                base = f"{package}.{base}" if base else package
+            for a in node.names:
+                names[a.asname or a.name] = f"{base}.{a.name}"
+    return names
+
+
+def dotted(node, names):
+    """Dotted path that ``node`` names in a module with ``names``, or
+    None."""
+    if isinstance(node, ast.Name):
+        return names.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value, names)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def defaulted_params(module, source):
+    """(dotted path, function name, its positional parameter names,
+    defaulted name) of every defaulted parameter of a public function or
+    method; a method's positional names leave out its ``self`` or
+    ``cls``."""
     found = []
 
-    def visit(body, in_class):
+    def visit(body, prefix, in_class):
         for node in body:
             public = not getattr(node, "name", "_").startswith("_")
             if isinstance(node, ast.ClassDef) and public:
-                visit(node.body, True)
+                visit(node.body, f"{prefix}.{node.name}", True)
             elif isinstance(node, ast.FunctionDef) and public:
                 a = node.args
                 names = [p.arg for p in a.posonlyargs + a.args]
@@ -38,30 +95,36 @@ def defaulted_params(source):
                              for d in node.decorator_list)
                 if in_class and not static:
                     names = names[1:]
-                found.extend((node.name, names, n)
+                path = f"{prefix}.{node.name}"
+                found.extend((path, node.name, names, n)
                              for n in names[len(names) - len(a.defaults):])
-                found.extend((node.name, names, k.arg)
+                found.extend((path, node.name, names, k.arg)
                              for k, d in zip(a.kwonlyargs, a.kw_defaults)
                              if d is not None)
 
-    visit(ast.parse(source).body, False)
+    visit(ast.parse(source).body, module, False)
     return found
 
 
-def calls(source):
-    """(callee name, positional args, keywords) of every call in
-    ``source``, with ``tr.call(label, fn, ...)`` read as a call of ``fn``."""
-    for node in ast.walk(ast.parse(source)):
+def calls(module, source):
+    """(callee, positional args, keywords) of every call in ``source``,
+    with ``tr.call(label, fn, ...)`` read as a call of ``fn``. The callee
+    is the dotted path the module's definitions and imports give it, or
+    ``.name`` for a method called on an object they do not name."""
+    tree = ast.parse(source)
+    names = bindings(module, tree)
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func, args = node.func, node.args
         if (isinstance(func, ast.Attribute) and func.attr == "call"
                 and len(args) >= 2):
             func, args = args[1], args[2:]
-        if isinstance(func, ast.Name):
-            yield func.id, args, node.keywords
-        elif isinstance(func, ast.Attribute):
-            yield func.attr, args, node.keywords
+        path = dotted(func, names)
+        if path is None and isinstance(func, ast.Attribute):
+            path = f".{func.attr}"
+        if path is not None:
+            yield path, args, node.keywords
 
 
 def passes(args, keywords, names, param):
@@ -72,33 +135,43 @@ def passes(args, keywords, names, param):
     return param in names[:len(args)]
 
 
-def never_passed(defining_sources, calling_sources):
+def never_passed(defining, calling):
     """(function, parameter) of each defaulted public parameter that no
-    call passes."""
-    by_name = {}
-    for source in calling_sources:
-        for name, args, keywords in calls(source):
-            by_name.setdefault(name, []).append((args, keywords))
-    return sorted(
-        (fn, param)
-        for source in defining_sources
-        for fn, names, param in defaulted_params(source)
-        if (fn, param) not in EXEMPT
-        and not any(passes(args, keywords, names, param)
-                    for args, keywords in by_name.get(fn, ())))
+    call passes; ``defining`` and ``calling`` map module names to
+    sources."""
+    by_callee = {}
+    for module, source in calling.items():
+        for callee, args, keywords in calls(module, source):
+            by_callee.setdefault(callee, []).append((args, keywords))
+    found = set()
+    for module, source in defining.items():
+        for path, fn, names, param in defaulted_params(module, source):
+            is_method = path.count(".") > module.count(".") + 1
+            sites = by_callee.get(path, []) + (
+                by_callee.get(f".{fn}", []) if is_method else [])
+            if (fn, param) not in EXEMPT and not any(
+                    passes(args, keywords, names, param)
+                    for args, keywords in sites):
+                found.add((fn, param))
+    return sorted(found)
 
 
 def test_every_default_is_passed_by_the_program():
-    assert never_passed([p.read_text() for p in SRC],
-                        [p.read_text() for p in CALLERS]) == []
+    assert never_passed(modules(SRC), modules(CALLERS)) == []
 
 
 def test_checker_finds_unpassed_defaults():
-    defining = '''
+    defining = {"pkg.mod": '''
 def f(a, b=1, *, c=2, d=3):
     pass
 
 def g(x=0):
+    pass
+
+def h(y=0):
+    pass
+
+def u(z=0):
     pass
 
 def _private(y=0):
@@ -111,11 +184,26 @@ class K:
     @classmethod
     def build(cls, path, n=0):
         pass
-'''
-    calling = '''
+'''}
+    calling = {"pkg.user": '''
+from .mod import K, f
+from pkg import mod as m
+
 f(0, 5, c=1)
-tr.call("label", g, 1)
+tr.call("label", m.g, 1)
 K().m(1)
 K.build(p, **opts)
-'''
-    assert never_passed([defining], [calling]) == [("f", "d"), ("m", "b")]
+''', "probe": '''
+def h(y=0):
+    pass
+
+def main():
+    from pkg.mod import f
+    f(0, d=4)
+    h(y=1)
+    other.u(z=2)
+'''}
+    # ``probe``'s own ``h``, and a method ``u`` of an object it cannot name,
+    # pass nothing to ``pkg.mod``'s functions of those names
+    assert never_passed(defining, calling) == [("h", "y"), ("m", "b"),
+                                               ("u", "z")]

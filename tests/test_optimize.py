@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from deflect_gaze import optimize
 from deflect_gaze.errors import (EmptyMapError, NoDescentError,
@@ -201,6 +203,139 @@ class TestLossMatchesReference:
                                          pixel_stride=stride).total
                     assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
                                                                abs=0.0)
+
+
+def pose(base, az=0.0, el=0.0, t=(0.0, 0.0, 0.0)):
+    """``base`` turned by ``az`` and ``el`` degrees and moved by ``t`` mm."""
+    x = base.as_array()
+    x[:5] += [az, el, *t]
+    return base.with_array(x)
+
+
+def bands(terms, sim_valid):
+    """Each camera's probe band about the simulated footprints
+    ``sim_valid``."""
+    return tuple(t.band(sim) for t, sim in zip(terms, sim_valid))
+
+
+@pytest.fixture(scope="module")
+def probe_cases(scene, dec_scene):
+    """(scene, measured maps, true parameters) of an eye at 1 deg azimuth
+    and -1 deg elevation, sigma_c 0.5, by shipped scene and camera count."""
+    cases = {}
+
+    def get(name, n_cam):
+        if (name, n_cam) not in cases:
+            base = {"default": scene, "decode": dec_scene}[name]
+            sc = replace(base, cameras=base.cameras[:n_cam])
+            cases[name, n_cam] = (sc, noisy_maps(sc, 1.0, 41, elevation=-1.0),
+                                  pose(EyeParamVector.from_eye(sc.eye),
+                                       1.0, -1.0))
+        return cases[name, n_cam]
+    return get
+
+
+class TestProbeBand:
+    """A Jacobian probe traced on its band must give the full grid's loss
+    report and residual vector bit for bit."""
+
+    @pytest.mark.parametrize("name", ["default", "decode"])
+    @pytest.mark.parametrize("n_cam", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @settings(max_examples=4, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rot=st.tuples(st.floats(-4, 4), st.floats(-4, 4)),
+           t=st.tuples(*[st.floats(-2, 2)] * 3), j=st.integers(0, 4),
+           h=st.sampled_from([optimize.FD_STEP, -optimize.FD_STEP]))
+    def test_probe_matches_full_grid(self, probe_cases, name, n_cam, stride,
+                                     rot, t, j, h):
+        sc, measured, truth = probe_cases(name, n_cam)
+        cfg = OptConfig(pixel_stride=stride)
+        terms = _measured_terms(measured, sc, cfg)
+        x0 = pose(truth, *rot, t)
+        try:
+            rep0, _ = _evaluate_loss(x0, terms, sc, cfg)
+        except UnreliableLossError:
+            assume(False)
+        band = bands(terms, rep0.sim_valid)
+        dx = np.zeros(8)
+        dx[j] = h
+        probe = x0.with_array(x0.as_array() + dx)
+        try:
+            full = _evaluate_loss(probe, terms, sc, cfg)
+        except UnreliableLossError as e:
+            with pytest.raises(UnreliableLossError, match=str(e)):
+                _evaluate_loss(probe, band, sc, cfg)
+            return
+        # a band that the probe's footprint leaves shows nothing here
+        try:
+            got = _evaluate_loss(probe, band, sc, cfg)
+        except optimize._LeftBand:
+            assume(False)
+        assert got[0] == full[0]
+        assert np.array_equal(got[1], full[1])
+        for a, b in zip(got[0].sim_valid, full[0].sim_valid):
+            assert np.array_equal(a, b)
+
+    def test_band_of_a_distant_pose_falls_back(self, scene1):
+        # the band holds the measured footprint at 0 deg and the simulated
+        # one 8 deg and 3 mm off; an eye moved 1 mm the other way leaves it
+        measured = noisy_maps(scene1, 0.0, seed=12)
+        cfg = OptConfig(pixel_stride=2)
+        terms = _measured_terms(measured, scene1, cfg)
+        truth = truth_params(scene1)
+        far = _evaluate_loss(pose(truth, 8.0, t=(3.0, 0, 0)), terms, scene1,
+                             cfg)[0]
+        band = bands(terms, far.sim_valid)
+        with pytest.raises(optimize._LeftBand):
+            _evaluate_loss(pose(truth, t=(-1.0, 0, 0)), band, scene1, cfg)
+
+    def test_fit_with_distant_bands_matches(self, scene1, monkeypatch):
+        # every probe band is built from that distant pose, so the probes
+        # near the start fall back; the fit must not change
+        measured = noisy_maps(scene1, 0.0, seed=12)
+        cfg = OptConfig(pixel_stride=2)
+        truth = truth_params(scene1)
+        init = pose(truth, -4.0, t=(-2.0, 0, 0))
+        p, _, trace = optimize_gaze(init, measured, scene1, cfg)
+        far = _evaluate_loss(pose(truth, 8.0, t=(3.0, 0, 0)),
+                             _measured_terms(measured, scene1, cfg), scene1,
+                             cfg)[0]
+        band = optimize._MeasuredTerms.band
+        monkeypatch.setattr(optimize._MeasuredTerms, "band",
+                            lambda terms, _: band(terms, far.sim_valid[0]))
+        p_far, _, trace_far = optimize_gaze(init, measured, scene1, cfg)
+        assert trace[-1].pop("probe_fallbacks") == 0
+        assert trace_far[-1].pop("probe_fallbacks") > 0
+        assert np.array_equal(p_far.as_array(), p.as_array())
+        assert trace_far == trace
+
+
+class TestStopReason:
+    def test_zero_gradient(self, scene1, measured_truth):
+        _, _, trace = optimize_gaze(truth_params(scene1), measured_truth,
+                                    scene1, OptConfig())
+        assert trace[-1]["stop"] == "zero_gradient"
+        assert len(trace) == 1
+
+    @pytest.mark.parametrize("a, stop", [(2.0, "converged"),
+                                         (4.0, "step_floor")])
+    def test_converged_and_step_floor(self, scene1, a, stop):
+        measured = noisy_maps(scene1, a, seed=12)
+        init = init_guess(measured, scene1)
+        _, _, trace = optimize_gaze(init, measured, scene1,
+                                    OptConfig(pixel_stride=2))
+        assert trace[-1]["stop"] == stop
+        assert trace[-1]["probe_fallbacks"] == 0
+        assert all("stop" not in row for row in trace[:-1])
+
+    def test_iter_cap(self, scene1):
+        measured = noisy_maps(scene1, 2.0, seed=12)
+        init = init_guess(measured, scene1)
+        _, _, trace = optimize_gaze(init, measured, scene1,
+                                    OptConfig(max_iters=2, pixel_stride=2))
+        assert trace[-1]["stop"] == "iter_cap"
+        assert trace[-1]["iter"] == 2
 
 
 class TestOptimize:
