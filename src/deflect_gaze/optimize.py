@@ -5,9 +5,7 @@ match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
 bearing channel) and is half the squared norm of a fixed-length residual
 vector, which a Levenberg-Marquardt loop minimizes with forward-difference
-Jacobians, projecting every trial onto the valid parameter box. Only the
-Jacobian probes trace a band around the eye's footprint in place of the
-whole loss grid, with bit-identical residuals (:func:`optimize_gaze`).
+Jacobians, projecting every trial onto the valid parameter box.
 """
 
 from __future__ import annotations
@@ -428,14 +426,11 @@ def optimize_gaze(
     rise. Its last row also holds ``stop`` (``zero_gradient``,
     ``converged``, ``step_floor`` or ``iter_cap``) and ``probe_fallbacks``.
 
-    A Jacobian probe, ``FD_STEP`` from a point just evaluated on the full
-    grid, traces the pixels within ``PROBE_BAND_PX`` of the measured or
-    that point's simulated footprint; it re-runs on the full grid (a
-    probe fallback) when its simulated valid pixels touch the band's outer
-    ring. The start and the trials, whose losses decide acceptance,
-    damping and stopping, stay on the full grid: a trial moves by degrees,
-    and on the decode scene at stride 2, 2 of 180 random poses (±8°, ±3
-    mm) had valid sclera islands off a 6 px band and clear of its ring.
+    A Jacobian probe traces the pixels within ``PROBE_BAND_PX`` of the
+    measured or the current point's simulated footprint, and re-runs on
+    the full grid (a probe fallback) when it touches the band's outer
+    ring. The start and the trials stay on the full grid: a trial moves
+    by degrees, and sclera islands clear of the ring can turn valid.
 
     Raises:
         NoDescentError: no trial accepted although the gradient at the

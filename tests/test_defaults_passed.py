@@ -174,6 +174,9 @@ def h(y=0):
 def u(z=0):
     pass
 
+def k(*, w=0):
+    pass
+
 def _private(y=0):
     pass
 
@@ -204,6 +207,7 @@ def main():
     other.u(z=2)
 '''}
     # ``probe``'s own ``h``, and a method ``u`` of an object it cannot name,
-    # pass nothing to ``pkg.mod``'s functions of those names
-    assert never_passed(defining, calling) == [("h", "y"), ("m", "b"),
-                                               ("u", "z")]
+    # pass nothing to ``pkg.mod``'s functions of those names; no call passes
+    # the keyword-only ``w``
+    assert never_passed(defining, calling) == [("h", "y"), ("k", "w"),
+                                               ("m", "b"), ("u", "z")]
