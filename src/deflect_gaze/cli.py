@@ -16,14 +16,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import imagefiles
-from .bench import (BenchmarkConfig, max_workers_from_env, report,
-                    run_benchmark)
+from .bench import BenchmarkConfig, report, run_benchmark
 from .decode import (WaveletParams, decode_crossed_fringe,
                      decode_phase_shift, scene_seam_mask)
 from .errors import BenchmarkAbortError, DeflectGazeError, InvariantViolation, SceneParseError
 from .gaze import GAZE_CSV_HEADER, ClusterParams, estimate_gaze_two_center
-from .optimize import OptConfig, init_guess, optimize_gaze
-from .render import (CorrespondenceMap, CrossedFringe, Frame, PhaseShiftSet,
+from .optimize import DEFAULT_ACTIVE, OptConfig, init_guess, optimize_gaze
+from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
                      render_correspondence, render_frame)
 from .scene import load_scene
 from .stereo import NormalField, default_sweep, reconstruct_field
@@ -64,7 +63,7 @@ def _cmd_simulate(args) -> int:
             frame = render_frame(scene, cam, crossed, sigma_i=args.sigma_i,
                                  seed=args.seed + cam, correspondence=corr)
             imagefiles.write_frame_pgm(outdir / f"cam{cam}_frame_000.pgm",
-                                       frame.intensity)
+                                       frame)
         else:
             for name, pattern in stacks:
                 for k in range(args.shifts):
@@ -74,9 +73,7 @@ def _cmd_simulate(args) -> int:
                         seed=args.seed + 1000 * cam + k, correspondence=corr,
                     )
                     imagefiles.write_frame_pgm(
-                        outdir / f"cam{cam}_{name}_{k:03d}.pgm",
-                        frame.intensity,
-                    )
+                        outdir / f"cam{cam}_{name}_{k:03d}.pgm", frame)
     print(f"wrote simulation products for {len(list(cams))} camera(s) to "
           f"{outdir}")
     return 0
@@ -93,9 +90,8 @@ def _cmd_decode(args) -> int:
         # so unwrapping cannot drag a wrong period across it
         seam = scene_seam_mask(load_scene(args.scene), args.cam)
     if args.mode == "cwt":
-        frame = Frame(imagefiles.read_frame_pgm(
-            indir / f"cam{args.cam}_frame_000.pgm"
-        ))
+        frame = imagefiles.read_frame_pgm(
+            indir / f"cam{args.cam}_frame_000.pgm")
         pattern = CrossedFringe(period_x=args.period_x, period_y=args.period_y)
         wx = WaveletParams(orientation="x", omega0=args.omega0,
                            scale_min=args.scale_min, scale_max=args.scale_max)
@@ -108,9 +104,8 @@ def _cmd_decode(args) -> int:
             frames = []
             k = 0
             while (indir / f"cam{args.cam}_{name}_{k:03d}.pgm").exists():
-                frames.append(Frame(imagefiles.read_frame_pgm(
-                    indir / f"cam{args.cam}_{name}_{k:03d}.pgm"
-                )))
+                frames.append(imagefiles.read_frame_pgm(
+                    indir / f"cam{args.cam}_{name}_{k:03d}.pgm"))
                 k += 1
             return frames
         fx, fy = stack("psx"), stack("psy")
@@ -166,12 +161,10 @@ def _cmd_gaze_optimize(args) -> int:
     scene = load_scene(args.scene)
     measured = [_read_corr(Path(args.measured), i)
                 for i in range(len(scene.cameras))]
-    active = [True] * 5 + [False] * 3
-    if args.freeze == "none":
-        active = [True] * 8
-    elif args.freeze == "pose":
-        active = [False] * 5 + [True] * 3
-    init = init_guess(measured, scene, active=tuple(active))
+    active = {"shape": DEFAULT_ACTIVE,
+              "pose": tuple(not a for a in DEFAULT_ACTIVE),
+              "none": (True,) * len(DEFAULT_ACTIVE)}[args.freeze]
+    init = init_guess(measured, scene, active=active)
     config = OptConfig(max_iters=args.max_iters,
                        pixel_stride=args.pixel_stride)
     params, est, trace = optimize_gaze(init, measured, scene, config)
@@ -205,8 +198,7 @@ def _cmd_bench(args) -> int:
     )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_benchmark(config, scene,
-                           max_workers=max_workers_from_env())
+    result = run_benchmark(config, scene)
     (outdir / "result.csv").write_text(report(result, "csv"),
                                        encoding="utf-8")
     (outdir / "result.json").write_text(report(result, "json"),

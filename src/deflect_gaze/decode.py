@@ -47,7 +47,8 @@ from .errors import (
     NoRidgeError,
     ShiftCountError,
 )
-from .render import CorrespondenceMap, CrossedFringe, Frame, PhaseShiftSet
+from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
+                     render_margins)
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -223,8 +224,9 @@ def _morlet_ridge(img: np.ndarray, params: WaveletParams):
     return np.sqrt(best_mod2, out=best_mod2), best_re, best_im, admitted
 
 
-def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
-    """Single-orientation 2D Morlet transform, ridge-picked over scales.
+def cwt2_phase(frame: np.ndarray, params: WaveletParams) -> PhaseMap:
+    """Single-orientation 2D Morlet transform of an (H, W) intensity
+    ``frame``, ridge-picked over scales.
 
     For each pixel the transform modulus is maximized over a log-spaced
     scale sweep; the phase is the argument at that ridge and the quality is
@@ -247,7 +249,7 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     Raises:
         NoRidgeError: fewer than 1% of pixels pass the quality threshold.
     """
-    img = np.asarray(frame.intensity, dtype=float)
+    img = np.asarray(frame, dtype=float)
     if params.orientation == "y":
         img = np.ascontiguousarray(img.T)
     best_mod, best_re, best_im, admitted_any = _morlet_ridge(img, params)
@@ -273,8 +275,9 @@ def cwt2_phase(frame: Frame, params: WaveletParams) -> PhaseMap:
     return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
 
 
-def phase_shift_decode(frames: list[Frame], pattern: PhaseShiftSet) -> PhaseMap:
-    """Wrapped phase from N phase-shifted frames.
+def phase_shift_decode(frames: list[np.ndarray],
+                       pattern: PhaseShiftSet) -> PhaseMap:
+    """Wrapped phase from N phase-shifted (H, W) intensity frames.
 
     ``phi = atan2(-sum I_k sin(2 pi k / N), sum I_k cos(2 pi k / N))``, the
     sign convention that reproduces ``2 pi coord / period`` on a noiseless
@@ -287,7 +290,7 @@ def phase_shift_decode(frames: list[Frame], pattern: PhaseShiftSet) -> PhaseMap:
     n = pattern.n_shifts
     if len(frames) != n:
         raise ShiftCountError(f"expected {n} frames, got {len(frames)}")
-    stack = np.stack([np.asarray(f.intensity, dtype=float) for f in frames])
+    stack = np.stack([np.asarray(f, dtype=float) for f in frames])
     ang = 2.0 * np.pi * np.arange(n) / n
     c = np.tensordot(np.cos(ang), stack, axes=1)
     s = np.tensordot(np.sin(ang), stack, axes=1)
@@ -415,14 +418,15 @@ def phase_to_correspondence(
 # ---------------------------------------------------------------------------
 # Frame-to-correspondence pipelines.
 
-def foreground_mask(frame: Frame) -> np.ndarray:
-    """Bright-region mask: mean intensity over a ``FG_SIZE`` window above
-    ``FG_THRESHOLD``, eroded by ``FG_ERODE`` px.
+def foreground_mask(frame: np.ndarray) -> np.ndarray:
+    """Bright-region mask of an (H, W) intensity ``frame``: mean intensity
+    over a ``FG_SIZE`` window above ``FG_THRESHOLD``, eroded by
+    ``FG_ERODE`` px.
 
     Separates the fringe-lit eye surface from the dark surround so halo
     pixels (wavelet support bleeding into background) are not decoded.
     """
-    mean = ndimage.uniform_filter(np.asarray(frame.intensity, float), FG_SIZE)
+    mean = ndimage.uniform_filter(np.asarray(frame, float), FG_SIZE)
     return ndimage.binary_erosion(mean > FG_THRESHOLD, FOUR_CONN,
                                   iterations=FG_ERODE)
 
@@ -538,14 +542,15 @@ def correspondence_from_phases(
 
 
 def decode_crossed_fringe(
-    frame: Frame,
+    frame: np.ndarray,
     pattern: CrossedFringe,
     anchor_truth: CorrespondenceMap,
     wavelet_x: WaveletParams,
     wavelet_y: WaveletParams,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
-    """Single-shot decode: crossed-fringe frame to correspondence map.
+    """Single-shot decode: an (H, W) crossed-fringe intensity frame to a
+    correspondence map.
 
     The two orientations' Morlet sweeps run concurrently: the x sweep on
     a worker thread that ends with the call, the foreground mask and the
@@ -588,14 +593,15 @@ def decode_crossed_fringe(
 
 
 def decode_phase_shift(
-    frames_x: list[Frame],
-    frames_y: list[Frame],
+    frames_x: list[np.ndarray],
+    frames_y: list[np.ndarray],
     pattern_x: PhaseShiftSet,
     pattern_y: PhaseShiftSet,
     anchor_truth: CorrespondenceMap,
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
-    """N-step decode: two phase-shifted stacks to a correspondence map."""
+    """N-step decode: two stacks of phase-shifted (H, W) intensity frames
+    to a correspondence map."""
     pm_x = phase_shift_decode(frames_x, pattern_x)
     pm_y = phase_shift_decode(frames_y, pattern_y)
     return correspondence_from_phases(
@@ -612,8 +618,6 @@ def scene_seam_mask(scene, cam_index: int) -> np.ndarray:
     are flagged so unwrapping treats the two regions as separate
     components.
     """
-    from .render import render_margins
-
     margins = render_margins(scene, cam_index)
     eye = scene.eye
     cam = scene.cameras[cam_index]

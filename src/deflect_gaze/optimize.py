@@ -204,6 +204,7 @@ class _MeasuredTerms:
     weight: np.ndarray       # boundary fade ramp, zero on the seam
     step_scale: float        # median measured step per full-res pixel
     pixels: np.ndarray | slice      # ascending flat indices, or all
+    dirs: np.ndarray                # (N, 3) camera rays of ``pixels``
     ring: np.ndarray | None = None  # the band's outer ring, at ``pixels``
 
     def on_grid(self, values: np.ndarray) -> np.ndarray:
@@ -220,7 +221,9 @@ class _MeasuredTerms:
         band = ndimage.binary_dilation(self.meas.valid | sim_valid, FOUR_CONN,
                                        iterations=PROBE_BAND_PX)
         inner = ndimage.binary_erosion(band, np.ones((3, 3)), border_value=1)
-        return replace(self, pixels=np.flatnonzero(band), ring=~inner[band])
+        pixels = np.flatnonzero(band)
+        return replace(self, pixels=pixels, dirs=self.dirs[pixels],
+                       ring=~inner[band])
 
 
 class _LeftBand(Exception):
@@ -235,8 +238,9 @@ def _measured_terms(
     if len(measured) != len(scene.cameras):
         raise ValueError("need one measured map per configured camera")
     grid_b = config.grid_boundary_px
+    s = config.pixel_stride
     terms = []
-    for meas_full in measured:
+    for cam, meas_full in zip(scene.cameras, measured):
         meas = _strided(meas_full, config.pixel_stride)
         weight = _fade_weight(meas.valid, grid_b)
         weight[_seam_mask(meas, grid_b)] = 0.0
@@ -249,10 +253,12 @@ def _measured_terms(
             steps = np.hypot(np.diff(meas.u, axis=1), np.diff(meas.v, axis=1))
             step_scale = (float(np.nanmedian(steps[pairs]))
                           / config.pixel_stride)
+        rays = cam.pixel_rays()[1][::s, ::s]
         terms.append(_MeasuredTerms(meas=meas,
                                     eroded=_erode(meas.valid, grid_b),
                                     weight=weight, step_scale=step_scale,
-                                    pixels=slice(None)))
+                                    pixels=slice(None),
+                                    dirs=rays.reshape(-1, 3)))
     return tuple(terms)
 
 
@@ -318,9 +324,8 @@ def _evaluate_loss(
     sim_valid = []
     n_total = 0
     for i, terms in enumerate(measured_terms):
-        pix = terms.pixels
-        origin, dirs = scene.cameras[i].pixel_rays()
-        dirs = dirs[::pixel_stride, ::pixel_stride].reshape(-1, 3)[pix]
+        pix, dirs = terms.pixels, terms.dirs
+        origin = scene.cameras[i].center
         points, normals, _, hit = eye_surface_hit_batch(eye, origin, dirs)
         sim = screen_correspondence(
             scene.screen, RayTrace(origin, dirs, points, normals, hit))

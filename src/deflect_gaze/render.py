@@ -19,27 +19,24 @@ from .geometry import reflect
 from .scene import EyeModel, SceneConfig, ScreenModel, eye_surface_hit_batch
 
 BACKGROUND_INTENSITY = 0.02  # near-dark surround, as in real captures
+# crossed fringe: each cosine's amplitude and the common bias, which span
+# the panel's [0, 1] intensity range
+FRINGE_AMPLITUDE = 0.25
+FRINGE_BIAS = 0.5
 
 
 @dataclass(frozen=True)
 class CrossedFringe:
     """Two superposed orthogonal cosines encoding both screen axes at once:
-    ``bias + amp_x cos(2 pi u / period_x) + amp_y cos(2 pi v / period_y)``."""
+    ``FRINGE_BIAS + FRINGE_AMPLITUDE (cos(2 pi u / period_x)
+    + cos(2 pi v / period_y))``."""
 
     period_x: float
     period_y: float
-    amp_x: float = 0.25
-    amp_y: float = 0.25
-    bias: float = 0.5
 
     def __post_init__(self):
         if not (4 <= self.period_x < np.inf and 4 <= self.period_y < np.inf):
             raise InvariantViolation("pattern: periods >= 4 px and finite")
-        if not (0 <= self.amp_x <= 0.25 and 0 <= self.amp_y <= 0.25):
-            raise InvariantViolation("pattern: amplitudes in [0, 0.25]")
-        if not (0 <= self.bias and self.bias + self.amp_x + self.amp_y <= 1.0):
-            raise InvariantViolation("pattern: bias >= 0 and "
-                                     "bias + amp_x + amp_y <= 1")
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,9 @@ def pattern_value(pattern: PatternSpec, u, v, shift_index: int = 0):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if isinstance(pattern, CrossedFringe):
-        return (pattern.bias
-                + pattern.amp_x * np.cos(2.0 * np.pi * u / pattern.period_x)
-                + pattern.amp_y * np.cos(2.0 * np.pi * v / pattern.period_y))
+        return (FRINGE_BIAS
+                + FRINGE_AMPLITUDE * np.cos(2.0 * np.pi * u / pattern.period_x)
+                + FRINGE_AMPLITUDE * np.cos(2.0 * np.pi * v / pattern.period_y))
     if isinstance(pattern, PhaseShiftSet):
         if not 0 <= shift_index < pattern.n_shifts:
             raise ValueError("shift_index out of range")
@@ -98,13 +95,6 @@ class CorrespondenceMap:
 
     def copy(self) -> "CorrespondenceMap":
         return CorrespondenceMap(self.u.copy(), self.v.copy(), self.valid.copy())
-
-
-@dataclass
-class Frame:
-    """Intensity image in [0, 1]."""
-
-    intensity: np.ndarray
 
 
 class RayTrace(NamedTuple):
@@ -271,8 +261,9 @@ def render_frame(
     sigma_i: float = 0.0,
     seed: int = 0,
     correspondence: CorrespondenceMap | None = None,
-) -> Frame:
-    """Render the camera image of the reflected screen pattern.
+) -> np.ndarray:
+    """Render the camera image of the reflected screen pattern: an (H, W)
+    intensity array in [0, 1].
 
     Valid pixels sample the pattern at their correspondence; invalid pixels
     get the dark background. Additive Gaussian intensity noise (std
@@ -293,19 +284,20 @@ def render_frame(
     if sigma_i > 0.0:
         rng = np.random.default_rng(seed)
         img = np.clip(img + rng.normal(0.0, sigma_i, img.shape), 0.0, 1.0)
-    return Frame(intensity=img)
+    return img
 
 
 def add_correspondence_noise(
     corr: CorrespondenceMap,
     sigma_c: float,
-    seed: int = 0,
-    screen_resolution: tuple[int, int] | None = None,
+    seed: int,
+    screen_resolution: tuple[int, int],
 ) -> CorrespondenceMap:
     """Add i.i.d. Gaussian noise (std ``sigma_c`` screen px) to the valid
     correspondences; validity is unchanged and the result is deterministic
-    per seed. When ``screen_resolution`` is given, noisy coordinates are
-    clipped to the panel so the map invariants keep holding at the edges."""
+    per seed. Noisy coordinates are clipped to the panel of
+    ``screen_resolution`` (W_s, H_s), so valid pixels keep
+    ``0 <= u < W_s`` and ``0 <= v < H_s``."""
     if not 0 <= sigma_c < np.inf:
         raise ValueError(f"sigma_c must be finite and >= 0, got {sigma_c}")
     if sigma_c == 0.0:
@@ -316,8 +308,7 @@ def add_correspondence_noise(
     m = corr.valid
     out.u[m] = corr.u[m] + noise[0][m]
     out.v[m] = corr.v[m] + noise[1][m]
-    if screen_resolution is not None:
-        w_s, h_s = screen_resolution
-        out.u[m] = np.clip(out.u[m], 0.0, np.nextafter(float(w_s), 0.0))
-        out.v[m] = np.clip(out.v[m], 0.0, np.nextafter(float(h_s), 0.0))
+    w_s, h_s = screen_resolution
+    out.u[m] = np.clip(out.u[m], 0.0, np.nextafter(float(w_s), 0.0))
+    out.v[m] = np.clip(out.v[m], 0.0, np.nextafter(float(h_s), 0.0))
     return out

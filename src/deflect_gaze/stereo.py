@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class NormalField:
     points: np.ndarray        # (N, 3) mm
     normals: np.ndarray       # (N, 3) unit
     consistency: np.ndarray   # (N,) radians
-    camera_index: int = 0
+    camera_index: ClassVar[int] = 0   # the camera whose pixels these are
 
     def __len__(self) -> int:
         return len(self.pixels)
@@ -198,13 +199,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     """
     cam1, cam2 = scene.cameras[0], scene.cameras[1]
     n = len(pixels)
-    cx, cy = cam1.principal_point
-    d_cam = np.column_stack([
-        (pixels[:, 0] - cx) / cam1.focal_length,
-        (pixels[:, 1] - cy) / cam1.focal_length,
-        np.ones(n),
-    ])
-    dirs1 = unit(d_cam) @ cam1.pose.rotation.T
+    dirs1 = cam1.pixel_rays()[1][pixels[:, 1], pixels[:, 0]]
     s1 = scene.screen.uv_to_world(corr1.u[pixels[:, 1], pixels[:, 0]],
                                   corr1.v[pixels[:, 1], pixels[:, 0]])
 

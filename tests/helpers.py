@@ -114,7 +114,7 @@ def brute_force_min_point(points, dirs, lo, hi, step):
 def reference_cwt2_phase(frame, params):
     """``cwt2_phase`` by direct convolution: 4 ``convolve1d`` passes per
     scale with scipy's ``reflect`` boundary."""
-    img = np.asarray(frame.intensity, dtype=float)
+    img = np.asarray(frame, dtype=float)
     h, w = img.shape
     carrier_axis = 1 if params.orientation == "x" else 0
     env_axis = 1 - carrier_axis

@@ -156,7 +156,7 @@ class TestEstimatorInputs:
             cfg = BenchmarkConfig(method=method, positions=(0.0, 3.0),
                                   reps=1, sigma_c=0.5)
             bench._run_position(scene, cfg, 1, np.array([0.0, 0.0, 1.0]))
-        rotated = bench._rotated(scene, 3.0, (0.0, 1.0, 0.0)).eye
+        rotated = bench._rotated(scene, 3.0).eye
         assert not np.array_equal(rotated.optical_axis,
                                   scene.eye.optical_axis)
         assert len(seen) == 2

@@ -21,7 +21,7 @@ from deflect_gaze.errors import (InvalidAnchorError, InvalidSeedError,
                                  InvariantViolation, NoRidgeError,
                                  ShiftCountError)
 from deflect_gaze.geometry import unit
-from deflect_gaze.render import (CorrespondenceMap, CrossedFringe, Frame,
+from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, render_correspondence,
                                  render_frame)
 from deflect_gaze.scene import rotate_eye
@@ -41,7 +41,7 @@ def fringe_frame(h=128, w=128, px=16.0, py=None, crossed=False):
             + 0.25 * np.cos(2 * np.pi * y / py)
     else:
         img = 0.5 + 0.4 * np.cos(2 * np.pi * x / px)
-    return Frame(img)
+    return img
 
 
 SINGLESHOT_WAVELET = dict(omega0=3.2, scale_min=3.0, scale_max=16.0)
@@ -110,9 +110,8 @@ class TestCwt2:
                                scale_max=24.0)
         elif case == "frame40x52":
             g = np.random.default_rng(4)
-            frame = Frame(fringe_frame(40, 52, px=14.0, py=19.0,
-                                       crossed=True).intensity
-                          + g.normal(0.0, 0.02, (40, 52)))
+            frame = (fringe_frame(40, 52, px=14.0, py=19.0, crossed=True)
+                     + g.normal(0.0, 0.02, (40, 52)))
             wp = WaveletParams(orientation=orientation, scale_min=8.0,
                                scale_max=24.0)
         else:
@@ -137,8 +136,7 @@ class TestCwt2:
     def test_filter_bank_cache(self, eye_frame):
         # interleaved shapes and params: every call equals a call made on a
         # freshly built bank, and the shared bank arrays are read-only
-        small = Frame(fringe_frame(40, 52, px=14.0, py=19.0,
-                                   crossed=True).intensity)
+        small = fringe_frame(40, 52, px=14.0, py=19.0, crossed=True)
         cases = [(frame, WaveletParams(orientation=o, **kw))
                  for frame in (eye_frame, small)
                  for o, kw in (("x", SINGLESHOT_WAVELET),
@@ -155,7 +153,7 @@ class TestCwt2:
                              (got.valid, ref.valid)):
                     assert same_bits(a, b)
         for frame, wp in cases:
-            img = frame.intensity if wp.orientation == "x" else frame.intensity.T
+            img = frame if wp.orientation == "x" else frame.T
             _, bank = decode._filter_bank(*img.shape, wp.scale_min,
                                           wp.scale_max, wp.omega0)
             assert bank
@@ -183,7 +181,7 @@ class TestPhaseShiftDecode:
         x = np.arange(64)[None, :] * np.ones((8, 1))
         true_phase = 2 * np.pi * x / 32.0
         pat = PhaseShiftSet(period=32.0, n_shifts=4)
-        frames = [Frame(0.5 + 0.4 * np.cos(true_phase + 2 * np.pi * k / 4))
+        frames = [0.5 + 0.4 * np.cos(true_phase + 2 * np.pi * k / 4)
                   for k in range(4)]
         pm = phase_shift_decode(frames, pat)
         wrapped_true = np.angle(np.exp(1j * true_phase))
@@ -192,14 +190,14 @@ class TestPhaseShiftDecode:
 
     def test_constant_frames_all_invalid(self):
         pat = PhaseShiftSet(period=32.0, n_shifts=4)
-        frames = [Frame(np.full((16, 16), 0.5)) for _ in range(4)]
+        frames = [np.full((16, 16), 0.5) for _ in range(4)]
         pm = phase_shift_decode(frames, pat)
         assert not pm.valid.any()
 
     def test_shift_count_mismatch(self):
         pat = PhaseShiftSet(period=32.0, n_shifts=4)
         with pytest.raises(ShiftCountError):
-            phase_shift_decode([Frame(np.zeros((8, 8)))] * 3, pat)
+            phase_shift_decode([np.zeros((8, 8))] * 3, pat)
 
     def test_noise_rmse(self, scene, corr_pair):
         # per-pixel RMSE vs ground truth on the rendered eye, N=8
@@ -612,8 +610,8 @@ class TestDecodeCrossedFringe:
         pattern = CrossedFringe(period_x=16.0, period_y=16.0)
         anchor = all_valid_anchor((128, 128))
         x_only = fringe_frame(px=16.0)
-        cases = ((x_only, "'y'"), (Frame(x_only.intensity.T.copy()), "'x'"),
-                 (Frame(np.full((128, 128), 0.5)), "'x'"))
+        cases = ((x_only, "'y'"), (x_only.T.copy(), "'x'"),
+                 (np.full((128, 128), 0.5), "'x'"))
         for frame, name in cases:
             with pytest.raises(NoRidgeError, match=name):
                 decode_crossed_fringe(frame, pattern, anchor, *self.SMALL)
@@ -637,7 +635,7 @@ class TestDecodeCrossedFringe:
         assert corr.n_valid > 0
         assert threading.active_count() == start
         with pytest.raises(NoRidgeError):
-            decode_crossed_fringe(Frame(np.full((128, 128), 0.5)),
+            decode_crossed_fringe(np.full((128, 128), 0.5),
                                   self.PATTERN, all_valid_anchor((128, 128)),
                                   *self.SMALL)
         assert threading.active_count() == start
@@ -646,8 +644,8 @@ class TestDecodeCrossedFringe:
         # more decodes than cores, switching threads often, on a cold
         # filter-bank cache that both orientations of a square frame share
         g = np.random.default_rng(5)
-        frames = [Frame(fringe_frame(px=16.0, py=22.0, crossed=True).intensity
-                        + g.normal(0.0, 0.02, (128, 128))) for _ in range(4)]
+        frames = [fringe_frame(px=16.0, py=22.0, crossed=True)
+                  + g.normal(0.0, 0.02, (128, 128)) for _ in range(4)]
         anchor = all_valid_anchor((128, 128))
         refs = [serial_decode(f, self.PATTERN, anchor, self.SMALL)
                 for f in frames]

@@ -1,15 +1,20 @@
-"""Every defaulted parameter of a public ``src/`` function is passed by some
-call in ``src/`` or ``perfbench/``.
+"""Every defaulted parameter of a public ``src/`` function, and every
+defaulted field of a public ``src/`` dataclass, is set by some call in
+``src/`` or ``perfbench/``.
 
 A default that no program call overrides is a setting only tests reach;
-it should be a constant. Public means a module-level function or a method
-of a class, neither named with a leading underscore. A call resolves its
-callee through the calling module's own definitions and imports, so it
-matches only the function it names there; a method called on an object
+it should be a constant. Public means a module-level function, class or
+method not named with a leading underscore. A call resolves its callee
+through the calling module's own definitions and imports, so it matches
+only the function or class it names there; a method called on an object
 the module cannot name matches every method of that name. A call passes
 a parameter by keyword or by position, or passes all of them through
 ``*args`` or ``**kwargs``. perfbench's ``tr.call(label, fn, *args,
 **kwargs)`` counts as a call of ``fn``.
+
+A dataclass field counts as set by a call of its class, by a ``cls(...)``
+call inside the class, or by a ``dataclasses.replace`` call anywhere that
+passes it by keyword. A ``ClassVar`` is not a field.
 """
 
 import ast
@@ -135,14 +140,21 @@ def passes(args, keywords, names, param):
     return param in names[:len(args)]
 
 
-def never_passed(defining, calling):
-    """(function, parameter) of each defaulted public parameter that no
-    call passes; ``defining`` and ``calling`` map module names to
-    sources."""
+def call_sites(calling):
+    """{callee: [(positional args, keywords)]} of every call in the
+    modules of ``calling``."""
     by_callee = {}
     for module, source in calling.items():
         for callee, args, keywords in calls(module, source):
             by_callee.setdefault(callee, []).append((args, keywords))
+    return by_callee
+
+
+def never_passed(defining, calling):
+    """(function, parameter) of each defaulted public parameter that no
+    call passes; ``defining`` and ``calling`` map module names to
+    sources."""
+    by_callee = call_sites(calling)
     found = set()
     for module, source in defining.items():
         for path, fn, names, param in defaulted_params(module, source):
@@ -153,6 +165,72 @@ def never_passed(defining, calling):
                     passes(args, keywords, names, param)
                     for args, keywords in sites):
                 found.add((fn, param))
+    return sorted(found)
+
+
+def last_name(node):
+    """Last part of the name ``node`` spells, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_dataclass(node):
+    return any(last_name(d.func if isinstance(d, ast.Call) else d)
+               == "dataclass" for d in node.decorator_list)
+
+
+def dataclass_fields(module, source):
+    """(dotted path, field names in order, defaulted names, the
+    ``cls(...)`` calls of its methods) of every public top-level
+    dataclass."""
+    found = []
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                and not node.name.startswith("_")):
+            continue
+        names, defaulted = [], []
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                continue
+            ann = stmt.annotation
+            if last_name(getattr(ann, "value", ann)) == "ClassVar":
+                continue
+            names.append(stmt.target.id)
+            value = stmt.value
+            # ``field(...)`` gives a default only through these keywords
+            if isinstance(value, ast.Call) and last_name(value.func) == "field":
+                has_default = any(k.arg in ("default", "default_factory")
+                                  for k in value.keywords)
+            else:
+                has_default = value is not None
+            if has_default:
+                defaulted.append(stmt.target.id)
+        own = [(n.args, n.keywords) for n in ast.walk(node)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "cls"]
+        found.append((f"{module}.{node.name}", names, defaulted, own))
+    return found
+
+
+def never_set(defining, calling):
+    """(class, field) of each defaulted field of a public dataclass that no
+    call sets; ``defining`` and ``calling`` map module names to sources."""
+    by_callee = call_sites(calling)
+    replaced = [kw for args, kws in by_callee.get("dataclasses.replace", [])
+                for kw in kws]
+    found = set()
+    for module, source in defining.items():
+        for path, names, defaulted, own in dataclass_fields(module, source):
+            sites = by_callee.get(path, []) + own
+            for name in defaulted:
+                if not (any(passes(args, keywords, names, name)
+                            for args, keywords in sites)
+                        or any(k.arg in (None, name) for k in replaced)):
+                    found.add((path.rsplit(".", 1)[1], name))
     return sorted(found)
 
 
@@ -211,3 +289,50 @@ def main():
     # the keyword-only ``w``
     assert never_passed(defining, calling) == [("h", "y"), ("k", "w"),
                                                ("m", "b"), ("u", "z")]
+
+
+def test_every_field_default_is_set_by_the_program():
+    assert never_set(modules(SRC), modules(CALLERS)) == []
+
+
+def test_checker_finds_unset_fields():
+    defining = {"pkg.mod": '''
+from dataclasses import dataclass, field
+from typing import ClassVar
+
+@dataclass(frozen=True)
+class A:
+    a: int
+    b: int = 0
+    c: int = 1
+    d: list = field(default_factory=list)
+    e: int = 2
+    f: int = 3
+    g: ClassVar[int] = 4
+    h: tuple = field(default=(), compare=False)
+    i: int = field(compare=False)
+    j: int = 6
+
+    @classmethod
+    def build(cls):
+        return cls(0, e=1)
+
+@dataclass
+class _Private:
+    x: int = 0
+
+class Plain:
+    y: int = 0
+'''}
+    calling = {"pkg.user": '''
+import dataclasses
+from pkg.mod import A
+
+A(0, 1, 2)
+dataclasses.replace(A(0), f=7)
+'''}
+    # positional sets b and c, ``cls(...)`` sets e and ``replace`` sets f;
+    # ClassVar g, the undefaulted i and the undecorated or private classes
+    # have no default to set
+    assert never_set(defining, calling) == [("A", "d"), ("A", "h"),
+                                            ("A", "j")]

@@ -116,10 +116,6 @@ class TestPatternValue:
         vals = [pattern_value(p, 8.0, 0.0, k) for k in range(4)]
         assert np.allclose(vals, [0.5, 0.1, 0.5, 0.9])
 
-    def test_clipping_invariant(self):
-        with pytest.raises(InvariantViolation):
-            CrossedFringe(period_x=16, period_y=16, bias=0.9)
-
     def test_min_period(self):
         with pytest.raises(InvariantViolation):
             CrossedFringe(period_x=2, period_y=16)
@@ -132,10 +128,6 @@ class TestPatternValue:
                 CrossedFringe(**kw)
         with pytest.raises(InvariantViolation, match="periods"):
             PhaseShiftSet(period=period)
-
-    def test_rejects_nan_bias(self):
-        with pytest.raises(InvariantViolation, match="bias"):
-            CrossedFringe(period_x=16, period_y=16, bias=np.nan)
 
 
 class TestRenderCorrespondence:
@@ -268,22 +260,22 @@ class TestRenderFrame:
         frame = render_frame(scene, 0, pat)
         m = corr.valid
         expected = pattern_value(pat, corr.u[m], corr.v[m])
-        assert np.array_equal(frame.intensity[m], expected)
-        assert np.all(frame.intensity[~m] == 0.02)
+        assert np.array_equal(frame[m], expected)
+        assert np.all(frame[~m] == 0.02)
 
     def test_seed_determinism(self, scene):
         pat = CrossedFringe(period_x=200, period_y=200)
         f1 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9)
         f2 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9)
-        assert np.array_equal(f1.intensity, f2.intensity)
+        assert np.array_equal(f1, f2)
         f3 = render_frame(scene, 0, pat, sigma_i=0.02, seed=10)
-        assert not np.array_equal(f1.intensity, f3.intensity)
+        assert not np.array_equal(f1, f3)
 
     def test_noise_magnitude(self, scene, corr_pair):
         pat = CrossedFringe(period_x=200, period_y=200)
         clean = render_frame(scene, 0, pat)
         noisy = render_frame(scene, 0, pat, sigma_i=0.01, seed=3)
-        d = np.abs(noisy.intensity - clean.intensity)
+        d = np.abs(noisy - clean)
         assert d.size >= 10_000
         mad = d.mean()
         assert 0.006 <= mad <= 0.010  # E|N(0, 0.01)| = 0.00798
@@ -297,15 +289,17 @@ class TestRenderFrame:
 
 
 class TestCorrespondenceNoise:
-    def test_zero_sigma_identity(self, corr_pair):
-        out = add_correspondence_noise(corr_pair[0], 0.0, 5)
+    def test_zero_sigma_identity(self, scene, corr_pair):
+        out = add_correspondence_noise(corr_pair[0], 0.0, 5,
+                                       scene.screen.resolution)
         assert np.array_equal(out.valid, corr_pair[0].valid)
         m = out.valid
         assert np.array_equal(out.u[m], corr_pair[0].u[m])
 
-    def test_reproducible(self, corr_pair):
-        a = add_correspondence_noise(corr_pair[0], 0.5, 11)
-        b = add_correspondence_noise(corr_pair[0], 0.5, 11)
+    def test_reproducible(self, scene, corr_pair):
+        res = scene.screen.resolution
+        a = add_correspondence_noise(corr_pair[0], 0.5, 11, res)
+        b = add_correspondence_noise(corr_pair[0], 0.5, 11, res)
         m = a.valid
         assert np.array_equal(a.u[m], b.u[m])
 
@@ -318,16 +312,41 @@ class TestCorrespondenceNoise:
         corr = render_correspondence(scene, 0,
                                      surface=plane_mirror_surface(p0, n))
         assert corr.n_valid >= 10_000
-        noisy = add_correspondence_noise(corr, 0.5, 21)
+        noisy = add_correspondence_noise(corr, 0.5, 21,
+                                         scene.screen.resolution)
         m = corr.valid
         d = noisy.u[m] - corr.u[m]
         assert 0.45 <= d.std() <= 0.55
 
-    def test_validity_unchanged(self, corr_pair):
-        out = add_correspondence_noise(corr_pair[0], 1.0, 2)
+    def test_validity_unchanged(self, scene, corr_pair):
+        out = add_correspondence_noise(corr_pair[0], 1.0, 2,
+                                       scene.screen.resolution)
         assert np.array_equal(out.valid, corr_pair[0].valid)
 
+    def test_clipped_to_panel(self):
+        # valid pixels within 0.5 px of every panel edge, invalid ones
+        # between them; sigma_c 5 pushes about half past their edge
+        w_s, h_s = 600, 340
+        g = np.random.default_rng(8)
+        near = g.uniform(0.0, 0.5, (4, 64, 64))
+        u = np.concatenate([near[0], w_s - near[1],
+                            g.uniform(0, w_s, (2, 64, 64)).reshape(128, 64)])
+        v = np.concatenate([g.uniform(0, h_s, (2, 64, 64)).reshape(128, 64),
+                            near[2], h_s - near[3]])
+        valid = g.random(u.shape) < 0.9
+        u[~valid] = np.nan
+        v[~valid] = np.nan
+        corr = CorrespondenceMap(u=u, v=v, valid=valid)
+        out = add_correspondence_noise(corr, 5.0, 3, (w_s, h_s))
+        assert np.array_equal(out.valid, valid)
+        ou, ov = out.u[valid], out.v[valid]
+        assert np.all((0 <= ou) & (ou < w_s) & (0 <= ov) & (ov < h_s))
+        # the clip is what holds them on the panel
+        for x, top in ((ou, w_s), (ov, h_s)):
+            assert np.any(x == 0.0) and np.any(x == np.nextafter(top, 0.0))
+
     @pytest.mark.parametrize("sigma_c", [np.nan, np.inf, -0.5])
-    def test_rejects_sigma_c(self, corr_pair, sigma_c):
+    def test_rejects_sigma_c(self, scene, corr_pair, sigma_c):
         with pytest.raises(ValueError, match="sigma_c"):
-            add_correspondence_noise(corr_pair[0], sigma_c, 2)
+            add_correspondence_noise(corr_pair[0], sigma_c, 2,
+                                     scene.screen.resolution)

@@ -142,8 +142,9 @@ class TestSolveDepth:
             reconstruct_field(scene, corr1, empty)
 
     def test_noisy_normal_error(self, scene, corr_pair, truth_cam0):
-        corr1 = add_correspondence_noise(corr_pair[0], 0.5, 31)
-        corr2 = add_correspondence_noise(corr_pair[1], 0.5, 32)
+        res = scene.screen.resolution
+        corr1 = add_correspondence_noise(corr_pair[0], 0.5, 31, res)
+        corr2 = add_correspondence_noise(corr_pair[1], 0.5, 32, res)
         f = reconstruct_field(scene, corr1, corr2)
         _, n_true, _ = truth_for(f, truth_cam0)
         ang = np.degrees(np.arccos(np.clip(np.sum(f.normals * n_true, axis=1),
@@ -223,8 +224,7 @@ class TestReconstructField:
     def test_monotone_noise_degradation(self, scene, corr_pair, truth_cam0):
         med = []
         for i, sig in enumerate((0.0, 0.25, 0.5, 1.0)):
-            c1 = add_correspondence_noise(corr_pair[0], sig, 50 + i)
-            c2 = add_correspondence_noise(corr_pair[1], sig, 60 + i)
+            c1, c2 = noisy(scene, corr_pair, sig, (50 + i, 60 + i))
             f = reconstruct_field(scene, c1, c2, stride=2)
             _, n_true, _ = truth_for(f, truth_cam0)
             ang = np.degrees(np.arccos(
@@ -326,14 +326,14 @@ def assert_same_field(a, b):
     assert np.array_equal(a.consistency, b.consistency)
 
 
-def noisy(maps, sigma, seed):
-    return [add_correspondence_noise(m, sigma, seed + i)
-            for i, m in enumerate(maps)]
+def noisy(scene, maps, sigma, seeds):
+    return [add_correspondence_noise(m, sigma, seed, scene.screen.resolution)
+            for m, seed in zip(maps, seeds)]
 
 
 @pytest.fixture(scope="module")
-def noisy_pair(corr_pair):
-    return noisy(corr_pair, 0.5, 80)
+def noisy_pair(scene, corr_pair):
+    return noisy(scene, corr_pair, 0.5, (80, 81))
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +352,7 @@ class TestCoarseToFineSweep:
         scene_a = replace(scene, eye=eye)
         maps = [render_correspondence(scene_a, cam) for cam in (0, 1)]
         if sigma_c > 0:
-            maps = noisy(maps, sigma_c, 70)
+            maps = noisy(scene, maps, sigma_c, (70, 71))
         assert_same_field(reconstruct_field(scene, *maps),
                           dense_field(scene, *maps))
 
