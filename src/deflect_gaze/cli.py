@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import imagefiles
@@ -25,7 +24,7 @@ from .optimize import DEFAULT_ACTIVE, OptConfig, init_guess, optimize_gaze
 from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
                      render_correspondence, render_frame)
 from .scene import load_scene
-from .stereo import NormalField, default_sweep, reconstruct_field
+from .stereo import NormalField, reconstruct_field
 
 
 def _write_corr(outdir: Path, cam: int, corr: CorrespondenceMap):
@@ -129,14 +128,7 @@ def _cmd_reconstruct(args) -> int:
     scene = load_scene(args.scene)
     c1 = _read_corr(Path(args.corr_dir), 0)
     c2 = _read_corr(Path(args.corr_dir), 1)
-    if (args.t_min is None) != (args.t_max is None):
-        raise ValueError("--t-min and --t-max must be given together")
-    params = default_sweep(scene, n_steps=args.n_steps,
-                           refine=not args.no_refine)
-    if args.t_min is not None:
-        params = replace(params, t_min=args.t_min, t_max=args.t_max)
-    field = reconstruct_field(scene, c1, c2, params=params,
-                              stride=args.stride)
+    field = reconstruct_field(scene, c1, c2, stride=args.stride)
     field.to_csv(args.out)
     print(f"reconstructed {len(field)} samples -> {args.out}")
     return 0
@@ -255,18 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory with cam0/cam1 correspondence PFMs")
     s.add_argument("--out", required=True)
     s.add_argument("--stride", type=int, default=1)
-    s.add_argument("--t-min", type=float, default=None,
-                   help="near end of the depth window along camera-0 rays, "
-                        "mm (with --t-max; default: around the nominal eye)")
-    s.add_argument("--t-max", type=float, default=None,
-                   help="far end of the depth window, mm (with --t-min)")
-    s.add_argument("--n-steps", type=int, default=256,
-                   help="depths in the sweep grid across the window (at "
-                        "least 16); the sweep scores a coarse subset of them "
-                        "and the grid around each pixel's coarse minimum")
-    s.add_argument("--no-refine", action="store_true",
-                   help="keep the best grid depth, without the parabolic "
-                        "refine between grid steps")
     s.set_defaults(func=_cmd_reconstruct)
 
     s = sub.add_parser("gaze-normals", help="two-center gaze from a field")

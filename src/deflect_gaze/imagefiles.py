@@ -40,8 +40,11 @@ def read_pfm(path) -> np.ndarray:
             channels = 1
         else:
             raise ValueError(f"{path}: not a PFM file")
-        dims = f.readline().split()
-        w, h = int(dims[0]), int(dims[1])
+        try:
+            w, h = (int(d) for d in f.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}: PFM dimensions line is not "
+                             f"'width height'") from None
         scale = float(f.readline())
         endian = "<" if scale < 0 else ">"
         count = w * h * channels

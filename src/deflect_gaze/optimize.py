@@ -18,8 +18,9 @@ from scipy import ndimage
 from .decode import FOUR_CONN
 from .errors import EmptyMapError, NoDescentError, UnreliableLossError
 from .gaze import GazeEstimate
-from .render import (CorrespondenceMap, RayTrace, ray_margins,
-                     render_correspondence, screen_correspondence)
+from .render import (CorrespondenceMap, RayTrace, check_camera_map,
+                     ray_margins, render_correspondence,
+                     screen_correspondence)
 from .scene import (EyeModel, SceneConfig, _rotated_axis,
                     eye_surface_hit_batch)
 
@@ -237,6 +238,8 @@ def _measured_terms(
 ) -> tuple[_MeasuredTerms, ...]:
     if len(measured) != len(scene.cameras):
         raise ValueError("need one measured map per configured camera")
+    for i, meas_full in enumerate(measured):
+        check_camera_map(scene, i, meas_full)
     grid_b = config.grid_boundary_px
     s = config.pixel_stride
     terms = []
@@ -285,6 +288,8 @@ def correspondence_loss(
     given weight.
 
     Raises:
+        InvariantViolation: a measured map whose shape is not its
+            camera's (H, W).
         UnreliableLossError: fewer than ``N_MIN`` jointly valid pixels for
             any camera (scaled down by ``pixel_stride`` squared).
         ValueError: not one measured map per camera, or ``pixel_stride``
@@ -438,6 +443,8 @@ def optimize_gaze(
     by degrees, and sclera islands clear of the ring can turn valid.
 
     Raises:
+        InvariantViolation: a measured map whose shape is not its
+            camera's (H, W).
         NoDescentError: no trial accepted although the gradient at the
             start is not zero.
         UnreliableLossError: the loss is unreliable at ``init`` or at a

@@ -97,6 +97,19 @@ class CorrespondenceMap:
         return CorrespondenceMap(self.u.copy(), self.v.copy(), self.valid.copy())
 
 
+def check_camera_map(scene: SceneConfig, cam_index: int,
+                     corr: CorrespondenceMap) -> None:
+    """Raise InvariantViolation unless ``corr``'s channels and mask all
+    have camera ``cam_index``'s (H, W) shape."""
+    w, h = scene.cameras[cam_index].resolution
+    for name in ("u", "v", "valid"):
+        shape = getattr(corr, name).shape
+        if shape != (h, w):
+            raise InvariantViolation(
+                f"camera {cam_index}: correspondence map {name} has shape "
+                f"{shape}, the camera's (H, W) is {(h, w)}")
+
+
 class RayTrace(NamedTuple):
     """One camera's pixel rays and their eye-surface hits.
 

@@ -367,37 +367,6 @@ def scene_from_dict(d: dict) -> SceneConfig:
     )
 
 
-def scene_to_dict(scene: SceneConfig) -> dict:
-    def pose(p: RigidPose) -> dict:
-        return {"rotation": p.rotation.tolist(),
-                "translation": p.translation.tolist()}
-
-    return {
-        "screen": {
-            "pose": pose(scene.screen.pose),
-            "resolution": list(scene.screen.resolution),
-            "pixel_pitch": scene.screen.pixel_pitch,
-        },
-        "cameras": [
-            {
-                "pose": pose(c.pose),
-                "focal_length": c.focal_length,
-                "principal_point": list(c.principal_point),
-                "resolution": list(c.resolution),
-            }
-            for c in scene.cameras
-        ],
-        "eye": {
-            "sclera_center": scene.eye.sclera_center.tolist(),
-            "optical_axis": scene.eye.optical_axis.tolist(),
-            "sclera_radius": scene.eye.sclera_radius,
-            "cornea_radius": scene.eye.cornea_radius,
-            "cornea_offset": scene.eye.cornea_offset,
-            "cornea_aperture": scene.eye.cornea_aperture,
-        },
-    }
-
-
 def load_scene(path) -> SceneConfig:
     """Load and validate a scene config. Raises SceneParseError with
     line/field diagnostics, or InvariantViolation naming the violated
@@ -411,14 +380,6 @@ def load_scene(path) -> SceneConfig:
             f"{path}: line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
     return scene_from_dict(d)
-
-
-def save_scene(scene: SceneConfig, path) -> None:
-    """Write a scene config in canonical form (load/save round-trips are
-    byte-identical)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(scene_to_dict(scene), indent=2, sort_keys=True))
-        f.write("\n")
 
 
 def default_scene() -> SceneConfig:

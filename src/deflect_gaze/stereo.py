@@ -5,7 +5,7 @@ screen correspondence, each implying a different surface normal. Sweeping
 depth hypotheses and scoring each by the disagreement between the normals
 that camera 0 and camera 1 imply selects the true surface point: only
 there do both views bisect to the same normal. The stage uses exactly
-these two cameras; a scene with more uses its first two.
+these two cameras.
 """
 
 from __future__ import annotations
@@ -18,40 +18,17 @@ import numpy as np
 
 from .errors import EmptyFieldError, InvariantViolation
 from .geometry import bisector_masked, unit
-from .render import CorrespondenceMap
+from .render import CorrespondenceMap, check_camera_map
 from .scene import SceneConfig
 
 NORMAL_FIELD_HEADER = "px,py,X,Y,Z,nx,ny,nz,consistency"
-SWEEP_HALF_RANGE = 8.0  # mm either side of the nominal depth (default_sweep)
+SWEEP_HALF_RANGE = 8.0  # mm either side of the nominal depth (depth_grid)
+N_DEPTHS = 256          # depths in the sweep grid
 # reconstruct_field's floor on kept samples, and its outlier cut at
 # OUTLIER_FACTOR x the field's median disagreement, at least OUTLIER_FLOOR_RAD
 MIN_SAMPLES = 100
 OUTLIER_FACTOR = 10.0
 OUTLIER_FLOOR_RAD = 1e-3
-
-
-@dataclass(frozen=True)
-class DepthSweepParams:
-    """Depth hypotheses along the camera-0 ray, in mm: the grid
-    ``linspace(t_min, t_max, n_steps)``, optionally polished by a parabolic
-    fit (``refine``).
-
-    The sweep does not score every grid depth: it scores a coarse subset,
-    then the grid around each pixel's coarse minimum. ``reconstruct_field``
-    lists the passes and the only cases in which the result can differ
-    from scoring the whole grid.
-    """
-
-    t_min: float
-    t_max: float
-    n_steps: int = 256
-    refine: bool = True
-
-    def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise InvariantViolation("sweep: t_min < t_max")
-        if self.n_steps < 16:
-            raise InvariantViolation("sweep: n_steps >= 16")
 
 
 @dataclass
@@ -187,15 +164,15 @@ def _usable_depths(cam1, cam2, dirs1, valid2, ts):
     return usable
 
 
-def _sweep_pixels(scene, pixels, corr1, corr2, params):
+def _sweep_pixels(scene, pixels, corr1, corr2):
     """Coarse-to-fine depth sweep over many camera-0 pixels at once, against
     camera 1.
 
-    ``cost[j, i]`` is pixel j's disagreement at grid depth i, inf where the
-    depth is unusable or not scored. The passes of ``reconstruct_field``
-    score part of the grid. Returns per pixel the depth, disagreement,
-    point and normal, and ``good``: the pixels with a result, before
-    ``reconstruct_field``'s outlier cut.
+    ``cost[j, i]`` is pixel j's disagreement at ``depth_grid(scene)[i]``,
+    inf where the depth is unusable or not scored. The passes of
+    ``reconstruct_field`` score part of the grid. Returns per pixel the
+    depth, disagreement, point and normal, and ``good``: the pixels with a
+    result, before ``reconstruct_field``'s outlier cut.
     """
     cam1, cam2 = scene.cameras[0], scene.cameras[1]
     n = len(pixels)
@@ -203,7 +180,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     s1 = scene.screen.uv_to_world(corr1.u[pixels[:, 1], pixels[:, 0]],
                                   corr1.v[pixels[:, 1], pixels[:, 0]])
 
-    ts = np.linspace(params.t_min, params.t_max, params.n_steps)
+    ts = depth_grid(scene)
     usable = _usable_depths(cam1, cam2, dirs1, corr2.valid, ts)
     good = usable.sum(axis=1) >= _MIN_USABLE
     cost = np.full(usable.shape, np.inf)
@@ -224,7 +201,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     # coarse: every _COARSE_STEP-th depth, both grid ends and both ends of
     # each run of usable depths, which cuts every run into intervals of at
     # most _COARSE_STEP steps with both ends scored
-    steps = np.arange(params.n_steps)
+    steps = np.arange(N_DEPTHS)
     edge = np.zeros_like(usable)
     edge[:, [0, -1]] = True
     edge[:, 1:] |= usable[:, 1:] != usable[:, :-1]
@@ -237,10 +214,10 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     i_best = cost.argmin(axis=1)
     # the refine reads both grid neighbours of the minimum; a neighbour can
     # turn out lower, so repeat until the minimum stays
-    while params.refine:
+    while True:
         nbr = np.zeros_like(usable)
         nbr[cols, np.maximum(i_best - 1, 0)] = True
-        nbr[cols, np.minimum(i_best + 1, params.n_steps - 1)] = True
+        nbr[cols, np.minimum(i_best + 1, N_DEPTHS - 1)] = True
         if not score(nbr):
             break
         i_best = cost.argmin(axis=1)
@@ -249,26 +226,25 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     t_best = ts[i_best]
     good &= np.isfinite(c_best)
 
-    if params.refine:
-        interior = good & (i_best > 0) & (i_best < params.n_steps - 1)
-        im = np.where(interior, i_best, 1)
-        cm1 = cost[cols, im - 1]
-        cp1 = cost[cols, im + 1]
-        with np.errstate(invalid="ignore"):
-            denom = cm1 - 2.0 * cost[cols, im] + cp1
-            convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
-                & (denom > 1e-18)
-            step = ts[1] - ts[0]
-            shift = np.where(convex,
-                             0.5 * np.where(convex, cm1 - cp1, 0.0)
-                             / np.where(convex, denom, 1.0), 0.0)
-            shift = np.clip(shift, -1.0, 1.0)
-        t_ref = t_best + shift * step
-        ang_ref, _, ok_ref = _consistency_at(scene, cam1, cam2, dirs1, s1,
-                                             corr2, t_ref)
-        take = convex & ok_ref
-        t_best = np.where(take, t_ref, t_best)
-        c_best = np.where(take, ang_ref, c_best)
+    interior = good & (i_best > 0) & (i_best < N_DEPTHS - 1)
+    im = np.where(interior, i_best, 1)
+    cm1 = cost[cols, im - 1]
+    cp1 = cost[cols, im + 1]
+    with np.errstate(invalid="ignore"):
+        denom = cm1 - 2.0 * cost[cols, im] + cp1
+        convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
+            & (denom > 1e-18)
+        step = ts[1] - ts[0]
+        shift = np.where(convex,
+                         0.5 * np.where(convex, cm1 - cp1, 0.0)
+                         / np.where(convex, denom, 1.0), 0.0)
+        shift = np.clip(shift, -1.0, 1.0)
+    t_ref = t_best + shift * step
+    ang_ref, _, ok_ref = _consistency_at(scene, cam1, cam2, dirs1, s1,
+                                         corr2, t_ref)
+    take = convex & ok_ref
+    t_best = np.where(take, t_ref, t_best)
+    c_best = np.where(take, ang_ref, c_best)
 
     p_best = cam1.center + t_best[:, None] * dirs1
     n_best, ok_n = bisector_masked(unit(cam1.center - p_best),
@@ -277,43 +253,45 @@ def _sweep_pixels(scene, pixels, corr1, corr2, params):
     return t_best, c_best, p_best, n_best, good
 
 
-def default_sweep(scene: SceneConfig, n_steps: int = 256,
-                  refine: bool = True) -> DepthSweepParams:
-    """Sweep around the nominal surface depth: the camera-0-to-apex distance
-    plus a small interior margin, plus/minus ``SWEEP_HALF_RANGE`` mm."""
+def depth_grid(scene: SceneConfig) -> np.ndarray:
+    """The sweep's ``N_DEPTHS`` depths along camera-0 rays, in mm: the
+    camera-0-to-apex distance of the nominal eye plus a small interior
+    margin, plus/minus ``SWEEP_HALF_RANGE``."""
     eye = scene.eye
     d_center = float(np.linalg.norm(
         scene.cameras[0].center - eye.sclera_center
     ))
     t_nom = d_center - (eye.cornea_offset + eye.cornea_radius) + 2.5
-    return DepthSweepParams(t_min=t_nom - SWEEP_HALF_RANGE,
-                            t_max=t_nom + SWEEP_HALF_RANGE,
-                            n_steps=n_steps, refine=refine)
+    return np.linspace(t_nom - SWEEP_HALF_RANGE, t_nom + SWEEP_HALF_RANGE,
+                       N_DEPTHS)
 
 
 def reconstruct_field(
     scene: SceneConfig,
     corr1: CorrespondenceMap,
     corr2: CorrespondenceMap,
-    params: DepthSweepParams | None = None,
     stride: int = 1,
 ) -> NormalField:
     """Solve depth at every valid pixel of camera 0 (optionally strided),
     with ``corr1`` and ``corr2`` the correspondence maps of the scene's
     cameras 0 and 1.
 
-    Each pixel takes the depth of ``params``' grid (default:
-    ``default_sweep``) with the least stereo disagreement. A depth is usable
+    Each pixel takes the depth of ``depth_grid(scene)`` with the least
+    stereo disagreement, polished by a parabolic fit. A depth is usable
     when camera 1 sees its point in front of it, inside four valid corners
     of ``corr2``; a pixel needs 8 usable depths. The search scores only
-    part of the grid, in two passes:
+    part of the grid, in three passes, and then one depth off it:
 
     1. coarse: the usable depths at every 8th grid step, at both ends of
        the grid and at both ends of each run of usable depths;
     2. fine: every usable depth within 9 grid steps of the coarse minimum,
-       which covers the coarse intervals on both sides of it, and
-       with ``params.refine`` the two grid neighbours of the minimum, which
-       the parabolic refine reads, until the minimum stays put.
+       which covers the coarse intervals on both sides of it;
+    3. neighbours: the two grid neighbours of the minimum, which the
+       parabolic fit reads; a neighbour can turn out lower, so this pass
+       repeats until the minimum stays put;
+    4. refine: the vertex of the parabola through the minimum and its
+       neighbours, at most one grid step away, taken where the minimum is
+       inside the grid, the parabola is convex and the vertex is usable.
 
     A pixel gets the dense search's depth, disagreement, point and normal
     bit for bit whenever the dense minimum is among the scored depths. It
@@ -331,8 +309,8 @@ def reconstruct_field(
     come in row-major pixel order, the order of ``np.nonzero``.
 
     Raises:
-        InvariantViolation: ``stride`` below 1, or fewer than two cameras
-            in ``scene``.
+        InvariantViolation: ``stride`` below 1, fewer than two cameras in
+            ``scene``, or a map whose shape is not its camera's (H, W).
         EmptyFieldError: fewer than ``MIN_SAMPLES`` pixels survive.
     """
     if stride < 1:
@@ -341,14 +319,14 @@ def reconstruct_field(
         raise InvariantViolation(
             f"stereo: needs cameras 0 and 1, the scene has "
             f"{len(scene.cameras)} camera(s)")
-    if params is None:
-        params = default_sweep(scene)
+    check_camera_map(scene, 0, corr1)
+    check_camera_map(scene, 1, corr2)
     ys, xs = np.nonzero(corr1.valid)
     keep = (ys % stride == 0) & (xs % stride == 0)
     pixels = np.column_stack([xs[keep], ys[keep]]).astype(int)
     if len(pixels) == 0:
         raise EmptyFieldError("no valid pixels in corr1")
-    _, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2, params)
+    _, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2)
     if good.any():
         good &= c <= max(OUTLIER_FACTOR * float(np.median(c[good])),
                          OUTLIER_FLOOR_RAD)

@@ -1,30 +1,40 @@
-import filecmp
+import importlib.resources
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deflect_gaze import imagefiles
-from deflect_gaze.cli import _read_corr, main
-from deflect_gaze.scene import default_scene, load_scene, save_scene
-from deflect_gaze.stereo import (NormalField, default_sweep,
-                                 reconstruct_field)
+from deflect_gaze.cli import main
+from deflect_gaze.stereo import NormalField
+
+
+def shipped_scene_bytes(name):
+    return importlib.resources.files("deflect_gaze").joinpath(
+        f"data/{name}.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
 def scene_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("scene") / "scene.json"
-    save_scene(default_scene(), p)
+    p.write_bytes(shipped_scene_bytes("default_scene"))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def decode_scene_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("scene") / "decode_scene.json"
+    p.write_bytes(shipped_scene_bytes("decode_scene"))
     return str(p)
 
 
 @pytest.fixture(scope="module")
 def one_camera_scene_file(tmp_path_factory):
-    scene = default_scene()
+    d = json.loads(shipped_scene_bytes("default_scene"))
+    d["cameras"] = d["cameras"][:1]
     p = tmp_path_factory.mktemp("scene") / "one_camera.json"
-    save_scene(replace(scene, cameras=scene.cameras[:1]), p)
+    p.write_text(json.dumps(d))
     return str(p)
 
 
@@ -253,29 +263,13 @@ class TestReconstructAndGaze:
 
 
 class TestReconstructOptions:
-    def test_grid_options_without_window(self, scene_file, simdir, tmp_path):
-        out = tmp_path / "field.csv"
-        assert main(["reconstruct", "--scene", scene_file, "--corr-dir",
-                     str(simdir), "--out", str(out), "--n-steps", "40",
-                     "--no-refine"]) == 0
-        scene = load_scene(scene_file)
-        maps = [_read_corr(simdir, cam) for cam in (0, 1)]
-        expected = tmp_path / "expected.csv"
-        reconstruct_field(scene, *maps, params=default_sweep(
-            scene, n_steps=40, refine=False)).to_csv(expected)
-        default = tmp_path / "default.csv"
-        reconstruct_field(scene, *maps).to_csv(default)
-        assert filecmp.cmp(out, expected, shallow=False)
-        assert not filecmp.cmp(out, default, shallow=False)
-
-    @pytest.mark.parametrize("bound", ["--t-min", "--t-max"])
-    def test_single_window_bound_is_rejected(self, scene_file, simdir,
-                                             tmp_path, bound):
-        out = tmp_path / "field.csv"
-        rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
-                   str(simdir), "--out", str(out), bound, "60"])
-        assert rc == 2
-        assert not out.exists()
+    def test_grid_flag_is_unrecognised(self, scene_file, simdir, tmp_path):
+        # the sweep runs one depth grid, fixed by the scene
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                  str(simdir), "--out", str(tmp_path / "field.csv"),
+                  "--n-steps", "40"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("stride", ["0", "-1", "-2"])
     def test_stride_below_one_is_rejected(self, scene_file, simdir, tmp_path,
@@ -295,6 +289,35 @@ class TestReconstructOptions:
         assert rc == 2
         err = capsys.readouterr().err
         assert "InvariantViolation" in err and "1 camera" in err
+        assert not out.exists()
+
+    def test_maps_of_another_scene_are_rejected(self, decode_scene_file,
+                                                simdir, tmp_path, capsys):
+        # simdir holds the 128 px default scene's maps; the decode scene's
+        # cameras are 448 px
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", decode_scene_file,
+                   "--corr-dir", str(simdir), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "camera 0" in err
+        assert "(128, 128)" in err and "(448, 448)" in err
+        assert not out.exists()
+
+    def test_bad_pfm_header_is_rejected(self, scene_file, simdir, tmp_path,
+                                        capsys):
+        corr_dir = tmp_path / "corr"
+        corr_dir.mkdir()
+        for name in ("cam0_mask_000.pgm", "cam1_corr_000.pfm",
+                     "cam1_mask_000.pgm"):
+            (corr_dir / name).write_bytes((simdir / name).read_bytes())
+        (corr_dir / "cam0_corr_000.pfm").write_bytes(b"PF\n\n-1.0\n")
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                   str(corr_dir), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "cam0_corr_000.pfm" in err
         assert not out.exists()
 
 

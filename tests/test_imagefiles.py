@@ -36,6 +36,13 @@ class TestPfm:
         assert head[1] == b"2 2"
         assert float(head[2]) < 0
 
+    @pytest.mark.parametrize("dims", [b"", b"4", b"4 4 4", b"four 4"])
+    def test_bad_dimensions_line_names_file(self, tmp_path, dims):
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"PF\n" + dims + b"\n-1.0\n")
+        with pytest.raises(ValueError, match="x.pfm"):
+            imagefiles.read_pfm(p)
+
     def test_two_channel_packing(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4)
         b = a * 2.0

@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from deflect_gaze import optimize
-from deflect_gaze.errors import (EmptyMapError, NoDescentError,
-                                 UnreliableLossError)
+from deflect_gaze.errors import (EmptyMapError, InvariantViolation,
+                                 NoDescentError, UnreliableLossError)
 from deflect_gaze.gaze import relative_gaze_angle
 from deflect_gaze.optimize import (EyeParamVector, LossReport, OptConfig,
                                    _erode, _evaluate_loss, _fade_weight,
@@ -481,6 +481,27 @@ class TestOptimize:
         q = project_params(p.with_array(x))
         eye = q.materialize(scene1.eye)  # must not raise
         assert eye.cornea_radius < eye.sclera_radius
+
+
+class TestMapShape:
+    @pytest.mark.parametrize("cam", [0, 1])
+    def test_loss_rejects_map_of_another_shape(self, scene, corr_pair, cam):
+        maps = list(corr_pair)
+        m = maps[cam]
+        maps[cam] = CorrespondenceMap(u=m.u[:64], v=m.v[:64],
+                                      valid=m.valid[:64])
+        want = rf"camera {cam}: .*\(64, 128\).*\(128, 128\)"
+        with pytest.raises(InvariantViolation, match=want):
+            correspondence_loss(EyeParamVector.from_eye(scene.eye), maps,
+                                scene)
+
+    def test_fit_rejects_maps_of_another_scene(self, corr_pair, dec_scene):
+        # 128 px maps of the default scene; the decode scene's cameras
+        # are 448 px
+        with pytest.raises(InvariantViolation,
+                           match=r"camera 0: .*\(128, 128\).*\(448, 448\)"):
+            optimize_gaze(EyeParamVector.from_eye(dec_scene.eye),
+                          list(corr_pair), dec_scene)
 
 
 class TestOptConfig:

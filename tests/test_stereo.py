@@ -11,8 +11,7 @@ from deflect_gaze.geometry import bisector_masked, unit
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
-from deflect_gaze.stereo import (NormalField, default_sweep,
-                                 reconstruct_field)
+from deflect_gaze.stereo import NormalField, depth_grid, reconstruct_field
 
 
 def truth_for(field, truth):
@@ -127,8 +126,8 @@ class TestSolveDepth:
         t_true = np.linalg.norm(p_true - cam.center, axis=1)
         t_est = np.linalg.norm(field.points - cam.center, axis=1)
         err = np.abs(t_est - t_true)
-        sweep = default_sweep(scene)
-        step = (sweep.t_max - sweep.t_min) / sweep.n_steps
+        ts = depth_grid(scene)
+        step = (ts[-1] - ts[0]) / len(ts)
         assert (err < step).mean() >= 0.95
         assert np.median(err) < 0.02
 
@@ -168,6 +167,19 @@ class TestReconstructField:
         for i, p in enumerate(f4.pixels):
             j = lookup[tuple(p)]
             assert np.allclose(f4.points[i], field.points[j])
+
+    @pytest.mark.parametrize("cam", [0, 1])
+    def test_map_of_another_shape_is_rejected(self, scene, corr_pair, cam,
+                                              monkeypatch):
+        maps = list(corr_pair)
+        m = maps[cam]
+        maps[cam] = CorrespondenceMap(u=m.u[:64], v=m.v[:64],
+                                      valid=m.valid[:64])
+        # rejected before the sweep
+        monkeypatch.setattr(stereo, "_sweep_pixels", None)
+        want = rf"camera {cam}: .*\(64, 128\).*\(128, 128\)"
+        with pytest.raises(InvariantViolation, match=want):
+            reconstruct_field(scene, *maps)
 
     @pytest.mark.parametrize("stride", [0, -1, -2])
     def test_stride_below_one_is_rejected(self, scene, corr_pair, stride):
@@ -243,10 +255,12 @@ class TestReconstructField:
         assert header == "px,py,X,Y,Z,nx,ny,nz,consistency"
 
 
-def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index=0,
-                cam2_index=1, min_usable=8):
-    """Reference for ``stereo._sweep_pixels``: score every grid depth, then
-    pick and refine the minimum exactly as the sweep does."""
+def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
+                    cam2_index=1, min_usable=8):
+    """Reference for ``stereo._sweep_pixels``: score every depth of
+    ``depth_grid(scene)``, then pick and refine the minimum exactly as the
+    sweep does. Returns the sweep's five results and each pixel's best grid
+    depth before the refine."""
     cam1 = scene.cameras[cam1_index]
     cam2 = scene.cameras[cam2_index]
     n = len(pixels)
@@ -260,8 +274,8 @@ def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index=0,
     s1 = scene.screen.uv_to_world(corr1.u[pixels[:, 1], pixels[:, 0]],
                                   corr1.v[pixels[:, 1], pixels[:, 0]])
 
-    ts = np.linspace(params.t_min, params.t_max, params.n_steps)
-    cost = np.empty((params.n_steps, n))
+    ts = depth_grid(scene)
+    cost = np.empty((len(ts), n))
     for i, t in enumerate(ts):
         cost[i] = stereo._consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
                                          np.full(n, t))[0]
@@ -274,32 +288,37 @@ def dense_sweep(scene, pixels, corr1, corr2, params, cam1_index=0,
     t_best = ts[i_best]
     good &= np.isfinite(c_best)
 
-    if params.refine:
-        interior = good & (i_best > 0) & (i_best < params.n_steps - 1)
-        im = np.where(interior, i_best, 1)
-        cm1 = cost[im - 1, cols]
-        cp1 = cost[im + 1, cols]
-        with np.errstate(invalid="ignore"):
-            denom = cm1 - 2.0 * cost[im, cols] + cp1
-            convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
-                & (denom > 1e-18)
-            step = ts[1] - ts[0]
-            shift = np.where(convex,
-                             0.5 * np.where(convex, cm1 - cp1, 0.0)
-                             / np.where(convex, denom, 1.0), 0.0)
-            shift = np.clip(shift, -1.0, 1.0)
-        t_ref = t_best + shift * step
-        ang_ref, _, ok_ref = stereo._consistency_at(scene, cam1, cam2, dirs1,
-                                                    s1, corr2, t_ref)
-        take = convex & ok_ref
-        t_best = np.where(take, t_ref, t_best)
-        c_best = np.where(take, ang_ref, c_best)
+    t_grid = t_best
+    interior = good & (i_best > 0) & (i_best < len(ts) - 1)
+    im = np.where(interior, i_best, 1)
+    cm1 = cost[im - 1, cols]
+    cp1 = cost[im + 1, cols]
+    with np.errstate(invalid="ignore"):
+        denom = cm1 - 2.0 * cost[im, cols] + cp1
+        convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
+            & (denom > 1e-18)
+        step = ts[1] - ts[0]
+        shift = np.where(convex,
+                         0.5 * np.where(convex, cm1 - cp1, 0.0)
+                         / np.where(convex, denom, 1.0), 0.0)
+        shift = np.clip(shift, -1.0, 1.0)
+    t_ref = t_best + shift * step
+    ang_ref, _, ok_ref = stereo._consistency_at(scene, cam1, cam2, dirs1,
+                                                s1, corr2, t_ref)
+    take = convex & ok_ref
+    t_best = np.where(take, t_ref, t_best)
+    c_best = np.where(take, ang_ref, c_best)
 
     p_best = cam1.center + t_best[:, None] * dirs1
     n_best, ok_n = bisector_masked(unit(cam1.center - p_best),
                                    unit(s1 - p_best))
     good &= ok_n
-    return t_best, c_best, p_best, n_best, good
+    return (t_best, c_best, p_best, n_best, good), t_grid
+
+
+def dense_sweep(scene, pixels, corr1, corr2):
+    """``dense_reference``'s results in ``stereo._sweep_pixels``' form."""
+    return dense_reference(scene, pixels, corr1, corr2)[0]
 
 
 def unfiltered_field(scene, corr1, corr2):
@@ -307,8 +326,7 @@ def unfiltered_field(scene, corr1, corr2):
     pixel, before ``reconstruct_field``'s outlier cut and sample floor."""
     ys, xs = np.nonzero(corr1.valid)
     pixels = np.column_stack([xs, ys])
-    _, c, p, n, good = stereo._sweep_pixels(scene, pixels, corr1, corr2,
-                                            default_sweep(scene))
+    _, c, p, n, good = stereo._sweep_pixels(scene, pixels, corr1, corr2)
     return NormalField(pixels[good], p[good], n[good], c[good])
 
 
@@ -356,15 +374,6 @@ class TestCoarseToFineSweep:
         assert_same_field(reconstruct_field(scene, *maps),
                           dense_field(scene, *maps))
 
-    @pytest.mark.parametrize("n_steps,refine", [(16, True), (100, True),
-                                                (257, True), (256, False)])
-    def test_other_grids_equal_dense_grid(self, scene, noisy_pair, n_steps,
-                                          refine):
-        params = default_sweep(scene, n_steps=n_steps, refine=refine)
-        assert_same_field(
-            reconstruct_field(scene, *noisy_pair, params=params),
-            dense_field(scene, *noisy_pair, params=params))
-
     def test_holes_in_camera2_map_equal_dense_grid(self, scene, corr_pair):
         # decoded maps have holes, which split the usable depths of a ray
         # into several runs
@@ -410,12 +419,13 @@ class TestSweepContract:
         c2 = replace(c2, valid=c2.valid & (g.random(c2.valid.shape) > 0.1))
         k = g.uniform(5.0, 20.0, 3)
         consistency_at = stereo._consistency_at
-        calls = []
+        calls = []   # the sweep's calls; None while the reference runs
 
         def wavy(scene_, cam1, cam2, dirs1, s1, corr2, t):
             _, n1, ok = consistency_at(scene_, cam1, cam2, dirs1, s1, corr2,
                                        t)
-            calls.append(set(zip(map(bytes, dirs1), t)))
+            if calls is not None:
+                calls.append(set(zip(map(bytes, dirs1), t)))
             # elementwise, so that a row's value never depends on its batch
             phase = 1e3 * (k[1] * dirs1[:, 0] + k[2] * dirs1[:, 1])
             value = 2.0 + np.sin(k[0] * t + phase)
@@ -423,15 +433,13 @@ class TestSweepContract:
 
         ys, xs = np.nonzero(c1.valid)
         pixels = np.column_stack([xs, ys])
-        params = default_sweep(scene)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(stereo, "_consistency_at", wavy)
-            got = stereo._sweep_pixels(scene, pixels, c1, c2, params)
+            got = stereo._sweep_pixels(scene, pixels, c1, c2)
             # the last call is the refine's, at depths between grid steps
             by_sweep = set().union(*calls[:-1])
-            want = dense_sweep(scene, pixels, c1, c2, params)
-            t_grid = dense_sweep(scene, pixels, c1, c2,
-                                 replace(params, refine=False))[0]
+            calls = None
+            want, t_grid = dense_reference(scene, pixels, c1, c2)
         dirs = unit(np.column_stack([
             (pixels - scene.cameras[0].principal_point)
             / scene.cameras[0].focal_length, np.ones(len(pixels))
