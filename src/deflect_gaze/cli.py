@@ -22,7 +22,7 @@ from .errors import BenchmarkAbortError, DeflectGazeError, InvariantViolation, S
 from .gaze import GAZE_CSV_HEADER, ClusterParams, estimate_gaze_two_center
 from .optimize import DEFAULT_ACTIVE, OptConfig, init_guess, optimize_gaze
 from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
-                     render_correspondence, render_frame)
+                     check_camera_map, render_correspondence, render_frame)
 from .scene import load_scene
 from .stereo import NormalField, reconstruct_field
 
@@ -39,11 +39,15 @@ def _read_corr(outdir: Path, cam: int) -> CorrespondenceMap:
     return CorrespondenceMap(u=u, v=v, valid=valid)
 
 
+def _check_cam(scene, cam: int) -> None:
+    if cam >= len(scene.cameras):
+        raise InvariantViolation(f"--cam {cam}: the scene has "
+                                 f"{len(scene.cameras)} camera(s)")
+
+
 def _cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
-    if args.cam >= len(scene.cameras):
-        raise InvariantViolation(f"--cam {args.cam}: the scene has "
-                                 f"{len(scene.cameras)} camera(s)")
+    _check_cam(scene, args.cam)
     # patterns are checked before anything is written
     if args.pattern == "crossed":
         crossed = CrossedFringe(period_x=args.period_x, period_y=args.period_y)
@@ -87,7 +91,10 @@ def _cmd_decode(args) -> int:
     if args.scene:
         # known stage pose: cut the cornea/sclera transition geometrically
         # so unwrapping cannot drag a wrong period across it
-        seam = scene_seam_mask(load_scene(args.scene), args.cam)
+        scene = load_scene(args.scene)
+        _check_cam(scene, args.cam)
+        check_camera_map(scene, args.cam, anchor)
+        seam = scene_seam_mask(scene, args.cam)
     if args.mode == "cwt":
         frame = imagefiles.read_frame_pgm(
             indir / f"cam{args.cam}_frame_000.pgm")

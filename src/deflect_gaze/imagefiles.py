@@ -45,10 +45,18 @@ def read_pfm(path) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{path}: PFM dimensions line is not "
                              f"'width height'") from None
-        scale = float(f.readline())
+        try:
+            scale = float(f.readline())
+        except ValueError:
+            raise ValueError(f"{path}: PFM scale line is not a "
+                             f"number") from None
         endian = "<" if scale < 0 else ">"
         count = w * h * channels
-        data = np.frombuffer(f.read(count * 4), dtype=endian + "f4", count=count)
+        body = f.read(count * 4)
+        if len(body) < count * 4:
+            raise ValueError(f"{path}: PFM data holds {len(body)} bytes, "
+                             f"its header needs {count * 4}")
+        data = np.frombuffer(body, dtype=endian + "f4", count=count)
     shape = (h, w, 3) if channels == 3 else (h, w)
     return np.flipud(data.reshape(shape)).copy()
 

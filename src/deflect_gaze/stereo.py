@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import EmptyFieldError, InvariantViolation
-from .geometry import bisector_masked, unit
+from .geometry import EPS_GEOM, bisector_masked, unit
 from .render import CorrespondenceMap, check_camera_map
 from .scene import SceneConfig
 
@@ -71,56 +71,140 @@ class NormalField:
         )
 
 
-def _bilinear_uv(corr, x, y):
-    """Bilinear interpolation of (u, v) at sub-pixel camera positions.
+class _Pair(NamedTuple):
+    """The camera-0 rays of a sweep and camera 1's map, as
+    ``_consistency_at`` reads them: x, y and z are the rows of a ``(3, n)``
+    array, and the map is flat in row-major order."""
 
-    Any out-of-frame sample or invalid contributing corner yields ok=False
-    (validity veto prevents hallucinating across mask boundaries).
+    scene: SceneConfig
+    dirs1: np.ndarray     # (3, n) unit ray directions of the pixels
+    s1: np.ndarray        # (3, n) their screen points
+    shape2: tuple         # (h, w) of camera 1's map
+    u2: np.ndarray        # (h*w,)
+    v2: np.ndarray
+    cell2: np.ndarray     # (h*w,) bool, see _cell_table
+
+
+def _cell_table(valid):
+    """Flat ``(h*w,)`` table of the map cells whose four corners are valid,
+    indexed by the top-left corner ``y0*w + x0``; False in the last row and
+    column, which start no cell."""
+    cell = np.zeros_like(valid)
+    cell[:-1, :-1] = (valid[:-1, :-1] & valid[:-1, 1:]
+                      & valid[1:, :-1] & valid[1:, 1:])
+    return cell.ravel()
+
+
+def _pair(scene, dirs1, s1, corr2):
+    """``_Pair`` for the camera-0 rays ``dirs1`` (n, 3) with screen points
+    ``s1`` (n, 3), scored against camera 1 and its map ``corr2``."""
+    return _Pair(scene, np.ascontiguousarray(dirs1.T),
+                 np.ascontiguousarray(s1.T), corr2.u.shape,
+                 corr2.u.ravel(), corr2.v.ravel(), _cell_table(corr2.valid))
+
+
+def _norms(v):
+    """Lengths of the vectors ``v[..., :, i]`` (x, y, z along axis -2),
+    summed in the order in which ``np.linalg.norm`` sums a row of three."""
+    sq = np.square(v)
+    return np.sqrt(sq[..., 0, :] + sq[..., 1, :] + sq[..., 2, :])
+
+
+def _consistency_at(pair, j, t):
+    """Stereo normal disagreement of the pixels ``j`` of ``pair`` at depths
+    ``t``, one row each. Returns (angle_rad, n1, ok): ``n1`` (rows, 3) is
+    the normal camera 0 implies at that depth, the bisector of the
+    directions back to the camera and to its screen point; ``ok`` is False
+    where camera 1 cannot score the depth (behind it, outside four valid
+    corners of its map) or a bisector is degenerate, and the angle is inf
+    there.
+
+    Rows are independent. The arithmetic is that of ``geometry.unit``,
+    ``bisector_masked``, ``CameraModel.project`` and ``ScreenModel.
+    uv_to_world`` on ``(rows, 3)`` arrays, done on x, y and z columns: a
+    norm is ``sqrt((x*x + y*y) + z*z)`` (``_norms``), and the two rigid
+    transforms stay one BLAS product each.
+
+    Raises:
+        ValueError: a point within ``EPS_GEOM`` of a camera centre or of
+            its screen point, as ``geometry.unit`` does.
     """
-    h, w = corr.u.shape
-    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xc = np.clip(x, 0, w - 1)
-    yc = np.clip(y, 0, h - 1)
-    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2)
-    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2)
-    fx = xc - x0
-    fy = yc - y0
-    ok = inside & corr.valid[y0, x0] & corr.valid[y0, x0 + 1] \
-        & corr.valid[y0 + 1, x0] & corr.valid[y0 + 1, x0 + 1]
-    w00 = (1 - fx) * (1 - fy)
-    w01 = fx * (1 - fy)
-    w10 = (1 - fx) * fy
-    w11 = fx * fy
-    u = np.where(ok, corr.u[y0, x0] * w00 + corr.u[y0, x0 + 1] * w01
-                 + corr.u[y0 + 1, x0] * w10 + corr.u[y0 + 1, x0 + 1] * w11,
-                 np.nan)
-    v = np.where(ok, corr.v[y0, x0] * w00 + corr.v[y0, x0 + 1] * w01
-                 + corr.v[y0 + 1, x0] * w10 + corr.v[y0 + 1, x0 + 1] * w11,
-                 np.nan)
-    return u, v, ok
+    cam1, cam2 = pair.scene.cameras[0], pair.scene.cameras[1]
+    screen = pair.scene.screen
+    h, w = pair.shape2
+    k = len(j)
+    p = t * np.take(pair.dirs1, j, axis=1)
+    p += cam1.center[:, None]
+    # directions from p: to camera 0, to its screen point, to camera 1, and
+    # (filled in below) to camera 1's screen point
+    view = np.empty((4, 3, k))
+    np.subtract(cam1.center[:, None], p, out=view[0])
+    np.subtract(np.take(pair.s1, j, axis=1), p, out=view[1])
+    np.subtract(cam2.center[:, None], p, out=view[2])
 
+    # camera-1 pixel position, as CameraModel.project; -(c2 - p) is p - c2
+    # exactly, and R.T @ (p - c2) is inverse_points' (p - c2) @ R as one
+    # product of the same operands
+    pc = cam2.pose.rotation.T @ np.negative(view[2])
+    z = pc[2]
+    front = z > 1e-9
+    xy = cam2.focal_length * pc[:2]
+    xy /= np.where(np.abs(z) > 1e-12, z, 1.0)
+    xy += np.array(cam2.principal_point)[:, None]
 
-def _consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
-    """Stereo normal disagreement for a batch of camera-1 pixels at
-    per-pixel depths ``t``. Returns (angle_rad, n1, ok): ``n1`` is the
-    normal camera 1 implies at that depth, the bisector of the directions
-    back to the camera and to its screen point ``s1``; ``ok`` is False where
-    camera 2 cannot score the depth (behind it, outside four valid corners
-    of ``corr2``) or a bisector is degenerate."""
-    p = cam1.center + t[:, None] * dirs1
-    n1, ok1 = bisector_masked(unit(cam1.center - p), unit(s1 - p))
+    # bilinear lookup of camera 1's map: the cell's top-left corner x0, y0
+    # and the weights of its four corners; the last row and column belong
+    # to the cell before them
+    last = np.array([[w - 1], [h - 1]])
+    inside = (xy >= 0) & (xy <= last)
+    inside = inside[0] & inside[1]
+    np.maximum(xy, 0.0, out=xy)
+    np.minimum(xy, last, out=xy)
+    corner = np.minimum(xy.astype(np.intp), last - 1)
+    frac = np.empty((2, 2, k))   # [1 - (fx, fy), (fx, fy)]
+    np.subtract(xy, corner, out=frac[1])
+    np.subtract(1.0, frac[1], out=frac[0])
+    weight = np.empty((4, k))    # corners (0, 0), (1, 0), (0, 1), (1, 1)
+    np.multiply(frac[:, 0], frac[0, 1], out=weight[:2])
+    np.multiply(frac[:, 0], frac[1, 1], out=weight[2:])
+    c = corner[1] * w
+    c += corner[0]
+    c4 = c + np.array([[0], [1], [w], [w + 1]])
+    uv = np.empty((2, 4, k))
+    uv[0] = pair.u2[c4]
+    uv[1] = pair.v2[c4]
+    uv *= weight
+    s = uv[:, 0] + uv[:, 1]
+    s += uv[:, 2]
+    s += uv[:, 3]
+    ok2 = inside & pair.cell2[c]
 
-    px2, py2, z2 = cam2.project(p)
-    front = z2 > 1e-9
-    u2, v2, ok2 = _bilinear_uv(corr2, px2, py2)
-    s2 = scene.screen.uv_to_world(np.where(ok2, u2, 0.0),
-                                  np.where(ok2, v2, 0.0))
-    n2, ok3 = bisector_masked(unit(cam2.center - p), unit(s2 - p))
+    # camera 1's screen point, as ScreenModel.uv_to_world
+    local = np.zeros((3, k))
+    np.multiply(np.where(ok2, s, 0.0), screen.pixel_pitch, out=local[:2])
+    s2 = screen.pose.rotation @ local
+    s2 += screen.pose.translation[:, None]
+    np.subtract(s2, p, out=view[3])
 
-    ok = ok1 & front & ok2 & ok3
-    dot = np.clip(np.sum(n1 * n2, axis=-1), -1.0, 1.0)
+    norm = _norms(view)
+    if (norm < EPS_GEOM).any():
+        raise ValueError("cannot normalize a near-zero vector")
+    view /= norm[:, None]
+
+    # bisectors, as bisector_masked: camera 0's and camera 1's
+    n = view[0::2] + view[1::2]
+    norm = _norms(n)
+    ok_n = norm > EPS_GEOM
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n /= norm[:, None]
+        dot = n[0] * n[1]
+        dot = dot[0] + dot[1] + dot[2]
+    np.clip(dot, -1.0, 1.0, out=dot)
+    ok = ok_n[0] & front & ok2 & ok_n[1]
     ang = np.where(ok, np.arccos(dot), np.inf)
-    return ang, n1, ok
+    n1 = n[0]
+    n1[:, ~ok_n[0]] = np.nan
+    return ang, n1.T, ok
 
 
 _COARSE_STEP = 8      # grid steps between the coarse pass's regular depths
@@ -128,19 +212,17 @@ _BLOCK_ROWS = 16384   # (pixel, depth) pairs per block of the usability pass
 _MIN_USABLE = 8       # usable grid depths a pixel needs to be swept
 
 
-def _usable_depths(cam1, cam2, dirs1, valid2, ts):
+def _usable_depths(cam1, cam2, dirs1, cell2, shape2, ts):
     """(n, n_steps) mask of the grid depths that ``_consistency_at`` can
-    score: camera 2 sees the point in front of it, inside four valid
-    corners of its correspondence map.
+    score: camera 2 sees the point in front of it, inside a cell of its
+    map of shape ``shape2`` that ``cell2`` (``_cell_table``) marks valid.
 
     Projection only, a block of pixels at a time. Camera-2 coordinates are
     affine in the depth along a camera-1 ray, a + t*b, and are computed so;
     the mask can differ from ``_consistency_at``'s own test only for a
     point within rounding error of a pixel-cell edge.
     """
-    h, w = valid2.shape
-    cell_ok = (valid2[:-1, :-1] & valid2[:-1, 1:]
-               & valid2[1:, :-1] & valid2[1:, 1:]).ravel()
+    h, w = shape2
     a = cam2.pose.inverse_points(cam1.center)[:, None]
     b = dirs1 @ cam2.pose.rotation
     f = cam2.focal_length
@@ -156,10 +238,10 @@ def _usable_depths(cam1, cam2, dirs1, valid2, ts):
         y = f * pc[:, 1] / z + cy
         ok &= (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
         # on the frame floor is truncation; the last row and column belong
-        # to the cell before them, as in _bilinear_uv
+        # to the cell before them, as in _consistency_at
         x0 = np.minimum(x[ok].astype(int), w - 2)
         y0 = np.minimum(y[ok].astype(int), h - 2)
-        ok[ok] = cell_ok[y0 * (w - 1) + x0]
+        ok[ok] = cell2[y0 * w + x0]
         usable[j:j + block] = ok
     return usable
 
@@ -168,70 +250,82 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
     """Coarse-to-fine depth sweep over many camera-0 pixels at once, against
     camera 1.
 
-    ``cost[j, i]`` is pixel j's disagreement at ``depth_grid(scene)[i]``,
-    inf where the depth is unusable or not scored. The passes of
-    ``reconstruct_field`` score part of the grid. Returns per pixel the
-    depth, disagreement, point and normal, and ``good``: the pixels with a
-    result, before ``reconstruct_field``'s outlier cut.
+    ``cost[j*N_DEPTHS + i]`` is pixel j's disagreement at
+    ``depth_grid(scene)[i]``, inf where the depth is unusable or not
+    scored. Each pass of ``reconstruct_field`` is a flat list of such
+    indices: the coarse pass the nonzero entries of one mask, the fine pass
+    a window around each pixel's minimum, the neighbour pass two indices
+    per pixel. A pass drops the indices already scored, and
+    ``_consistency_at`` scores the rest on x, y and z columns, in batches
+    of at most n rows. Returns per pixel the depth, disagreement, point and
+    normal, and ``good``: the pixels with a result, before
+    ``reconstruct_field``'s outlier cut.
     """
-    cam1, cam2 = scene.cameras[0], scene.cameras[1]
+    cam1 = scene.cameras[0]
     n = len(pixels)
     dirs1 = cam1.pixel_rays()[1][pixels[:, 1], pixels[:, 0]]
     s1 = scene.screen.uv_to_world(corr1.u[pixels[:, 1], pixels[:, 0]],
                                   corr1.v[pixels[:, 1], pixels[:, 0]])
 
     ts = depth_grid(scene)
-    usable = _usable_depths(cam1, cam2, dirs1, corr2.valid, ts)
+    pair = _pair(scene, dirs1, s1, corr2)
+    usable = _usable_depths(cam1, scene.cameras[1], dirs1, pair.cell2,
+                            pair.shape2, ts)
     good = usable.sum(axis=1) >= _MIN_USABLE
-    cost = np.full(usable.shape, np.inf)
-    pending = usable.copy()   # usable depths not scored yet
-    cols = np.arange(n)
+    # one more entry past the grid: the index of a depth off its row's
+    # grid, which is never pending
+    off = n * N_DEPTHS
+    cost = np.full(off + 1, np.inf)
+    grid_cost = cost[:off].reshape(n, N_DEPTHS)
+    pending = np.append(usable.ravel(), False)   # usable, not scored yet
+    base = np.arange(0, off, N_DEPTHS)
 
-    def score(where):
-        j, i = np.nonzero(where & pending)
-        pending[j, i] = False
+    def score(index):
+        index = index[pending[index]]
+        pending[index] = False
         # rows are independent, so batching cannot change a value; n rows
         # a call hold the memory to that of scoring one grid depth
-        for k in range(0, len(j), n):
-            jj, ii = j[k:k + n], i[k:k + n]
-            cost[jj, ii] = _consistency_at(scene, cam1, cam2, dirs1[jj],
-                                           s1[jj], corr2, ts[ii])[0]
-        return len(j)
+        for k in range(0, len(index), n):
+            batch = index[k:k + n]
+            j, i = np.divmod(batch, N_DEPTHS)
+            cost[batch] = _consistency_at(pair, j, ts[i])[0]
+        return len(index)
 
     # coarse: every _COARSE_STEP-th depth, both grid ends and both ends of
     # each run of usable depths, which cuts every run into intervals of at
-    # most _COARSE_STEP steps with both ends scored
-    steps = np.arange(N_DEPTHS)
-    edge = np.zeros_like(usable)
-    edge[:, [0, -1]] = True
-    edge[:, 1:] |= usable[:, 1:] != usable[:, :-1]
-    edge[:, :-1] |= usable[:, :-1] != usable[:, 1:]
-    score(edge | (steps % _COARSE_STEP == 0))
+    # most _COARSE_STEP steps with both ends scored: a usable depth is left
+    # out only off the regular steps and between two usable neighbours
+    runs = np.zeros((n, N_DEPTHS + 2), dtype=bool)
+    runs[:, 1:-1] = usable
+    inner = runs[:, :-2] & runs[:, 2:]
+    inner[:, ::_COARSE_STEP] = False
+    score(np.flatnonzero(usable & ~inner))
     # fine: the coarse intervals on both sides of the coarse minimum and
     # one depth beyond each, where a second minimum next to a coarse
     # depth would hide
-    score(np.abs(steps - cost.argmin(axis=1)[:, None]) <= _COARSE_STEP + 1)
-    i_best = cost.argmin(axis=1)
+    half = _COARSE_STEP + 1
+    i = grid_cost.argmin(axis=1)[:, None] + np.arange(-half, half + 1)
+    score(np.where((i >= 0) & (i < N_DEPTHS), base[:, None] + i,
+                   off).ravel())
+    i_best = grid_cost.argmin(axis=1)
     # the refine reads both grid neighbours of the minimum; a neighbour can
     # turn out lower, so repeat until the minimum stays
-    while True:
-        nbr = np.zeros_like(usable)
-        nbr[cols, np.maximum(i_best - 1, 0)] = True
-        nbr[cols, np.minimum(i_best + 1, N_DEPTHS - 1)] = True
-        if not score(nbr):
-            break
-        i_best = cost.argmin(axis=1)
+    while score(np.column_stack([
+            base + np.maximum(i_best - 1, 0),
+            base + np.minimum(i_best + 1, N_DEPTHS - 1)]).ravel()):
+        i_best = grid_cost.argmin(axis=1)
 
-    c_best = cost[cols, i_best]
+    at = base + i_best
+    c_best = cost[at]
     t_best = ts[i_best]
     good &= np.isfinite(c_best)
 
     interior = good & (i_best > 0) & (i_best < N_DEPTHS - 1)
-    im = np.where(interior, i_best, 1)
-    cm1 = cost[cols, im - 1]
-    cp1 = cost[cols, im + 1]
+    at = np.where(interior, at, base + 1)
+    cm1 = cost[at - 1]
+    cp1 = cost[at + 1]
     with np.errstate(invalid="ignore"):
-        denom = cm1 - 2.0 * cost[cols, im] + cp1
+        denom = cm1 - 2.0 * cost[at] + cp1
         convex = interior & np.isfinite(cm1) & np.isfinite(cp1) \
             & (denom > 1e-18)
         step = ts[1] - ts[0]
@@ -240,8 +334,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
                          / np.where(convex, denom, 1.0), 0.0)
         shift = np.clip(shift, -1.0, 1.0)
     t_ref = t_best + shift * step
-    ang_ref, _, ok_ref = _consistency_at(scene, cam1, cam2, dirs1, s1,
-                                         corr2, t_ref)
+    ang_ref, _, ok_ref = _consistency_at(pair, np.arange(n), t_ref)
     take = convex & ok_ref
     t_best = np.where(take, t_ref, t_best)
     c_best = np.where(take, ang_ref, c_best)
@@ -292,6 +385,10 @@ def reconstruct_field(
     4. refine: the vertex of the parabola through the minimum and its
        neighbours, at most one grid step away, taken where the minimum is
        inside the grid, the parabola is convex and the vertex is usable.
+
+    Each pass is a flat list of (pixel, depth) indices, scored in batches
+    by one kernel that works on x, y and z as 1-D arrays (see
+    ``_sweep_pixels``).
 
     A pixel gets the dense search's depth, disagreement, point and normal
     bit for bit whenever the dense minimum is among the scored depths. It

@@ -1,6 +1,6 @@
 """Shared test utilities: analytic surfaces, synthetic line bundles, angle
 and report readers, and the direct-evaluation references of the decode
-stages and of RANSAC scoring."""
+stages, of the stereo scoring kernel and of RANSAC scoring."""
 
 import heapq
 
@@ -11,7 +11,7 @@ from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
                                  Q_MIN, PhaseMap, phase_to_correspondence)
 from deflect_gaze.errors import InvalidSeedError, NoRidgeError
-from deflect_gaze.geometry import unit
+from deflect_gaze.geometry import bisector_masked, unit
 from deflect_gaze.render import CorrespondenceMap, CrossedFringe
 
 
@@ -290,6 +290,54 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
         valid_out |= m
 
     return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
+
+def reference_bilinear_uv(corr, x, y):
+    """Bilinear interpolation of (u, v) at sub-pixel camera positions, with
+    four 2-D gathers of ``corr.valid``: ``ok`` is False for a sample outside
+    the frame or with an invalid corner, and (u, v) is NaN there."""
+    h, w = corr.u.shape
+    inside = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xc = np.clip(x, 0, w - 1)
+    yc = np.clip(y, 0, h - 1)
+    x0 = np.clip(np.floor(xc).astype(int), 0, w - 2)
+    y0 = np.clip(np.floor(yc).astype(int), 0, h - 2)
+    fx = xc - x0
+    fy = yc - y0
+    ok = inside & corr.valid[y0, x0] & corr.valid[y0, x0 + 1] \
+        & corr.valid[y0 + 1, x0] & corr.valid[y0 + 1, x0 + 1]
+    w00 = (1 - fx) * (1 - fy)
+    w01 = fx * (1 - fy)
+    w10 = (1 - fx) * fy
+    w11 = fx * fy
+    u = np.where(ok, corr.u[y0, x0] * w00 + corr.u[y0, x0 + 1] * w01
+                 + corr.u[y0 + 1, x0] * w10 + corr.u[y0 + 1, x0 + 1] * w11,
+                 np.nan)
+    v = np.where(ok, corr.v[y0, x0] * w00 + corr.v[y0, x0 + 1] * w01
+                 + corr.v[y0 + 1, x0] * w10 + corr.v[y0 + 1, x0 + 1] * w11,
+                 np.nan)
+    return u, v, ok
+
+
+def reference_consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
+    """``stereo._consistency_at`` as row-vector arithmetic on ``(n, 3)``
+    arrays: the disagreement at depths ``t`` along the rays ``dirs1`` of
+    ``cam1`` whose screen points are ``s1``, scored against ``cam2`` and
+    its map ``corr2``. Returns (angle_rad, n1, ok)."""
+    p = cam1.center + t[:, None] * dirs1
+    n1, ok1 = bisector_masked(unit(cam1.center - p), unit(s1 - p))
+
+    px2, py2, z2 = cam2.project(p)
+    front = z2 > 1e-9
+    u2, v2, ok2 = reference_bilinear_uv(corr2, px2, py2)
+    s2 = scene.screen.uv_to_world(np.where(ok2, u2, 0.0),
+                                  np.where(ok2, v2, 0.0))
+    n2, ok3 = bisector_masked(unit(cam2.center - p), unit(s2 - p))
+
+    ok = ok1 & front & ok2 & ok3
+    dot = np.clip(np.sum(n1 * n2, axis=-1), -1.0, 1.0)
+    ang = np.where(ok, np.arccos(dot), np.inf)
+    return ang, n1, ok
+
 
 def reference_ransac_counts(centers, points, dirs, tol):
     """``gaze._inlier_counts`` as blocks of 64 candidates, each with its

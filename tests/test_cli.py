@@ -142,6 +142,38 @@ class TestSimulateDecode:
         assert not (outdir / "cam0_decoded_000.pfm").exists()
 
 
+    def test_decode_maps_of_another_scene_are_rejected(
+            self, decode_scene_file, simdir, tmp_path, capsys):
+        # simdir holds the 128 px default scene's frames and maps; the
+        # decode scene's cameras are 448 px
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(simdir),
+                   "--out", str(outdir), "--scene", decode_scene_file])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "camera 0" in err
+        assert "(128, 128)" in err and "(448, 448)" in err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
+
+    def test_decode_rejects_camera_index(self, scene_file, simdir, tmp_path,
+                                         capsys):
+        # the default scene has two cameras; cam2's maps exist, copied
+        # from cam0's
+        indir = tmp_path / "sim"
+        indir.mkdir()
+        for name in ("corr_000.pfm", "mask_000.pgm", "frame_000.pgm"):
+            (indir / f"cam2_{name}").write_bytes(
+                (simdir / f"cam0_{name}").read_bytes())
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(indir),
+                   "--out", str(outdir), "--scene", scene_file,
+                   "--cam", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "--cam 2" in err
+        assert not (outdir / "cam2_decoded_000.pfm").exists()
+
+
 class TestReconstructAndGaze:
     def test_full_method1_chain(self, scene_file, tmp_path):
         simdir = tmp_path / "sim"
@@ -312,6 +344,25 @@ class TestReconstructOptions:
                      "cam1_mask_000.pgm"):
             (corr_dir / name).write_bytes((simdir / name).read_bytes())
         (corr_dir / "cam0_corr_000.pfm").write_bytes(b"PF\n\n-1.0\n")
+        out = tmp_path / "field.csv"
+        rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
+                   str(corr_dir), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "cam0_corr_000.pfm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [b"PF\n128 128\n-1.0\n",
+                                      b"PF\n128 128\nabc\n"],
+                             ids=["short-body", "bad-scale"])
+    def test_bad_pfm_body_or_scale_is_rejected(self, scene_file, simdir,
+                                               tmp_path, capsys, text):
+        corr_dir = tmp_path / "corr"
+        corr_dir.mkdir()
+        for name in ("cam0_mask_000.pgm", "cam1_corr_000.pfm",
+                     "cam1_mask_000.pgm"):
+            (corr_dir / name).write_bytes((simdir / name).read_bytes())
+        (corr_dir / "cam0_corr_000.pfm").write_bytes(text)
         out = tmp_path / "field.csv"
         rc = main(["reconstruct", "--scene", scene_file, "--corr-dir",
                    str(corr_dir), "--out", str(out)])

@@ -43,6 +43,20 @@ class TestPfm:
         with pytest.raises(ValueError, match="x.pfm"):
             imagefiles.read_pfm(p)
 
+    def test_bad_scale_line_names_file(self, tmp_path):
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"PF\n4 4\nabc\n")
+        with pytest.raises(ValueError, match="x.pfm: PFM scale line"):
+            imagefiles.read_pfm(p)
+
+    @pytest.mark.parametrize("floats", [0, 47])
+    def test_short_body_names_file(self, tmp_path, floats):
+        # a 4 x 4 three-channel image needs 48 floats
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"PF\n4 4\n-1.0\n" + bytes(4 * floats))
+        with pytest.raises(ValueError, match="x.pfm: PFM data holds"):
+            imagefiles.read_pfm(p)
+
     def test_two_channel_packing(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4)
         b = a * 2.0

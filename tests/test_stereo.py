@@ -12,6 +12,7 @@ from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import NormalField, depth_grid, reconstruct_field
+from helpers import reference_bilinear_uv, reference_consistency_at
 
 
 def truth_for(field, truth):
@@ -35,11 +36,12 @@ def consistency_at(scene, corr1, corr2, px, py, t):
     """``stereo._consistency_at`` for camera-0 pixels (px, py) at depths
     ``t`` (arrays of one row per hypothesis) against camera 1: the
     disagreement, camera 0's candidate normal and the ok mask."""
-    cam1, cam2 = scene.cameras
+    cam1 = scene.cameras[0]
     px, py = np.atleast_1d(px), np.atleast_1d(py)
     dirs1 = np.array([cam1.pixel_ray(x, y) for x, y in zip(px, py)])
     s1 = scene.screen.uv_to_world(corr1.u[py, px], corr1.v[py, px])
-    return stereo._consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
+    pair = stereo._pair(scene, dirs1, s1, corr2)
+    return stereo._consistency_at(pair, np.arange(len(px)),
                                   np.atleast_1d(np.asarray(t, dtype=float)))
 
 
@@ -67,16 +69,109 @@ class TestCandidateNormal:
             assert ang > 0.5
 
     def test_degenerate_bisector(self, scene, corr_pair):
-        cam1, cam2 = scene.cameras
+        cam1 = scene.cameras[0]
         d = cam1.pixel_ray(64, 64)
         p = cam1.center + 30.0 * d
         behind = p + (p - cam1.center)  # screen point collinear, beyond P
-        ang, normal, ok = stereo._consistency_at(
-            scene, cam1, cam2, d[None], behind[None], corr_pair[1],
-            np.array([30.0]))
+        pair = stereo._pair(scene, d[None], behind[None], corr_pair[1])
+        ang, normal, ok = stereo._consistency_at(pair, np.array([0]),
+                                                 np.array([30.0]))
         assert not ok[0]
         assert np.isnan(normal[0]).all()
         assert ang[0] == np.inf
+
+
+def kernel_rows(scene, corr1, seed, n):
+    """Rows for the scoring kernel: camera-0 rays through random pixels
+    (every other one valid in ``corr1``, with its screen point, the others
+    anywhere with a random one) at depths on the sweep grid, off it, and
+    far enough to leave camera 1's frame or fall behind it. Every fifth
+    row has its screen point on the view ray behind the surface point: a
+    degenerate bisector."""
+    g = np.random.default_rng(seed)
+    cam1 = scene.cameras[0]
+    w, h = cam1.resolution
+    ys, xs = np.nonzero(corr1.valid)
+    on = g.integers(0, len(xs), n)
+    px = np.where(np.arange(n) % 2 == 0, xs[on], g.integers(0, w, n))
+    py = np.where(np.arange(n) % 2 == 0, ys[on], g.integers(0, h, n))
+    dirs1 = cam1.pixel_rays()[1][py, px]
+    sw, sh = scene.screen.resolution
+    u = np.where(corr1.valid[py, px], corr1.u[py, px], g.uniform(0, sw, n))
+    v = np.where(corr1.valid[py, px], corr1.v[py, px], g.uniform(0, sh, n))
+    s1 = scene.screen.uv_to_world(u, v)
+    ts = depth_grid(scene)
+    t = np.choose(g.integers(0, 3, n), [
+        ts[g.integers(0, len(ts), n)],
+        g.uniform(ts[0] - 5.0, ts[-1] + 5.0, n),
+        g.uniform(-400.0, 800.0, n),
+    ])
+    p = cam1.center + t[:, None] * dirs1
+    behind = np.arange(n) % 5 == 0
+    s1[behind] = (p + (p - cam1.center))[behind]
+    return dirs1, s1, t
+
+
+class TestColumnKernel:
+    """``_consistency_at`` works on x, y and z columns; it must return what
+    the frozen row-vector kernel returns, bit for bit."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+           holes=st.floats(0.0, 0.5), cut=st.floats(0.0, 1.0))
+    def test_equals_frozen_kernel(self, scene, corr_pair, seed, n, holes,
+                                  cut):
+        c1, c2 = corr_pair
+        g = np.random.default_rng(seed)
+        c2 = replace(c2, valid=c2.valid & (g.random(c2.valid.shape) >= holes))
+        dirs1, s1, t = kernel_rows(scene, c1, seed, n)
+        want = reference_consistency_at(scene, *scene.cameras, dirs1, s1, c2,
+                                        t)
+        # the pair's rows in another order, scored through an index
+        order = g.permutation(n)
+        pair = stereo._pair(scene, dirs1[order], s1[order], c2)
+        j = np.argsort(order)
+        got = stereo._consistency_at(pair, j, t)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+        # a batch split anywhere gives the same rows
+        k = int(cut * n)
+        parts = [stereo._consistency_at(pair, j[sl], t[sl])
+                 for sl in (slice(0, k), slice(k, n))]
+        for q in range(3):
+            assert np.array_equal(np.concatenate([a[q] for a in parts]),
+                                  got[q], equal_nan=True)
+
+    def test_rows_cover_every_outcome(self, scene, corr_pair):
+        # the rows kernel_rows draws reach each way a depth can fail
+        c1, c2 = corr_pair
+        cam1, cam2 = scene.cameras
+        dirs1, s1, t = kernel_rows(scene, c1, 0, 400)
+        p = cam1.center + t[:, None] * dirs1
+        px2, py2, z2 = cam2.project(p)
+        h, w = c2.valid.shape
+        inside = (px2 >= 0) & (px2 <= w - 1) & (py2 >= 0) & (py2 <= h - 1)
+        corners = reference_bilinear_uv(c2, px2, py2)[2]
+        _, ok1 = bisector_masked(unit(cam1.center - p), unit(s1 - p))
+        _, _, ok = reference_consistency_at(scene, cam1, cam2, dirs1, s1, c2,
+                                            t)
+        assert ok.sum() > 50
+        assert (z2 <= 0).sum() > 10
+        assert ((z2 > 0) & ~inside).sum() > 10
+        assert (inside & ~corners).sum() > 10
+        assert (~ok1).sum() > 50
+
+    def test_near_zero_direction_raises(self, scene, corr_pair):
+        # a screen point at the surface point, as geometry.unit rejects it
+        c1, c2 = corr_pair
+        dirs1, s1, t = kernel_rows(scene, c1, 1, 20)
+        s1[7] = scene.cameras[0].center + t[7] * dirs1[7]
+        with pytest.raises(ValueError, match="near-zero"):
+            reference_consistency_at(scene, *scene.cameras, dirs1, s1, c2, t)
+        pair = stereo._pair(scene, dirs1, s1, c2)
+        with pytest.raises(ValueError, match="near-zero"):
+            stereo._consistency_at(pair, np.arange(20), t)
 
 
 class TestStereoConsistency:
@@ -158,15 +253,15 @@ class TestReconstructField:
         assert (reg == 1).sum() > 100
 
     def test_stride_subset(self, scene, corr_pair, field):
-        f4 = reconstruct_field(scene, corr_pair[0], corr_pair[1], stride=2)
-        key1 = {tuple(p) for p in field.pixels}
-        for i, p in enumerate(f4.pixels):
-            assert tuple(p) in key1
-        # same values at shared pixels
         lookup = {tuple(p): j for j, p in enumerate(field.pixels)}
-        for i, p in enumerate(f4.pixels):
-            j = lookup[tuple(p)]
-            assert np.allclose(f4.points[i], field.points[j])
+        for stride in (2, 3):
+            f = reconstruct_field(scene, corr_pair[0], corr_pair[1],
+                                  stride=stride)
+            # a subset of the stride-1 rows, with the same values
+            rows = np.array([lookup[tuple(p)] for p in f.pixels])
+            assert np.array_equal(f.points, field.points[rows])
+            assert np.array_equal(f.normals, field.normals[rows])
+            assert np.array_equal(f.consistency, field.consistency[rows])
 
     @pytest.mark.parametrize("cam", [0, 1])
     def test_map_of_another_shape_is_rejected(self, scene, corr_pair, cam,
@@ -225,8 +320,7 @@ class TestReconstructField:
                                                       field):
         cam2 = scene.cameras[1]
         px2, py2, z2 = cam2.project(field.points)
-        from deflect_gaze.stereo import _bilinear_uv
-        u2, v2, ok = _bilinear_uv(corr_pair[1], px2, py2)
+        u2, v2, ok = reference_bilinear_uv(corr_pair[1], px2, py2)
         spt = scene.screen.uv_to_world(u2[ok], v2[ok])
         p = field.points[ok]
         n2 = unit(unit(cam2.center - p) + unit(spt - p))
@@ -256,11 +350,13 @@ class TestReconstructField:
 
 
 def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
-                    cam2_index=1, min_usable=8):
+                    cam2_index=1, min_usable=8,
+                    kernel=reference_consistency_at):
     """Reference for ``stereo._sweep_pixels``: score every depth of
-    ``depth_grid(scene)``, then pick and refine the minimum exactly as the
-    sweep does. Returns the sweep's five results and each pixel's best grid
-    depth before the refine."""
+    ``depth_grid(scene)`` with ``kernel``, the frozen row-vector kernel
+    unless given, then pick and refine the minimum exactly as the sweep
+    does. Returns the sweep's five results and each pixel's best grid depth
+    before the refine."""
     cam1 = scene.cameras[cam1_index]
     cam2 = scene.cameras[cam2_index]
     n = len(pixels)
@@ -277,8 +373,8 @@ def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
     ts = depth_grid(scene)
     cost = np.empty((len(ts), n))
     for i, t in enumerate(ts):
-        cost[i] = stereo._consistency_at(scene, cam1, cam2, dirs1, s1, corr2,
-                                         np.full(n, t))[0]
+        cost[i] = kernel(scene, cam1, cam2, dirs1, s1, corr2,
+                         np.full(n, t))[0]
     usable = np.isfinite(cost)
     good = usable.sum(axis=0) >= min_usable
 
@@ -303,8 +399,7 @@ def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
                          / np.where(convex, denom, 1.0), 0.0)
         shift = np.clip(shift, -1.0, 1.0)
     t_ref = t_best + shift * step
-    ang_ref, _, ok_ref = stereo._consistency_at(scene, cam1, cam2, dirs1,
-                                                s1, corr2, t_ref)
+    ang_ref, _, ok_ref = kernel(scene, cam1, cam2, dirs1, s1, corr2, t_ref)
     take = convex & ok_ref
     t_best = np.where(take, t_ref, t_best)
     c_best = np.where(take, ang_ref, c_best)
@@ -419,27 +514,33 @@ class TestSweepContract:
         c2 = replace(c2, valid=c2.valid & (g.random(c2.valid.shape) > 0.1))
         k = g.uniform(5.0, 20.0, 3)
         consistency_at = stereo._consistency_at
-        calls = []   # the sweep's calls; None while the reference runs
+        calls = []   # the sweep's calls
 
-        def wavy(scene_, cam1, cam2, dirs1, s1, corr2, t):
-            _, n1, ok = consistency_at(scene_, cam1, cam2, dirs1, s1, corr2,
-                                       t)
-            if calls is not None:
-                calls.append(set(zip(map(bytes, dirs1), t)))
+        def wave(dirs1, t, ok):
             # elementwise, so that a row's value never depends on its batch
             phase = 1e3 * (k[1] * dirs1[:, 0] + k[2] * dirs1[:, 1])
-            value = 2.0 + np.sin(k[0] * t + phase)
-            return np.where(ok, value, np.inf), n1, ok
+            return np.where(ok, 2.0 + np.sin(k[0] * t + phase), np.inf)
+
+        def wavy(pair, j, t):
+            _, n1, ok = consistency_at(pair, j, t)
+            dirs1 = np.ascontiguousarray(pair.dirs1[:, j].T)
+            calls.append(set(zip(map(bytes, dirs1), t)))
+            return wave(dirs1, t, ok), n1, ok
+
+        def wavy_reference(scene_, cam1, cam2, dirs1, s1, corr2, t):
+            _, n1, ok = reference_consistency_at(scene_, cam1, cam2, dirs1,
+                                                 s1, corr2, t)
+            return wave(dirs1, t, ok), n1, ok
 
         ys, xs = np.nonzero(c1.valid)
         pixels = np.column_stack([xs, ys])
         with pytest.MonkeyPatch.context() as m:
             m.setattr(stereo, "_consistency_at", wavy)
             got = stereo._sweep_pixels(scene, pixels, c1, c2)
-            # the last call is the refine's, at depths between grid steps
-            by_sweep = set().union(*calls[:-1])
-            calls = None
-            want, t_grid = dense_reference(scene, pixels, c1, c2)
+        # the last call is the refine's, at depths between grid steps
+        by_sweep = set().union(*calls[:-1])
+        want, t_grid = dense_reference(scene, pixels, c1, c2,
+                                       kernel=wavy_reference)
         dirs = unit(np.column_stack([
             (pixels - scene.cameras[0].principal_point)
             / scene.cameras[0].focal_length, np.ones(len(pixels))
