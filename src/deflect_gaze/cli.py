@@ -183,6 +183,7 @@ def _cmd_gaze_optimize(args) -> int:
             f.write(est.csv_row() + "\n")
     print(est.pretty())
     print(f"final loss:     {trace[-1]['loss']:.6g} px^2")
+    print(f"stop:           {trace[-1]['stop']}")
     return 0
 
 

@@ -4,34 +4,38 @@ A simulated eye is adjusted until the correspondences its renders produce
 match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
 bearing channel) and is half the squared norm of a fixed-length residual
-vector, which a Levenberg-Marquardt loop minimizes with forward-difference
-Jacobians, projecting every trial onto the valid parameter box.
+vector, which a Levenberg-Marquardt loop minimizes, projecting every trial
+onto the valid parameter box. Its Jacobian is exact: one forward-mode
+tangent pass through the eye geometry, the ray hits, the reflection onto
+the screen, the boundary weight ramps and the saturating residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
 from .decode import FOUR_CONN
-from .errors import EmptyMapError, NoDescentError, UnreliableLossError
+from .errors import (EmptyMapError, InvariantViolation, NoDescentError,
+                     UnreliableLossError)
 from .gaze import GazeEstimate
 from .render import (CorrespondenceMap, RayTrace, check_camera_map,
                      ray_margins, render_correspondence,
                      screen_correspondence)
-from .scene import (EyeModel, SceneConfig, _rotated_axis,
-                    eye_surface_hit_batch)
+from .geometry import EPS_GEOM, rotation_about_axis, unit
+from .scene import (CORNEA, WORLD_UP, EyeModel, SceneConfig, ScreenModel,
+                    _rotated_axis, eye_surface_hit_batch)
 
 PARAM_NAMES = ("azimuth", "elevation", "tx", "ty", "tz",
                "cornea_radius", "sclera_radius", "cornea_offset")
 DEFAULT_ACTIVE = (True, True, True, True, True, False, False, False)
 
-# Levenberg-Marquardt constants: Jacobian probe step (deg or mm), initial
-# damping and its factors after a rejected and an accepted trial, and the
-# stops on relative cost decrease and on the trial step norm (deg or mm)
-FD_STEP = 1e-3
+# Levenberg-Marquardt constants: initial damping and its factors after a
+# rejected and an accepted trial, and the stops on relative cost decrease
+# and on the trial step norm (deg or mm)
 LM_LAMBDA0 = 1e-3
 LM_RAISE = 10.0
 LM_LOWER = 0.1
@@ -44,9 +48,6 @@ LM_XTOL = 1e-5
 N_MIN = 200
 BOUNDARY_PX = 2
 MISMATCH_WEIGHT = 25.0
-
-# Width of a Jacobian probe's band, in 4-connected loss-grid pixel steps
-PROBE_BAND_PX = 3
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,12 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Correspondence mismatch cost in screen px^2 plus diagnostics, and
-    each camera's simulated validity on the loss grid."""
+    """Correspondence mismatch cost in screen px^2 plus diagnostics."""
 
     total: float
     n_valid: int
     mismatch_penalty: float
     per_camera: tuple[dict, ...]
-    sim_valid: tuple = field(default=(), compare=False, repr=False)
 
 
 def _strided(m: CorrespondenceMap, s: int) -> CorrespondenceMap:
@@ -197,38 +196,16 @@ def _seam_mask(m: CorrespondenceMap, dilate_px: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MeasuredTerms:
-    """Loss terms of one camera that depend only on its measured map and
-    the loss settings (constant over a fit), and the pixels to trace."""
+    """Loss terms of one camera that depend only on its measured map, the
+    scene and the loss settings (constant over a fit)."""
 
     meas: CorrespondenceMap  # measured map on the loss grid
     eroded: np.ndarray       # its validity, eroded by the boundary guard
     weight: np.ndarray       # boundary fade ramp, zero on the seam
     step_scale: float        # median measured step per full-res pixel
-    pixels: np.ndarray | slice      # ascending flat indices, or all
-    dirs: np.ndarray                # (N, 3) camera rays of ``pixels``
-    ring: np.ndarray | None = None  # the band's outer ring, at ``pixels``
-
-    def on_grid(self, values: np.ndarray) -> np.ndarray:
-        """``values`` at ``pixels`` in a loss-grid array of zeros."""
-        out = np.zeros(self.meas.valid.shape, dtype=values.dtype)
-        out.ravel()[self.pixels] = values
-        return out
-
-    def band(self, sim_valid: np.ndarray) -> "_MeasuredTerms":
-        """These terms on the loss-grid pixels within ``PROBE_BAND_PX`` of
-        the measured or the simulated footprint, with the band's outer
-        ring: its pixels with an 8-connected neighbour off the band, which
-        a valid region that leaves the band must cross."""
-        band = ndimage.binary_dilation(self.meas.valid | sim_valid, FOUR_CONN,
-                                       iterations=PROBE_BAND_PX)
-        inner = ndimage.binary_erosion(band, np.ones((3, 3)), border_value=1)
-        pixels = np.flatnonzero(band)
-        return replace(self, pixels=pixels, dirs=self.dirs[pixels],
-                       ring=~inner[band])
-
-
-class _LeftBand(Exception):
-    """A probe's simulated valid pixels touch its band's outer ring."""
+    ramp_scales: np.ndarray  # (4,) widths of the simulated weight ramps
+    dirs: np.ndarray         # (N, 3) camera rays of the loss grid
+    weighted: np.ndarray     # flat indices of the pixels with weight > 0
 
 
 def _measured_terms(
@@ -256,12 +233,21 @@ def _measured_terms(
             steps = np.hypot(np.diff(meas.u, axis=1), np.diff(meas.v, axis=1))
             step_scale = (float(np.nanmedian(steps[pairs]))
                           / config.pixel_stride)
+        # ramp widths of the panel-edge distance (screen px), the
+        # silhouette clearance (mm), the aperture margin (deg) and the
+        # cap-edge clearance (mm): the boundary guard in each unit
+        footprint = (np.linalg.norm(cam.center - scene.eye.sclera_center)
+                     / cam.focal_length)
+        ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
+        ramp_scales = np.array([max(BOUNDARY_PX * x, 1e-9) for x in (
+            step_scale, footprint, ang_scale, footprint)])
         rays = cam.pixel_rays()[1][::s, ::s]
         terms.append(_MeasuredTerms(meas=meas,
                                     eroded=_erode(meas.valid, grid_b),
                                     weight=weight, step_scale=step_scale,
-                                    pixels=slice(None),
-                                    dirs=rays.reshape(-1, 3)))
+                                    ramp_scales=ramp_scales,
+                                    dirs=rays.reshape(-1, 3),
+                                    weighted=np.flatnonzero(weight > 0)))
     return tuple(terms)
 
 
@@ -300,6 +286,32 @@ def correspondence_loss(
                           scene, config)[0]
 
 
+def _weights(
+    eye: EyeModel, scene: SceneConfig, terms: _MeasuredTerms,
+    origin: np.ndarray, pix: np.ndarray, points: np.ndarray, u: np.ndarray,
+    v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loss weights of the jointly valid loss-grid pixels ``pix`` (flat
+    indices), with their hits ``points`` and simulated ``u``, ``v``; and
+    the arguments and values, (4, n) each, of the simulated side's ramps:
+    the panel-edge distance, the silhouette clearance, the absolute
+    aperture margin and the cap-edge clearance.
+
+    Weights near every discontinuity fade to zero. The measured map is
+    fixed during an optimization, so binary distance fades are fine there;
+    the simulated side uses ramps of these continuous quantities so the
+    loss stays smooth in the eye parameters. The cap edge occludes the
+    sclera behind it: rays grazing the cap edge circle carry a
+    correspondence jump just like the seam."""
+    w_s, h_s = scene.screen.resolution
+    edge = np.minimum(np.minimum(u, w_s - 1 - u), np.minimum(v, h_s - 1 - v))
+    sil, aper, cap_edge = ray_margins(eye, origin, terms.dirs[pix], points)
+    args = np.stack([edge, sil, np.abs(aper), cap_edge])
+    ramps = np.clip(args / terms.ramp_scales[:, None], 0.0, 1.0)
+    w = terms.weight.ravel()[pix] * ramps[0] * ramps[1] * ramps[2] * ramps[3]
+    return w, args, ramps
+
+
 def _evaluate_loss(
     params: EyeParamVector,
     measured_terms: tuple[_MeasuredTerms, ...],
@@ -311,13 +323,7 @@ def _evaluate_loss(
     rounding: per camera the weighted, saturated ``(du, dv)`` of every
     loss-grid pixel and the square root of the mismatch penalty, all
     scaled by ``sqrt(2 / n_cameras)``. Its length depends only on the
-    measured maps.
-
-    It traces the terms' ``pixels``, all or a probe band. Off a band that
-    holds every simulated valid pixel all terms are zero, and reductions
-    run over the whole grid, so the band's report and ``r`` are the full
-    grid's bit for bit. A simulated valid pixel on the band's outer ring
-    raises ``_LeftBand``; a valid island off the band goes unseen."""
+    measured maps."""
     eye = params.materialize(scene.eye)
     pixel_stride = config.pixel_stride
     # on a strided grid the pixel-count floor scales down
@@ -326,65 +332,36 @@ def _evaluate_loss(
     totals = []
     penalties = []
     residuals = []
-    sim_valid = []
     n_total = 0
     for i, terms in enumerate(measured_terms):
-        pix, dirs = terms.pixels, terms.dirs
         origin = scene.cameras[i].center
-        points, normals, _, hit = eye_surface_hit_batch(eye, origin, dirs)
+        meas = terms.meas
+        points, normals, _, hit = eye_surface_hit_batch(eye, origin,
+                                                        terms.dirs)
         sim = screen_correspondence(
-            scene.screen, RayTrace(origin, dirs, points, normals, hit))
-        if terms.ring is not None and np.any(sim.valid & terms.ring):
-            raise _LeftBand(f"camera {i}")
-        sim_valid.append(terms.on_grid(sim.valid))
-        meas = CorrespondenceMap(*(a.ravel()[pix] for a in (
-            terms.meas.u, terms.meas.v, terms.meas.valid)))
+            scene.screen, RayTrace(origin, terms.dirs, points, normals, hit))
+        sim_u, sim_v, sim_valid = (a.reshape(meas.valid.shape)
+                                   for a in (sim.u, sim.v, sim.valid))
 
-        er_meas = terms.eroded.ravel()[pix]
-        er_sim = _erode(sim_valid[-1], config.grid_boundary_px).ravel()[pix]
-        core = er_meas & er_sim
+        er_sim = _erode(sim_valid, config.grid_boundary_px)
+        core = terms.eroded & er_sim
         n_core = int(core.sum())
         if n_core < n_min:
             raise UnreliableLossError(
                 f"camera {i}: {n_core} jointly valid core pixels < {n_min}"
             )
 
-        # Weights near every discontinuity fade to zero. The measured map is
-        # fixed during an optimization, so binary distance fades are fine
-        # there; the simulated side uses ramps of continuous quantities
-        # (panel-edge distance in screen px, silhouette clearance, aperture
-        # angle margin) so the loss stays smooth in the eye parameters.
-        # Margins are zero off the joint pixels, whose weight is zero.
-        joint = meas.valid & sim.valid
-        sil = np.zeros(joint.shape)
-        aper = np.zeros(joint.shape)
-        cap_edge = np.zeros(joint.shape)
-        sil[joint], aper[joint], cap_edge[joint] = ray_margins(
-            eye, origin, dirs[joint], points[joint])
+        # margins are read at the joint pixels only: all others have
+        # weight zero
+        joint = meas.valid & sim_valid
+        pix = np.flatnonzero(joint)
+        w = np.zeros(joint.shape)
+        w.ravel()[pix] = _weights(eye, scene, terms, origin, pix, points[pix],
+                                  sim.u[pix], sim.v[pix])[0]
 
-        step_scale = terms.step_scale
-        w_s, h_s = scene.screen.resolution
-        edge = np.minimum(np.minimum(sim.u, w_s - 1 - sim.u),
-                          np.minimum(sim.v, h_s - 1 - sim.v))
-        w = terms.weight.ravel()[pix] * np.clip(
-            np.where(joint, edge, 0.0) / max(BOUNDARY_PX * step_scale, 1e-9),
-            0.0, 1.0)
-        footprint = (np.linalg.norm(scene.cameras[i].center
-                                    - scene.eye.sclera_center)
-                     / scene.cameras[i].focal_length)
-        w = w * np.clip(sil / max(BOUNDARY_PX * footprint, 1e-9), 0.0, 1.0)
-        ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
-        w = w * np.clip(np.abs(aper) / max(BOUNDARY_PX * ang_scale, 1e-9),
-                        0.0, 1.0)
-        # the cap edge occludes the sclera behind it: rays grazing the cap
-        # edge circle carry a correspondence jump just like the seam
-        w = w * np.clip(cap_edge / max(BOUNDARY_PX * footprint, 1e-9),
-                        0.0, 1.0)
-        w[~joint] = 0.0
-
-        du = np.where(joint, meas.u - sim.u, 0.0)
-        dv = np.where(joint, meas.v - sim.v, 0.0)
-        wsum = float(np.sum(terms.on_grid(w)))
+        du = np.where(joint, meas.u - sim_u, 0.0)
+        dv = np.where(joint, meas.v - sim_v, 0.0)
+        wsum = float(np.sum(w))
         if wsum <= 0:
             raise UnreliableLossError(f"camera {i}: zero total loss weight")
         # saturating residual: a pixel flipping across an unmasked internal
@@ -392,13 +369,12 @@ def _evaluate_loss(
         # an unbounded squared error; capping its influence keeps the loss
         # landscape smooth while leaving small residuals untouched
         v2 = du * du + dv * dv
-        cap = (4.0 * step_scale * pixel_stride) ** 2
-        sq = float(np.sum(terms.on_grid(w * cap * v2 / (cap + v2))) / wsum)
+        cap = (4.0 * terms.step_scale * pixel_stride) ** 2
+        sq = float(np.sum(w * cap * v2 / (cap + v2)) / wsum)
         # the discontinuity band is excluded from the mismatch count too,
         # so silhouette-grazing pixel flips cannot jolt the penalty
-        band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
-        mismatch = float(np.mean(terms.on_grid((meas.valid ^ sim.valid)
-                                               & ~band)))
+        band = (meas.valid & ~terms.eroded) | (sim_valid & ~er_sim)
+        mismatch = float(np.mean((meas.valid ^ sim_valid) & ~band))
         pen = MISMATCH_WEIGHT * mismatch
         per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
                         "mismatch_penalty": pen})
@@ -406,13 +382,215 @@ def _evaluate_loss(
         penalties.append(pen)
         n_total += n_core
         f = np.sqrt(w * cap / ((cap + v2) * wsum))
-        residuals += [terms.on_grid(f * du).ravel(),
-                      terms.on_grid(f * dv).ravel(), [np.sqrt(pen)]]
+        residuals += [(f * du).ravel(), (f * dv).ravel(), [np.sqrt(pen)]]
     report = LossReport(total=float(np.mean(totals)), n_valid=n_total,
                         mismatch_penalty=float(np.mean(penalties)),
-                        per_camera=tuple(per_cam), sim_valid=tuple(sim_valid))
+                        per_camera=tuple(per_cam))
     r = np.concatenate(residuals) * np.sqrt(2.0 / len(measured_terms))
     return report, r
+
+
+# tangents of the cornea and sclera radii: the unit vectors of their columns
+_D_CORNEA_RADIUS, _D_SCLERA_RADIUS = np.eye(len(PARAM_NAMES))[5:7]
+
+
+class _EyeTangents(NamedTuple):
+    """Derivatives of the eye's optical axis, sclera centre and cornea
+    centre by the eight parameters, (8, 3) each, per degree or mm."""
+
+    axis: np.ndarray
+    sclera: np.ndarray
+    cornea: np.ndarray
+
+
+def _eye_tangents(params: EyeParamVector,
+                  nominal: EyeModel) -> tuple[EyeModel, _EyeTangents]:
+    """The eye at ``params`` and its tangents.
+
+    The axis turns about ``WORLD_UP`` by the azimuth, then about the turned
+    right axis by minus the elevation (:func:`scene._rotated_axis`), so
+    its derivatives are cross products with those two axes."""
+    eye = params.materialize(nominal)
+    right = np.cross(WORLD_UP, nominal.optical_axis)
+    if np.linalg.norm(right) < EPS_GEOM:
+        raise InvariantViolation("eye: optical_axis parallel to up axis")
+    right = rotation_about_axis(WORLD_UP, params.azimuth) @ unit(right)
+    d_axis = np.zeros((len(PARAM_NAMES), 3))
+    d_axis[0] = np.radians(1.0) * np.cross(WORLD_UP, eye.optical_axis)
+    d_axis[1] = -np.radians(1.0) * np.cross(right, eye.optical_axis)
+    d_sclera = np.zeros_like(d_axis)
+    d_sclera[2:5] = np.eye(3)
+    d_cornea = d_sclera + eye.cornea_offset * d_axis
+    d_cornea[7] += eye.optical_axis
+    return eye, _EyeTangents(d_axis, d_sclera, d_cornea)
+
+
+def _uv_tangents(
+    eye: EyeModel, tan: _EyeTangents, screen: ScreenModel, dirs: np.ndarray,
+    points: np.ndarray, normals: np.ndarray, region: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents of the hits' ray parameters t, (n, 8), and of their screen
+    coordinates (u, v), (n, 8, 2).
+
+    The hit of the chosen root on its sphere, |o + t d - c| = R, gives
+    ``dt = (R dR + (p - c).dc) / ((p - c).d)``, then ``dp = d dt`` and
+    ``dn = (dp - dc - n dR) / R``. The reflection ``r = d - 2 (d.n) n``
+    meets the screen plane at ``q = p + s r``. Vector tangents are kept
+    only as their dot products with the plane normal and the screen's u
+    and v directions, (n, 8, 3)."""
+    plane = np.stack([screen.plane_normal, *screen.pose.rotation[:, :2].T])
+    is_c = (region == CORNEA)[:, None]
+    rel = points - np.where(is_c, eye.cornea_center, eye.sclera_center)
+    radius = np.where(is_c, eye.cornea_radius, eye.sclera_radius)
+    d_radius = np.where(is_c, _D_CORNEA_RADIUS, _D_SCLERA_RADIUS)
+    d_t = ((radius * d_radius
+            + np.where(is_c, rel @ tan.cornea.T, rel @ tan.sclera.T))
+           / np.sum(rel * dirs, axis=1)[:, None])
+    d_dot_n = np.sum(dirs * normals, axis=1)[:, None]
+    d_dot_dn = (d_t - np.where(is_c, dirs @ tan.cornea.T, dirs @ tan.sclera.T)
+                - d_dot_n * d_radius) / radius
+    dp_k = (dirs @ plane.T)[:, None] * d_t[..., None]
+    n_k = (normals @ plane.T)[:, None]
+    dn_k = (dp_k - np.where(is_c[..., None], tan.cornea @ plane.T,
+                            tan.sclera @ plane.T)
+            - n_k * d_radius[..., None]) / radius[..., None]
+    dr_k = -2.0 * (d_dot_dn[..., None] * n_k + d_dot_n[..., None] * dn_k)
+    r_k = (dirs - 2.0 * d_dot_n * normals) @ plane.T
+    s = ((screen.plane_point - points) @ plane[0]) / r_k[:, 0]
+    d_s = -(dp_k[..., 0] + s[:, None] * dr_k[..., 0]) / r_k[:, :1]
+    d_uv = (dp_k[..., 1:] + d_s[..., None] * r_k[:, None, 1:]
+            + s[:, None, None] * dr_k[..., 1:]) / screen.pixel_pitch
+    return d_t, d_uv
+
+
+def _ramp_tangents(
+    eye: EyeModel, tan: _EyeTangents, scene: SceneConfig, origin: np.ndarray,
+    dirs: np.ndarray, points: np.ndarray, u: np.ndarray, v: np.ndarray,
+    args: np.ndarray, d_t: np.ndarray, d_uv: np.ndarray,
+) -> np.ndarray:
+    """Tangents, (4, n, 8), of the ramp arguments ``args`` of
+    :func:`_weights` at hits ``points`` with ray-parameter and (u, v)
+    tangents ``d_t`` and ``d_uv``."""
+    axis = eye.optical_axis
+    cos_ap = np.cos(np.radians(eye.cornea_aperture))
+    sin_ap = np.sin(np.radians(eye.cornea_aperture))
+    d_args = np.empty((4,) + d_t.shape)
+    # the distance to the nearest panel side
+    w_s, h_s = scene.screen.resolution
+    side = np.argmin(np.stack([u, w_s - 1 - u, v, h_s - 1 - v]), axis=0)
+    d_args[0] = (1 - 2 * (side % 2))[:, None] * np.take_along_axis(
+        d_uv, (side // 2)[:, None, None], axis=2)[..., 0]
+    # the silhouette: the larger sphere clearance R - |perp|, perp running
+    # from the centre to the ray's line
+    margins = []
+    for c, r, d_c, d_r in ((eye.cornea_center, eye.cornea_radius,
+                            tan.cornea, _D_CORNEA_RADIUS),
+                           (eye.sclera_center, eye.sclera_radius,
+                            tan.sclera, _D_SCLERA_RADIUS)):
+        perp = (origin - c) - (dirs @ (origin - c))[:, None] * dirs
+        dist = np.linalg.norm(perp, axis=1)
+        margins.append((r - dist, d_r + (perp / dist[:, None]) @ d_c.T))
+    (m_c, d_m_c), (m_s, d_m_s) = margins
+    d_args[1] = np.where((m_c >= m_s)[:, None], d_m_c, d_m_s)
+    # the absolute aperture margin: the angle about the axis at the cornea
+    # centre less the aperture grows as its cosine falls below cos_ap
+    rel = points - eye.cornea_center
+    norm = np.linalg.norm(rel, axis=1)
+    cosang = rel @ axis / norm
+    d_rel_axis = (dirs @ axis)[:, None] * d_t - tan.cornea @ axis
+    d_rel_rel = np.sum(rel * dirs, axis=1)[:, None] * d_t - rel @ tan.cornea.T
+    d_cos = ((d_rel_axis + rel @ tan.axis.T) / norm[:, None]
+             - (cosang / norm ** 2)[:, None] * d_rel_rel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_args[2] = np.sign(cos_ap - cosang)[:, None] * -np.degrees(
+            d_cos / np.sqrt(1.0 - cosang ** 2)[:, None])
+    # the cap edge clearance hypot(rho - R_c sin_ap, h): vec runs from the
+    # circle centre to the ray's closest approach, h is its axial part and
+    # rho the length of the rest, off
+    circle = eye.cornea_center + eye.cornea_radius * cos_ap * axis
+    d_circle = tan.cornea + cos_ap * (_D_CORNEA_RADIUS[:, None] * axis
+                                      + eye.cornea_radius * tan.axis)
+    vec = origin + ((circle - origin) @ dirs.T)[:, None] * dirs - circle
+    h = vec @ axis
+    off = vec - h[:, None] * axis
+    d_closest = dirs @ d_circle.T
+    d_h = ((dirs @ axis)[:, None] * d_closest - d_circle @ axis
+           + vec @ tan.axis.T)
+    # off.axis = 0, so off.d(off) = off.d(vec) - h off.d(axis)
+    d_off_off = (np.sum(off * dirs, axis=1)[:, None] * d_closest
+                 - off @ d_circle.T - h[:, None] * (off @ tan.axis.T))
+    rho = np.linalg.norm(off, axis=1)
+    d_args[3] = ((rho - eye.cornea_radius * sin_ap)[:, None]
+                 * (d_off_off / rho[:, None] - sin_ap * _D_CORNEA_RADIUS)
+                 + h[:, None] * d_h) / args[3][:, None]
+    return d_args
+
+
+def _jacobian(
+    params: EyeParamVector,
+    measured_terms: tuple[_MeasuredTerms, ...],
+    scene: SceneConfig,
+    config: OptConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian of :func:`_evaluate_loss`'s residual vector by all eight
+    parameters (per degree or mm), as ``(rows, jac)``: the indices into
+    ``r`` of its nonzero rows and those rows, (m, 8).
+
+    One forward-mode tangent pass. Validity, the erosions, the seam and
+    the mismatch penalty are piecewise constant, so their tangent is
+    zero, and so is that of a weight ramp clipped to 0 or 1 (which keeps
+    the aperture angle's infinite slope at the corneal apex out). So only
+    the rows of pixels with a positive weight move, and those lie inside
+    the measured footprint, the only rays traced. Their ``(du, dv)`` move
+    with the hits (:func:`_uv_tangents`), and their saturating factor with
+    the weights (:func:`_ramp_tangents`) and with ``wsum``."""
+    eye, tan = _eye_tangents(params, scene.eye)
+    rows, jac = [], []
+    offset = 0
+    for i, terms in enumerate(measured_terms):
+        origin = scene.cameras[i].center
+        dirs = terms.dirs[terms.weighted]
+        points, normals, region, hit = eye_surface_hit_batch(eye, origin,
+                                                             dirs)
+        sim = screen_correspondence(
+            scene.screen, RayTrace(origin, dirs, points, normals, hit))
+        pix, dirs, points, normals, region, u, v = (
+            a[sim.valid] for a in (terms.weighted, dirs, points, normals,
+                                   region, sim.u, sim.v))
+        w, args, ramps = _weights(eye, scene, terms, origin, pix, points,
+                                  u, v)
+        wsum = w.sum()
+        live = w > 0
+        pix, dirs, points, normals, region, u, v, w = (
+            a[live] for a in (pix, dirs, points, normals, region, u, v, w))
+        args, ramps = args[:, live], ramps[:, live]
+        d_t, d_uv = _uv_tangents(eye, tan, scene.screen, dirs, points,
+                                 normals, region)
+        d_args = _ramp_tangents(eye, tan, scene, origin, dirs, points, u, v,
+                                args, d_t, d_uv)
+        # w is the measured weight times the ramps, so d log w sums the
+        # unclipped ramps' d log(arg); the residual is f (du, dv) with
+        # f = sqrt(w cap / ((cap + v2) wsum))
+        with np.errstate(invalid="ignore"):
+            d_log_w = np.sum(np.where((ramps < 1.0)[..., None],
+                                      d_args / args[..., None], 0.0), axis=0)
+        du = terms.meas.u.ravel()[pix] - u
+        dv = terms.meas.v.ravel()[pix] - v
+        d_u, d_v = d_uv[..., 0], d_uv[..., 1]
+        cap = (4.0 * terms.step_scale * config.pixel_stride) ** 2
+        v2 = du * du + dv * dv
+        f = np.sqrt(w * cap / ((cap + v2) * wsum))[:, None]
+        d_log_f = 0.5 * (d_log_w
+                         + (2.0 * (du[:, None] * d_u + dv[:, None] * d_v))
+                         / (cap + v2)[:, None]
+                         - (w @ d_log_w) / wsum)
+        n = terms.meas.valid.size
+        rows += [offset + pix, offset + n + pix]
+        jac += [f * (d_log_f * du[:, None] - d_u),
+                f * (d_log_f * dv[:, None] - d_v)]
+        offset += 2 * n + 1
+    return (np.concatenate(rows),
+            np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms)))
 
 
 def optimize_gaze(
@@ -424,31 +602,34 @@ def optimize_gaze(
     """Levenberg-Marquardt fit of the active parameters to the loss
     residuals (Moré 1978).
 
-    At each accepted point a forward-difference Jacobian ``J`` of the
-    residuals is taken; a trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ =
-    -Jᵀr`` and is evaluated at the projection of ``x + δ`` onto the valid
-    box. A trial that lowers the loss is accepted and lowers ``λ``; one
-    that does not, or whose loss is unreliable, raises ``λ``. The fit
-    stops at a zero gradient, a relative loss decrease below ``LM_FTOL``,
-    a trial step below ``LM_XTOL`` or ``max_iters`` trials. The trace has
-    one row per trial (plus row 0 at the start) with the trial's step norm
-    and the loss and parameters of the current point, so its losses never
-    rise. Its last row also holds ``stop`` (``zero_gradient``,
-    ``converged``, ``step_floor`` or ``iter_cap``) and ``probe_fallbacks``.
+    At each accepted point the Jacobian ``J`` of the residuals is taken
+    from one tangent pass (``_jacobian``), whose ``active`` columns the fit
+    uses; a trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr`` and is
+    evaluated at the projection of ``x + δ`` onto the valid box. A trial
+    that lowers the loss is accepted and lowers ``λ``; one that does not,
+    or whose loss is unreliable, raises ``λ``. The fit stops at a zero
+    gradient, a relative loss decrease below ``LM_FTOL``, a trial step
+    below ``LM_XTOL`` or ``max_iters`` trials. The trace has one row per
+    trial (plus row 0 at the start) with the trial's step norm and the loss
+    and parameters of the current point, so its losses never rise. Its
+    last row also holds ``stop`` (``zero_gradient``, ``converged``,
+    ``step_floor`` or ``iter_cap``).
 
-    A Jacobian probe traces the pixels within ``PROBE_BAND_PX`` of the
-    measured or the current point's simulated footprint, and re-runs on
-    the full grid (a probe fallback) when it touches the band's outer
-    ring. The start and the trials stay on the full grid: a trial moves
-    by degrees, and sclera islands clear of the ring can turn valid.
+    The tangent pass traces only the pixels of the measured footprint with
+    a positive weight: every residual that moves under an infinitesimal
+    step sits on one of them, and validity flips elsewhere have a zero
+    tangent. So it needs no band around the footprint and no probe inside
+    the box. The start
+    and the trials are evaluated on the full grid: a trial moves by
+    degrees, and sclera islands can turn valid anywhere.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its
-            camera's (H, W).
+            camera's (H, W), or a nominal optical axis along ``WORLD_UP``,
+            which leaves the elevation's turning axis undefined.
         NoDescentError: no trial accepted although the gradient at the
             start is not zero.
-        UnreliableLossError: the loss is unreliable at ``init`` or at a
-            Jacobian probe.
+        UnreliableLossError: the loss is unreliable at ``init``.
     """
     config = config or OptConfig()
     measured_terms = _measured_terms(measured, scene, config)
@@ -458,7 +639,6 @@ def optimize_gaze(
     loss = rep.total
     lam = LM_LAMBDA0
     stop = "iter_cap"
-    fallbacks = 0
     trace: list[dict] = []
 
     def record(it, step):
@@ -473,26 +653,9 @@ def optimize_gaze(
     grad = None
     for it in range(1, config.max_iters + 1):
         if grad is None:
-            band = tuple(t.band(sim) for t, sim in zip(measured_terms,
-                                                       rep.sim_valid))
-            x0 = p.as_array()
-            jac = np.empty((len(r), len(active)))
-            for j, idx in enumerate(active):
-                # a probe that would leave the valid box goes the other way
-                for h in (FD_STEP, -FD_STEP):
-                    x = x0.copy()
-                    x[idx] += h
-                    if np.array_equal(
-                            project_params(p.with_array(x)).as_array(), x):
-                        break
-                q = p.with_array(x)
-                try:
-                    r_h = _evaluate_loss(q, band, scene, config)[1]
-                except _LeftBand:
-                    fallbacks += 1
-                    r_h = _evaluate_loss(q, measured_terms, scene, config)[1]
-                jac[:, j] = (r_h - r) / h
-            grad = jac.T @ r
+            rows, jac = _jacobian(p, measured_terms, scene, config)
+            jac = jac[:, active]
+            grad = jac.T @ r[rows]
             jtj = jac.T @ jac
             if not grad.any():
                 stop = "zero_gradient"
@@ -510,7 +673,7 @@ def optimize_gaze(
         converged = False
         if loss_new < loss:
             converged = loss - loss_new < LM_FTOL * loss
-            p, r, rep, loss = p_new, r_new, rep_new, loss_new
+            p, r, loss = p_new, r_new, loss_new
             lam *= LM_LOWER
             grad = None
         else:
@@ -519,7 +682,7 @@ def optimize_gaze(
         if converged or step < LM_XTOL:
             stop = "converged" if converged else "step_floor"
             break
-    trace[-1].update(stop=stop, probe_fallbacks=fallbacks)
+    trace[-1]["stop"] = stop
     # accepted losses strictly fall, so an unchanged loss means no trial
     # was accepted and the start-point gradient is still at hand
     if loss == trace[0]["loss"] and grad.any():

@@ -1,4 +1,5 @@
-"""Layer benchmark of the inverse-rendering loss and two optimizer fits.
+"""Layer benchmark of the inverse-rendering loss, its Jacobian and three
+optimizer fits.
 
 Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
@@ -8,17 +9,21 @@ The 128 px cases use the default scene's first camera and a measured map
 with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
 standalone ``correspondence_loss`` call builds the measured-map terms
 itself; inside a fit they are built once, so the fit cases show what a
-loss evaluation costs there. The fits start from ``init_guess`` at -2 and
-+2 deg. The 448 px case is a full-resolution fit of both decode-scene
+loss evaluation costs there. The Jacobian case is one tangent pass at
+``init_guess`` at -2 deg, stride 2, on terms built once, as a fit takes it
+at each accepted point. The fits start from ``init_guess`` at -2 and +2
+deg. The 448 px case is a full-resolution fit of both decode-scene
 cameras' rendered sigma_c = 0.5 maps at +3 deg, the size the single-shot
 path measures at.
 """
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from deflect_gaze.optimize import (OptConfig, correspondence_loss, init_guess,
+from deflect_gaze.optimize import (OptConfig, _jacobian, _measured_terms,
+                                   correspondence_loss, init_guess,
                                    optimize_gaze)
 from deflect_gaze.render import add_correspondence_noise, render_correspondence
 from deflect_gaze.scene import rotate_eye
@@ -42,6 +47,15 @@ def test_correspondence_loss_128(benchmark, scene1, stride):
     rep = benchmark(correspondence_loss, init, measured, scene1,
                     pixel_stride=stride)
     assert rep.total > 0
+
+
+def test_jacobian_128_stride2(benchmark, scene1):
+    measured = measured_at(scene1, -2.0)
+    config = OptConfig(pixel_stride=2)
+    terms = _measured_terms(measured, scene1, config)
+    _, jac = benchmark(_jacobian, init_guess(measured, scene1), terms,
+                       scene1, config)
+    assert np.isfinite(jac).all()
 
 
 def test_optimize_gaze_448_two_cameras_stride1(benchmark, dec_scene):

@@ -203,18 +203,20 @@ class TestReconstructAndGaze:
         rows = trace_csv.read_text().splitlines()
         assert rows[0] == "iter,loss,step,azimuth,elevation,tx,ty,tz"
         assert out_csv.exists()
-        # the summary gives the final loss in px^2, and no line counts:
-        # the fit has no back-traced lines
+        # the summary gives the final loss in px^2 and how the fit
+        # stopped, and no line counts: the fit has no back-traced lines
         final_loss = float(rows[-1].split(",")[1])
         centre = r"\(-?\d+\.\d{4}, -?\d+\.\d{4}, -?\d+\.\d{4}\) mm"
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert lines[0] == "method:        optimize"
         assert re.fullmatch(r"gaze direction: \([-+]\d\.\d{6}, "
                             r"[-+]\d\.\d{6}, [-+]\d\.\d{6}\)", lines[1])
         assert re.fullmatch("cornea center:  " + centre, lines[2])
         assert re.fullmatch("sclera center:  " + centre, lines[3])
         assert lines[4] == f"final loss:     {final_loss:.6g} px^2"
+        assert re.fullmatch("stop:           (zero_gradient|converged|"
+                            "step_floor|iter_cap)", lines[5])
 
     @pytest.mark.parametrize("freeze", ["pose", "none"])
     def test_gaze_optimize_freeze(self, scene_file, simdir, tmp_path,
