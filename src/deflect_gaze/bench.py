@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -233,6 +232,10 @@ def run_benchmark(
     if max_workers <= 1 or len(indices) == 1:
         results = [_run_position(scene, config, i, reference) for i in indices]
     else:
+        # imported here: it pulls in multiprocessing, socket and
+        # subprocess, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts all its workers at once; more than one per
         # position would sit idle
         with ProcessPoolExecutor(
@@ -246,7 +249,7 @@ def run_benchmark(
     mean0 = next(r.mean_theta for r in results if r.position == 0.0)
     final = []
     for r in results:
-        if config.reps > 0 and r.n_failed > 0.2 * config.reps:
+        if r.n_failed > 0.2 * config.reps:
             raise BenchmarkAbortError(
                 f"position {r.position}: {r.n_failed}/{config.reps} reps "
                 f"failed: " + "; ".join(r.errors[:3])

@@ -4,7 +4,9 @@ Float images (correspondence channels, phase maps) use PFM with a
 little-endian scale of -1.0 and bottom-to-top row order, the common
 convention. Two-channel data (u/v, phase/quality) is packed into the
 standard 3-channel 'PF' variant with a zeroed third channel. Intensity
-frames are 16-bit PGM, masks 8-bit PGM (0/255).
+frames are 16-bit PGM, masks 8-bit PGM (0/255). The PGM readers scale
+by the header's maxval, so a frame or mask of any depth reads on the
+scale these writers use.
 """
 
 from __future__ import annotations
@@ -78,19 +80,24 @@ def write_pgm(path, data: np.ndarray) -> None:
         f.write(raw)
 
 
-def read_pgm(path) -> np.ndarray:
+def read_pgm(path) -> tuple[np.ndarray, int]:
+    """Samples and maxval of a binary PGM: uint8 samples for a maxval up
+    to 255, uint16 above."""
     with open(path, "rb") as f:
         blob = f.read()
     m = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", blob)
     if not m:
         raise ValueError(f"{path}: not a binary PGM file")
     w, h, maxval = (int(g) for g in m.groups())
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
     data = blob[m.end():]
-    if maxval > 255:
-        arr = np.frombuffer(data, dtype=">u2", count=w * h).astype(np.uint16)
-    else:
-        arr = np.frombuffer(data, dtype=np.uint8, count=w * h)
-    return arr.reshape(h, w).copy()
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    if len(data) < w * h * dtype.itemsize:
+        raise ValueError(f"{path}: PGM data holds {len(data)} bytes, "
+                         f"its header needs {w * h * dtype.itemsize}")
+    arr = np.frombuffer(data, dtype=dtype, count=w * h).reshape(h, w)
+    return arr.astype(dtype.newbyteorder("=")), maxval
 
 
 def write_frame_pgm(path, intensity: np.ndarray) -> None:
@@ -100,8 +107,8 @@ def write_frame_pgm(path, intensity: np.ndarray) -> None:
 
 
 def read_frame_pgm(path) -> np.ndarray:
-    arr = read_pgm(path)
-    maxval = 65535.0 if arr.dtype == np.uint16 else 255.0
+    """Intensity in [0, 1]: samples over the header's maxval."""
+    arr, maxval = read_pgm(path)
     return arr.astype(np.float64) / maxval
 
 
@@ -110,7 +117,9 @@ def write_mask_pgm(path, valid: np.ndarray) -> None:
 
 
 def read_mask_pgm(path) -> np.ndarray:
-    return read_pgm(path) > 127
+    """True where a sample is above half the header's maxval."""
+    arr, maxval = read_pgm(path)
+    return arr > maxval // 2
 
 
 def write_two_channel_pfm(path, a: np.ndarray, b: np.ndarray) -> None:

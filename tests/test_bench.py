@@ -115,7 +115,9 @@ class TestRunBenchmark:
             def submit(self, fn, *args):
                 return Done(fn(*args))
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        # run_benchmark imports the pool class when it starts a pool
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InlinePool)
         cfg = BenchmarkConfig(method="stereo-normals", positions=(0.0, 3.0),
                               reps=1, sigma_c=0.5, master_seed=9)
         result = run_benchmark(cfg, scene, max_workers=10_000)

@@ -155,6 +155,25 @@ class TestSimulateDecode:
         assert "(128, 128)" in err and "(448, 448)" in err
         assert not (outdir / "cam0_decoded_000.pfm").exists()
 
+    @pytest.mark.parametrize("name", ["frame_000.pgm", "mask_000.pgm"])
+    def test_decode_names_truncated_pgm(self, simdir, tmp_path, capsys,
+                                        name):
+        # the frame is 16-bit, the mask 8-bit
+        indir = tmp_path / "sim"
+        indir.mkdir()
+        for f in ("corr_000.pfm", "mask_000.pgm", "frame_000.pgm"):
+            (indir / f"cam0_{f}").write_bytes(
+                (simdir / f"cam0_{f}").read_bytes())
+        cut = indir / f"cam0_{name}"
+        cut.write_bytes(cut.read_bytes()[:-1])
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(indir),
+                   "--out", str(outdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: {cut}: PGM data holds" in err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
+
     def test_decode_rejects_camera_index(self, scene_file, simdir, tmp_path,
                                          capsys):
         # the default scene has two cameras; cam2's maps exist, copied

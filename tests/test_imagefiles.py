@@ -86,6 +86,37 @@ class TestPgm:
         imagefiles.write_frame_pgm(p, np.ones((4, 4)))
         assert p.read_bytes().startswith(b"P5\n4 4\n65535\n")
 
+    @pytest.mark.parametrize("maxval,size,held", [(255, 16, 0),
+                                                  (255, 16, 15),
+                                                  (65535, 32, 31)])
+    def test_short_body_names_file(self, tmp_path, maxval, size, held):
+        # a 4 x 4 image needs one byte per sample up to maxval 255, else two
+        p = tmp_path / "x.pgm"
+        p.write_bytes(f"P5\n4 4\n{maxval}\n".encode() + bytes(held))
+        with pytest.raises(ValueError, match=f"x.pgm: PGM data holds {held} "
+                                             f"bytes, its header needs {size}"):
+            imagefiles.read_pgm(p)
+
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_out_of_range_names_file(self, tmp_path, maxval):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(f"P5\n1 1\n{maxval}\n".encode() + bytes(2))
+        with pytest.raises(ValueError, match="x.pgm: PGM maxval"):
+            imagefiles.read_pgm(p)
+
+    def test_frame_scales_by_maxval(self, tmp_path):
+        # a 12-bit capture: full scale reads 1, not 4095 / 65535
+        p = tmp_path / "f.pgm"
+        p.write_bytes(b"P5\n3 1\n4095\n" + np.array(
+            [4095, 819, 0], dtype=">u2").tobytes())
+        assert np.array_equal(imagefiles.read_frame_pgm(p),
+                              [[1.0, 819 / 4095, 0.0]])
+
+    def test_mask_scales_by_maxval(self, tmp_path):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(b"P5\n2 1\n1\n" + bytes([1, 0]))
+        assert np.array_equal(imagefiles.read_mask_pgm(p), [[True, False]])
+
     def test_bad_dtype_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             imagefiles.write_pgm(tmp_path / "x.pgm", np.zeros((3, 3)))

@@ -1,11 +1,20 @@
-"""Every module in ``src/`` and ``tests/`` uses each name it imports.
+"""What the package imports.
 
-A name counts as used when it is read anywhere in the module, as a bare
-name or as the root of an attribute chain. Imports marked
-``# noqa: F401`` are re-exports and are exempt.
+Every module in ``src/`` and ``tests/`` uses each name it imports. A name
+counts as used when it is read anywhere in the module, as a bare name or
+as the root of an attribute chain. Imports marked ``# noqa: F401`` are
+re-exports and are exempt.
+
+The stereo method loads neither ``scipy.ndimage`` nor the process pool:
+both are imported where they are called, so a stereo run does not pay
+for loading them.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +52,35 @@ def test_checker_finds_unused_names():
     source = ("import os\nimport numpy as np\nfrom a.b import c, d\n"
               "from . import e  # noqa: F401\nnp.zeros(1)\nprint(d)\n")
     assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+STEREO_SCRIPT = """
+import json
+import sys
+
+import numpy as np
+
+from deflect_gaze import bench, decode, gaze, render, scene, stereo
+
+sc = scene.default_scene()
+maps = [render.render_correspondence(sc, cam) for cam in (0, 1)]
+gaze.estimate_gaze_two_center(stereo.reconstruct_field(sc, *maps))
+bench.run_benchmark(bench.BenchmarkConfig(method=bench.METHOD_STEREO,
+                                          reps=1), sc, max_workers=1)
+stereo_loaded = [m for m in ("scipy.ndimage", "concurrent.futures.process")
+                 if m in sys.modules]
+decode.foreground_mask(np.zeros((8, 8)))
+print(json.dumps({"stereo_loaded": stereo_loaded,
+                  "ndimage_after_mask": "scipy.ndimage" in sys.modules}))
+"""
+
+
+def test_stereo_path_loads_no_ndimage_or_process_pool():
+    # a fresh interpreter: this test process may have loaded both already
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", STEREO_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got == {"stereo_loaded": [], "ndimage_after_mask": True}
