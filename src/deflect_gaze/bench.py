@@ -119,9 +119,9 @@ def _measure_and_estimate(scene: SceneConfig, scene_a: SceneConfig,
     cameras, add ``sigma_c`` noise (camera i drawing from ``seeds[i]``)
     and estimate the gaze direction with ``method``.
 
-    The estimators get the loaded ``scene``, never the rotated one: the
-    stage pose is for scoring only, so it must not reach the sweep window
-    or the optimizer's start.
+    The estimators get the loaded ``scene`` with the method's cameras,
+    never the rotated one: the stage pose is for scoring only, so it must
+    not reach the sweep window or the optimizer's start.
     """
     maps = [render_correspondence(scene_a, cam)
             for cam in range(METHOD_CAMERAS[method])]
@@ -134,9 +134,8 @@ def _measure_and_estimate(scene: SceneConfig, scene_a: SceneConfig,
         field_ = reconstruct_field(scene, *maps)
         return estimate_gaze_two_center(
             field_, ClusterParams(rng_seed=int(seeds[2]))).direction
-    nominal = replace(scene, cameras=scene.cameras[:1])
-    init = init_guess(maps, nominal)
-    return optimize_gaze(init, maps, nominal, OPT_CONFIG)[1].direction
+    init = init_guess(maps, scene)
+    return optimize_gaze(init, maps, scene, OPT_CONFIG)[1].direction
 
 
 def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
@@ -218,6 +217,9 @@ def run_benchmark(
     if max_workers is None:
         max_workers = max_workers_from_env()
     t0 = time.perf_counter()
+    # the scene the method measures and estimates with, one instance for
+    # the whole run: init_guess caches its nominal render on it
+    scene = replace(scene, cameras=scene.cameras[:n_cams])
 
     try:
         reference = _measure_and_estimate(

@@ -5,9 +5,12 @@ match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
 bearing channel) and is half the squared norm of a fixed-length residual
 vector, which a Levenberg-Marquardt loop minimizes, projecting every trial
-onto the valid parameter box. Its Jacobian is exact: one forward-mode
-tangent pass through the eye geometry, the ray hits, the reflection onto
-the screen, the boundary weight ramps and the saturating residual.
+onto the valid parameter box. Each evaluation traces every camera's
+loss-grid rays once and works on the rays that hit the eye. Its Jacobian
+is exact: one forward-mode tangent pass through the eye geometry, the ray
+hits, the reflection onto the screen, the boundary weight ramps and the
+saturating residual, on the hits, weights and ramps of the evaluation that
+accepted the point, so the pass traces no ray again.
 
 ``scipy.ndimage`` is imported inside the three mask helpers that call it,
 not at module scope. Every ``deflect_gaze`` import loads this module, and
@@ -26,12 +29,11 @@ from .decode import FOUR_CONN
 from .errors import (EmptyMapError, InvariantViolation, NoDescentError,
                      UnreliableLossError)
 from .gaze import GazeEstimate
-from .render import (CorrespondenceMap, RayTrace, check_camera_map,
-                     ray_margins, render_correspondence,
-                     screen_correspondence)
+from .render import (CorrespondenceMap, check_camera_map, ray_margins,
+                     render_correspondence, screen_hits)
 from .geometry import EPS_GEOM, rotation_about_axis, unit
 from .scene import (CORNEA, WORLD_UP, EyeModel, SceneConfig, ScreenModel,
-                    _rotated_axis, eye_surface_hit_batch)
+                    _rotated_axis, eye_surface_hits)
 
 PARAM_NAMES = ("azimuth", "elevation", "tx", "ty", "tz",
                "cornea_radius", "sclera_radius", "cornea_offset")
@@ -215,7 +217,6 @@ class _MeasuredTerms:
     step_scale: float        # median measured step per full-res pixel
     ramp_scales: np.ndarray  # (4,) widths of the simulated weight ramps
     dirs: np.ndarray         # (N, 3) camera rays of the loss grid
-    weighted: np.ndarray     # flat indices of the pixels with weight > 0
 
 
 def _measured_terms(
@@ -256,8 +257,7 @@ def _measured_terms(
                                     eroded=_erode(meas.valid, grid_b),
                                     weight=weight, step_scale=step_scale,
                                     ramp_scales=ramp_scales,
-                                    dirs=rays.reshape(-1, 3),
-                                    weighted=np.flatnonzero(weight > 0)))
+                                    dirs=rays.reshape(-1, 3)))
     return tuple(terms)
 
 
@@ -279,9 +279,10 @@ def correspondence_loss(
     eroded validity, the boundary fade weight with the seam zeroed and the
     median measured step) are constant over a fit: :func:`optimize_gaze`
     builds them once, a standalone call builds them itself. Each
-    evaluation traces every camera once and reads the silhouette, aperture
-    and cap-edge margins only at the jointly valid pixels, the only ones
-    given weight.
+    evaluation traces every camera once, reflects only the rays that hit
+    the eye, and reads the silhouette, aperture and cap-edge margins only
+    at the jointly valid pixels with a positive measured weight, the only
+    ones given weight.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its
@@ -322,18 +323,48 @@ def _weights(
     return w, args, ramps
 
 
+class _CameraHits(NamedTuple):
+    """One camera's loss-grid pixels that are jointly valid and have a
+    positive measured weight, at an evaluated point: their flat indices,
+    rays, eye hits (points, normals, regions), simulated (u, v), loss
+    weights, and the arguments and values of their weight ramps
+    (:func:`_weights`). Only these pixels' residuals move under an
+    infinitesimal step (:func:`_jacobian`)."""
+
+    pix: np.ndarray
+    dirs: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    region: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    args: np.ndarray
+    ramps: np.ndarray
+
+
+class _Point(NamedTuple):
+    """An evaluated parameter vector, its eye and each camera's
+    :class:`_CameraHits`: what :func:`_jacobian` needs of the evaluation."""
+
+    params: EyeParamVector
+    eye: EyeModel
+    cameras: tuple[_CameraHits, ...]
+
+
 def _evaluate_loss(
     params: EyeParamVector,
     measured_terms: tuple[_MeasuredTerms, ...],
     scene: SceneConfig,
     config: OptConfig,
-) -> tuple[LossReport, np.ndarray]:
+) -> tuple[LossReport, np.ndarray, _Point]:
     """:func:`correspondence_loss` on prepared measured-map terms, plus the
     residual vector ``r`` with ``0.5 * r @ r == report.total`` up to
     rounding: per camera the weighted, saturated ``(du, dv)`` of every
     loss-grid pixel and the square root of the mismatch penalty, all
     scaled by ``sqrt(2 / n_cameras)``. Its length depends only on the
-    measured maps."""
+    measured maps. Last comes the :class:`_Point` that hands the traced
+    hits to the tangent pass."""
     eye = params.materialize(scene.eye)
     pixel_stride = config.pixel_stride
     # on a strided grid the pixel-count floor scales down
@@ -342,16 +373,17 @@ def _evaluate_loss(
     totals = []
     penalties = []
     residuals = []
+    cameras = []
     n_total = 0
     for i, terms in enumerate(measured_terms):
         origin = scene.cameras[i].center
         meas = terms.meas
-        points, normals, _, hit = eye_surface_hit_batch(eye, origin,
-                                                        terms.dirs)
-        sim = screen_correspondence(
-            scene.screen, RayTrace(origin, terms.dirs, points, normals, hit))
-        sim_u, sim_v, sim_valid = (a.reshape(meas.valid.shape)
-                                   for a in (sim.u, sim.v, sim.valid))
+        shape = meas.valid.shape
+        hits = eye_surface_hits(eye, origin, terms.dirs)
+        dirs = terms.dirs[hits.index]
+        u, v, ok = screen_hits(scene.screen, dirs, hits.points, hits.normals)
+        sim_valid = np.zeros(shape, dtype=bool)
+        sim_valid.ravel()[hits.index[ok]] = True
 
         er_sim = _erode(sim_valid, config.grid_boundary_px)
         core = terms.eroded & er_sim
@@ -361,16 +393,25 @@ def _evaluate_loss(
                 f"camera {i}: {n_core} jointly valid core pixels < {n_min}"
             )
 
-        # margins are read at the joint pixels only: all others have
-        # weight zero
-        joint = meas.valid & sim_valid
-        pix = np.flatnonzero(joint)
-        w = np.zeros(joint.shape)
-        w.ravel()[pix] = _weights(eye, scene, terms, origin, pix, points[pix],
-                                  sim.u[pix], sim.v[pix])[0]
+        # positions in hits of the jointly valid pixels, and of those with
+        # a positive measured weight: the only pixels with a loss weight
+        joint = np.flatnonzero(ok)
+        joint = joint[meas.valid.ravel()[hits.index[joint]]]
+        jpix = hits.index[joint]
+        du = np.zeros(shape)
+        dv = np.zeros(shape)
+        du.ravel()[jpix] = meas.u.ravel()[jpix] - u[joint]
+        dv.ravel()[jpix] = meas.v.ravel()[jpix] - v[joint]
+        sel = joint[terms.weight.ravel()[jpix] > 0]
+        pix = hits.index[sel]
+        w_sel, args, ramps = _weights(eye, scene, terms, origin, pix,
+                                      hits.points[sel], u[sel], v[sel])
+        w = np.zeros(shape)
+        w.ravel()[pix] = w_sel
+        cameras.append(_CameraHits(pix, dirs[sel], hits.points[sel],
+                                   hits.normals[sel], hits.region[sel],
+                                   u[sel], v[sel], w_sel, args, ramps))
 
-        du = np.where(joint, meas.u - sim_u, 0.0)
-        dv = np.where(joint, meas.v - sim_v, 0.0)
         wsum = float(np.sum(w))
         if wsum <= 0:
             raise UnreliableLossError(f"camera {i}: zero total loss weight")
@@ -397,7 +438,7 @@ def _evaluate_loss(
                         mismatch_penalty=float(np.mean(penalties)),
                         per_camera=tuple(per_cam))
     r = np.concatenate(residuals) * np.sqrt(2.0 / len(measured_terms))
-    return report, r
+    return report, r, _Point(params, eye, tuple(cameras))
 
 
 # tangents of the cornea and sclera radii: the unit vectors of their columns
@@ -413,14 +454,14 @@ class _EyeTangents(NamedTuple):
     cornea: np.ndarray
 
 
-def _eye_tangents(params: EyeParamVector,
-                  nominal: EyeModel) -> tuple[EyeModel, _EyeTangents]:
-    """The eye at ``params`` and its tangents.
+def _eye_tangents(params: EyeParamVector, eye: EyeModel,
+                  nominal: EyeModel) -> _EyeTangents:
+    """The tangents of ``eye``, the ``nominal`` eye materialized at
+    ``params``.
 
     The axis turns about ``WORLD_UP`` by the azimuth, then about the turned
     right axis by minus the elevation (:func:`scene._rotated_axis`), so
     its derivatives are cross products with those two axes."""
-    eye = params.materialize(nominal)
     right = np.cross(WORLD_UP, nominal.optical_axis)
     if np.linalg.norm(right) < EPS_GEOM:
         raise InvariantViolation("eye: optical_axis parallel to up axis")
@@ -432,7 +473,7 @@ def _eye_tangents(params: EyeParamVector,
     d_sclera[2:5] = np.eye(3)
     d_cornea = d_sclera + eye.cornea_offset * d_axis
     d_cornea[7] += eye.optical_axis
-    return eye, _EyeTangents(d_axis, d_sclera, d_cornea)
+    return _EyeTangents(d_axis, d_sclera, d_cornea)
 
 
 def _uv_tangents(
@@ -537,43 +578,37 @@ def _ramp_tangents(
 
 
 def _jacobian(
-    params: EyeParamVector,
+    point: _Point,
     measured_terms: tuple[_MeasuredTerms, ...],
     scene: SceneConfig,
     config: OptConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian of :func:`_evaluate_loss`'s residual vector by all eight
-    parameters (per degree or mm), as ``(rows, jac)``: the indices into
-    ``r`` of its nonzero rows and those rows, (m, 8).
+    """Jacobian of :func:`_evaluate_loss`'s residual vector at the
+    evaluated ``point`` by all eight parameters (per degree or mm), as
+    ``(rows, jac)``: the indices into ``r`` of its nonzero rows and those
+    rows, (m, 8).
 
-    One forward-mode tangent pass. Validity, the erosions, the seam and
-    the mismatch penalty are piecewise constant, so their tangent is
-    zero, and so is that of a weight ramp clipped to 0 or 1 (which keeps
-    the aperture angle's infinite slope at the corneal apex out). So only
-    the rows of pixels with a positive weight move, and those lie inside
-    the measured footprint, the only rays traced. Their ``(du, dv)`` move
-    with the hits (:func:`_uv_tangents`), and their saturating factor with
-    the weights (:func:`_ramp_tangents`) and with ``wsum``."""
-    eye, tan = _eye_tangents(params, scene.eye)
+    One forward-mode tangent pass on the hits that the evaluation traced;
+    it traces nothing itself. Validity, the erosions, the seam and the
+    mismatch penalty are piecewise constant, so their tangent is zero, and
+    so is that of a weight ramp clipped to 0 or 1 (which keeps the
+    aperture angle's infinite slope at the corneal apex out). So only the
+    rows of pixels with a positive weight move, and those are among the
+    point's :class:`_CameraHits`. Their ``(du, dv)`` move with the hits
+    (:func:`_uv_tangents`), and their saturating factor with the weights
+    (:func:`_ramp_tangents`) and with ``wsum``."""
+    eye = point.eye
+    tan = _eye_tangents(point.params, eye, scene.eye)
     rows, jac = [], []
     offset = 0
-    for i, terms in enumerate(measured_terms):
+    for i, (terms, hits) in enumerate(zip(measured_terms, point.cameras)):
         origin = scene.cameras[i].center
-        dirs = terms.dirs[terms.weighted]
-        points, normals, region, hit = eye_surface_hit_batch(eye, origin,
-                                                             dirs)
-        sim = screen_correspondence(
-            scene.screen, RayTrace(origin, dirs, points, normals, hit))
-        pix, dirs, points, normals, region, u, v = (
-            a[sim.valid] for a in (terms.weighted, dirs, points, normals,
-                                   region, sim.u, sim.v))
-        w, args, ramps = _weights(eye, scene, terms, origin, pix, points,
-                                  u, v)
-        wsum = w.sum()
-        live = w > 0
+        wsum = hits.w.sum()
+        live = hits.w > 0
         pix, dirs, points, normals, region, u, v, w = (
-            a[live] for a in (pix, dirs, points, normals, region, u, v, w))
-        args, ramps = args[:, live], ramps[:, live]
+            a[live] for a in (hits.pix, hits.dirs, hits.points, hits.normals,
+                              hits.region, hits.u, hits.v, hits.w))
+        args, ramps = hits.args[:, live], hits.ramps[:, live]
         d_t, d_uv = _uv_tangents(eye, tan, scene.screen, dirs, points,
                                  normals, region)
         d_args = _ramp_tangents(eye, tan, scene, origin, dirs, points, u, v,
@@ -613,9 +648,10 @@ def optimize_gaze(
     residuals (Moré 1978).
 
     At each accepted point the Jacobian ``J`` of the residuals is taken
-    from one tangent pass (``_jacobian``), whose ``active`` columns the fit
-    uses; a trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr`` and is
-    evaluated at the projection of ``x + δ`` onto the valid box. A trial
+    from one tangent pass (``_jacobian``) on the hits of the evaluation
+    that accepted the point, and the fit uses its ``active`` columns; a
+    trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr`` and is evaluated
+    at the projection of ``x + δ`` onto the valid box. A trial
     that lowers the loss is accepted and lowers ``λ``; one that does not,
     or whose loss is unreliable, raises ``λ``. The fit stops at a zero
     gradient, a relative loss decrease below ``LM_FTOL``, a trial step
@@ -625,13 +661,13 @@ def optimize_gaze(
     last row also holds ``stop`` (``zero_gradient``, ``converged``,
     ``step_floor`` or ``iter_cap``).
 
-    The tangent pass traces only the pixels of the measured footprint with
-    a positive weight: every residual that moves under an infinitesimal
-    step sits on one of them, and validity flips elsewhere have a zero
-    tangent. So it needs no band around the footprint and no probe inside
-    the box. The start
-    and the trials are evaluated on the full grid: a trial moves by
-    degrees, and sclera islands can turn valid anywhere.
+    The tangent pass re-traces nothing: it reads the jointly valid pixels
+    with a positive measured weight from the accepting evaluation. Every
+    residual that moves under an infinitesimal step sits on one of them,
+    and validity flips elsewhere have a zero tangent. The start and the
+    trials are evaluated on the full grid: a trial moves by degrees, and
+    sclera islands can turn valid anywhere. The eye is materialized once
+    per evaluation and nowhere else.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its
@@ -645,7 +681,7 @@ def optimize_gaze(
     measured_terms = _measured_terms(measured, scene, config)
     active = np.nonzero(init.active)[0]
     p = project_params(init)
-    rep, r = _evaluate_loss(p, measured_terms, scene, config)
+    rep, r, point = _evaluate_loss(p, measured_terms, scene, config)
     loss = rep.total
     lam = LM_LAMBDA0
     stop = "iter_cap"
@@ -663,7 +699,7 @@ def optimize_gaze(
     grad = None
     for it in range(1, config.max_iters + 1):
         if grad is None:
-            rows, jac = _jacobian(p, measured_terms, scene, config)
+            rows, jac = _jacobian(point, measured_terms, scene, config)
             jac = jac[:, active]
             grad = jac.T @ r[rows]
             jtj = jac.T @ jac
@@ -675,7 +711,8 @@ def optimize_gaze(
         x[active] += delta
         p_new = project_params(p.with_array(x))
         try:
-            rep_new, r_new = _evaluate_loss(p_new, measured_terms, scene, config)
+            rep_new, r_new, point_new = _evaluate_loss(p_new, measured_terms,
+                                                       scene, config)
             loss_new = rep_new.total
         except UnreliableLossError:
             loss_new = np.inf
@@ -683,7 +720,7 @@ def optimize_gaze(
         converged = False
         if loss_new < loss:
             converged = loss - loss_new < LM_FTOL * loss
-            p, r, loss = p_new, r_new, loss_new
+            p, r, loss, point = p_new, r_new, loss_new, point_new
             lam *= LM_LOWER
             grad = None
         else:
@@ -698,7 +735,7 @@ def optimize_gaze(
     if loss == trace[0]["loss"] and grad.any():
         raise NoDescentError(f"no accepted step in {len(trace) - 1} trials")
 
-    eye = p.materialize(scene.eye)
+    eye = point.eye
     estimate = GazeEstimate(
         direction=eye.optical_axis,
         cornea_center=eye.cornea_center,
@@ -721,6 +758,12 @@ def init_guess(
     of the valid-pixel centroid back-projected at the nominal eye depth
     (clamped to 3 mm), nominal shape.
 
+    The nominal centroid comes from a full-resolution render of camera 0
+    of ``scene``. It is computed on the first call with a ``scene``
+    instance and cached on that instance, which is frozen, as
+    ``CameraModel.pixel_rays`` caches its ray grid; a scene made with
+    ``replace`` starts without it.
+
     Raises:
         EmptyMapError: the measured map has no valid pixels.
     """
@@ -728,15 +771,18 @@ def init_guess(
     if meas.n_valid == 0:
         raise EmptyMapError("measured map has no valid pixels")
     cam = scene.cameras[0]
-    nominal = render_correspondence(scene, 0)
 
-    def centroid_point(m: CorrespondenceMap) -> np.ndarray:
-        ys, xs = np.nonzero(m.valid)
+    def centroid_point(valid: np.ndarray) -> np.ndarray:
+        ys, xs = np.nonzero(valid)
         d = cam.pixel_ray(float(xs.mean()), float(ys.mean()))
         depth = float(np.linalg.norm(cam.center - scene.eye.sclera_center))
         return cam.center + depth * d
 
-    shift = centroid_point(meas) - centroid_point(nominal)
+    nominal = getattr(scene, "_nominal_centroid", None)
+    if nominal is None:
+        nominal = centroid_point(render_correspondence(scene, 0).valid)
+        object.__setattr__(scene, "_nominal_centroid", nominal)
+    shift = centroid_point(meas.valid) - nominal
     return EyeParamVector.from_eye(scene.eye, active=active).with_array(
         np.array([0.0, 0.0, *np.clip(shift, -3.0, 3.0),
                   scene.eye.cornea_radius, scene.eye.sclera_radius,

@@ -5,24 +5,32 @@ screen plane, yielding ground-truth screen-camera correspondences and
 pattern intensity frames. Intensities are pure pattern samples: no ray
 differentials, blur, or Fresnel falloff, since both estimation methods
 consume correspondences rather than radiometry.
+
+The trace works on compact hits: :func:`scene.eye_surface_hits` keeps
+only the rays that hit the eye, :func:`screen_hits` reflects those onto
+the screen, and each result is written into the map once. The fit's loss
+traces with the same two functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .geometry import reflect
-from .scene import EyeModel, SceneConfig, ScreenModel, eye_surface_hit_batch
+from .scene import (EyeModel, SceneConfig, ScreenModel, SurfaceHits,
+                    eye_surface_hit_batch, eye_surface_hits)
 
 BACKGROUND_INTENSITY = 0.02  # near-dark surround, as in real captures
 # crossed fringe: each cosine's amplitude and the common bias, which span
 # the panel's [0, 1] intensity range
 FRINGE_AMPLITUDE = 0.25
 FRINGE_BIAS = 0.5
+# rays per block of render_correspondence: a block's temporaries take about
+# 0.3 kB per ray, and much smaller blocks lose time to per-call overhead
+BLOCK_RAYS = 16384
 
 
 @dataclass(frozen=True)
@@ -110,26 +118,10 @@ def check_camera_map(scene: SceneConfig, cam_index: int,
                 f"{shape}, the camera's (H, W) is {(h, w)}")
 
 
-class RayTrace(NamedTuple):
-    """One camera's pixel rays and their eye-surface hits.
-
-    ``dirs`` keeps the pixel layout of its rays, (H, W, 3) for a (strided)
-    grid or (N, 3) for a pixel list; ``points`` and ``normals`` are NaN
-    where ``hit`` is False.
-    """
-
-    origin: np.ndarray
-    dirs: np.ndarray
-    points: np.ndarray
-    normals: np.ndarray
-    hit: np.ndarray
-
-
-def trace_rays(
-    scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
-) -> RayTrace:
-    """Hit test of every ``stride``-th camera pixel ray with the eye;
-    ``surface`` as in :func:`render_correspondence`.
+def _grid_rays(scene: SceneConfig, cam_index: int,
+               stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and (H, W, 3) ray grid of every ``stride``-th pixel of camera
+    ``cam_index``.
 
     Raises:
         InvariantViolation: ``stride`` below 1.
@@ -137,48 +129,50 @@ def trace_rays(
     if stride < 1:
         raise InvariantViolation(f"render: stride {stride} < 1")
     origin, dirs = scene.cameras[cam_index].pixel_rays()
-    dirs = dirs[::stride, ::stride]
+    return origin, dirs[::stride, ::stride]
+
+
+def _surface_hits(eye: EyeModel, origin: np.ndarray, dirs: np.ndarray,
+                  surface) -> SurfaceHits:
+    """:func:`eye_surface_hits` of rays ``dirs`` (N, 3), or the hits of a
+    ``surface`` hook (see :func:`render_correspondence`), compacted."""
     if surface is None:
-        points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
-    else:
-        points, normals, _, hit = surface(origin, dirs)
-    return RayTrace(origin, dirs, points, normals, hit)
+        return eye_surface_hits(eye, origin, dirs)
+    points, normals, region, hit = surface(origin, dirs)
+    index = np.flatnonzero(hit)
+    return SurfaceHits(index, points.reshape(-1, 3)[index],
+                       normals.reshape(-1, 3)[index], region.ravel()[index])
 
 
-def screen_correspondence(screen: ScreenModel,
-                          tr: RayTrace) -> CorrespondenceMap:
-    """Screen correspondences of a ray trace: the reflection half of
-    :func:`render_correspondence`."""
-    hit = tr.hit
-    shape = hit.shape
-    u = np.full(shape, np.nan)
-    v = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    if np.any(hit):
-        d_h = tr.dirs[hit]
-        p_h = tr.points[hit]
-        r = reflect(d_h, tr.normals[hit])
-        p0 = screen.plane_point
-        nrm = screen.plane_normal
-        denom = r @ nrm
-        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
-        t = ((p0 - p_h) @ nrm) / safe
-        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
+def screen_hits(
+    screen: ScreenModel, dirs: np.ndarray, points: np.ndarray,
+    normals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Screen coordinates (u, v) of rays ``dirs`` (n, 3) reflected at their
+    eye hits ``points`` with unit ``normals``, and ``ok``: False where the
+    reflected ray is parallel to or points away from the screen plane, or
+    meets it off the panel. (u, v) carry no meaning where ``ok`` is False.
 
-        q = p_h + t[:, None] * r
-        uu, vv = screen.world_to_uv(q)
-        w_s, h_s = screen.resolution
-        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
-        u[hit] = np.where(ok, uu, np.nan)
-        v[hit] = np.where(ok, vv, np.nan)
-        valid[hit] = ok
-    return CorrespondenceMap(u=u, v=v, valid=valid)
+    Each ray's values depend on that ray alone."""
+    r = reflect(dirs, normals)
+    p0 = screen.plane_point
+    nrm = screen.plane_normal
+    denom = r @ nrm
+    safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+    t = ((p0 - points) @ nrm) / safe
+    ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
+
+    q = points + t[:, None] * r
+    u, v = screen.world_to_uv(q)
+    w_s, h_s = screen.resolution
+    ok &= (u >= 0) & (u < w_s) & (v >= 0) & (v < h_s)
+    return u, v, ok
 
 
 def render_correspondence(
     scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
 ) -> CorrespondenceMap:
-    """Trace each camera pixel to its screen correspondence.
+    """Trace each ``stride``-th camera pixel to its screen correspondence.
 
     For every pixel: camera ray, eye hit, specular reflection, intersection
     of the reflected ray with the screen plane, conversion to screen pixels.
@@ -186,12 +180,35 @@ def render_correspondence(
     parallel to or points away from the screen plane, or the screen point
     falls outside the panel.
 
+    The rays run in blocks of about ``BLOCK_RAYS``, and only the hits of a
+    block are reflected and written to the map, so the temporaries stay
+    small next to the map itself.
+
     ``surface`` optionally replaces the eye-surface hit function (signature
-    ``surface(origin, dirs) -> (points, normals, region, hit)``); used by
-    tests with analytic reference surfaces.
+    ``surface(origin, dirs (N, 3)) -> (points, normals, region, hit)``, NaN
+    points and normals where ``hit`` is False); used by tests with analytic
+    reference surfaces.
+
+    Raises:
+        InvariantViolation: ``stride`` below 1.
     """
-    return screen_correspondence(
-        scene.screen, trace_rays(scene, cam_index, surface, stride))
+    origin, grid = _grid_rays(scene, cam_index, stride)
+    h, w = grid.shape[:2]
+    u = np.full(h * w, np.nan)
+    v = np.full(h * w, np.nan)
+    valid = np.zeros(h * w, dtype=bool)
+    rows = max(1, BLOCK_RAYS // w)
+    for y0 in range(0, h, rows):
+        dirs = grid[y0:y0 + rows].reshape(-1, 3)
+        hits = _surface_hits(scene.eye, origin, dirs, surface)
+        uu, vv, ok = screen_hits(scene.screen, dirs[hits.index], hits.points,
+                                 hits.normals)
+        at = y0 * w + hits.index[ok]
+        u[at] = uu[ok]
+        v[at] = vv[ok]
+        valid[at] = True
+    return CorrespondenceMap(u=u.reshape(h, w), v=v.reshape(h, w),
+                             valid=valid.reshape(h, w))
 
 
 def ray_margins(
@@ -255,12 +272,15 @@ def render_margins(scene: SceneConfig, cam_index: int, stride: int = 1) -> dict:
     - ``cap_edge``: mm of clearance between the ray and the corneal cap
       edge circle. Rays grazing that circle jump between the cap flank and
       the sclera it occludes, so the correspondence is discontinuous there.
+
+    Raises:
+        InvariantViolation: ``stride`` below 1.
     """
-    tr = trace_rays(scene, cam_index, stride=stride)
-    sil, aper, cap_edge = ray_margins(scene.eye, tr.origin,
-                                      tr.dirs.reshape(-1, 3),
-                                      tr.points.reshape(-1, 3))
-    shape = tr.hit.shape
+    origin, grid = _grid_rays(scene, cam_index, stride)
+    dirs = grid.reshape(-1, 3)
+    points = eye_surface_hit_batch(scene.eye, origin, dirs)[0]
+    sil, aper, cap_edge = ray_margins(scene.eye, origin, dirs, points)
+    shape = grid.shape[:-1]
     return {"silhouette": sil.reshape(shape),
             "aperture": aper.reshape(shape),
             "cap_edge": cap_edge.reshape(shape)}

@@ -3,6 +3,11 @@
 The scene is the forward model both estimation methods share. Geometry is
 read from config files (JSON), never estimated. World frame: +y up, the
 default eye looks along +z, cameras and screen sit on the +z side.
+
+:func:`eye_surface_hits` is the one eye hit test. It returns only the
+rays that hit, so the render and the fit's loss never fill arrays for the
+rays that miss; :func:`eye_surface_hit_batch` scatters its hits back into
+the layout of the rays for callers that want full arrays.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,22 +197,31 @@ class SceneConfig:
             raise InvariantViolation("scene: 1 <= number of cameras <= 2")
 
 
-def eye_surface_hit_batch(
+class SurfaceHits(NamedTuple):
+    """The rays of a batch that hit the eye surface: their flat indices
+    into the batch, ascending, their hit points and unit normals, (n, 3)
+    each, and their regions (``CORNEA`` or ``SCLERA``), (n,)."""
+
+    index: np.ndarray
+    points: np.ndarray
+    normals: np.ndarray
+    region: np.ndarray
+
+
+def eye_surface_hits(
     eye: EyeModel, origin: np.ndarray, dirs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest hit of many shared-origin rays with the composite eye surface.
+) -> SurfaceHits:
+    """Nearest hits of shared-origin rays ``dirs`` (N, 3) with the composite
+    eye surface, for the rays that hit it.
 
     A cornea-sphere point belongs to the surface iff the angle at the cornea
     center between (point - cornea_center) and the optical axis is at most
     the aperture; a sclera-sphere point belongs iff that same test exceeds
     the aperture (the corneal cap replaces the scleral cap).
 
-    Returns (points (N,3), normals (N,3), region (N,), hit (N,)); points and
-    normals are NaN where ``hit`` is False.
+    Each ray's values depend on that ray alone, so any subset of a batch
+    gets the rows the whole batch would give it.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    flat = dirs.reshape(-1, 3)
-    n = len(flat)
     cc = eye.cornea_center
     sc = eye.sclera_center
     cos_ap = np.cos(np.radians(eye.cornea_aperture))
@@ -215,59 +230,65 @@ def eye_surface_hit_batch(
     # sclera center of radius max(R_s, d_c + R_c).
     bound = max(eye.sclera_radius, eye.cornea_offset + eye.cornea_radius)
     oc = origin - sc
-    proj = flat @ oc
-    miss_bound = (oc @ oc - proj * proj) > bound * bound
-    near = ~miss_bound
-    sub = flat[near]
+    proj = dirs @ oc
+    near = np.flatnonzero(oc @ oc - proj * proj <= bound * bound)
+    sub = dirs[near]
 
+    t_cand = np.empty((4, len(sub)))
+    t_cand[0], t_cand[1] = ray_sphere_roots(origin, sub, cc, eye.cornea_radius)
+    t_cand[2], t_cand[3] = ray_sphere_roots(origin, sub, sc, eye.sclera_radius)
+
+    # Membership test along each ray without materializing candidate
+    # points: with rel(t) = (o - cc) + t d,
+    #   rel . axis = a0 + t (d . axis),   |rel|^2 = b0 + 2 t (d . occ) + t^2
+    occ = origin - cc
+    a0 = occ @ eye.optical_axis
+    b0 = occ @ occ
+    d_axis = sub @ eye.optical_axis
+    d_occ = sub @ occ
+    dot_axis = a0 + t_cand * d_axis
+    with np.errstate(invalid="ignore"):
+        member = np.empty_like(t_cand, dtype=bool)
+        # cornea candidates lie on the cornea sphere: |rel| = R_c
+        member[:2] = dot_axis[:2] >= cos_ap * eye.cornea_radius
+        rel_norm = np.sqrt(b0 + t_cand[2:] * (2.0 * d_occ + t_cand[2:]))
+        member[2:] = dot_axis[2:] < cos_ap * rel_norm
+        usable = member & np.isfinite(t_cand) & (t_cand > geometry.EPS_GEOM)
+    t_masked = np.where(usable, t_cand, np.inf)
+    best_t = np.min(t_masked, axis=0)
+    hit = np.isfinite(best_t)
+    is_c = np.argmin(t_masked[:, hit], axis=0) < 2
+
+    p = origin + best_t[hit, None] * sub[hit]
+    nrm = np.where(is_c[:, None], (p - cc) / eye.cornea_radius,
+                   (p - sc) / eye.sclera_radius)
+    return SurfaceHits(near[hit], p, nrm,
+                       np.where(is_c, CORNEA, SCLERA).astype(np.int8))
+
+
+def eye_surface_hit_batch(
+    eye: EyeModel, origin: np.ndarray, dirs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`eye_surface_hits` of rays ``dirs`` (..., 3), scattered back to
+    the batch's layout.
+
+    Returns (points (..., 3), normals (..., 3), region (...), hit (...));
+    points and normals are NaN and region is -1 where ``hit`` is False.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    shape = dirs.shape[:-1]
+    hits = eye_surface_hits(eye, origin, dirs.reshape(-1, 3))
+    n = dirs.size // 3
     points = np.full((n, 3), np.nan)
     normals = np.full((n, 3), np.nan)
     region = np.full(n, -1, dtype=np.int8)
-    hit_all = np.zeros(n, dtype=bool)
-
-    if len(sub):
-        t_cand = np.empty((4, len(sub)))
-        t_cand[0], t_cand[1] = ray_sphere_roots(origin, sub, cc, eye.cornea_radius)
-        t_cand[2], t_cand[3] = ray_sphere_roots(origin, sub, sc, eye.sclera_radius)
-
-        # Membership test along each ray without materializing candidate
-        # points: with rel(t) = (o - cc) + t d,
-        #   rel . axis = a0 + t (d . axis),   |rel|^2 = b0 + 2 t (d . occ) + t^2
-        occ = origin - cc
-        a0 = occ @ eye.optical_axis
-        b0 = occ @ occ
-        d_axis = sub @ eye.optical_axis
-        d_occ = sub @ occ
-        dot_axis = a0 + t_cand * d_axis
-        with np.errstate(invalid="ignore"):
-            member = np.empty_like(t_cand, dtype=bool)
-            # cornea candidates lie on the cornea sphere: |rel| = R_c
-            member[:2] = dot_axis[:2] >= cos_ap * eye.cornea_radius
-            rel_norm = np.sqrt(b0 + t_cand[2:] * (2.0 * d_occ + t_cand[2:]))
-            member[2:] = dot_axis[2:] < cos_ap * rel_norm
-            usable = member & np.isfinite(t_cand) & (t_cand > geometry.EPS_GEOM)
-        t_masked = np.where(usable, t_cand, np.inf)
-        k_best = np.argmin(t_masked, axis=0)
-        best_t = np.min(t_masked, axis=0)
-        hit = np.isfinite(best_t)
-
-        p = origin + best_t[:, None] * sub
-        is_c = k_best < 2
-        nrm = np.where(is_c[:, None], (p - cc) / eye.cornea_radius,
-                       (p - sc) / eye.sclera_radius)
-        p[~hit] = np.nan
-        nrm[~hit] = np.nan
-
-        points[near] = p
-        normals[near] = nrm
-        reg_sub = np.where(is_c, CORNEA, SCLERA).astype(np.int8)
-        reg_sub[~hit] = -1
-        region[near] = reg_sub
-        hit_all[near] = hit
-
-    shape = dirs.shape[:-1]
+    hit = np.zeros(n, dtype=bool)
+    points[hits.index] = hits.points
+    normals[hits.index] = hits.normals
+    region[hits.index] = hits.region
+    hit[hits.index] = True
     return (points.reshape(*shape, 3), normals.reshape(*shape, 3),
-            region.reshape(shape), hit_all.reshape(shape))
+            region.reshape(shape), hit.reshape(shape))
 
 
 def rotate_eye(

@@ -10,11 +10,11 @@ with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
 standalone ``correspondence_loss`` call builds the measured-map terms
 itself; inside a fit they are built once, so the fit cases show what a
 loss evaluation costs there. The Jacobian case is one tangent pass at
-``init_guess`` at -2 deg, stride 2, on terms built once, as a fit takes it
-at each accepted point. The fits start from ``init_guess`` at -2 and +2
-deg. The 448 px case is a full-resolution fit of both decode-scene
-cameras' rendered sigma_c = 0.5 maps at +3 deg, the size the single-shot
-path measures at.
+``init_guess`` at -2 deg, stride 2, on terms built once and the hits of
+the evaluation at that point, as a fit takes it at each accepted point.
+The fits start from ``init_guess`` at -2 and +2 deg. The 448 px case is
+a full-resolution fit of both decode-scene cameras' rendered sigma_c =
+0.5 maps at +3 deg, the size the single-shot path measures at.
 """
 
 from dataclasses import replace
@@ -22,9 +22,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deflect_gaze.optimize import (OptConfig, _jacobian, _measured_terms,
-                                   correspondence_loss, init_guess,
-                                   optimize_gaze)
+from deflect_gaze.optimize import (OptConfig, _evaluate_loss, _jacobian,
+                                   _measured_terms, correspondence_loss,
+                                   init_guess, optimize_gaze)
 from deflect_gaze.render import add_correspondence_noise, render_correspondence
 from deflect_gaze.scene import rotate_eye
 
@@ -53,8 +53,9 @@ def test_jacobian_128_stride2(benchmark, scene1):
     measured = measured_at(scene1, -2.0)
     config = OptConfig(pixel_stride=2)
     terms = _measured_terms(measured, scene1, config)
-    _, jac = benchmark(_jacobian, init_guess(measured, scene1), terms,
-                       scene1, config)
+    point = _evaluate_loss(init_guess(measured, scene1), terms, scene1,
+                           config)[2]
+    _, jac = benchmark(_jacobian, point, terms, scene1, config)
     assert np.isfinite(jac).all()
 
 

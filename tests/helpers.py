@@ -1,6 +1,7 @@
 """Shared test utilities: analytic surfaces, synthetic line bundles, angle
-and report readers, and the direct-evaluation references of the decode
-stages, of the stereo scoring kernel and of RANSAC scoring."""
+and report readers, and the direct-evaluation references of the eye hit
+test and the render, of the fit's Jacobian, of the decode stages, of the
+stereo scoring kernel and of RANSAC scoring."""
 
 import heapq
 
@@ -10,9 +11,14 @@ from scipy import ndimage
 from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
                                  Q_MIN, PhaseMap, phase_to_correspondence)
+from deflect_gaze import geometry
 from deflect_gaze.errors import InvalidSeedError, NoRidgeError
-from deflect_gaze.geometry import bisector_masked, unit
+from deflect_gaze.geometry import (bisector_masked, ray_sphere_roots, reflect,
+                                   unit)
+from deflect_gaze.optimize import (_eye_tangents, _ramp_tangents,
+                                   _uv_tangents, _weights)
 from deflect_gaze.render import CorrespondenceMap, CrossedFringe
+from deflect_gaze.scene import CORNEA, SCLERA
 
 
 def plane_mirror_surface(point, normal):
@@ -105,6 +111,169 @@ def brute_force_min_point(points, dirs, lo, hi, step):
             best_val = float(tot[k])
             best_x = grid[k]
     return best_x, best_val
+
+
+# ---------------------------------------------------------------------------
+# Trace references: the full-array eye hit test, render and re-tracing
+# Jacobian that the compact hit kernel replaced. The package must reproduce
+# them bit for bit.
+
+def reference_surface_hit_batch(eye, origin, dirs):
+    """``scene.eye_surface_hit_batch`` as full-array NaN fills around the
+    bounding-sphere prefilter's subset. Returns (points, normals, region,
+    hit) in the layout of ``dirs``."""
+    dirs = np.asarray(dirs, dtype=float)
+    flat = dirs.reshape(-1, 3)
+    n = len(flat)
+    cc = eye.cornea_center
+    sc = eye.sclera_center
+    cos_ap = np.cos(np.radians(eye.cornea_aperture))
+
+    bound = max(eye.sclera_radius, eye.cornea_offset + eye.cornea_radius)
+    oc = origin - sc
+    proj = flat @ oc
+    near = ~((oc @ oc - proj * proj) > bound * bound)
+    sub = flat[near]
+
+    points = np.full((n, 3), np.nan)
+    normals = np.full((n, 3), np.nan)
+    region = np.full(n, -1, dtype=np.int8)
+    hit_all = np.zeros(n, dtype=bool)
+
+    if len(sub):
+        t_cand = np.empty((4, len(sub)))
+        t_cand[0], t_cand[1] = ray_sphere_roots(origin, sub, cc,
+                                                eye.cornea_radius)
+        t_cand[2], t_cand[3] = ray_sphere_roots(origin, sub, sc,
+                                                eye.sclera_radius)
+        occ = origin - cc
+        a0 = occ @ eye.optical_axis
+        b0 = occ @ occ
+        d_axis = sub @ eye.optical_axis
+        d_occ = sub @ occ
+        dot_axis = a0 + t_cand * d_axis
+        with np.errstate(invalid="ignore"):
+            member = np.empty_like(t_cand, dtype=bool)
+            member[:2] = dot_axis[:2] >= cos_ap * eye.cornea_radius
+            rel_norm = np.sqrt(b0 + t_cand[2:] * (2.0 * d_occ + t_cand[2:]))
+            member[2:] = dot_axis[2:] < cos_ap * rel_norm
+            usable = member & np.isfinite(t_cand) & (t_cand
+                                                     > geometry.EPS_GEOM)
+        t_masked = np.where(usable, t_cand, np.inf)
+        k_best = np.argmin(t_masked, axis=0)
+        best_t = np.min(t_masked, axis=0)
+        hit = np.isfinite(best_t)
+
+        p = origin + best_t[:, None] * sub
+        is_c = k_best < 2
+        nrm = np.where(is_c[:, None], (p - cc) / eye.cornea_radius,
+                       (p - sc) / eye.sclera_radius)
+        p[~hit] = np.nan
+        nrm[~hit] = np.nan
+        points[near] = p
+        normals[near] = nrm
+        reg_sub = np.where(is_c, CORNEA, SCLERA).astype(np.int8)
+        reg_sub[~hit] = -1
+        region[near] = reg_sub
+        hit_all[near] = hit
+
+    shape = dirs.shape[:-1]
+    return (points.reshape(*shape, 3), normals.reshape(*shape, 3),
+            region.reshape(shape), hit_all.reshape(shape))
+
+
+def reference_screen_correspondence(screen, dirs, points, normals, hit):
+    """Screen correspondences of traced rays as full NaN-filled maps in the
+    layout of ``hit``, reflecting the rays gathered by ``hit``."""
+    shape = hit.shape
+    u = np.full(shape, np.nan)
+    v = np.full(shape, np.nan)
+    valid = np.zeros(shape, dtype=bool)
+    if np.any(hit):
+        d_h = dirs[hit]
+        p_h = points[hit]
+        r = reflect(d_h, normals[hit])
+        p0 = screen.plane_point
+        nrm = screen.plane_normal
+        denom = r @ nrm
+        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+        t = ((p0 - p_h) @ nrm) / safe
+        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
+
+        q = p_h + t[:, None] * r
+        uu, vv = screen.world_to_uv(q)
+        w_s, h_s = screen.resolution
+        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
+        u[hit] = np.where(ok, uu, np.nan)
+        v[hit] = np.where(ok, vv, np.nan)
+        valid[hit] = ok
+    return CorrespondenceMap(u=u, v=v, valid=valid)
+
+
+def reference_correspondence(scene, cam_index, surface=None, stride=1):
+    """``render.render_correspondence`` with one full-grid hit test and
+    full NaN-filled maps; ``surface`` gets the (H, W, 3) ray grid."""
+    origin, dirs = scene.cameras[cam_index].pixel_rays()
+    dirs = dirs[::stride, ::stride]
+    if surface is None:
+        points, normals, _, hit = reference_surface_hit_batch(scene.eye,
+                                                              origin, dirs)
+    else:
+        points, normals, _, hit = surface(origin, dirs)
+    return reference_screen_correspondence(scene.screen, dirs, points,
+                                           normals, hit)
+
+
+def reference_jacobian(params, measured_terms, scene, config):
+    """``optimize._jacobian`` re-tracing the rays with a positive measured
+    weight at ``params``: it materializes the eye again, runs the full-array
+    hit test and render on those rays, then the tangent pass."""
+    eye = params.materialize(scene.eye)
+    tan = _eye_tangents(params, eye, scene.eye)
+    rows, jac = [], []
+    offset = 0
+    for i, terms in enumerate(measured_terms):
+        origin = scene.cameras[i].center
+        weighted = np.flatnonzero(terms.weight > 0)
+        dirs = terms.dirs[weighted]
+        points, normals, region, hit = reference_surface_hit_batch(
+            eye, origin, dirs)
+        sim = reference_screen_correspondence(scene.screen, dirs, points,
+                                              normals, hit)
+        pix, dirs, points, normals, region, u, v = (
+            a[sim.valid] for a in (weighted, dirs, points, normals,
+                                   region, sim.u, sim.v))
+        w, args, ramps = _weights(eye, scene, terms, origin, pix, points,
+                                  u, v)
+        wsum = w.sum()
+        live = w > 0
+        pix, dirs, points, normals, region, u, v, w = (
+            a[live] for a in (pix, dirs, points, normals, region, u, v, w))
+        args, ramps = args[:, live], ramps[:, live]
+        d_t, d_uv = _uv_tangents(eye, tan, scene.screen, dirs, points,
+                                 normals, region)
+        d_args = _ramp_tangents(eye, tan, scene, origin, dirs, points, u, v,
+                                args, d_t, d_uv)
+        with np.errstate(invalid="ignore"):
+            d_log_w = np.sum(np.where((ramps < 1.0)[..., None],
+                                      d_args / args[..., None], 0.0), axis=0)
+        du = terms.meas.u.ravel()[pix] - u
+        dv = terms.meas.v.ravel()[pix] - v
+        d_u, d_v = d_uv[..., 0], d_uv[..., 1]
+        cap = (4.0 * terms.step_scale * config.pixel_stride) ** 2
+        v2 = du * du + dv * dv
+        f = np.sqrt(w * cap / ((cap + v2) * wsum))[:, None]
+        d_log_f = 0.5 * (d_log_w
+                         + (2.0 * (du[:, None] * d_u + dv[:, None] * d_v))
+                         / (cap + v2)[:, None]
+                         - (w @ d_log_w) / wsum)
+        n = terms.meas.valid.size
+        rows += [offset + pix, offset + n + pix]
+        jac += [f * (d_log_f * du[:, None] - d_u),
+                f * (d_log_f * dv[:, None] - d_v)]
+        offset += 2 * n + 1
+    return (np.concatenate(rows),
+            np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms)))
 
 
 # ---------------------------------------------------------------------------

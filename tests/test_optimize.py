@@ -9,17 +9,16 @@ from deflect_gaze import optimize
 from deflect_gaze.errors import (EmptyMapError, InvariantViolation,
                                  NoDescentError, UnreliableLossError)
 from deflect_gaze.gaze import relative_gaze_angle
-from deflect_gaze.optimize import (PARAM_NAMES, EyeParamVector, LossReport,
-                                   OptConfig, _erode, _evaluate_loss,
-                                   _fade_weight, _jacobian, _measured_terms,
-                                   _seam_mask, _strided, _weights,
-                                   correspondence_loss, init_guess,
+from deflect_gaze.optimize import (DEFAULT_ACTIVE, PARAM_NAMES,
+                                   EyeParamVector, LossReport, OptConfig,
+                                   _erode, _evaluate_loss, _fade_weight,
+                                   _jacobian, _measured_terms, _seam_mask,
+                                   _strided, correspondence_loss, init_guess,
                                    optimize_gaze, project_params)
-from deflect_gaze.render import (CorrespondenceMap, RayTrace,
-                                 add_correspondence_noise,
-                                 render_correspondence, render_margins,
-                                 screen_correspondence)
-from deflect_gaze.scene import eye_surface_hit_batch, rotate_eye
+from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
+                                 render_correspondence, render_margins)
+from deflect_gaze.scene import rotate_eye
+from helpers import reference_jacobian
 
 UP = np.array([0.0, 1.0, 0.0])
 
@@ -201,7 +200,7 @@ class TestLossMatchesReference:
                 for dx in (np.zeros(8), [0.7, -0.4, 0.2, -0.1, 0.3, 0, 0, 0],
                            [-1.5, 0.5, -0.3, 0.2, -0.2, 0, 0, 0]):
                     p = truth.with_array(x + np.asarray(dx))
-                    _, r = _evaluate_loss(p, terms, sc, cfg)
+                    _, r, _ = _evaluate_loss(p, terms, sc, cfg)
                     ref = reference_loss(p, measured, sc,
                                          pixel_stride=stride).total
                     assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
@@ -232,21 +231,16 @@ def fit_cases(scene, dec_scene):
     return get
 
 
-def footprint(p, terms, sc):
-    """On the rays the tangent pass traces, what it holds constant (per
-    camera each ray's screen validity and hit sphere, and which weight
-    ramps are clipped at 0 or at 1) and the weight ramps themselves."""
-    eye = p.materialize(sc.eye)
+def footprint(point):
+    """Of the pixels the tangent pass reads at an evaluated point, what it
+    holds constant (per camera which pixels they are, each one's hit
+    sphere, and which weight ramps are clipped at 0 or at 1) and the
+    weight ramps themselves."""
     flags, ramps = [], []
-    for cam, t in zip(sc.cameras, terms):
-        dirs = t.dirs[t.weighted]
-        points, normals, region, hit = eye_surface_hit_batch(
-            eye, cam.center, dirs)
-        sim = screen_correspondence(
-            sc.screen, RayTrace(cam.center, dirs, points, normals, hit))
-        ramps.append(_weights(eye, sc, t, cam.center, t.weighted, points,
-                              sim.u, sim.v)[2])
-        flags += [sim.valid, region, ramps[-1] == 0.0, ramps[-1] == 1.0]
+    for hits in point.cameras:
+        ramps.append(hits.ramps)
+        flags += [hits.pix, hits.region, hits.ramps == 0.0,
+                  hits.ramps == 1.0]
     return flags, ramps
 
 
@@ -281,14 +275,14 @@ class TestTangentJacobian:
         x0[5:] += shape
         p0 = truth.with_array(x0)
         try:
-            r0 = _evaluate_loss(p0, terms, sc, cfg)[1]
+            _, r0, point0 = _evaluate_loss(p0, terms, sc, cfg)
         except UnreliableLossError:
             assume(False)
-        rows, jac_rows = _jacobian(p0, terms, sc, cfg)
+        rows, jac_rows = _jacobian(point0, terms, sc, cfg)
         jac = np.zeros((len(r0), len(PARAM_NAMES)))
         jac[rows] = jac_rows
         still = ~jac.any(axis=1)
-        flags0, ramps0 = footprint(p0, terms, sc)
+        flags0, ramps0 = footprint(point0)
         for j in range(len(PARAM_NAMES)):
             r_h, ramps_h = [], []
             for h in (self.H, -self.H):
@@ -296,12 +290,12 @@ class TestTangentJacobian:
                 x[j] += h
                 p = truth.with_array(x)
                 try:
-                    r = _evaluate_loss(p, terms, sc, cfg)[1]
+                    _, r, point = _evaluate_loss(p, terms, sc, cfg)
                 except UnreliableLossError:
                     assume(False)
                 # no pixel gains weight, and the mismatch penalty stays
                 assume(np.array_equal(r[still], r0[still]))
-                flags, ramps = footprint(p, terms, sc)
+                flags, ramps = footprint(point)
                 assume(all(np.array_equal(a, b)
                            for a, b in zip(flags, flags0)))
                 r_h.append(r)
@@ -322,15 +316,35 @@ class TestTangentJacobian:
         terms = _measured_terms(measured, scene1, cfg)
         init = init_guess(measured, scene1)
         for p in (init, optimize_gaze(init, measured, scene1, cfg)[0]):
-            rows, jac = _jacobian(p, terms, scene1, cfg)
+            point = _evaluate_loss(p, terms, scene1, cfg)[2]
+            rows, jac = _jacobian(point, terms, scene1, cfg)
             assert np.isfinite(jac).all()
             assert len(rows) > 0
+
+    @pytest.mark.parametrize("active", [DEFAULT_ACTIVE, (True,) * 8],
+                             ids=["pose", "all"])
+    @pytest.mark.parametrize("n_cam", [1, 2])
+    def test_equal_to_retracing_reference(self, scene, n_cam, active):
+        # the tangent pass on the accepting evaluation's hits gives the
+        # re-tracing pass's Jacobian bit for bit, at the start and at the
+        # end of the optimize benchmark's fits
+        sc = replace(scene, cameras=scene.cameras[:n_cam])
+        cfg = OptConfig(pixel_stride=2)
+        for a in (-4.0, -2.0, 0.0, 2.0, 4.0):
+            measured = noisy_maps(sc, a, seed=5)
+            terms = _measured_terms(measured, sc, cfg)
+            init = init_guess(measured, sc, active=active)
+            for p in (init, optimize_gaze(init, measured, sc, cfg)[0]):
+                point = _evaluate_loss(p, terms, sc, cfg)[2]
+                for got, ref in zip(_jacobian(point, terms, sc, cfg),
+                                    reference_jacobian(p, terms, sc, cfg)):
+                    assert np.array_equal(got, ref)
 
     def test_axis_along_up_raises(self, scene1):
         # elevation turns about the axis's right, which is then undefined
         eye = replace(scene1.eye, optical_axis=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(InvariantViolation, match="parallel to up"):
-            optimize._eye_tangents(EyeParamVector.from_eye(eye), eye)
+            optimize._eye_tangents(EyeParamVector.from_eye(eye), eye, eye)
 
 
 class TestStopReason:
@@ -480,10 +494,10 @@ class TestOptimize:
         init = init_guess(measured, scene1)
 
         def worse_off_start(params, terms, scene, config):
-            rep, r = evaluate(params, terms, scene, config)
+            rep, r, point = evaluate(params, terms, scene, config)
             if np.array_equal(params.as_array(), init.as_array()):
-                return rep, r
-            return replace(rep, total=np.inf), r
+                return rep, r, point
+            return replace(rep, total=np.inf), r, point
 
         monkeypatch.setattr(optimize, "_evaluate_loss", worse_off_start)
         with pytest.raises(NoDescentError):
@@ -560,4 +574,27 @@ class TestInitGuess:
     def test_always_valid_params(self, scene1, measured_truth):
         init = init_guess(measured_truth, scene1)
         init.materialize(scene1.eye)  # must not raise
+
+    def test_nominal_render_cached_per_scene(self, scene1, monkeypatch):
+        renders = []
+
+        def render(sc, cam_index):
+            renders.append(sc)
+            return render_correspondence(sc, cam_index)
+
+        monkeypatch.setattr(optimize, "render_correspondence", render)
+        measured = noisy_maps(scene1, 2.0, seed=3)
+        sc = replace(scene1)  # a fresh instance, with nothing cached
+        first = init_guess(measured, sc)
+        second = init_guess(measured, sc, active=(True,) * 8)
+        assert len(renders) == 1 and renders[0] is sc
+        assert np.array_equal(first.as_array(), second.as_array())
+        # a scene with the eye moved is a new instance: it renders anew
+        moved = replace(sc, eye=replace(
+            sc.eye, sclera_center=sc.eye.sclera_center + [1.0, 0.0, 0.0]))
+        third = init_guess(measured, moved)
+        assert len(renders) == 2 and renders[1] is moved
+        fresh = init_guess(measured, replace(moved))
+        assert np.array_equal(third.as_array(), fresh.as_array())
+        assert not np.array_equal(third.translation, first.translation)
 

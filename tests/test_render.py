@@ -1,54 +1,20 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deflect_gaze.errors import InvariantViolation
-from deflect_gaze.geometry import reflect, unit
+from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, add_correspondence_noise,
                                  pattern_value, ray_margins,
                                  render_correspondence, render_frame,
-                                 render_margins, trace_rays)
+                                 render_margins)
 from deflect_gaze.scene import (ScreenModel, eye_surface_hit_batch,
                                 rotate_eye)
-from helpers import plane_mirror_surface
-
-
-def reference_correspondence(scene, cam_index, surface=None, stride=1):
-    """``render_correspondence`` as first written, in one function."""
-    cam = scene.cameras[cam_index]
-    origin, dirs = cam.pixel_rays()
-    if stride > 1:
-        dirs = dirs[::stride, ::stride]
-    if surface is None:
-        points, normals, _, hit = eye_surface_hit_batch(scene.eye, origin, dirs)
-    else:
-        points, normals, _, hit = surface(origin, dirs)
-
-    shape = dirs.shape[:-1]
-    u = np.full(shape, np.nan)
-    v = np.full(shape, np.nan)
-    valid = np.zeros(shape, dtype=bool)
-    if np.any(hit):
-        d_h = dirs[hit]
-        p_h = points[hit]
-        r = reflect(d_h, normals[hit])
-        p0 = scene.screen.plane_point
-        nrm = scene.screen.plane_normal
-        denom = r @ nrm
-        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
-        t = ((p0 - p_h) @ nrm) / safe
-        ok = (np.abs(denom) > 1e-12) & (t > 1e-9)
-
-        q = p_h + t[:, None] * r
-        uu, vv = scene.screen.world_to_uv(q)
-        w_s, h_s = scene.screen.resolution
-        ok &= (uu >= 0) & (uu < w_s) & (vv >= 0) & (vv < h_s)
-        u[hit] = np.where(ok, uu, np.nan)
-        v[hit] = np.where(ok, vv, np.nan)
-        valid[hit] = ok
-    return CorrespondenceMap(u=u, v=v, valid=valid)
+from helpers import (plane_mirror_surface, reference_correspondence,
+                     reference_surface_hit_batch)
 
 
 def reference_margins(scene, cam_index, stride=1):
@@ -69,7 +35,7 @@ def reference_margins(scene, cam_index, stride=1):
     sil = np.maximum(perp_margin(eye.cornea_center, eye.cornea_radius),
                      perp_margin(eye.sclera_center, eye.sclera_radius))
 
-    points, _, _, hit = eye_surface_hit_batch(eye, origin, dirs)
+    points, _, _, hit = reference_surface_hit_batch(eye, origin, dirs)
     rel = points.reshape(-1, 3) - eye.cornea_center
     with np.errstate(invalid="ignore"):
         norm = np.linalg.norm(rel, axis=1)
@@ -202,15 +168,16 @@ class TestRenderCorrespondence:
 
 
 class TestOneTracePerRender:
-    """Both renders share one ray trace; outputs must equal the original
-    single-function renders bit for bit."""
+    """Both renders trace with the compact hit kernel, the correspondence
+    in ray blocks; outputs must equal the full-array renders bit for
+    bit."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("a", [-6.0, 0.0, 6.0])
     @pytest.mark.parametrize("which", ["scene", "dec_scene"])
     def test_equal_to_reference(self, request, which, a, stride):
         base = request.getfixturevalue(which)
-        sc = replace(base, eye=rotate_eye(base.eye, a, 0.0))
+        sc = replace(base, eye=rotate_eye(base.eye, a, 1.5))
         for cam in range(len(sc.cameras)):
             assert_maps_equal(render_correspondence(sc, cam, stride=stride),
                               reference_correspondence(sc, cam,
@@ -235,7 +202,7 @@ class TestOneTracePerRender:
                                                    stride=stride).n_valid
 
     @pytest.mark.parametrize("stride", [0, -1, -2])
-    @pytest.mark.parametrize("render", [trace_rays, render_correspondence,
+    @pytest.mark.parametrize("render", [render_correspondence,
                                         render_margins])
     def test_stride_below_one_is_rejected(self, scene, render, stride):
         with pytest.raises(InvariantViolation, match="stride"):
@@ -245,11 +212,24 @@ class TestOneTracePerRender:
         # the loss evaluates margins on the jointly valid rays only
         sc = replace(scene, eye=rotate_eye(scene.eye, 3.0, 0.0))
         full = render_margins(sc, 1, stride=2)
-        tr = trace_rays(sc, 1, stride=2)
-        pick = tr.hit & (np.random.default_rng(5).random(tr.hit.shape) < 0.3)
-        sub = ray_margins(sc.eye, tr.origin, tr.dirs[pick], tr.points[pick])
+        origin, dirs = sc.cameras[1].pixel_rays()
+        dirs = dirs[::2, ::2]
+        points, _, _, hit = eye_surface_hit_batch(sc.eye, origin, dirs)
+        pick = hit & (np.random.default_rng(5).random(hit.shape) < 0.3)
+        sub = ray_margins(sc.eye, origin, dirs[pick], points[pick])
         for key, vals in zip(("silhouette", "aperture", "cap_edge"), sub):
             assert np.array_equal(vals, full[key][pick])
+
+    def test_transient_memory_at_448(self, dec_scene):
+        # the map itself takes 3.4 MB; full-grid trace arrays took 47 MB
+        dec_scene.cameras[0].pixel_rays()  # the cached ray grid, 4.8 MB
+        tracemalloc.start()
+        try:
+            render_correspondence(dec_scene, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
 
 class TestRenderFrame:

@@ -3,12 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from deflect_gaze.errors import InvariantViolation, SceneParseError
 from deflect_gaze.geometry import unit
 from deflect_gaze.scene import (CORNEA, SCLERA, EyeModel,
                                 eye_surface_hit_batch, load_scene, rotate_eye)
-from helpers import angle_between_deg
+from helpers import angle_between_deg, reference_surface_hit_batch
 
 SHIPPED = ("default_scene", "decode_scene")
 
@@ -111,6 +113,31 @@ class TestSurfaceHit:
                 else:
                     p_out = point
             assert np.linalg.norm(p_in - p_out) < 0.5
+
+
+class TestHitKernel:
+    """Render and the fit trace a ray once and reuse its hit, so a ray's
+    hit must not depend on which other rays share its batch."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(which=st.sampled_from(["scene", "dec_scene"]),
+           cam=st.integers(0, 1), az=st.floats(-8, 8), el=st.floats(-4, 4),
+           frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_subset_rows_equal_full_batch(self, request, which, cam, az, el,
+                                          frac, seed):
+        sc = request.getfixturevalue(which)
+        eye = rotate_eye(sc.eye, az, el)
+        origin, grid = sc.cameras[cam].pixel_rays()
+        dirs = grid.reshape(-1, 3)
+        full = eye_surface_hit_batch(eye, origin, dirs)
+        for got, ref in zip(full, reference_surface_hit_batch(eye, origin,
+                                                              dirs)):
+            assert np.array_equal(got, ref, equal_nan=True)
+        pick = np.random.default_rng(seed).random(len(dirs)) < frac
+        for got, ref in zip(eye_surface_hit_batch(eye, origin, dirs[pick]),
+                            full):
+            assert np.array_equal(got, ref[pick], equal_nan=True)
 
 
 class TestRotateEye:
