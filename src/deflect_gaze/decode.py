@@ -5,19 +5,25 @@ transform of a crossed fringe, or N-step phase shifting), quality-guided
 2D unwrapping, and phase-to-screen-coordinate conversion against an anchor
 pixel of known correspondence.
 
-The wavelet transform evaluates its separable Morlet filter bank as
-products in the Fourier domain (``numpy.fft``) on the frame padded
-symmetrically, which matches direct convolution with a mirrored border to
-rounding. Each orientation takes the padded frame's 2-D half-spectrum
-once and derives every scale from it; the bank's spectra are built once
-per frame shape and ``WaveletParams`` and cached read-only. The transform
-covers the whole frame rather than the foreground, because its ridge
-quality is normalised by a percentile over the whole frame.
+The wavelet transform runs only on the foreground: the bounding box of
+the foreground mask, grown by twice the largest scale. It evaluates its
+separable Morlet filter bank as products in the Fourier domain
+(``numpy.fft``) on that box plus the widest kernel's half-width of frame
+samples, mirrored past the frame edge, which matches direct convolution
+over the whole frame with a mirrored border to rounding on the box. Each
+orientation takes the 2-D half-spectrum once and derives every scale from
+it; the FFT lengths are rounded up to 2·3·5-smooth ones, and the bank's
+spectra are built once per pair of lengths and ``WaveletParams`` and
+cached read-only. Ridge quality is normalised by a percentile over the
+whole frame with the modulus counted as 0 outside the box, which on
+frames with a dark surround is the full-frame sweep's percentile
+(``cwt2_phase``).
 
 A crossed-fringe frame's two orientations are independent sweeps, so the
-single-shot decode runs the x sweep on a worker thread while the calling
-thread runs the foreground mask and the y sweep: ``numpy.fft`` and the
-large-array ufuncs that make up a sweep release the interpreter lock.
+single-shot decode computes the foreground mask, then runs the x sweep on
+a worker thread while the calling thread runs the y sweep: ``numpy.fft``
+and the large-array ufuncs that make up a sweep release the interpreter
+lock.
 The depth sweep (``stereo``) is not split this way; its many small numpy
 calls hold the lock, and splitting its pixels over two threads was slower.
 
@@ -132,28 +138,47 @@ def _circular(n: int, kernel: np.ndarray) -> np.ndarray:
     return g
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest FFT length of at least ``n`` whose only prime factors
+    are 2, 3 and 5."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _mirrored(n: int, start: int, stop: int) -> np.ndarray:
+    """Indices of samples ``start`` .. ``stop - 1`` of an ``n``-sample axis
+    extended past both ends as ``np.pad(..., mode="symmetric")`` extends
+    it: the edge sample repeats, and an extension longer than the axis
+    reflects again."""
+    i = np.arange(start, stop) % (2 * n)
+    return np.minimum(i, 2 * n - 1 - i)
+
+
 @functools.lru_cache(maxsize=8)
-def _filter_bank(h: int, w: int, scale_min: float, scale_max: float,
+def _filter_bank(n_env: int, n_car: int, scale_min: float, scale_max: float,
                  omega0: float):
-    """Morlet filter bank for an ``h`` x ``w`` frame with the carrier along
-    axis 1: the padding, and per admissible scale its border ``b``, the
-    envelope's full spectrum over the padded rows (real: the kernel is
-    even) and the cos and sin carriers' half-spectra over the padded
-    columns. Both orientations and every call with the same arguments
-    share the arrays, so they are read-only.
+    """Morlet filter bank on an ``n_env`` x ``n_car`` FFT grid with the
+    carrier along axis 1: per scale, smallest first, its border ``b`` (the
+    scale admits pixels at least ``b`` px inside the frame), the envelope's
+    full spectrum over the ``n_env`` rows (real: the kernel is even) and
+    the cos and sin carriers' half-spectra over the ``n_car`` columns. Both
+    orientations and every call with the same arguments share the arrays,
+    so they are read-only.
     """
     scales = np.geomspace(scale_min, scale_max, N_SCALES)
-    # symmetric padding repeats the edge sample, as scipy's "reflect" does,
-    # also when the pad is longer than the frame; the widest kernel half-width
-    # of padding keeps every circular product free of wrap-around
-    pad = int(np.ceil(4.0 * scales[-1]))
-    n_env, n_car = h + 2 * pad, w + 2 * pad
-    # admissible pixels (border >= 2 s) form the box [b, h - b) x [b, w - b)
-    borders = [int(np.ceil(2.0 * s)) for s in scales]
-    kept = [(s, b) for s, b in zip(scales, borders) if 2 * b < min(h, w)]
-    env_specs = np.empty((len(kept), n_env))
-    car_specs = np.empty((len(kept), 2, n_car // 2 + 1), dtype=complex)
-    for i, (s, _) in enumerate(kept):
+    env_specs = np.empty((N_SCALES, n_env))
+    car_specs = np.empty((N_SCALES, 2, n_car // 2 + 1), dtype=complex)
+    for i, s in enumerate(scales):
         half = int(np.ceil(4.0 * s))
         t = np.arange(-half, half + 1, dtype=float)
         env = np.exp(-t * t / (2.0 * s * s))
@@ -165,52 +190,68 @@ def _filter_bank(h: int, w: int, scale_min: float, scale_max: float,
             _circular(n_car, env * np.sin(omega0 * t / s)))
     env_specs.flags.writeable = False
     car_specs.flags.writeable = False
-    return pad, tuple(zip([b for _, b in kept], env_specs,
-                          car_specs[:, 0], car_specs[:, 1]))
+    borders = [int(np.ceil(2.0 * s)) for s in scales]
+    return tuple(zip(borders, env_specs, car_specs[:, 0], car_specs[:, 1]))
 
 
-def _morlet_ridge(img: np.ndarray, params: WaveletParams):
-    """Ridge of the Morlet sweep with the carrier along axis 1 of ``img``.
+def _morlet_ridge(img: np.ndarray, params: WaveletParams,
+                  region: tuple[slice, slice]):
+    """Ridge of the Morlet sweep with the carrier along axis 1 of ``img``,
+    on the box ``region`` of it only.
 
-    Returns the ridge modulus, real and imaginary parts, and the mask of
-    pixels admitted at some scale (at least twice the scale from the border).
+    The FFT input is ``region`` plus the widest kernel's half-width of
+    frame samples on each side, mirrored past the frame edge as
+    ``np.pad(img, pad, "symmetric")`` mirrors them, and zero-filled up to
+    2·3·5-smooth lengths beyond the reach of every kernel centred in
+    ``region``. Returns the ridge modulus, real and imaginary parts over
+    ``region``; all three are 0 where no scale admits the pixel (a scale
+    admits pixels at least twice the scale inside the frame).
     """
     h, w = img.shape
-    edge = int(np.ceil(2.0 * params.scale_min))
-    admitted = np.zeros((h, w), dtype=bool)
-    admitted[edge:h - edge, edge:w - edge] = True
-    pad, bank = _filter_bank(h, w, params.scale_min, params.scale_max,
-                             params.omega0)
-    n_car = w + 2 * pad
-    # the padded frame's 2-D half-spectrum, computed once: rfft along the
-    # carrier, then fft along the envelope, with the envelope axis contiguous
-    spec = np.fft.fft(
-        np.fft.rfft(np.pad(img, pad, mode="symmetric"), axis=1).T, axis=1)
+    rows, cols = region
+    pad = int(np.ceil(4.0 * params.scale_max))
+    n_env = _smooth_length(rows.stop - rows.start + 2 * pad)
+    n_car = _smooth_length(cols.stop - cols.start + 2 * pad)
+    bank = _filter_bank(n_env, n_car, params.scale_min, params.scale_max,
+                        params.omega0)
+    # frame pixel (r, c) sits at (r - r_off, c - c_off) of the FFT input
+    r_off, c_off = rows.start - pad, cols.start - pad
+    data = img[np.ix_(_mirrored(h, r_off, rows.stop + pad),
+                      _mirrored(w, c_off, cols.stop + pad))]
+    # the input's 2-D half-spectrum, computed once: rfft along the carrier,
+    # then fft along the envelope, with the envelope axis contiguous
+    spec = np.fft.fft(np.fft.rfft(data, n_car, axis=1).T, n_env, axis=1)
     env_buf = np.empty_like(spec)
     # the carrier stage runs on blocks of rows, in buffers reused by every
     # block and scale: they stay cache-sized, and no scale allocates
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
     car_buf = np.empty((RIDGE_ROWS, spec.shape[0]), dtype=complex)
     re_buf = np.empty((RIDGE_ROWS, n_car))
     im_buf = np.empty((RIDGE_ROWS, n_car))
-    mod2_buf = np.empty((RIDGE_ROWS, w))
-    sq_buf = np.empty((RIDGE_ROWS, w))
-    upd_buf = np.empty((RIDGE_ROWS, w), dtype=bool)
+    mod2_buf = np.empty((RIDGE_ROWS, shape[1]))
+    sq_buf = np.empty((RIDGE_ROWS, shape[1]))
+    upd_buf = np.empty((RIDGE_ROWS, shape[1]), dtype=bool)
 
-    best_mod2 = np.zeros((h, w))
-    best_re = np.zeros((h, w))
-    best_im = np.zeros((h, w))
+    best_mod2 = np.zeros(shape)
+    best_re = np.zeros(shape)
+    best_im = np.zeros(shape)
     for b, env_spec, cos_spec, sin_spec in bank:
+        # the pixels of ``region`` this scale admits, in frame coordinates
+        r_lo, r_hi = max(b, rows.start), min(h - b, rows.stop)
+        c_lo, c_hi = max(b, cols.start), min(w - b, cols.stop)
+        if r_lo >= r_hi or c_lo >= c_hi:
+            continue
         # envelope filter, back along the envelope axis: each column of
         # ``env_buf`` is then a filtered row's half-spectrum along the carrier
         np.multiply(spec, env_spec, out=env_buf)
         np.fft.ifft(env_buf, axis=1, out=env_buf)
-        cols = slice(b, w - b)
-        car_cols = slice(pad + b, pad + w - b)
-        n_cols = w - 2 * b
-        for r0 in range(b, h - b, RIDGE_ROWS):
-            rows = slice(r0, min(r0 + RIDGE_ROWS, h - b))
-            n = rows.stop - r0
-            half_spec = env_buf[:, pad + r0:pad + rows.stop].T
+        cols_out = slice(c_lo - cols.start, c_hi - cols.start)
+        car_cols = slice(c_lo - c_off, c_hi - c_off)
+        n_cols = c_hi - c_lo
+        for r0 in range(r_lo, r_hi, RIDGE_ROWS):
+            r1 = min(r0 + RIDGE_ROWS, r_hi)
+            n = r1 - r0
+            half_spec = env_buf[:, r0 - r_off:r1 - r_off].T
             car = car_buf[:n]
             np.multiply(half_spec, cos_spec, out=car)
             re = np.fft.irfft(car, n_car, out=re_buf[:n])[:, car_cols]
@@ -220,45 +261,44 @@ def _morlet_ridge(img: np.ndarray, params: WaveletParams):
             mod2 = np.multiply(re, re, out=mod2_buf[:n, :n_cols])
             mod2 += np.multiply(im, im, out=sq_buf[:n, :n_cols])
 
-            box = (rows, cols)
+            box = (slice(r0 - rows.start, r1 - rows.start), cols_out)
             upd = np.greater(mod2, best_mod2[box], out=upd_buf[:n, :n_cols])
             np.copyto(best_mod2[box], mod2, where=upd)
             np.copyto(best_re[box], re, where=upd)
             np.copyto(best_im[box], im, where=upd)
-    return np.sqrt(best_mod2, out=best_mod2), best_re, best_im, admitted
+    return np.sqrt(best_mod2, out=best_mod2), best_re, best_im
 
 
-def cwt2_phase(frame: np.ndarray, params: WaveletParams) -> PhaseMap:
-    """Single-orientation 2D Morlet transform of an (H, W) intensity
-    ``frame``, ridge-picked over scales.
-
-    For each pixel the transform modulus is maximized over a log-spaced
-    scale sweep; the phase is the argument at that ridge and the quality is
-    the ridge modulus normalized by its 95th percentile. Pixels below
-    ``Q_MIN`` quality or ``MOD_FLOOR`` modulus are invalid.
-
-    Each scale's filter is separable: a Gaussian envelope across the fringes
-    times a complex carrier along them. Both 1D convolutions run as products
-    in the Fourier domain (``numpy.fft``) on the frame padded symmetrically
-    by the widest kernel half-width, which reproduces direct convolution
-    with a mirrored border to rounding. The padded frame's 2-D half-spectrum
-    (``rfft`` along the carrier, ``fft`` along the envelope) is taken once;
-    each scale multiplies it by its real envelope spectrum, inverts along
-    the envelope and runs the cos and sin carrier ``irfft``s. The bank of
-    spectra is built once per frame shape and ``params`` and cached
-    read-only. The transform covers the whole frame, not just the
-    foreground: the 95th-percentile normaliser is taken over every admitted
-    pixel, so a crop would move ``valid``.
-
-    Raises:
-        NoRidgeError: fewer than 1% of pixels pass the quality threshold.
-    """
+def _cwt2_on_box(frame: np.ndarray, params: WaveletParams,
+                 box: tuple[slice, slice] | None) -> PhaseMap:
+    """:func:`cwt2_phase` given the bounding box of ``frame``'s foreground
+    mask (None when the mask is empty)."""
+    if box is None:
+        raise NoRidgeError(
+            f"orientation {params.orientation!r}: the frame has no foreground")
     img = np.asarray(frame, dtype=float)
+    h, w = img.shape
+    # the sweep runs with the carrier along axis 1; the y orientation runs
+    # on transposed views, so no full-frame array is copied
     if params.orientation == "y":
-        img = np.ascontiguousarray(img.T)
-    best_mod, best_re, best_im, admitted_any = _morlet_ridge(img, params)
-    ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
-    valid = admitted_any & (best_mod >= MOD_FLOOR)
+        img, box = img.T, box[::-1]
+    grow = int(np.ceil(2.0 * params.scale_max))
+    region = tuple(slice(max(s.start - grow, 0), min(s.stop + grow, n))
+                   for s, n in zip(box, img.shape))
+    best_mod, best_re, best_im = _morlet_ridge(img, params, region)
+
+    edge = int(np.ceil(2.0 * params.scale_min))
+    admitted = np.zeros(img.shape, dtype=bool)
+    admitted[edge:img.shape[0] - edge, edge:img.shape[1] - edge] = True
+    n_admitted = np.count_nonzero(admitted)
+    admitted = admitted[region]
+    inside = best_mod[admitted]
+    # the normaliser counts the modulus as 0 at admitted pixels outside
+    # the region
+    ref = (np.percentile(np.concatenate(
+        (np.zeros(n_admitted - inside.size), inside)), 95)
+        if n_admitted else 0.0)
+    valid = admitted & (best_mod >= MOD_FLOOR)
     # quality and phase overwrite the ridge arrays they are computed from
     quality = best_mod
     if ref < MOD_FLOOR:
@@ -266,17 +306,60 @@ def cwt2_phase(frame: np.ndarray, params: WaveletParams) -> PhaseMap:
     else:
         np.clip(np.divide(best_mod, ref, out=quality), 0.0, 1.0, out=quality)
     valid &= quality >= Q_MIN
-    if valid.mean() < 0.01:
+    if np.count_nonzero(valid) / img.size < 0.01:
         raise NoRidgeError(
             f"orientation {params.orientation!r}: fewer than 1% of pixels pass "
             f"the ridge quality threshold"
         )
     phase = np.arctan2(best_im, best_re, out=best_re)
     phase[~valid] = np.nan
-    if params.orientation == "y":
-        phase, quality, valid = (np.ascontiguousarray(a.T)
-                                 for a in (phase, quality, valid))
-    return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
+
+    out = PhaseMap(phase=np.full((h, w), np.nan), quality=np.zeros((h, w)),
+                   valid=np.zeros((h, w), dtype=bool), wrapped=True)
+    for full, part in ((out.phase, phase), (out.quality, quality),
+                       (out.valid, valid)):
+        (full if params.orientation == "x" else full.T)[region] = part
+    return out
+
+
+def cwt2_phase(frame: np.ndarray, params: WaveletParams) -> PhaseMap:
+    """Single-orientation 2D Morlet transform of an (H, W) intensity
+    ``frame``, ridge-picked over scales, on the frame's foreground only.
+
+    The sweep runs on the region E: the bounding box of
+    :func:`foreground_mask` grown by ``2 scale_max`` px on each side and
+    clipped to the frame. Outside E every pixel is invalid, with quality 0.
+    For each pixel of E the transform modulus is maximized over a
+    log-spaced scale sweep; the phase is the argument at that ridge.
+
+    The quality is the ridge modulus divided by a normaliser: the 95th
+    percentile of the ridge modulus over the frame's admitted pixels (at
+    least ``2 scale_min`` px inside the frame), with the modulus counted as
+    0 at admitted pixels outside E. The 2 ``scale_max`` margin of dark
+    background puts the modulus the sweep leaves out of E far below that
+    percentile, so on such frames it equals the percentile of a full-frame
+    sweep. When E holds fewer than 5% of the admitted pixels, the
+    percentile falls on the zeros and the frame raises ``NoRidgeError``.
+    Pixels below ``Q_MIN`` quality or ``MOD_FLOOR`` modulus are invalid.
+
+    Each scale's filter is separable: a Gaussian envelope across the fringes
+    times a complex carrier along them. Both 1D convolutions run as products
+    in the Fourier domain (``numpy.fft``) on E plus the widest kernel's
+    half-width of frame samples on each side, mirrored past the frame
+    edge, which reproduces full-frame direct convolution with a mirrored
+    border to rounding on E. The FFT lengths are rounded up to
+    2·3·5-smooth ones. The input's 2-D half-spectrum (``rfft`` along the
+    carrier, ``fft`` along the envelope) is taken once; each scale
+    multiplies it by its real envelope spectrum, inverts along the envelope
+    and runs the cos and sin carrier ``irfft``s. The bank of spectra is
+    built once per pair of FFT lengths and ``params`` and cached read-only.
+    A scale admits only pixels at least twice the scale inside the frame.
+
+    Raises:
+        NoRidgeError: the frame has no foreground, or fewer than 1% of
+            pixels pass the quality threshold.
+    """
+    return _cwt2_on_box(frame, params, _bounding_box(foreground_mask(frame)))
 
 
 def phase_shift_decode(frames: list[np.ndarray],
@@ -500,9 +583,24 @@ def correspondence_from_phases(
     union of all components of at least ``MIN_COMPONENT`` pixels; smaller
     fragments and components with no anchorable pixel are dropped. Each
     component is processed on its bounding box.
+
+    Raises:
+        InvariantViolation: ``phi_y`` or a channel of ``anchor_truth`` does
+            not have ``phi_x``'s shape.
     """
     from scipy import ndimage
 
+    shape = phi_x.phase.shape
+    others = {"the y phase map": phi_y.phase.shape,
+              "the anchor's u": anchor_truth.u.shape,
+              "the anchor's v": anchor_truth.v.shape,
+              "the anchor's mask": anchor_truth.valid.shape}
+    wrong = [f"{name} {other}" for name, other in others.items()
+             if other != shape]
+    if wrong:
+        raise InvariantViolation(
+            f"decode: the x phase map has shape {shape}, but "
+            + ", ".join(wrong))
     if seam_mask is not None:
         phi_x = phi_x.copy()
         phi_y = phi_y.copy()
@@ -560,18 +658,21 @@ def decode_crossed_fringe(
     """Single-shot decode: an (H, W) crossed-fringe intensity frame to a
     correspondence map.
 
-    The two orientations' Morlet sweeps run concurrently: the x sweep on
-    a worker thread that ends with the call, the foreground mask and the
-    y sweep on the calling thread. Neither reads the other's output, and
-    the map is bit-identical to running them one after the other. Errors
-    surface in that serial order too: the mask's, then x's, then y's. The
-    y sweep, which also transposes the frame and its outputs, stays on the
-    calling thread because memory it frees there serves later full-frame
-    work; on the worker it raised the benchmark's peak resident memory.
+    The foreground mask is computed once: it masks both phase maps, and
+    its bounding box sets the region both Morlet sweeps run on, as
+    :func:`cwt2_phase` derives it. The two sweeps then run concurrently:
+    the x sweep on a worker thread that ends with the call, the y sweep on
+    the calling thread. Neither reads the other's output, and the map is
+    bit-identical to running them one after the other. Errors surface in
+    that serial order too: the mask's, then x's, then y's. The y sweep
+    stays on the calling thread because memory it frees there serves later
+    full-frame work; on the worker it raised the benchmark's peak resident
+    memory.
 
     Raises:
         InvariantViolation: ``wavelet_x`` is not an "x" orientation or
-            ``wavelet_y`` not a "y" one.
+            ``wavelet_y`` not a "y" one, or ``anchor_truth`` does not
+            have the frame's shape.
         NoRidgeError: as :func:`cwt2_phase`, for either orientation.
     """
     if wavelet_x.orientation != "x" or wavelet_y.orientation != "y":
@@ -579,11 +680,12 @@ def decode_crossed_fringe(
             f"decode: wavelet_x and wavelet_y must have orientations 'x' and "
             f"'y', got {wavelet_x.orientation!r} and "
             f"{wavelet_y.orientation!r}")
+    fg = foreground_mask(frame)
+    box = _bounding_box(fg)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        future_x = pool.submit(cwt2_phase, frame, wavelet_x)
-        fg = foreground_mask(frame)
+        future_x = pool.submit(_cwt2_on_box, frame, wavelet_x, box)
         try:
-            pm_y = cwt2_phase(frame, wavelet_y)
+            pm_y = _cwt2_on_box(frame, wavelet_y, box)
         except Exception:
             # x's error comes first, as it would in serial order
             error_x = future_x.exception()

@@ -10,7 +10,8 @@ from scipy import ndimage
 
 from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
-                                 Q_MIN, PhaseMap, phase_to_correspondence)
+                                 Q_MIN, PhaseMap, foreground_mask,
+                                 phase_to_correspondence)
 from deflect_gaze import geometry
 from deflect_gaze.errors import InvalidSeedError, NoRidgeError
 from deflect_gaze.geometry import (bisector_masked, ray_sphere_roots, reflect,
@@ -281,10 +282,20 @@ def reference_jacobian(params, measured_terms, scene, config):
 # tests require ``decode`` to reproduce.
 
 def reference_cwt2_phase(frame, params):
-    """``cwt2_phase`` by direct convolution: 4 ``convolve1d`` passes per
-    scale with scipy's ``reflect`` boundary."""
+    """``cwt2_phase`` by direct convolution over the whole frame: 4
+    ``convolve1d`` passes per scale with scipy's ``reflect`` boundary. The
+    ridge modulus is then set to 0 outside the foreground mask's bounding
+    box grown by ``2 scale_max`` px, before the normaliser is taken."""
     img = np.asarray(frame, dtype=float)
     h, w = img.shape
+    fg_rows, fg_cols = np.nonzero(foreground_mask(img))
+    if fg_rows.size == 0:
+        raise NoRidgeError(
+            f"orientation {params.orientation!r}: the frame has no foreground")
+    grow = int(np.ceil(2.0 * params.scale_max))
+    in_region = np.zeros((h, w), dtype=bool)
+    in_region[max(fg_rows.min() - grow, 0):fg_rows.max() + 1 + grow,
+              max(fg_cols.min() - grow, 0):fg_cols.max() + 1 + grow] = True
     carrier_axis = 1 if params.orientation == "x" else 0
     env_axis = 1 - carrier_axis
 
@@ -321,6 +332,7 @@ def reference_cwt2_phase(frame, params):
         best_im[upd] = im[upd]
         admitted_any |= admissible
 
+    best_mod[~in_region] = 0.0
     ref = np.percentile(best_mod[admitted_any], 95) if admitted_any.any() else 0.0
     if ref < MOD_FLOOR:
         quality = np.zeros((h, w))

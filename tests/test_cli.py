@@ -155,6 +155,28 @@ class TestSimulateDecode:
         assert "(128, 128)" in err and "(448, 448)" in err
         assert not (outdir / "cam0_decoded_000.pfm").exists()
 
+    def test_decode_maps_of_another_size_are_rejected_without_scene(
+            self, simdir, tmp_path, capsys):
+        # no --scene, so only the decode compares the 128 px frame with the
+        # 160 px anchor maps
+        indir = tmp_path / "sim"
+        indir.mkdir()
+        (indir / "cam0_frame_000.pgm").write_bytes(
+            (simdir / "cam0_frame_000.pgm").read_bytes())
+        imagefiles.write_two_channel_pfm(indir / "cam0_corr_000.pfm",
+                                         np.zeros((160, 160)),
+                                         np.zeros((160, 160)))
+        imagefiles.write_mask_pgm(indir / "cam0_mask_000.pgm",
+                                  np.ones((160, 160), dtype=bool))
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(indir),
+                   "--out", str(outdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err
+        assert "(128, 128)" in err and "(160, 160)" in err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
+
     @pytest.mark.parametrize("name", ["frame_000.pgm", "mask_000.pgm"])
     def test_decode_names_truncated_pgm(self, simdir, tmp_path, capsys,
                                         name):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -45,6 +46,29 @@ def fringe_frame(h=128, w=128, px=16.0, py=None, crossed=False):
 
 
 SINGLESHOT_WAVELET = dict(omega0=3.2, scale_min=3.0, scale_max=16.0)
+
+# eye placements against the frame's edges and corners: (row, column) of
+# the disc centre as -1 (top or left edge), 0 (middle) or 1 (bottom or right)
+EDGES = {"n": (-1, 0), "s": (1, 0), "w": (0, -1), "e": (0, 1),
+         "nw": (-1, -1), "ne": (-1, 1), "sw": (1, -1), "se": (1, 1)}
+
+
+def disc_frame(h, w, center, radius, seed=0):
+    """A crossed fringe on a disc at ``center`` (row, column) over a dark,
+    noisy background: a stand-in eye that may be cut by the frame edge."""
+    y, x = np.mgrid[:h, :w]
+    inside = (y - center[0]) ** 2 + (x - center[1]) ** 2 <= radius ** 2
+    fringe = (0.5 + 0.2 * np.cos(2 * np.pi * x / 12.0)
+              + 0.2 * np.cos(2 * np.pi * y / 14.0))
+    g = np.random.default_rng(seed)
+    return np.where(inside, fringe, 0.02) + g.normal(0.0, 0.01, (h, w))
+
+
+def edge_eye_frame(where, h=120, w=136):
+    """``disc_frame`` with the disc cut by the edges named in ``where``."""
+    dy, dx = EDGES[where]
+    center = ({-1: 6, 0: h // 2, 1: h - 7}[dy], {-1: 6, 0: w // 2, 1: w - 7}[dx])
+    return disc_frame(h, w, center, 34.0, seed=list(EDGES).index(where))
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +124,13 @@ class TestCwt2:
         assert np.abs(d).max() < 0.1
 
     @pytest.mark.parametrize("orientation", ["x", "y"])
-    @pytest.mark.parametrize("case", ["fringe128", "frame40x52", "eye448"])
+    @pytest.mark.parametrize("case", ["fringe128", "frame40x52", "eye448"]
+                             + [f"edge-{k}" for k in EDGES])
     def test_matches_direct_convolution(self, case, orientation, eye_frame):
-        # the Fourier-domain sweep against 4 convolve1d passes per scale;
-        # the 40x52 frame is shorter than its 96 px padding on both axes
+        # the Fourier-domain sweep on the foreground region against 4
+        # full-frame convolve1d passes per scale; the 40x52 frame is
+        # shorter than its 96 px padding on both axes, and an eye against
+        # an edge or corner takes the region's margin from mirrored samples
         if case == "fringe128":
             frame = fringe_frame(px=16.0, py=22.0, crossed=True)
             wp = WaveletParams(orientation=orientation, scale_min=8.0,
@@ -114,8 +141,11 @@ class TestCwt2:
                      + g.normal(0.0, 0.02, (40, 52)))
             wp = WaveletParams(orientation=orientation, scale_min=8.0,
                                scale_max=24.0)
-        else:
+        elif case == "eye448":
             frame = eye_frame
+            wp = WaveletParams(orientation=orientation, **SINGLESHOT_WAVELET)
+        else:
+            frame = edge_eye_frame(case.removeprefix("edge-"))
             wp = WaveletParams(orientation=orientation, **SINGLESHOT_WAVELET)
         got = cwt2_phase(frame, wp)
         ref = reference_cwt2_phase(frame, wp)
@@ -152,16 +182,70 @@ class TestCwt2:
                              (got.quality, ref.quality),
                              (got.valid, ref.valid)):
                     assert same_bits(a, b)
-        for frame, wp in cases:
-            img = frame if wp.orientation == "x" else frame.T
-            _, bank = decode._filter_bank(*img.shape, wp.scale_min,
-                                          wp.scale_max, wp.omega0)
-            assert bank
+        for _, wp in cases:
+            bank = decode._filter_bank(300, 360, wp.scale_min, wp.scale_max,
+                                       wp.omega0)
+            assert len(bank) == decode.N_SCALES
             for _, *spectra in bank:
                 for a in spectra:
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0] = 0.0
+
+
+    def test_bank_lengths_and_count(self, dec_scene, monkeypatch):
+        # the regions of the benchmark's six frames round to 5-smooth FFT
+        # lengths, and so few pairs of them that the bank cache holds
+        pat = CrossedFringe(period_x=36.0, period_y=36.0)
+        frames = []
+        for a in (-3.0, 0.0, 3.0):
+            sc = replace(dec_scene, eye=rotate_eye(dec_scene.eye, a, 0.0))
+            frames += [render_frame(sc, cam, pat, sigma_i=0.01, seed=40 + cam,
+                                    correspondence=render_correspondence(
+                                        sc, cam))
+                       for cam in (0, 1)]
+        bank = decode._filter_bank
+        keys = []
+
+        def recording(*key):
+            keys.append(key)
+            return bank(*key)
+
+        monkeypatch.setattr(decode, "_filter_bank", recording)
+
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for o in ("x", "y"):
+            bank.cache_clear()
+            keys.clear()
+            wp = WaveletParams(orientation=o, **SINGLESHOT_WAVELET)
+            for frame in frames:
+                cwt2_phase(frame, wp)
+            assert len(keys) == 6
+            assert all(smooth(n) for key in keys for n in key[:2])
+            info = bank.cache_info()
+            assert info.misses == len(set(keys)) <= 2
+            assert info.hits == 6 - info.misses
+
+    @pytest.mark.parametrize("orientation", ["x", "y"])
+    def test_no_foreground(self, orientation):
+        wp = WaveletParams(orientation=orientation, **SINGLESHOT_WAVELET)
+        with pytest.raises(NoRidgeError, match=f"'{orientation}'"):
+            cwt2_phase(np.zeros((128, 128)), wp)
+
+    def test_region_share_below_normaliser_rank(self):
+        # the same small eye decodes in a 160 px frame, where its region
+        # holds 32% of the admitted pixels; in a 448 px frame the region
+        # holds 4.5%, so the 95th percentile falls on the zeros around it
+        wp = WaveletParams(orientation="x", **SINGLESHOT_WAVELET)
+        small = disc_frame(160, 160, (80, 80), 14.0)
+        assert cwt2_phase(small, wp).valid.any()
+        with pytest.raises(NoRidgeError, match="'x'"):
+            cwt2_phase(disc_frame(448, 448, (224, 224), 14.0), wp)
 
 
 class TestWaveletParams:
@@ -606,12 +690,13 @@ class TestDecodeCrossedFringe:
 
     def test_errors_in_serial_order(self):
         # a frame with one carrier fails the other orientation; a flat frame
-        # fails both, and x's error comes first
+        # and a frame with no foreground fail both, and x's error comes first
         pattern = CrossedFringe(period_x=16.0, period_y=16.0)
         anchor = all_valid_anchor((128, 128))
         x_only = fringe_frame(px=16.0)
         cases = ((x_only, "'y'"), (x_only.T.copy(), "'x'"),
-                 (np.full((128, 128), 0.5), "'x'"))
+                 (np.full((128, 128), 0.5), "'x'"),
+                 (np.zeros((128, 128)), "'x'.*no foreground"))
         for frame, name in cases:
             with pytest.raises(NoRidgeError, match=name):
                 decode_crossed_fringe(frame, pattern, anchor, *self.SMALL)
@@ -625,6 +710,40 @@ class TestDecodeCrossedFringe:
         with pytest.raises(InvariantViolation, match="orientation"):
             decode_crossed_fringe(frame, self.PATTERN,
                                   all_valid_anchor((128, 128)), *wavelets)
+
+    @pytest.mark.parametrize("size", [160, 100])
+    def test_rejects_anchor_of_another_shape(self, size):
+        # a larger anchor would be read at the wrong pixels, a smaller one
+        # fail inside numpy
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        with pytest.raises(InvariantViolation,
+                           match=rf"\(128, 128\).*\({size}, {size}\)"):
+            decode_crossed_fringe(frame, self.PATTERN,
+                                  all_valid_anchor((size, size)), *self.SMALL)
+
+    def test_rejects_phase_maps_of_different_shapes(self):
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        pm_x, pm_y = (cwt2_phase(frame, w) for w in self.SMALL)
+        pm_y = PhaseMap(pm_y.phase[:100], pm_y.quality[:100],
+                        pm_y.valid[:100], True)
+        with pytest.raises(InvariantViolation,
+                           match=r"\(128, 128\).*y phase map \(100, 128\)"):
+            correspondence_from_phases(pm_x, pm_y, 36.0, 36.0,
+                                       all_valid_anchor((128, 128)))
+
+    def test_transient_memory_at_448(self, eye_frame, dec_scene):
+        # two full-frame sweeps at once peaked at 25.7 MB; the returned map
+        # and each orientation's phase map take 3.4 MB apiece
+        truth = render_correspondence(dec_scene, 0)
+        decode_crossed_fringe(eye_frame, self.PATTERN, truth, *self.WAVELETS)
+        tracemalloc.start()
+        try:
+            decode_crossed_fringe(eye_frame, self.PATTERN, truth,
+                                  *self.WAVELETS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22e6
 
     def test_no_thread_outlives_the_call(self):
         start = threading.active_count()
