@@ -1,9 +1,10 @@
 """Correspondence recovery from intensity frames.
 
-Three stages: per-pixel wrapped phase (single-shot 2D continuous wavelet
-transform of a crossed fringe, or N-step phase shifting), quality-guided
-2D unwrapping, and phase-to-screen-coordinate conversion against an anchor
-pixel of known correspondence.
+Two stages: per-pixel wrapped phase (single-shot 2D continuous wavelet
+transform of a crossed fringe, or N-step phase shifting), then one loop
+over the connected valid components that unwraps each component's two
+maps with a quality-guided flood fill and converts them inline to screen
+coordinates against an anchor pixel of known correspondence.
 
 The wavelet transform runs only on the foreground: the bounding box of
 the foreground mask, grown by twice the largest scale. It evaluates its
@@ -12,16 +13,16 @@ separable Morlet filter bank as products in the Fourier domain
 samples, mirrored past the frame edge, which matches direct convolution
 over the whole frame with a mirrored border to rounding on the box. Each
 orientation takes the 2-D half-spectrum once and derives every scale from
-it; the FFT lengths are rounded up to 2·3·5-smooth ones, and the bank's
-spectra are built once per pair of lengths and ``WaveletParams`` and
-cached read-only. Ridge quality is normalised by a percentile over the
-whole frame with the modulus counted as 0 outside the box, which on
-frames with a dark surround is the full-frame sweep's percentile
-(``cwt2_phase``).
+it; the FFT lengths are rounded up to 2·3·5-smooth ones
+(``scipy.fft.next_fast_len``), and the bank's spectra are built once per
+pair of lengths and ``WaveletParams`` and cached read-only. Ridge quality
+is normalised by a percentile over the whole frame with the modulus
+counted as 0 outside the box, which on frames with a dark surround is the
+full-frame sweep's percentile (``cwt2_phase``).
 
 A crossed-fringe frame's two orientations are independent sweeps, so the
-single-shot decode computes the foreground mask, then runs the x sweep on
-a worker thread while the calling thread runs the y sweep: ``numpy.fft``
+single-shot decode computes the foreground mask, then runs the y sweep on
+a worker thread while the calling thread runs the x sweep: ``numpy.fft``
 and the large-array ufuncs that make up a sweep release the interpreter
 lock.
 The depth sweep (``stereo``) is not split this way; its many small numpy
@@ -33,10 +34,11 @@ marker). Pipelines unwrap each connected valid component separately and
 anchor each one, since the cornea/sclera transition breaks phase
 continuity.
 
-``scipy.ndimage`` is imported inside the two functions that call it, not
-at module scope. Every ``deflect_gaze`` import loads this module, and
-loading ``ndimage`` (about 0.4 s and 26 MB resident on a 2-CPU Xeon)
-would be most of the stereo method's start-up, though it never decodes.
+``scipy.ndimage`` is imported inside the two functions that call it, and
+``scipy.fft`` inside the Morlet sweep, not at module scope. Every
+``deflect_gaze`` import loads this module, and loading ``ndimage`` (about
+0.4 s and 26 MB resident on a 2-CPU Xeon) would be most of the stereo
+method's start-up, though it never decodes.
 """
 
 from __future__ import annotations
@@ -50,13 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidAnchorError,
-    InvalidSeedError,
-    InvariantViolation,
-    NoRidgeError,
-    ShiftCountError,
-)
+from .errors import (InvalidSeedError, InvariantViolation, NoRidgeError,
+                     ShiftCountError)
 from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
                      render_margins)
 
@@ -115,18 +112,17 @@ class WaveletParams:
 class PhaseMap:
     """Per-pixel phase (radians) with a ridge-quality channel in [0, 1].
 
-    ``wrapped`` phases lie in (-pi, pi]; unwrapped maps are continuous
-    (|delta phi| < pi) along any valid 4-connected path.
+    The decoders' phases are wrapped to (-pi, pi]; :func:`unwrap2`'s are
+    continuous (|delta phi| < pi) along any valid 4-connected path.
     """
 
     phase: np.ndarray
     quality: np.ndarray
     valid: np.ndarray
-    wrapped: bool
 
     def copy(self) -> "PhaseMap":
         return PhaseMap(self.phase.copy(), self.quality.copy(),
-                        self.valid.copy(), self.wrapped)
+                        self.valid.copy())
 
 
 def _circular(n: int, kernel: np.ndarray) -> np.ndarray:
@@ -136,23 +132,6 @@ def _circular(n: int, kernel: np.ndarray) -> np.ndarray:
     g = np.zeros(n)
     g[np.arange(-half, half + 1) % n] = kernel
     return g
-
-
-def _smooth_length(n: int) -> int:
-    """The smallest FFT length of at least ``n`` whose only prime factors
-    are 2, 3 and 5."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _mirrored(n: int, start: int, stop: int) -> np.ndarray:
@@ -207,11 +186,13 @@ def _morlet_ridge(img: np.ndarray, params: WaveletParams,
     ``region``; all three are 0 where no scale admits the pixel (a scale
     admits pixels at least twice the scale inside the frame).
     """
+    from scipy.fft import next_fast_len
+
     h, w = img.shape
     rows, cols = region
     pad = int(np.ceil(4.0 * params.scale_max))
-    n_env = _smooth_length(rows.stop - rows.start + 2 * pad)
-    n_car = _smooth_length(cols.stop - cols.start + 2 * pad)
+    n_env = next_fast_len(rows.stop - rows.start + 2 * pad, real=True)
+    n_car = next_fast_len(cols.stop - cols.start + 2 * pad, real=True)
     bank = _filter_bank(n_env, n_car, params.scale_min, params.scale_max,
                         params.omega0)
     # frame pixel (r, c) sits at (r - r_off, c - c_off) of the FFT input
@@ -315,7 +296,7 @@ def _cwt2_on_box(frame: np.ndarray, params: WaveletParams,
     phase[~valid] = np.nan
 
     out = PhaseMap(phase=np.full((h, w), np.nan), quality=np.zeros((h, w)),
-                   valid=np.zeros((h, w), dtype=bool), wrapped=True)
+                   valid=np.zeros((h, w), dtype=bool))
     for full, part in ((out.phase, phase), (out.quality, quality),
                        (out.valid, valid)):
         (full if params.orientation == "x" else full.T)[region] = part
@@ -373,11 +354,18 @@ def phase_shift_decode(frames: list[np.ndarray],
 
     Raises:
         ShiftCountError: len(frames) != pattern.n_shifts.
+        InvariantViolation: a frame does not have frame 0's shape.
     """
     n = pattern.n_shifts
     if len(frames) != n:
         raise ShiftCountError(f"expected {n} frames, got {len(frames)}")
-    stack = np.stack([np.asarray(f, dtype=float) for f in frames])
+    frames = [np.asarray(f, dtype=float) for f in frames]
+    for k, f in enumerate(frames):
+        if f.shape != frames[0].shape:
+            raise InvariantViolation(
+                f"decode: frame {k} has shape {f.shape}, frame 0 "
+                f"{frames[0].shape}")
+    stack = np.stack(frames)
     ang = 2.0 * np.pi * np.arange(n) / n
     c = np.tensordot(np.cos(ang), stack, axes=1)
     s = np.tensordot(np.sin(ang), stack, axes=1)
@@ -391,7 +379,7 @@ def phase_shift_decode(frames: list[np.ndarray],
         quality = np.clip(amp / ref, 0.0, 1.0)
         valid = quality >= M_MIN
     phase = np.where(valid, phase, np.nan)
-    return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
+    return PhaseMap(phase=phase, quality=quality, valid=valid)
 
 
 def _bounding_box(mask: np.ndarray) -> tuple[slice, slice] | None:
@@ -468,38 +456,7 @@ def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
     done_out = np.zeros((h, w), dtype=bool)
     done_out[box] = np.frombuffer(done, dtype=bool).reshape(-1, bw)[1:-1, 1:-1]
     return PhaseMap(phase=phase_out, quality=pmap.quality.copy(),
-                    valid=done_out, wrapped=False)
-
-
-def phase_to_correspondence(
-    phi_x: PhaseMap,
-    phi_y: PhaseMap,
-    pattern: CrossedFringe,
-    anchor: tuple[tuple[int, int], float, float],
-) -> CorrespondenceMap:
-    """Convert unwrapped phase pairs to screen coordinates.
-
-    ``u = (phi_x - phi_x(anchor)) period_x / 2 pi + u0`` and analogously for
-    v; adding a global constant to either map leaves the output unchanged.
-
-    Raises:
-        InvalidAnchorError: anchor pixel invalid in either map.
-        ValueError: maps are still wrapped.
-    """
-    if phi_x.wrapped or phi_y.wrapped:
-        raise ValueError("phase maps must be unwrapped")
-    (ax, ay), u0, v0 = anchor
-    h, w = phi_x.phase.shape
-    if not (0 <= ax < w and 0 <= ay < h) or not (
-        phi_x.valid[ay, ax] and phi_y.valid[ay, ax]
-    ):
-        raise InvalidAnchorError(f"anchor pixel ({ax}, {ay}) is invalid")
-    valid = phi_x.valid & phi_y.valid
-    u = (phi_x.phase - phi_x.phase[ay, ax]) * pattern.period_x / (2.0 * np.pi) + u0
-    v = (phi_y.phase - phi_y.phase[ay, ax]) * pattern.period_y / (2.0 * np.pi) + v0
-    u = np.where(valid, u, np.nan)
-    v = np.where(valid, v, np.nan)
-    return CorrespondenceMap(u=u, v=v, valid=valid)
+                    valid=done_out)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +530,9 @@ def correspondence_from_phases(
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """Unwrap wrapped phase pairs per connected component and anchor each
-    component with its simulator-provided true correspondence.
+    component with its simulator-provided true correspondence:
+    ``u = (phi_x - phi_x(anchor)) period_x / 2 pi + u0`` on the component,
+    and v likewise, at the component's best-quality anchorable pixel.
 
     ``seam_mask`` marks pixels straddling a known correspondence
     discontinuity (the cornea/sclera transition); they are invalidated so
@@ -585,8 +544,9 @@ def correspondence_from_phases(
     component is processed on its bounding box.
 
     Raises:
-        InvariantViolation: ``phi_y`` or a channel of ``anchor_truth`` does
-            not have ``phi_x``'s shape.
+        InvariantViolation: ``phi_y``, a channel of ``anchor_truth`` or
+            ``seam_mask`` does not have ``phi_x``'s shape, or a period is
+            below 4 px or not finite.
     """
     from scipy import ndimage
 
@@ -595,12 +555,17 @@ def correspondence_from_phases(
               "the anchor's u": anchor_truth.u.shape,
               "the anchor's v": anchor_truth.v.shape,
               "the anchor's mask": anchor_truth.valid.shape}
+    if seam_mask is not None:
+        others["the seam mask"] = seam_mask.shape
     wrong = [f"{name} {other}" for name, other in others.items()
              if other != shape]
     if wrong:
         raise InvariantViolation(
             f"decode: the x phase map has shape {shape}, but "
             + ", ".join(wrong))
+    if not (4 <= period_x < np.inf and 4 <= period_y < np.inf):
+        raise InvariantViolation(f"decode: periods >= 4 px and finite, got "
+                                 f"{period_x} and {period_y}")
     if seam_mask is not None:
         phi_x = phi_x.copy()
         phi_y = phi_y.copy()
@@ -615,7 +580,6 @@ def correspondence_from_phases(
     u_out = np.full((h, w), np.nan)
     v_out = np.full((h, w), np.nan)
     valid_out = np.zeros((h, w), dtype=bool)
-    pattern = CrossedFringe(period_x=period_x, period_y=period_y)
 
     # each component's work runs on its bounding box; row-major order in
     # the box is the frame's, so the anchor and the unwrap order are too
@@ -631,18 +595,16 @@ def correspondence_from_phases(
         ay, ax = np.unravel_index(np.argmax(q), q.shape)
 
         # unwrap2 reads phase and quality at valid pixels only, so the
-        # component needs its own mask but no copy of either map
-        ux = unwrap2(PhaseMap(phi_x.phase[box], phi_x.quality[box], mask,
-                              True), (ax, ay))
-        uy = unwrap2(PhaseMap(phi_y.phase[box], phi_y.quality[box], mask,
-                              True), (ax, ay))
-        anchor = ((ax, ay), float(anchor_truth.u[box][ay, ax]),
-                  float(anchor_truth.v[box][ay, ax]))
-        corr = phase_to_correspondence(ux, uy, pattern, anchor)
-        m = corr.valid
-        u_out[box][m] = corr.u[m]
-        v_out[box][m] = corr.v[m]
-        valid_out[box] |= m
+        # component needs its own mask but no copy of either map; the
+        # component is 4-connected, so the fill reaches all of it
+        for pm, period, truth, out in (
+                (phi_x, period_x, anchor_truth.u, u_out),
+                (phi_y, period_y, anchor_truth.v, v_out)):
+            phase = unwrap2(PhaseMap(pm.phase[box], pm.quality[box], mask),
+                            (ax, ay)).phase
+            out[box][mask] = ((phase[mask] - phase[ay, ax]) * period
+                              / (2.0 * np.pi) + float(truth[box][ay, ax]))
+        valid_out[box] |= mask
 
     return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
 
@@ -661,18 +623,17 @@ def decode_crossed_fringe(
     The foreground mask is computed once: it masks both phase maps, and
     its bounding box sets the region both Morlet sweeps run on, as
     :func:`cwt2_phase` derives it. The two sweeps then run concurrently:
-    the x sweep on a worker thread that ends with the call, the y sweep on
+    the y sweep on a worker thread that ends with the call, the x sweep on
     the calling thread. Neither reads the other's output, and the map is
     bit-identical to running them one after the other. Errors surface in
-    that serial order too: the mask's, then x's, then y's. The y sweep
-    stays on the calling thread because memory it frees there serves later
-    full-frame work; on the worker it raised the benchmark's peak resident
-    memory.
+    that serial order too, the mask's, then x's, then y's, because the x
+    sweep runs where it is called: its error leaves the call once the
+    worker has stopped, and y's result is read only after x succeeded.
 
     Raises:
         InvariantViolation: ``wavelet_x`` is not an "x" orientation or
-            ``wavelet_y`` not a "y" one, or ``anchor_truth`` does not
-            have the frame's shape.
+            ``wavelet_y`` not a "y" one, or ``anchor_truth`` or
+            ``seam_mask`` does not have the frame's shape.
         NoRidgeError: as :func:`cwt2_phase`, for either orientation.
     """
     if wavelet_x.orientation != "x" or wavelet_y.orientation != "y":
@@ -683,16 +644,9 @@ def decode_crossed_fringe(
     fg = foreground_mask(frame)
     box = _bounding_box(fg)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        future_x = pool.submit(_cwt2_on_box, frame, wavelet_x, box)
-        try:
-            pm_y = _cwt2_on_box(frame, wavelet_y, box)
-        except Exception:
-            # x's error comes first, as it would in serial order
-            error_x = future_x.exception()
-            if error_x is not None:
-                raise error_x from None
-            raise
-        pm_x = future_x.result()
+        future_y = pool.submit(_cwt2_on_box, frame, wavelet_y, box)
+        pm_x = _cwt2_on_box(frame, wavelet_x, box)
+        pm_y = future_y.result()
     for pm in (pm_x, pm_y):
         pm.valid &= fg
         pm.phase[~pm.valid] = np.nan

@@ -29,10 +29,6 @@ class InvalidSeedError(DeflectGazeError):
     """Unwrap seed pixel is invalid."""
 
 
-class InvalidAnchorError(DeflectGazeError):
-    """Anchor pixel is invalid in one of the phase maps."""
-
-
 class InsufficientLinesError(DeflectGazeError):
     """Too few lines for the requested clustering."""
 

@@ -10,15 +10,14 @@ from scipy import ndimage
 
 from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
-                                 Q_MIN, PhaseMap, foreground_mask,
-                                 phase_to_correspondence)
+                                 Q_MIN, PhaseMap, foreground_mask)
 from deflect_gaze import geometry
 from deflect_gaze.errors import InvalidSeedError, NoRidgeError
 from deflect_gaze.geometry import (bisector_masked, ray_sphere_roots, reflect,
                                    unit)
 from deflect_gaze.optimize import (_eye_tangents, _ramp_tangents,
                                    _uv_tangents, _weights)
-from deflect_gaze.render import CorrespondenceMap, CrossedFringe
+from deflect_gaze.render import CorrespondenceMap
 from deflect_gaze.scene import CORNEA, SCLERA
 
 
@@ -346,7 +345,7 @@ def reference_cwt2_phase(frame, params):
         )
     phase = np.arctan2(best_im, best_re)
     phase[~valid] = np.nan
-    return PhaseMap(phase=phase, quality=quality, valid=valid, wrapped=True)
+    return PhaseMap(phase=phase, quality=quality, valid=valid)
 
 
 def reference_unwrap2(pmap, seed_pixel):
@@ -393,7 +392,7 @@ def reference_unwrap2(pmap, seed_pixel):
         done[y, x] = True
         push_neighbors(y, x)
 
-    return PhaseMap(phase=out, quality=quality.copy(), valid=done, wrapped=False)
+    return PhaseMap(phase=out, quality=quality.copy(), valid=done)
 
 
 def reference_sever_phase_seams(pm, max_step_scale=0.75):
@@ -442,7 +441,6 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
     v_out = np.full((h, w), np.nan)
     valid_out = np.zeros((h, w), dtype=bool)
     combined_q = np.minimum(phi_x.quality, phi_y.quality)
-    pattern = CrossedFringe(period_x=period_x, period_y=period_y)
 
     for comp in range(1, n_comp + 1):
         mask = labels == comp
@@ -462,12 +460,11 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
         py.phase[~py.valid] = np.nan
         ux = reference_unwrap2(px, (ax, ay))
         uy = reference_unwrap2(py, (ax, ay))
-        anchor = ((ax, ay), float(anchor_truth.u[ay, ax]),
-                  float(anchor_truth.v[ay, ax]))
-        corr = phase_to_correspondence(ux, uy, pattern, anchor)
-        m = corr.valid
-        u_out[m] = corr.u[m]
-        v_out[m] = corr.v[m]
+        m = ux.valid & uy.valid
+        u_out[m] = ((ux.phase - ux.phase[ay, ax]) * period_x / (2.0 * np.pi)
+                    + float(anchor_truth.u[ay, ax]))[m]
+        v_out[m] = ((uy.phase - uy.phase[ay, ax]) * period_y / (2.0 * np.pi)
+                    + float(anchor_truth.v[ay, ax]))[m]
         valid_out |= m
 
     return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
@@ -539,8 +536,6 @@ def reference_ransac_counts(centers, points, dirs, tol):
 
 def assert_continuity(pmap):
     """Raise if any valid 4-neighbor pair of an unwrapped map jumps >= pi."""
-    if pmap.wrapped:
-        raise ValueError("continuity is defined for unwrapped maps")
     p, m = pmap.phase, pmap.valid
     dx = np.abs(np.diff(p, axis=1))[m[:, 1:] & m[:, :-1]]
     dy = np.abs(np.diff(p, axis=0))[m[1:, :] & m[:-1, :]]

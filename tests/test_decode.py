@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -16,11 +17,9 @@ from deflect_gaze.decode import (WaveletParams, _sever_phase_seams,
                                  correspondence_from_phases, cwt2_phase,
                                  decode_crossed_fringe, decode_phase_shift,
                                  foreground_mask, phase_shift_decode,
-                                 phase_to_correspondence, scene_seam_mask,
-                                 unwrap2, PhaseMap)
-from deflect_gaze.errors import (InvalidAnchorError, InvalidSeedError,
-                                 InvariantViolation, NoRidgeError,
-                                 ShiftCountError)
+                                 scene_seam_mask, unwrap2, PhaseMap)
+from deflect_gaze.errors import (InvalidSeedError, InvariantViolation,
+                                 NoRidgeError, ShiftCountError)
 from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, render_correspondence,
@@ -283,6 +282,14 @@ class TestPhaseShiftDecode:
         with pytest.raises(ShiftCountError):
             phase_shift_decode([np.zeros((8, 8))] * 3, pat)
 
+    def test_rejects_frames_of_different_shapes(self):
+        pat = PhaseShiftSet(period=32.0, n_shifts=4)
+        frames = [np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((8, 9)),
+                  np.zeros((9, 8))]
+        with pytest.raises(InvariantViolation,
+                           match=r"frame 2 .*\(8, 9\).*frame 0 \(8, 8\)"):
+            phase_shift_decode(frames, pat)
+
     def test_noise_rmse(self, scene, corr_pair):
         # per-pixel RMSE vs ground truth on the rendered eye, N=8
         corr = corr_pair[0]
@@ -303,7 +310,7 @@ class TestUnwrap2:
         true = 0.7 * x
         pm = PhaseMap(phase=np.angle(np.exp(1j * true)),
                       quality=np.ones((32, 64)),
-                      valid=np.ones((32, 64), dtype=bool), wrapped=True)
+                      valid=np.ones((32, 64), dtype=bool))
         out = unwrap2(pm, (0, 0))
         offset = out.phase[0, 0] - true[0, 0]
         assert np.abs(out.phase - true - offset).max() < 1e-6
@@ -313,7 +320,7 @@ class TestUnwrap2:
         g = np.random.default_rng(3)
         smooth = ndimage.gaussian_filter(g.normal(size=(24, 24)), 4.0)
         pm = PhaseMap(phase=smooth, quality=np.ones((24, 24)),
-                      valid=np.ones((24, 24), dtype=bool), wrapped=True)
+                      valid=np.ones((24, 24), dtype=bool))
         out = unwrap2(pm, (5, 5))
         d = out.phase - smooth
         k = np.round(d[5, 5] / (2 * np.pi))
@@ -321,7 +328,7 @@ class TestUnwrap2:
 
     def test_invalid_seed(self):
         pm = PhaseMap(phase=np.zeros((8, 8)), quality=np.ones((8, 8)),
-                      valid=np.zeros((8, 8), dtype=bool), wrapped=True)
+                      valid=np.zeros((8, 8), dtype=bool))
         with pytest.raises(InvalidSeedError):
             unwrap2(pm, (2, 2))
 
@@ -330,7 +337,7 @@ class TestUnwrap2:
         valid[:, :3] = True
         valid[:, 5:] = True
         pm = PhaseMap(phase=np.zeros((8, 8)), quality=np.ones((8, 8)),
-                      valid=valid, wrapped=True)
+                      valid=valid)
         out = unwrap2(pm, (0, 0))
         assert out.valid[:, :3].all()
         assert not out.valid[:, 5:].any()
@@ -354,14 +361,12 @@ class TestUnwrap2:
             label="phase")
         quality = data.draw(arrays(float, (h, w), elements=st.sampled_from(
             [0.0, 0.25, 0.5, 1.0])), label="quality")
-        pm = PhaseMap(phase=phase, quality=quality, valid=valid,
-                      wrapped=True)
+        pm = PhaseMap(phase=phase, quality=quality, valid=valid)
         got = unwrap2(pm, (sx, sy))
         ref = reference_unwrap2(pm, (sx, sy))
         assert same_bits(got.phase, ref.phase)
         assert same_bits(got.valid, ref.valid)
         assert same_bits(got.quality, ref.quality)
-        assert got.wrapped is False
 
     @pytest.mark.parametrize("fdtype,vdtype", [
         (np.float32, bool), (np.float64, np.uint8), (np.float32, np.int64)])
@@ -371,7 +376,7 @@ class TestUnwrap2:
         valid[6, 7] = True
         pm = PhaseMap(phase=g.uniform(-12.0, 12.0, (12, 15)).astype(fdtype),
                       quality=g.choice([0.25, 0.5, 1.0], (12, 15)).astype(fdtype),
-                      valid=valid.astype(vdtype), wrapped=True)
+                      valid=valid.astype(vdtype))
         got = unwrap2(pm, (7, 6))
         ref = reference_unwrap2(pm, (7, 6))
         assert got.valid.sum() > 1
@@ -416,10 +421,10 @@ class TestSeverPhaseSeams:
         g = np.random.default_rng(2)
         maps.append(PhaseMap(phase=g.uniform(-np.pi, np.pi, (37, 41)),
                              quality=np.ones((37, 41)),
-                             valid=g.random((37, 41)) < 0.7, wrapped=True))
+                             valid=g.random((37, 41)) < 0.7))
         empty = PhaseMap(phase=g.uniform(-np.pi, np.pi, (37, 41)),
                          quality=np.ones((37, 41)),
-                         valid=np.zeros((37, 41), dtype=bool), wrapped=True)
+                         valid=np.zeros((37, 41), dtype=bool))
         for pm in maps + [empty]:
             pm.phase[~pm.valid] = np.nan
             got = _sever_phase_seams(pm)
@@ -464,7 +469,7 @@ def component_maps(draw):
                                       + g.normal(0.0, noise, (h, w)))))
         quality = g.integers(1, 6, (h, w)) / 5.0
         phase[~valid] = np.nan
-        maps.append(PhaseMap(phase, quality, valid.copy(), wrapped=True))
+        maps.append(PhaseMap(phase, quality, valid.copy()))
     anchor_valid = g.random((h, w)) < draw(st.sampled_from([0.05, 0.3, 1.0]))
     anchor_valid[:, lone] = False
     anchor = CorrespondenceMap(u=g.uniform(0, 500, (h, w)),
@@ -511,17 +516,43 @@ class TestCorrespondenceFromPhases:
         for a, b in ((got.u, ref.u), (got.v, ref.v), (got.valid, ref.valid)):
             assert same_bits(a, b)
 
+    def test_gauge_invariance(self, scene, corr_pair):
+        # a constant added to a wrapped map moves the anchor pixel's phase
+        # with it, so the map does not change
+        corr = corr_pair[0]
+        maps = []
+        for direction in ("x", "y"):
+            pat = PhaseShiftSet(period=80.0, n_shifts=8, direction=direction)
+            maps.append(phase_shift_decode(
+                [render_frame(scene, 0, pat, k, correspondence=corr)
+                 for k in range(8)], pat))
+        seam = scene_seam_mask(scene, 0)
+        ref = correspondence_from_phases(*maps, 80.0, 80.0, corr,
+                                         seam_mask=seam)
+        assert ref.n_valid > 800
+        for cx, cy in ((1.2345, 0.0), (0.0, -2.5), (np.pi, 2.0 * np.pi)):
+            shifted = [PhaseMap(np.angle(np.exp(1j * (pm.phase + c))),
+                                pm.quality, pm.valid)
+                       for pm, c in zip(maps, (cx, cy))]
+            got = correspondence_from_phases(*shifted, 80.0, 80.0, corr,
+                                             seam_mask=seam)
+            assert np.array_equal(got.valid, ref.valid)
+            assert np.abs(got.u - ref.u)[ref.valid].max() <= 1e-9
+            assert np.abs(got.v - ref.v)[ref.valid].max() <= 1e-9
 
-class TestPhaseToCorrespondence:
-    def _maps(self, scene, corr):
-        pat = PhaseShiftSet(period=80.0, n_shifts=8)
-        pay = PhaseShiftSet(period=80.0, n_shifts=8, direction="y")
-        fx = [render_frame(scene, 0, pat, k, correspondence=corr)
-              for k in range(8)]
-        fy = [render_frame(scene, 0, pay, k, correspondence=corr)
-              for k in range(8)]
-        return phase_shift_decode(fx, pat), phase_shift_decode(fy, pay)
+    @pytest.mark.parametrize("period", [2.0, np.nan, np.inf])
+    def test_rejects_period(self, period):
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        maps = [cwt2_phase(frame, WaveletParams(orientation=o, scale_min=8.0,
+                                                scale_max=24.0))
+                for o in ("x", "y")]
+        for px, py in ((period, 36.0), (36.0, period)):
+            with pytest.raises(InvariantViolation, match="periods"):
+                correspondence_from_phases(*maps, px, py,
+                                           all_valid_anchor((128, 128)))
 
+
+class TestDecoderConsistency:
     def test_end_to_end_matches_truth(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
@@ -538,47 +569,6 @@ class TestPhaseToCorrespondence:
         e = np.hypot(dec.u[m] - corr.u[m], dec.v[m] - corr.v[m])
         assert (e < 0.05).mean() > 0.99
 
-    def test_gauge_invariance(self, scene, corr_pair):
-        corr = corr_pair[0]
-        pmx, pmy = self._maps(scene, corr)
-        seam = scene_seam_mask(scene, 0)
-        for pm in (pmx, pmy):
-            pm.valid &= ~seam
-            pm.phase[~pm.valid] = np.nan
-        lab, n = ndimage.label(pmx.valid & pmy.valid, structure=FOUR)
-        sizes = ndimage.sum(pmx.valid & pmy.valid, lab, range(1, n + 1))
-        comp = int(np.argmax(sizes)) + 1
-        mask = lab == comp
-        for pm in (pmx, pmy):
-            pm.valid &= mask
-            pm.phase[~pm.valid] = np.nan
-        ys, xs = np.nonzero(mask & corr.valid)
-        ax, ay = int(xs[0]), int(ys[0])
-        ux = unwrap2(pmx, (ax, ay))
-        uy = unwrap2(pmy, (ax, ay))
-        pat = CrossedFringe(period_x=80.0, period_y=80.0)
-        anchor = ((ax, ay), float(corr.u[ay, ax]), float(corr.v[ay, ax]))
-        c1 = phase_to_correspondence(ux, uy, pat, anchor)
-        ux2 = ux.copy()
-        ux2.phase = ux2.phase + 2 * np.pi
-        c2 = phase_to_correspondence(ux2, uy, pat, anchor)
-        m = c1.valid
-        assert np.allclose(c1.u[m], c2.u[m])
-        uxg = ux.copy()
-        uxg.phase = uxg.phase + 1.2345
-        c3 = phase_to_correspondence(uxg, uy, pat, anchor)
-        assert np.allclose(c1.u[m], c3.u[m])
-
-    def test_invalid_anchor_raises(self):
-        pm = PhaseMap(phase=np.zeros((8, 8)), quality=np.ones((8, 8)),
-                      valid=np.zeros((8, 8), dtype=bool), wrapped=False)
-        with pytest.raises(InvalidAnchorError):
-            phase_to_correspondence(pm, pm,
-                                    CrossedFringe(period_x=16, period_y=16),
-                                    ((2, 2), 0.0, 0.0))
-
-
-class TestDecoderConsistency:
     def test_noiseless_median(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
@@ -721,11 +711,24 @@ class TestDecodeCrossedFringe:
             decode_crossed_fringe(frame, self.PATTERN,
                                   all_valid_anchor((size, size)), *self.SMALL)
 
+    @pytest.mark.parametrize("shape", [(1, 128), (64, 64)],
+                             ids=["1x128", "64x64"])
+    def test_rejects_seam_mask_of_another_shape(self, shape):
+        # a (1, W) mask would broadcast and cut whole columns, a (64, 64)
+        # one fail inside numpy
+        frame = fringe_frame(px=16.0, py=22.0, crossed=True)
+        with pytest.raises(InvariantViolation,
+                           match=r"\(128, 128\).*seam mask "
+                           + re.escape(str(shape))):
+            decode_crossed_fringe(frame, self.PATTERN,
+                                  all_valid_anchor((128, 128)), *self.SMALL,
+                                  seam_mask=np.zeros(shape, dtype=bool))
+
     def test_rejects_phase_maps_of_different_shapes(self):
         frame = fringe_frame(px=16.0, py=22.0, crossed=True)
         pm_x, pm_y = (cwt2_phase(frame, w) for w in self.SMALL)
         pm_y = PhaseMap(pm_y.phase[:100], pm_y.quality[:100],
-                        pm_y.valid[:100], True)
+                        pm_y.valid[:100])
         with pytest.raises(InvariantViolation,
                            match=r"\(128, 128\).*y phase map \(100, 128\)"):
             correspondence_from_phases(pm_x, pm_y, 36.0, 36.0,

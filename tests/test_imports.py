@@ -5,9 +5,9 @@ counts as used when it is read anywhere in the module, as a bare name or
 as the root of an attribute chain. Imports marked ``# noqa: F401`` are
 re-exports and are exempt.
 
-The stereo method loads neither ``scipy.ndimage`` nor the process pool:
-both are imported where they are called, so a stereo run does not pay
-for loading them.
+The stereo method loads none of ``scipy.ndimage``, ``scipy.fft`` and the
+process pool: each is imported where it is called, so a stereo run does
+not pay for loading them.
 """
 
 import ast
@@ -67,7 +67,8 @@ maps = [render.render_correspondence(sc, cam) for cam in (0, 1)]
 gaze.estimate_gaze_two_center(stereo.reconstruct_field(sc, *maps))
 bench.run_benchmark(bench.BenchmarkConfig(method=bench.METHOD_STEREO,
                                           reps=1), sc, max_workers=1)
-stereo_loaded = [m for m in ("scipy.ndimage", "concurrent.futures.process")
+stereo_loaded = [m for m in ("scipy.ndimage", "scipy.fft",
+                             "concurrent.futures.process")
                  if m in sys.modules]
 decode.foreground_mask(np.zeros((8, 8)))
 print(json.dumps({"stereo_loaded": stereo_loaded,
