@@ -1,10 +1,9 @@
 """Correspondence recovery from intensity frames.
 
 Two stages: per-pixel wrapped phase (single-shot 2D continuous wavelet
-transform of a crossed fringe, or N-step phase shifting), then one loop
-over the connected valid components that unwraps each component's two
-maps with a quality-guided flood fill and converts them inline to screen
-coordinates against an anchor pixel of known correspondence.
+transform of a crossed fringe, or N-step phase shifting), then one
+quality-guided flood fill per axis that unwraps every connected valid
+component from its own anchor pixel of known correspondence.
 
 The wavelet transform runs only on the foreground: the bounding box of
 the foreground mask, grown by twice the largest scale. It evaluates its
@@ -30,9 +29,8 @@ calls hold the lock, and splitting its pixels over two threads was slower.
 
 The single-shot path cannot recover the absolute phase offset on its own;
 the anchor is supplied by the simulator here (a real system would use a
-marker). Pipelines unwrap each connected valid component separately and
-anchor each one, since the cornea/sclera transition breaks phase
-continuity.
+marker). Each component has its own anchor, since the cornea/sclera
+transition breaks phase continuity.
 
 ``scipy.ndimage`` is imported inside the two functions that call it, and
 ``scipy.fft`` inside the Morlet sweep, not at module scope. Every
@@ -52,8 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidSeedError, InvariantViolation, NoRidgeError,
-                     ShiftCountError)
+from .errors import InvariantViolation, NoRidgeError, ShiftCountError
 from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
                      render_margins)
 
@@ -112,17 +109,13 @@ class WaveletParams:
 class PhaseMap:
     """Per-pixel phase (radians) with a ridge-quality channel in [0, 1].
 
-    The decoders' phases are wrapped to (-pi, pi]; :func:`unwrap2`'s are
-    continuous (|delta phi| < pi) along any valid 4-connected path.
+    The decoders' phases are wrapped to (-pi, pi];
+    :func:`correspondence_from_phases` unwraps them.
     """
 
     phase: np.ndarray
     quality: np.ndarray
     valid: np.ndarray
-
-    def copy(self) -> "PhaseMap":
-        return PhaseMap(self.phase.copy(), self.quality.copy(),
-                        self.valid.copy())
 
 
 def _circular(n: int, kernel: np.ndarray) -> np.ndarray:
@@ -393,52 +386,48 @@ def _bounding_box(mask: np.ndarray) -> tuple[slice, slice] | None:
             slice(int(cols[0]), int(cols[-1]) + 1))
 
 
-def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
-    """Quality-guided flood-fill unwrapping from a seed pixel (px, py).
+def _unwrap(phase: np.ndarray, quality: np.ndarray, mask: np.ndarray,
+            seeds: np.ndarray) -> np.ndarray:
+    """Quality-guided flood-fill unwrapping (Ghiglia & Pritt, 1998, ch. 4)
+    of ``phase`` over ``mask`` from the flat pixel indices ``seeds``, one
+    per 4-connected component of ``mask`` at most; NaN off their components.
 
     Pixels join in descending quality order (ties in row-major order); each
     one takes the 2 pi multiple that minimizes its jump against its
-    highest-quality already-unwrapped neighbor. Valid components not
-    4-connected to the seed stay invalid.
+    highest-quality already-unwrapped neighbor. Components never touch, so
+    each one joins in the order it would join alone.
 
-    The fill runs on the bounding box of ``pmap.valid`` plus a one-pixel
-    invalid rim, so no neighbor needs a bounds test, in flat ``array`` and
+    The fill runs on the bounding box of ``mask`` plus a one-pixel invalid
+    rim, so no neighbor needs a bounds test, in flat ``array`` and
     ``bytearray`` buffers indexed from Python.
-
-    Raises:
-        InvalidSeedError: the seed pixel is not valid.
     """
-    sx, sy = seed_pixel
-    h, w = pmap.phase.shape
-    if not (0 <= sx < w and 0 <= sy < h) or not pmap.valid[sy, sx]:
-        raise InvalidSeedError(f"seed pixel ({sx}, {sy}) is invalid")
-
-    box = _bounding_box(pmap.valid)
+    h, w = mask.shape
+    box = _bounding_box(mask)
     bw = box[1].stop - box[1].start + 2
 
     def rimmed(a, dtype):
         return np.pad(np.asarray(a[box], dtype=dtype), 1).ravel()
 
-    phase = array("d", rimmed(pmap.phase, float).tobytes())
-    quality = array("d", rimmed(pmap.quality, float).tobytes())
-    valid = bytearray(rimmed(pmap.valid, bool).tobytes())
+    phase = array("d", rimmed(phase, float).tobytes())
+    quality = array("d", rimmed(quality, float).tobytes())
+    valid = bytearray(rimmed(mask, bool).tobytes())
     done = bytearray(len(valid))
     queued = bytearray(len(valid))
     out = array("d", [math.nan]) * len(valid)
-    seed = int((sy - box[0].start + 1) * bw + (sx - box[1].start + 1))
-    out[seed] = phase[seed]
-    done[seed] = 1
+    sy, sx = np.divmod(seeds, w)
+    seeds = ((sy - box[0].start + 1) * bw + (sx - box[1].start + 1)).tolist()
+    heap: list[tuple[float, int]] = []
+    for i in seeds:
+        out[i] = phase[i]
+        done[i] = 1
+        for j in (i - bw, i + bw, i - 1, i + 1):
+            if valid[j]:
+                queued[j] = 1
+                heap.append((-quality[j], j))
+    heapq.heapify(heap)
 
     two_pi = 2.0 * np.pi
-    heap: list[tuple[float, int]] = []
-    i = seed
-    while True:
-        for j in (i - bw, i + bw, i - 1, i + 1):
-            if valid[j] and not done[j] and not queued[j]:
-                queued[j] = 1
-                heapq.heappush(heap, (-quality[j], j))
-        if not heap:
-            break
+    while heap:
         i = heapq.heappop(heap)[1]
         best_q = -1.0
         ref = 0.0
@@ -450,13 +439,14 @@ def unwrap2(pmap: PhaseMap, seed_pixel: tuple[int, int]) -> PhaseMap:
         # round half to even, keeping the sign of a zero as np.round does
         out[i] = phase[i] + two_pi * math.copysign(round(d), d)
         done[i] = 1
+        for j in (i - bw, i + bw, i - 1, i + 1):
+            if valid[j] and not done[j] and not queued[j]:
+                queued[j] = 1
+                heapq.heappush(heap, (-quality[j], j))
 
     phase_out = np.full((h, w), np.nan)
     phase_out[box] = np.frombuffer(out).reshape(-1, bw)[1:-1, 1:-1]
-    done_out = np.zeros((h, w), dtype=bool)
-    done_out[box] = np.frombuffer(done, dtype=bool).reshape(-1, bw)[1:-1, 1:-1]
-    return PhaseMap(phase=phase_out, quality=pmap.quality.copy(),
-                    valid=done_out)
+    return phase_out
 
 
 # ---------------------------------------------------------------------------
@@ -477,48 +467,33 @@ def foreground_mask(frame: np.ndarray) -> np.ndarray:
                                   iterations=FG_ERODE)
 
 
-def _sever_phase_seams(pm: PhaseMap) -> PhaseMap:
-    """Invalidate pixels whose wrapped-phase step to a neighbor exceeds
-    ``MAX_STEP_SCALE`` * pi.
+def _phase_cuts(phase: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Pixels of ``valid`` whose wrapped-phase step to a valid neighbor
+    exceeds ``MAX_STEP_SCALE`` * pi.
 
     Between correct fringe samples the wrapped step stays well below pi;
     across the cornea/sclera transition the correspondence jumps by many
     periods and the wrapped step is effectively random. Cutting those pixels
     splits the valid region so each side unwraps (and anchors) separately.
 
-    Steps are taken on the bounding box of ``pm.valid`` only: every pair
-    with an invalid pixel is masked out, and outside the box every pixel
-    is invalid.
+    Steps are taken on the bounding box of ``valid`` only, and ``phase`` is
+    read at valid pixels only.
     """
-    out = pm.copy()
-    box = _bounding_box(pm.valid)
+    cut = np.zeros(valid.shape, dtype=bool)
+    box = _bounding_box(valid)
     if box is None:
-        out.phase[:] = np.nan
-        return out
-    m = pm.valid[box]
+        return cut
+    m = valid[box]
     # NaN makes ``%`` several times slower; pairs with an invalid pixel are
     # masked out below, so any finite stand-in gives the same cut
-    p = np.where(m, pm.phase[box], 0.0)
-    lim = MAX_STEP_SCALE * np.pi
-
-    def wrapdiff(a, b):
-        d = a - b
-        return np.abs((d + np.pi) % (2.0 * np.pi) - np.pi)
-
-    bad = np.zeros_like(m)
-    dx = wrapdiff(p[:, 1:], p[:, :-1])
-    both = m[:, 1:] & m[:, :-1]
-    cut = both & (dx > lim)
-    bad[:, 1:] |= cut
-    bad[:, :-1] |= cut
-    dy = wrapdiff(p[1:, :], p[:-1, :])
-    both = m[1:, :] & m[:-1, :]
-    cut = both & (dy > lim)
-    bad[1:, :] |= cut
-    bad[:-1, :] |= cut
-    out.valid[box] &= ~bad
-    out.phase[~out.valid] = np.nan
-    return out
+    p = np.where(m, phase[box], 0.0)
+    # steps along rows, then along columns through transposed views
+    for pv, mv, bad in ((p, m, cut[box]), (p.T, m.T, cut[box].T)):
+        d = np.abs((pv[:, 1:] - pv[:, :-1] + np.pi) % (2.0 * np.pi) - np.pi)
+        step = mv[:, 1:] & mv[:, :-1] & (d > MAX_STEP_SCALE * np.pi)
+        bad[:, 1:] |= step
+        bad[:, :-1] |= step
+    return cut
 
 
 def correspondence_from_phases(
@@ -532,7 +507,8 @@ def correspondence_from_phases(
     """Unwrap wrapped phase pairs per connected component and anchor each
     component with its simulator-provided true correspondence:
     ``u = (phi_x - phi_x(anchor)) period_x / 2 pi + u0`` on the component,
-    and v likewise, at the component's best-quality anchorable pixel.
+    and v likewise, at the component's best-quality anchorable pixel (the
+    first in row-major order among equals).
 
     ``seam_mask`` marks pixels straddling a known correspondence
     discontinuity (the cornea/sclera transition); they are invalidated so
@@ -540,8 +516,8 @@ def correspondence_from_phases(
     severing alone cannot do this reliably: the multi-period seam jump
     aliases below pi three times out of four. The returned map is the
     union of all components of at least ``MIN_COMPONENT`` pixels; smaller
-    fragments and components with no anchorable pixel are dropped. Each
-    component is processed on its bounding box.
+    fragments and components with no anchorable pixel are dropped. One
+    flood fill per axis unwraps all kept components.
 
     Raises:
         InvariantViolation: ``phi_y``, a channel of ``anchor_truth`` or
@@ -566,47 +542,39 @@ def correspondence_from_phases(
     if not (4 <= period_x < np.inf and 4 <= period_y < np.inf):
         raise InvariantViolation(f"decode: periods >= 4 px and finite, got "
                                  f"{period_x} and {period_y}")
-    if seam_mask is not None:
-        phi_x = phi_x.copy()
-        phi_y = phi_y.copy()
-        for pm in (phi_x, phi_y):
-            pm.valid &= ~seam_mask
-            pm.phase[~pm.valid] = np.nan
-    phi_x = _sever_phase_seams(phi_x)
-    phi_y = _sever_phase_seams(phi_y)
-    joint = phi_x.valid & phi_y.valid
-    labels, _ = ndimage.label(joint, structure=FOUR_CONN)
-    h, w = joint.shape
-    u_out = np.full((h, w), np.nan)
-    v_out = np.full((h, w), np.nan)
-    valid_out = np.zeros((h, w), dtype=bool)
+    joint = np.ones(shape, dtype=bool)
+    for pm in (phi_x, phi_y):
+        valid = pm.valid if seam_mask is None else pm.valid & ~seam_mask
+        joint &= valid & ~_phase_cuts(pm.phase, valid)
+    labels, n = ndimage.label(joint, structure=FOUR_CONN)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
 
-    # each component's work runs on its bounding box; row-major order in
-    # the box is the frame's, so the anchor and the unwrap order are too
-    for comp, box in enumerate(ndimage.find_objects(labels), start=1):
-        mask = labels[box] == comp
-        if mask.sum() < MIN_COMPONENT:
-            continue
-        anchorable = mask & anchor_truth.valid[box]
-        if not anchorable.any():
-            continue
-        q = np.where(anchorable,
-                     np.minimum(phi_x.quality[box], phi_y.quality[box]), -1.0)
-        ay, ax = np.unravel_index(np.argmax(q), q.shape)
+    # each kept component's anchor: its anchorable pixel of best
+    # min(q_x, q_y), the first in row-major order among equals
+    idx = np.flatnonzero((sizes >= MIN_COMPONENT)[labels] & anchor_truth.valid)
+    lab = labels.ravel()[idx]
+    q = np.minimum(phi_x.quality.ravel()[idx], phi_y.quality.ravel()[idx])
+    order = np.lexsort((idx, -q, lab))
+    comps, first = np.unique(lab[order], return_index=True)
+    anchors = idx[order[first]]
 
-        # unwrap2 reads phase and quality at valid pixels only, so the
-        # component needs its own mask but no copy of either map; the
-        # component is 4-connected, so the fill reaches all of it
+    # each pixel's anchor, by its label; -1 on dropped components
+    anchor_of = np.full(n + 1, -1)
+    anchor_of[comps] = anchors
+    at = anchor_of[labels]
+    mask = at >= 0
+    at = at[mask]
+    u_out = np.full(shape, np.nan)
+    v_out = np.full(shape, np.nan)
+    if anchors.size:
         for pm, period, truth, out in (
                 (phi_x, period_x, anchor_truth.u, u_out),
                 (phi_y, period_y, anchor_truth.v, v_out)):
-            phase = unwrap2(PhaseMap(pm.phase[box], pm.quality[box], mask),
-                            (ax, ay)).phase
-            out[box][mask] = ((phase[mask] - phase[ay, ax]) * period
-                              / (2.0 * np.pi) + float(truth[box][ay, ax]))
-        valid_out[box] |= mask
-
-    return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
+            phase = _unwrap(pm.phase, pm.quality, mask, anchors)
+            out[mask] = ((phase[mask] - phase.ravel()[at]) * period
+                         / (2.0 * np.pi) + truth.ravel()[at])
+    return CorrespondenceMap(u=u_out, v=v_out, valid=mask)
 
 
 def decode_crossed_fringe(
@@ -647,9 +615,8 @@ def decode_crossed_fringe(
         future_y = pool.submit(_cwt2_on_box, frame, wavelet_y, box)
         pm_x = _cwt2_on_box(frame, wavelet_x, box)
         pm_y = future_y.result()
-    for pm in (pm_x, pm_y):
-        pm.valid &= fg
-        pm.phase[~pm.valid] = np.nan
+    pm_x.valid &= fg
+    pm_y.valid &= fg
     return correspondence_from_phases(
         pm_x, pm_y, pattern.period_x, pattern.period_y, anchor_truth,
         seam_mask=seam_mask,

@@ -25,10 +25,6 @@ class ShiftCountError(DeflectGazeError):
     """Number of frames does not match the phase-shift pattern."""
 
 
-class InvalidSeedError(DeflectGazeError):
-    """Unwrap seed pixel is invalid."""
-
-
 class InsufficientLinesError(DeflectGazeError):
     """Too few lines for the requested clustering."""
 

@@ -47,11 +47,18 @@ def read_pfm(path) -> np.ndarray:
         except ValueError:
             raise ValueError(f"{path}: PFM dimensions line is not "
                              f"'width height'") from None
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{path}: PFM dimensions {w} x {h} are not "
+                             f"positive")
         try:
             scale = float(f.readline())
         except ValueError:
             raise ValueError(f"{path}: PFM scale line is not a "
                              f"number") from None
+        # the scale's sign gives the byte order, so it cannot be 0
+        if scale == 0 or not np.isfinite(scale):
+            raise ValueError(f"{path}: PFM scale {scale} is zero or not "
+                             f"finite")
         endian = "<" if scale < 0 else ">"
         count = w * h * channels
         body = f.read(count * 4)

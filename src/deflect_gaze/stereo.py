@@ -17,7 +17,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .errors import EmptyFieldError, InvariantViolation
-from .geometry import EPS_GEOM, bisector_masked, unit
+from .geometry import EPS_GEOM, bisector_masked, check_unit, unit
 from .render import CorrespondenceMap, check_camera_map
 from .scene import SceneConfig
 
@@ -56,13 +56,31 @@ class NormalField:
 
     @classmethod
     def from_csv(cls, path) -> "NormalField":
+        """Read a field written by :meth:`to_csv`.
+
+        Raises:
+            ValueError: the header is not ``NORMAL_FIELD_HEADER``, a row is
+                not 9 numbers, or a value is not finite.
+            InvariantViolation: a normal is not unit length.
+        """
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().strip()
             if header != NORMAL_FIELD_HEADER:
-                raise ValueError(f"unexpected NormalField header: {header!r}")
-            data = np.loadtxt(io.StringIO(f.read()), delimiter=",", ndmin=2)
+                raise ValueError(f"{path}: unexpected NormalField header: "
+                                 f"{header!r}")
+            try:
+                data = np.loadtxt(io.StringIO(f.read()), delimiter=",",
+                                  ndmin=2)
+            except ValueError as e:
+                raise ValueError(f"{path}: {e}") from None
         if data.size == 0:
             data = data.reshape(0, 9)
+        if data.shape[1] != 9:
+            raise ValueError(f"{path}: rows have {data.shape[1]} columns, "
+                             f"a NormalField row has 9")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: a NormalField value is not finite")
+        check_unit(data[:, 5:8], f"{path}: a NormalField normal")
         return cls(
             pixels=data[:, 0:2].astype(int),
             points=data[:, 2:5],

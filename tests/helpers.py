@@ -12,7 +12,7 @@ from deflect_gaze.bench import CSV_HEADER
 from deflect_gaze.decode import (FOUR_CONN, MIN_COMPONENT, MOD_FLOOR, N_SCALES,
                                  Q_MIN, PhaseMap, foreground_mask)
 from deflect_gaze import geometry
-from deflect_gaze.errors import InvalidSeedError, NoRidgeError
+from deflect_gaze.errors import NoRidgeError
 from deflect_gaze.geometry import (bisector_masked, ray_sphere_roots, reflect,
                                    unit)
 from deflect_gaze.optimize import (_eye_tangents, _ramp_tangents,
@@ -349,12 +349,10 @@ def reference_cwt2_phase(frame, params):
 
 
 def reference_unwrap2(pmap, seed_pixel):
-    """``unwrap2`` on the full grid with numpy scalar indexing and a
-    ``(-quality, y, x)`` heap."""
+    """The quality-guided fill from one valid seed pixel (x, y) on the full
+    grid, with numpy scalar indexing and a ``(-quality, y, x)`` heap."""
     sx, sy = seed_pixel
     h, w = pmap.phase.shape
-    if not (0 <= sx < w and 0 <= sy < h) or not pmap.valid[sy, sx]:
-        raise InvalidSeedError(f"seed pixel ({sx}, {sy}) is invalid")
 
     phase = pmap.phase
     quality = pmap.quality
@@ -395,8 +393,14 @@ def reference_unwrap2(pmap, seed_pixel):
     return PhaseMap(phase=out, quality=quality.copy(), valid=done)
 
 
+def copied(pm):
+    """A ``PhaseMap`` holding copies of ``pm``'s three arrays."""
+    return PhaseMap(pm.phase.copy(), pm.quality.copy(), pm.valid.copy())
+
+
 def reference_sever_phase_seams(pm, max_step_scale=0.75):
-    """``_sever_phase_seams`` taking wrapped steps on the NaN-filled map."""
+    """The phase-step cut taking wrapped steps on the NaN-filled map: the
+    returned map's valid pixels are ``pm.valid & ~decode._phase_cuts``."""
     p, m = pm.phase, pm.valid
     lim = max_step_scale * np.pi
 
@@ -415,7 +419,7 @@ def reference_sever_phase_seams(pm, max_step_scale=0.75):
     cut = both & (dy > lim)
     bad[1:, :] |= cut
     bad[:-1, :] |= cut
-    out = pm.copy()
+    out = copied(pm)
     out.valid &= ~bad
     out.phase[~out.valid] = np.nan
     return out
@@ -427,8 +431,8 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
     """``correspondence_from_phases`` with the reference seam cut and fill,
     unwrapping masked full-frame copies of both maps per component."""
     if seam_mask is not None:
-        phi_x = phi_x.copy()
-        phi_y = phi_y.copy()
+        phi_x = copied(phi_x)
+        phi_y = copied(phi_y)
         for pm in (phi_x, phi_y):
             pm.valid &= ~seam_mask
             pm.phase[~pm.valid] = np.nan
@@ -452,10 +456,10 @@ def reference_correspondence_from_phases(phi_x, phi_y, period_x, period_y,
         q = np.where(anchorable, combined_q, -1.0)
         ay, ax = np.unravel_index(np.argmax(q), q.shape)
 
-        px = phi_x.copy()
+        px = copied(phi_x)
         px.valid &= mask
         px.phase[~px.valid] = np.nan
-        py = phi_y.copy()
+        py = copied(phi_y)
         py.valid &= mask
         py.phase[~py.valid] = np.nan
         ux = reference_unwrap2(px, (ax, ay))
@@ -534,9 +538,10 @@ def reference_ransac_counts(centers, points, dirs, tol):
     return counts
 
 
-def assert_continuity(pmap):
-    """Raise if any valid 4-neighbor pair of an unwrapped map jumps >= pi."""
-    p, m = pmap.phase, pmap.valid
+def assert_continuity(p):
+    """Raise if any 4-neighbor pair of an unwrapped phase map, NaN outside
+    its fill, jumps >= pi."""
+    m = np.isfinite(p)
     dx = np.abs(np.diff(p, axis=1))[m[:, 1:] & m[:, :-1]]
     dy = np.abs(np.diff(p, axis=0))[m[1:, :] & m[:-1, :]]
     worst = max(dx.max(initial=0.0), dy.max(initial=0.0))

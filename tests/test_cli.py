@@ -286,6 +286,24 @@ class TestReconstructAndGaze:
         assert "min_inliers" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("row,error", [
+        ("1,2,3,4,5,0,0,1", "rows have 8 columns"),
+        ("1,2,3,4,5,0,0,1,0,7", "rows have 10 columns"),
+        ("1,2,3,4,5,6,0,0,0", "normal is not unit length"),
+        ("1,2,3,4,5,0,0,nan,0", "value is not finite")])
+    def test_gaze_normals_rejects_malformed_field(self, tmp_path, capsys,
+                                                  row, error):
+        field_csv = tmp_path / "field.csv"
+        field_csv.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n"
+                             + (row + "\n") * 3)
+        out_csv = tmp_path / "gaze.csv"
+        rc = main(["gaze-normals", "--field", str(field_csv),
+                   "--out", str(out_csv)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(field_csv) in err and error in err
+        assert not out_csv.exists()
+
     def test_gaze_normals_too_few_lines(self, tmp_path, capsys):
         # 60 lines < 2 * min_inliers = 100: the split raises, and no
         # direction is written

@@ -13,13 +13,13 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from deflect_gaze import decode
-from deflect_gaze.decode import (WaveletParams, _sever_phase_seams,
+from deflect_gaze.decode import (WaveletParams, _phase_cuts, _unwrap,
                                  correspondence_from_phases, cwt2_phase,
                                  decode_crossed_fringe, decode_phase_shift,
                                  foreground_mask, phase_shift_decode,
-                                 scene_seam_mask, unwrap2, PhaseMap)
-from deflect_gaze.errors import (InvalidSeedError, InvariantViolation,
-                                 NoRidgeError, ShiftCountError)
+                                 scene_seam_mask, PhaseMap)
+from deflect_gaze.errors import (InvariantViolation, NoRidgeError,
+                                 ShiftCountError)
 from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, render_correspondence,
@@ -304,6 +304,13 @@ class TestPhaseShiftDecode:
         assert np.sqrt(np.mean(d ** 2)) < 0.02
 
 
+def unwrap_one(pm, seed_pixel):
+    """``_unwrap`` of ``pm`` over its valid mask from one seed pixel (x, y)."""
+    sx, sy = seed_pixel
+    seed = np.array([sy * pm.phase.shape[1] + sx])
+    return _unwrap(pm.phase, pm.quality, pm.valid, seed)
+
+
 class TestUnwrap2:
     def test_linear_ramp(self):
         x = np.arange(64)[None, :] * np.ones((32, 1))
@@ -311,9 +318,9 @@ class TestUnwrap2:
         pm = PhaseMap(phase=np.angle(np.exp(1j * true)),
                       quality=np.ones((32, 64)),
                       valid=np.ones((32, 64), dtype=bool))
-        out = unwrap2(pm, (0, 0))
-        offset = out.phase[0, 0] - true[0, 0]
-        assert np.abs(out.phase - true - offset).max() < 1e-6
+        out = unwrap_one(pm, (0, 0))
+        offset = out[0, 0] - true[0, 0]
+        assert np.abs(out - true - offset).max() < 1e-6
         assert_continuity(out)
 
     def test_already_continuous_unchanged(self):
@@ -321,16 +328,10 @@ class TestUnwrap2:
         smooth = ndimage.gaussian_filter(g.normal(size=(24, 24)), 4.0)
         pm = PhaseMap(phase=smooth, quality=np.ones((24, 24)),
                       valid=np.ones((24, 24), dtype=bool))
-        out = unwrap2(pm, (5, 5))
-        d = out.phase - smooth
+        out = unwrap_one(pm, (5, 5))
+        d = out - smooth
         k = np.round(d[5, 5] / (2 * np.pi))
         assert np.abs(d - 2 * np.pi * k).max() < 1e-12
-
-    def test_invalid_seed(self):
-        pm = PhaseMap(phase=np.zeros((8, 8)), quality=np.ones((8, 8)),
-                      valid=np.zeros((8, 8), dtype=bool))
-        with pytest.raises(InvalidSeedError):
-            unwrap2(pm, (2, 2))
 
     def test_disconnected_component_stays_invalid(self):
         valid = np.zeros((8, 8), dtype=bool)
@@ -338,9 +339,9 @@ class TestUnwrap2:
         valid[:, 5:] = True
         pm = PhaseMap(phase=np.zeros((8, 8)), quality=np.ones((8, 8)),
                       valid=valid)
-        out = unwrap2(pm, (0, 0))
-        assert out.valid[:, :3].all()
-        assert not out.valid[:, 5:].any()
+        out = unwrap_one(pm, (0, 0))
+        assert np.isfinite(out[:, :3]).all()
+        assert np.isnan(out[:, 5:]).all()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -362,11 +363,10 @@ class TestUnwrap2:
         quality = data.draw(arrays(float, (h, w), elements=st.sampled_from(
             [0.0, 0.25, 0.5, 1.0])), label="quality")
         pm = PhaseMap(phase=phase, quality=quality, valid=valid)
-        got = unwrap2(pm, (sx, sy))
+        got = unwrap_one(pm, (sx, sy))
         ref = reference_unwrap2(pm, (sx, sy))
-        assert same_bits(got.phase, ref.phase)
-        assert same_bits(got.valid, ref.valid)
-        assert same_bits(got.quality, ref.quality)
+        assert same_bits(got, ref.phase)
+        assert same_bits(~np.isnan(got), ref.valid)
 
     @pytest.mark.parametrize("fdtype,vdtype", [
         (np.float32, bool), (np.float64, np.uint8), (np.float32, np.int64)])
@@ -377,12 +377,42 @@ class TestUnwrap2:
         pm = PhaseMap(phase=g.uniform(-12.0, 12.0, (12, 15)).astype(fdtype),
                       quality=g.choice([0.25, 0.5, 1.0], (12, 15)).astype(fdtype),
                       valid=valid.astype(vdtype))
-        got = unwrap2(pm, (7, 6))
+        got = unwrap_one(pm, (7, 6))
         ref = reference_unwrap2(pm, (7, 6))
-        assert got.valid.sum() > 1
-        assert same_bits(got.phase, ref.phase)
-        assert same_bits(got.valid, ref.valid)
-        assert same_bits(got.quality, ref.quality)
+        assert np.isfinite(got).sum() > 1
+        assert same_bits(got, ref.phase)
+        assert same_bits(~np.isnan(got), ref.valid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_seeds_fill_as_each_component_alone(self, data):
+        # one fill from a seed in each of several components equals the
+        # reference filling each component alone; quality clipped at 1.0
+        # makes heap ties the norm, and components without a seed stay NaN
+        h = data.draw(st.integers(2, 16), label="h")
+        w = data.draw(st.integers(2, 16), label="w")
+        valid = data.draw(arrays(bool, (h, w)), label="valid")
+        labels, n = ndimage.label(valid, structure=FOUR)
+        if n == 0:
+            return
+        phase = data.draw(arrays(float, (h, w), elements=st.one_of(
+            st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0, np.pi]))),
+            label="phase")
+        quality = data.draw(arrays(float, (h, w), elements=st.sampled_from(
+            [0.5, 1.0, 1.0, 1.0])), label="quality")
+        seeded = data.draw(st.lists(st.integers(1, n), min_size=1,
+                                    unique=True), label="seeded components")
+        seeds = []
+        want = np.full((h, w), np.nan)
+        for c in seeded:
+            pixels = np.flatnonzero(labels == c)
+            s = int(pixels[data.draw(st.integers(0, pixels.size - 1))])
+            seeds.append(s)
+            alone = PhaseMap(phase, quality, labels == c)
+            ref = reference_unwrap2(alone, (s % w, s // w))
+            want[labels == c] = ref.phase[labels == c]
+        got = _unwrap(phase, quality, valid, np.array(seeds))
+        assert same_bits(got, want)
 
     def test_eye_phase_unwrap_matches_truth(self, scene, corr_pair):
         corr = corr_pair[0]
@@ -392,18 +422,18 @@ class TestUnwrap2:
                   for k in range(8)]
         pm = phase_shift_decode(frames, pat)
         pm.valid &= ~seam
-        pm.phase[~pm.valid] = np.nan
-        pm = _sever_phase_seams(pm)  # same slope guard the pipeline applies
+        # same slope guard the pipeline applies
+        pm.valid &= ~_phase_cuts(pm.phase, pm.valid)
         lab, n = ndimage.label(pm.valid, structure=FOUR)
         sizes = ndimage.sum(pm.valid, lab, range(1, n + 1))
         comp = int(np.argmax(sizes)) + 1
         pm.valid &= lab == comp
         ys, xs = np.nonzero(pm.valid)
         seed = (int(xs[len(xs) // 2]), int(ys[len(ys) // 2]))
-        out = unwrap2(pm, seed)
+        out = unwrap_one(pm, seed)
         true = 2 * np.pi * corr.u / 80.0
-        m = out.valid & corr.valid
-        d = out.phase[m] - true[m]
+        m = np.isfinite(out) & corr.valid
+        d = out[m] - true[m]
         k = np.round(np.median(d) / (2 * np.pi))
         resid = d - 2 * np.pi * k
         assert (np.abs(resid) < 0.05).mean() > 0.99
@@ -427,12 +457,11 @@ class TestSeverPhaseSeams:
                          valid=np.zeros((37, 41), dtype=bool))
         for pm in maps + [empty]:
             pm.phase[~pm.valid] = np.nan
-            got = _sever_phase_seams(pm)
+            got = pm.valid & ~_phase_cuts(pm.phase, pm.valid)
             ref = reference_sever_phase_seams(pm)
-            assert same_bits(got.valid, ref.valid)
-            assert same_bits(got.phase, ref.phase)
+            assert same_bits(got, ref.valid)
             # every non-empty map has a seam to cut
-            assert (~got.valid & pm.valid).any() == (pm is not empty)
+            assert (~got & pm.valid).any() == (pm is not empty)
 
 
 @st.composite
@@ -515,6 +544,30 @@ class TestCorrespondenceFromPhases:
                                                    anchor, seam_mask=seam)
         for a, b in ((got.u, ref.u), (got.v, ref.v), (got.valid, ref.valid)):
             assert same_bits(a, b)
+
+    def test_anchor_is_first_of_tied_best(self):
+        # two 10 x 10 components of flat phase, each with two anchorable
+        # pixels at the best min(q_x, q_y) = 1.0; a pixel with q_x = 1.0
+        # but a lower q_y does not count as best. The whole component
+        # takes the true coordinates of its first tied pixel in row-major
+        # order, so a last-tie rule (``ndimage.maximum_position``) fails
+        valid = np.zeros((12, 24), dtype=bool)
+        valid[1:11, 1:11] = valid[1:11, 13:23] = True
+        q_x = np.full(valid.shape, 0.5)
+        q_y = np.full(valid.shape, 0.5)
+        for y, x in ((3, 4), (8, 2), (2, 20), (9, 14)):
+            q_x[y, x] = q_y[y, x] = 1.0
+        q_x[1, 1] = 1.0
+        maps = [PhaseMap(np.where(valid, 0.0, np.nan), q, valid.copy())
+                for q in (q_x, q_y)]
+        y, x = np.mgrid[:12, :24].astype(float)
+        anchor = CorrespondenceMap(u=x, v=y, valid=np.ones(valid.shape, bool))
+        got = correspondence_from_phases(*maps, 36.0, 36.0, anchor)
+        assert np.array_equal(got.valid, valid)
+        for cols, (ay, ax) in ((slice(1, 11), (3, 4)),
+                               (slice(13, 23), (2, 20))):
+            assert (got.u[1:11, cols] == ax).all()
+            assert (got.v[1:11, cols] == ay).all()
 
     def test_gauge_invariance(self, scene, corr_pair):
         # a constant added to a wrapped map moves the anchor pixel's phase

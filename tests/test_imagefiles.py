@@ -57,6 +57,21 @@ class TestPfm:
         with pytest.raises(ValueError, match="x.pfm: PFM data holds"):
             imagefiles.read_pfm(p)
 
+    @pytest.mark.parametrize("dims", [b"-2 3", b"0 3", b"3 0"])
+    def test_nonpositive_dimensions_name_file(self, tmp_path, dims):
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + bytes(4 * 9))
+        with pytest.raises(ValueError, match="x.pfm: PFM dimensions"):
+            imagefiles.read_pfm(p)
+
+    @pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
+    def test_zero_or_nonfinite_scale_names_file(self, tmp_path, scale):
+        # the scale's sign is the byte order: 0 and NaN name none
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + bytes(4 * 4))
+        with pytest.raises(ValueError, match="x.pfm: PFM scale"):
+            imagefiles.read_pfm(p)
+
     def test_two_channel_packing(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4)
         b = a * 2.0
