@@ -1,9 +1,12 @@
 """Correspondence recovery from intensity frames.
 
 Two stages: per-pixel wrapped phase (single-shot 2D continuous wavelet
-transform of a crossed fringe, or N-step phase shifting), then one
-quality-guided flood fill per axis that unwraps every connected valid
-component from its own anchor pixel of known correspondence.
+transform of a crossed fringe, or N-step phase shifting), then, on the
+joint valid mask's bounding box, one quality-guided flood fill per axis
+that unwraps every connected valid component from its own anchor pixel of
+known correspondence. On real frames the fill's order decides the map, so
+it is kept exactly: a Python heap loop gives the order, and numpy passes
+compute the references and values from it (``_unwrap``).
 
 The wavelet transform runs only on the foreground: the bounding box of
 the foreground mask, grown by twice the largest scale. It evaluates its
@@ -394,59 +397,81 @@ def _unwrap(phase: np.ndarray, quality: np.ndarray, mask: np.ndarray,
 
     Pixels join in descending quality order (ties in row-major order); each
     one takes the 2 pi multiple that minimizes its jump against its
-    highest-quality already-unwrapped neighbor. Components never touch, so
-    each one joins in the order it would join alone.
+    highest-quality already-unwrapped neighbor (the first of up, down,
+    left, right among equals; 0.0 when none has quality above -1).
+    Components never touch, so each one joins in the order it would join
+    alone.
 
-    The fill runs on the bounding box of ``mask`` plus a one-pixel invalid
-    rim, so no neighbor needs a bounds test, in flat ``array`` and
-    ``bytearray`` buffers indexed from Python.
+    The fill runs on the grid plus a one-pixel invalid rim, so no neighbor
+    needs a bounds test. Only the join order comes from a Python heap loop.
+    Each pixel's reference is then picked at once, and the values are the
+    rounded steps summed along the references (pointer jumping), corrected
+    by the fill's rule applied to all pixels at once until no value changes
+    bit for bit. A fixed point is the sequential result: by induction along
+    the join order, every reference holds its final value. Each round
+    settles one more level of references; on real frames the first holds.
     """
-    h, w = mask.shape
-    box = _bounding_box(mask)
-    bw = box[1].stop - box[1].start + 2
+    w = mask.shape[1]
+    bw = w + 2
 
     def rimmed(a, dtype):
-        return np.pad(np.asarray(a[box], dtype=dtype), 1).ravel()
+        return np.pad(np.asarray(a, dtype=dtype), 1).ravel()
 
-    phase = array("d", rimmed(phase, float).tobytes())
-    quality = array("d", rimmed(quality, float).tobytes())
-    valid = bytearray(rimmed(mask, bool).tobytes())
-    done = bytearray(len(valid))
-    queued = bytearray(len(valid))
-    out = array("d", [math.nan]) * len(valid)
+    phase, quality = rimmed(phase, float), rimmed(quality, float)
+    valid = rimmed(mask, bool)
+    n = valid.size
     sy, sx = np.divmod(seeds, w)
-    seeds = ((sy - box[0].start + 1) * bw + (sx - box[1].start + 1)).tolist()
-    heap: list[tuple[float, int]] = []
-    for i in seeds:
-        out[i] = phase[i]
-        done[i] = 1
+    seeds = (sy + 1) * bw + (sx + 1)
+
+    # keys (dense rank of -quality) * n + index order as (-quality, index);
+    # 0 marks invalid, seeded or queued pixels. Seeds pop first, as i - n
+    key = np.zeros(n, dtype=np.int64)
+    key[valid] = (np.unique(-quality[valid], return_inverse=True)[1]
+                  .reshape(-1) * n + np.flatnonzero(valid))
+    key[seeds] = 0
+    key = key.tolist()
+    heap = sorted((seeds - n).tolist())
+    order = array("q")
+    while heap:
+        i = heapq.heappop(heap) % n
+        order.append(i)
         for j in (i - bw, i + bw, i - 1, i + 1):
-            if valid[j]:
-                queued[j] = 1
-                heap.append((-quality[j], j))
-    heapq.heapify(heap)
+            k = key[j]
+            if k:
+                key[j] = 0
+                heapq.heappush(heap, k)
+
+    # each pixel's reference; the rim pixel 0 (phase 0.0, never joined)
+    # stands in where no neighbor qualifies
+    order = np.frombuffer(order, dtype=np.int64)
+    joined = np.full(n, order.size)
+    joined[order] = np.arange(order.size)
+    pix = order[len(seeds):]
+    nbr = pix + np.array([[-bw], [bw], [-1], [1]])
+    q = quality[nbr]
+    late = (joined[nbr] > joined[pix]) | ~(q > -1.0)
+    nbr[late] = 0
+    ref = nbr[np.where(late, -np.inf, q).argmax(axis=0), np.arange(pix.size)]
 
     two_pi = 2.0 * np.pi
-    while heap:
-        i = heapq.heappop(heap)[1]
-        best_q = -1.0
-        ref = 0.0
-        for j in (i - bw, i + bw, i - 1, i + 1):
-            if done[j] and quality[j] > best_q:
-                best_q = quality[j]
-                ref = out[j]
-        d = (ref - phase[i]) / two_pi
-        # round half to even, keeping the sign of a zero as np.round does
-        out[i] = phase[i] + two_pi * math.copysign(round(d), d)
-        done[i] = 1
-        for j in (i - bw, i + bw, i - 1, i + 1):
-            if valid[j] and not done[j] and not queued[j]:
-                queued[j] = 1
-                heapq.heappush(heap, (-quality[j], j))
-
-    phase_out = np.full((h, w), np.nan)
-    phase_out[box] = np.frombuffer(out).reshape(-1, bw)[1:-1, 1:-1]
-    return phase_out
+    p = phase[pix]
+    up = np.zeros(n, dtype=np.int64)
+    up[pix] = ref
+    turns = np.zeros(n)
+    turns[pix] = np.round((phase[ref] - p) / two_pi)
+    while up.any():
+        turns += turns[up]
+        up = up[up]
+    out = phase + two_pi * turns
+    out[seeds] = phase[seeds]
+    while True:
+        # np.round rounds half to even and keeps the sign of a zero
+        new = p + two_pi * np.round((out[ref] - p) / two_pi)
+        if np.array_equal(new.view(np.int64), out[pix].view(np.int64)):
+            break
+        out[pix] = new
+    out[joined == order.size] = np.nan
+    return out.reshape(-1, bw)[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +501,14 @@ def _phase_cuts(phase: np.ndarray, valid: np.ndarray) -> np.ndarray:
     periods and the wrapped step is effectively random. Cutting those pixels
     splits the valid region so each side unwraps (and anchors) separately.
 
-    Steps are taken on the bounding box of ``valid`` only, and ``phase`` is
-    read at valid pixels only.
+    ``phase`` is read at valid pixels only.
     """
     cut = np.zeros(valid.shape, dtype=bool)
-    box = _bounding_box(valid)
-    if box is None:
-        return cut
-    m = valid[box]
     # NaN makes ``%`` several times slower; pairs with an invalid pixel are
     # masked out below, so any finite stand-in gives the same cut
-    p = np.where(m, phase[box], 0.0)
+    p = np.where(valid, phase, 0.0)
     # steps along rows, then along columns through transposed views
-    for pv, mv, bad in ((p, m, cut[box]), (p.T, m.T, cut[box].T)):
+    for pv, mv, bad in ((p, valid, cut), (p.T, valid.T, cut.T)):
         d = np.abs((pv[:, 1:] - pv[:, :-1] + np.pi) % (2.0 * np.pi) - np.pi)
         step = mv[:, 1:] & mv[:, :-1] & (d > MAX_STEP_SCALE * np.pi)
         bad[:, 1:] |= step
@@ -542,19 +562,25 @@ def correspondence_from_phases(
     if not (4 <= period_x < np.inf and 4 <= period_y < np.inf):
         raise InvariantViolation(f"decode: periods >= 4 px and finite, got "
                                  f"{period_x} and {period_y}")
-    joint = np.ones(shape, dtype=bool)
+    # the joint valid mask's box, grown by the pixel a cut at its edge reads
+    box = _bounding_box(phi_x.valid & phi_y.valid) or (slice(0, 0),) * 2
+    box = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+    joint = np.ones(phi_x.valid[box].shape, dtype=bool)
     for pm in (phi_x, phi_y):
-        valid = pm.valid if seam_mask is None else pm.valid & ~seam_mask
-        joint &= valid & ~_phase_cuts(pm.phase, valid)
+        valid = (pm.valid[box] if seam_mask is None
+                 else pm.valid[box] & ~seam_mask[box])
+        joint &= valid & ~_phase_cuts(pm.phase[box], valid)
     labels, n = ndimage.label(joint, structure=FOUR_CONN)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
 
     # each kept component's anchor: its anchorable pixel of best
     # min(q_x, q_y), the first in row-major order among equals
-    idx = np.flatnonzero((sizes >= MIN_COMPONENT)[labels] & anchor_truth.valid)
+    idx = np.flatnonzero((sizes >= MIN_COMPONENT)[labels]
+                         & anchor_truth.valid[box])
     lab = labels.ravel()[idx]
-    q = np.minimum(phi_x.quality.ravel()[idx], phi_y.quality.ravel()[idx])
+    q = np.minimum(phi_x.quality[box].ravel()[idx],
+                   phi_y.quality[box].ravel()[idx])
     order = np.lexsort((idx, -q, lab))
     comps, first = np.unique(lab[order], return_index=True)
     anchors = idx[order[first]]
@@ -567,14 +593,16 @@ def correspondence_from_phases(
     at = at[mask]
     u_out = np.full(shape, np.nan)
     v_out = np.full(shape, np.nan)
+    valid_out = np.zeros(shape, dtype=bool)
+    valid_out[box] = mask
     if anchors.size:
         for pm, period, truth, out in (
                 (phi_x, period_x, anchor_truth.u, u_out),
                 (phi_y, period_y, anchor_truth.v, v_out)):
-            phase = _unwrap(pm.phase, pm.quality, mask, anchors)
-            out[mask] = ((phase[mask] - phase.ravel()[at]) * period
-                         / (2.0 * np.pi) + truth.ravel()[at])
-    return CorrespondenceMap(u=u_out, v=v_out, valid=mask)
+            phase = _unwrap(pm.phase[box], pm.quality[box], mask, anchors)
+            out[box][mask] = ((phase[mask] - phase.ravel()[at]) * period
+                              / (2.0 * np.pi) + truth[box].ravel()[at])
+    return CorrespondenceMap(u=u_out, v=v_out, valid=valid_out)
 
 
 def decode_crossed_fringe(

@@ -96,6 +96,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if not m:
         raise ValueError(f"{path}: not a binary PGM file")
     w, h, maxval = (int(g) for g in m.groups())
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: PGM dimensions {w} x {h} are not "
+                         f"positive")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
     data = blob[m.end():]

@@ -60,7 +60,8 @@ class NormalField:
 
         Raises:
             ValueError: the header is not ``NORMAL_FIELD_HEADER``, a row is
-                not 9 numbers, or a value is not finite.
+                not 9 numbers, a value is not finite, or a pixel column is
+                not an integer in 0 .. 2**31 - 1.
             InvariantViolation: a normal is not unit length.
         """
         with open(path, "r", encoding="utf-8") as f:
@@ -80,9 +81,16 @@ class NormalField:
                              f"a NormalField row has 9")
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: a NormalField value is not finite")
+        # to_csv writes pixel columns as non-negative integers; anything
+        # else would be truncated or overflow in the int conversion below
+        pixels = data[:, 0:2]
+        if ((pixels < 0) | (pixels >= 2**31)
+                | (pixels != np.floor(pixels))).any():
+            raise ValueError(f"{path}: a NormalField pixel column is not an "
+                             f"integer in 0 .. 2**31 - 1")
         check_unit(data[:, 5:8], f"{path}: a NormalField normal")
         return cls(
-            pixels=data[:, 0:2].astype(int),
+            pixels=pixels.astype(int),
             points=data[:, 2:5],
             normals=data[:, 5:8],
             consistency=data[:, 8],

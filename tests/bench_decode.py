@@ -1,6 +1,6 @@
 """Layer benchmark of the single-shot decode: ``cwt2_phase`` per
-orientation, ``correspondence_from_phases`` and the whole
-``decode_crossed_fringe``.
+orientation, ``correspondence_from_phases``, its quality-guided fill
+``_unwrap`` per axis, and the whole ``decode_crossed_fringe``.
 
 Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
@@ -9,12 +9,14 @@ Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 The frame is camera 0 of the decode scene at 448 px under the crossed
 fringe, noise and wavelets of the ``singleshot-448`` benchmark workload;
 the phase maps are masked to the foreground as ``decode_crossed_fringe``
-masks them.
+masks them. ``_unwrap`` runs on the arguments that
+``correspondence_from_phases`` passes it for these maps.
 """
 
 import numpy as np
 import pytest
 
+from deflect_gaze import decode
 from deflect_gaze.decode import (WaveletParams, correspondence_from_phases,
                                  cwt2_phase, decode_crossed_fringe,
                                  foreground_mask)
@@ -47,6 +49,24 @@ def phases_448(frame_448):
     return maps
 
 
+@pytest.fixture(scope="module")
+def unwrap_args_448(phases_448, truth_448):
+    """``_unwrap``'s arguments per axis (the box views, joint mask and
+    anchors), captured from one ``correspondence_from_phases`` call."""
+    calls = []
+    unwrap = decode._unwrap
+
+    def spy(*args):
+        calls.append(args)
+        return unwrap(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode, "_unwrap", spy)
+        correspondence_from_phases(*phases_448, PATTERN.period_x,
+                                   PATTERN.period_y, truth_448)
+    return dict(zip("xy", calls))
+
+
 @pytest.mark.parametrize("orientation", ["x", "y"])
 def test_cwt2_phase_448(benchmark, frame_448, orientation):
     pm = benchmark(cwt2_phase, frame_448, WAVELETS[orientation])
@@ -57,6 +77,12 @@ def test_correspondence_from_phases_448(benchmark, phases_448, truth_448):
     corr = benchmark(correspondence_from_phases, *phases_448,
                      PATTERN.period_x, PATTERN.period_y, truth_448)
     assert corr.n_valid > 3000
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_unwrap_448(benchmark, unwrap_args_448, axis):
+    phase = benchmark(decode._unwrap, *unwrap_args_448[axis])
+    assert np.count_nonzero(~np.isnan(phase)) > 3000
 
 
 def test_decode_crossed_fringe_448(benchmark, frame_448, truth_448):

@@ -196,6 +196,22 @@ class TestSimulateDecode:
         assert f"ValueError: {cut}: PGM data holds" in err
         assert not (outdir / "cam0_decoded_000.pfm").exists()
 
+    def test_decode_rejects_zero_sized_frame(self, simdir, tmp_path, capsys):
+        indir = tmp_path / "sim"
+        indir.mkdir()
+        for f in ("corr_000.pfm", "mask_000.pgm"):
+            (indir / f"cam0_{f}").write_bytes(
+                (simdir / f"cam0_{f}").read_bytes())
+        frame = indir / "cam0_frame_000.pgm"
+        frame.write_bytes(b"P5\n0 3\n255\n")
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "cwt", "--in", str(indir),
+                   "--out", str(outdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: {frame}: PGM dimensions 0 x 3" in err
+        assert not (outdir / "cam0_decoded_000.pfm").exists()
+
     def test_decode_rejects_camera_index(self, scene_file, simdir, tmp_path,
                                          capsys):
         # the default scene has two cameras; cam2's maps exist, copied
@@ -290,7 +306,9 @@ class TestReconstructAndGaze:
         ("1,2,3,4,5,0,0,1", "rows have 8 columns"),
         ("1,2,3,4,5,0,0,1,0,7", "rows have 10 columns"),
         ("1,2,3,4,5,6,0,0,0", "normal is not unit length"),
-        ("1,2,3,4,5,0,0,nan,0", "value is not finite")])
+        ("1,2,3,4,5,0,0,nan,0", "value is not finite"),
+        ("1.7,2,3,4,5,0,0,1,0", "pixel column"),
+        ("1,-2,3,4,5,0,0,1,0", "pixel column")])
     def test_gaze_normals_rejects_malformed_field(self, tmp_path, capsys,
                                                   row, error):
         field_csv = tmp_path / "field.csv"

@@ -414,6 +414,34 @@ class TestUnwrap2:
         got = _unwrap(phase, quality, valid, np.array(seeds))
         assert same_bits(got, want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exact_pi_steps_on_long_strips(self, data):
+        # every step along a row is exactly +-pi (the phases are -2 pi ..
+        # 2 pi, all exact), so every join rounds a tie whose side the
+        # unwrapped value's own rounding error picks: summing each pixel's
+        # rounded step along its references misses the sequential fill,
+        # and the fill iterates its rule for several rounds
+        h = data.draw(st.integers(1, 2), label="h")
+        w = data.draw(st.integers(2, 200), label="w")
+        start = data.draw(arrays(np.int64, (h, 1), elements=st.integers(-2, 2)),
+                          label="start")
+        steps = data.draw(arrays(np.int64, (h, w - 1),
+                                 elements=st.sampled_from([-1, 1])),
+                          label="steps")
+        c = np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
+        # a walk folded into -2 .. 2, still one step per pixel
+        phase = (2 - np.abs((c + 2) % 8 - 4)) * np.pi
+        assert (np.abs(np.diff(phase, axis=1)) == np.pi).any()
+        quality = data.draw(arrays(float, (h, w), elements=st.sampled_from(
+            [0.5, 1.0, 1.0])), label="quality")
+        sy = data.draw(st.integers(0, h - 1), label="seed y")
+        sx = data.draw(st.integers(0, w - 1), label="seed x")
+        pm = PhaseMap(phase=phase, quality=quality,
+                      valid=np.ones((h, w), dtype=bool))
+        got = unwrap_one(pm, (sx, sy))
+        assert same_bits(got, reference_unwrap2(pm, (sx, sy)).phase)
+
     def test_eye_phase_unwrap_matches_truth(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
@@ -508,6 +536,20 @@ def component_maps(draw):
     return maps, anchor, seam
 
 
+def path_dependent_edges(phase, coord, valid, period):
+    """Neighbor pairs of ``valid`` whose unwrapped step (``coord`` scaled
+    back to radians) is not their wrapped phase step: a fill along any
+    path through such an edge would decode another map."""
+    count = 0
+    rest, head, tail = slice(None), slice(None, -1), slice(1, None)
+    for a, b in (((rest, head), (rest, tail)), ((head, rest), (tail, rest))):
+        step = 2.0 * np.pi * (coord[b] - coord[a]) / period
+        wrapped = np.angle(np.exp(1j * (phase[b] - phase[a])))
+        count += np.count_nonzero((np.abs(step - wrapped) > np.pi)
+                                  [valid[a] & valid[b]])
+    return count
+
+
 class TestCorrespondenceFromPhases:
     @pytest.mark.parametrize("seam", [False, True])
     def test_matches_reference(self, dec_scene, seam):
@@ -533,6 +575,10 @@ class TestCorrespondenceFromPhases:
             for a, b in ((got.u, ref.u), (got.v, ref.v),
                          (got.valid, ref.valid)):
                 assert same_bits(a, b)
+            # the y fill's order matters on these frames: a fill along
+            # another spanning tree would decode another map
+            assert path_dependent_edges(maps[1].phase, got.v, got.valid,
+                                        36.0) > 0
 
     @settings(max_examples=80, deadline=None)
     @given(component_maps(), st.sampled_from([36.0, 20.0]))
@@ -568,6 +614,29 @@ class TestCorrespondenceFromPhases:
                                (slice(13, 23), (2, 20))):
             assert (got.u[1:11, cols] == ax).all()
             assert (got.v[1:11, cols] == ay).all()
+
+    def test_cut_reads_neighbor_outside_joint_box(self):
+        # x is valid one column further right than y, across a phase step
+        # of 2.5 rad; the step cuts the joint mask's last column, although
+        # the column it reads lies outside the joint mask's bounding box
+        valid_y = np.zeros((12, 24), dtype=bool)
+        valid_y[1:11, 1:11] = True
+        valid_x = valid_y.copy()
+        valid_x[1:11, 11] = True
+        phase_x = np.where(valid_x, 0.0, np.nan)
+        phase_x[1:11, 11] = 2.5
+        maps = [PhaseMap(phase_x, np.ones(valid_x.shape), valid_x),
+                PhaseMap(np.where(valid_y, 0.0, np.nan),
+                         np.ones(valid_y.shape), valid_y)]
+        y, x = np.mgrid[:12, :24].astype(float)
+        anchor = CorrespondenceMap(u=x, v=y, valid=np.ones(valid_x.shape, bool))
+        got = correspondence_from_phases(*maps, 36.0, 36.0, anchor)
+        ref = reference_correspondence_from_phases(*maps, 36.0, 36.0, anchor)
+        want = valid_y.copy()
+        want[:, 10] = False
+        assert np.array_equal(got.valid, want)
+        for a, b in ((got.u, ref.u), (got.v, ref.v), (got.valid, ref.valid)):
+            assert same_bits(a, b)
 
     def test_gauge_invariance(self, scene, corr_pair):
         # a constant added to a wrapped map moves the anchor pixel's phase

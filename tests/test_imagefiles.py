@@ -119,6 +119,14 @@ class TestPgm:
         with pytest.raises(ValueError, match="x.pgm: PGM maxval"):
             imagefiles.read_pgm(p)
 
+    @pytest.mark.parametrize("dims", ["0 3", "3 0", "0 0"])
+    def test_zero_dimensions_name_file(self, tmp_path, dims):
+        # a zero size needs no data, so the body check alone passes it
+        p = tmp_path / "x.pgm"
+        p.write_bytes(f"P5\n{dims}\n255\n".encode())
+        with pytest.raises(ValueError, match="x.pgm: PGM dimensions"):
+            imagefiles.read_frame_pgm(p)
+
     def test_frame_scales_by_maxval(self, tmp_path):
         # a 12-bit capture: full scale reads 1, not 4095 / 65535
         p = tmp_path / "f.pgm"

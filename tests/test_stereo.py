@@ -348,6 +348,18 @@ class TestReconstructField:
         header = p.read_text().splitlines()[0]
         assert header == "px,py,X,Y,Z,nx,ny,nz,consistency"
 
+    @pytest.mark.parametrize("px,py", [(1.7, 2.0), (1.0, -2.5), (-1.0, 2.0),
+                                       (0.0, 1e-9), (1e30, 2.0)])
+    def test_csv_rejects_bad_pixel_column(
+            self, tmp_path, px, py):
+        # truncation would read (1.7, -2.5) as pixel (1, -2), and the int
+        # conversion turns 1e30 into a negative number
+        p = tmp_path / "field.csv"
+        p.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n"
+                     f"{px!r},{py!r},0,0,10,0,0,1,0\n")
+        with pytest.raises(ValueError, match="field.csv: a NormalField pixel"):
+            NormalField.from_csv(p)
+
 
 def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
                     cam2_index=1, min_usable=8,
