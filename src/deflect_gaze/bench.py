@@ -61,6 +61,8 @@ class BenchmarkConfig:
         if pos is None:
             pos = DEFAULT_POSITIONS[self.method]
         pos = tuple(float(a) for a in pos)
+        if not np.all(np.isfinite(pos)):
+            raise InvariantViolation("bench: positions must be finite")
         if 0.0 not in pos:
             raise InvariantViolation(
                 "bench: positions must include 0 (epsilon is relative to it)"

@@ -68,12 +68,13 @@ def _cmd_simulate(args) -> int:
             imagefiles.write_frame_pgm(outdir / f"cam{cam}_frame_000.pgm",
                                        frame)
         else:
-            for name, pattern in stacks:
+            for stack, (name, pattern) in enumerate(stacks):
                 for k in range(args.shifts):
+                    # independent noise per (seed, camera, stack, frame)
                     frame = render_frame(
                         scene, cam, pattern, shift_index=k,
-                        sigma_i=args.sigma_i,
-                        seed=args.seed + 1000 * cam + k, correspondence=corr,
+                        sigma_i=args.sigma_i, seed=(args.seed, cam, stack, k),
+                        correspondence=corr,
                     )
                     imagefiles.write_frame_pgm(
                         outdir / f"cam{cam}_{name}_{k:03d}.pgm", frame)
@@ -297,12 +298,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DeflectGazeError, FileNotFoundError, ValueError) as e:
+    except (DeflectGazeError, OSError, ValueError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         if isinstance(e, BenchmarkAbortError):
             return 3
-        if isinstance(e, (SceneParseError, InvariantViolation,
-                          FileNotFoundError, ValueError)):
+        if isinstance(e, (SceneParseError, InvariantViolation, OSError,
+                          ValueError)):
             return 2
         return 1
 

@@ -39,8 +39,8 @@ class ClusterParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.inlier_tol <= 0:
-            raise InvariantViolation("cluster: inlier_tol > 0")
+        if not 0 < self.inlier_tol < np.inf:
+            raise InvariantViolation("cluster: inlier_tol finite and > 0")
         if self.ransac_iters < 10:
             raise InvariantViolation("cluster: ransac_iters >= 10")
         if self.min_inliers < 3:

@@ -49,8 +49,12 @@ class RigidPose:
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float)
         t = np.asarray(self.translation, dtype=float)
-        if r.shape != (3, 3):
-            raise InvariantViolation("RigidPose.rotation must be 3x3")
+        if r.shape != (3, 3) or not np.isfinite(r).all():
+            raise InvariantViolation("RigidPose.rotation must be a finite "
+                                     "3x3 matrix")
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise InvariantViolation("RigidPose.translation must be a finite "
+                                     "3-vector")
         if np.max(np.abs(r.T @ r - np.eye(3))) > EPS_GEOM:
             raise InvariantViolation("RigidPose.rotation is not orthonormal")
         if np.linalg.det(r) < 0:

@@ -239,9 +239,11 @@ def ray_margins(
         ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
     aper = ang - eye.cornea_aperture
 
-    # clearance to the cap-edge circle (evaluated at the ray's closest
-    # approach to the circle center; exact at zero crossing, smooth in the
-    # eye parameters)
+    # clearance to the cap-edge circle, evaluated at the ray's closest
+    # approach to the circle's center: smooth in the eye parameters, but not
+    # the ray's distance to the circle, and not 0 where the hit crosses the
+    # circle. For an oblique ray they differ: one whose cornea hit lay about
+    # 2e-6 mm from the circle reads 0.42 here.
     ap_rad = np.radians(eye.cornea_aperture)
     circle_center = eye.cornea_center \
         + eye.cornea_radius * np.cos(ap_rad) * eye.optical_axis
@@ -292,7 +294,7 @@ def render_frame(
     pattern: PatternSpec,
     shift_index: int = 0,
     sigma_i: float = 0.0,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     correspondence: CorrespondenceMap | None = None,
 ) -> np.ndarray:
     """Render the camera image of the reflected screen pattern: an (H, W)
@@ -300,7 +302,8 @@ def render_frame(
 
     Valid pixels sample the pattern at their correspondence; invalid pixels
     get the dark background. Additive Gaussian intensity noise (std
-    ``sigma_i``) is clamped to [0, 1] and deterministic per seed. Passing a
+    ``sigma_i``) is clamped to [0, 1] and deterministic per seed; a tuple
+    seed is the entropy of one ``np.random.SeedSequence``. Passing a
     precomputed ``correspondence`` skips the ray trace.
 
     Raises:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,15 +48,11 @@ class EyeModel:
     cornea_aperture: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "sclera_center", np.asarray(self.sclera_center, dtype=float)
-        )
-        object.__setattr__(
-            self, "optical_axis", np.asarray(self.optical_axis, dtype=float)
-        )
-        self.validate()
-
-    def validate(self):
+        for name in ("sclera_center", "optical_axis"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.shape != (3,):
+                raise InvariantViolation(f"eye: {name} must have shape (3,)")
+            object.__setattr__(self, name, v)
         if not np.all(np.isfinite(self.sclera_center)):
             raise InvariantViolation("eye: sclera_center must be finite")
         geometry.check_unit(self.optical_axis, "eye: optical_axis")
@@ -64,8 +60,8 @@ class EyeModel:
             raise InvariantViolation("eye: radii must be positive")
         if not self.cornea_radius < self.sclera_radius:
             raise InvariantViolation("eye: cornea_radius < sclera_radius")
-        if not self.cornea_offset > 0:
-            raise InvariantViolation("eye: cornea_offset > 0")
+        if not 0 < self.cornea_offset < np.inf:
+            raise InvariantViolation("eye: cornea_offset finite and > 0")
         if not self.cornea_offset + self.cornea_radius > self.sclera_radius:
             raise InvariantViolation(
                 "eye: cornea_offset + cornea_radius > sclera_radius"
@@ -76,6 +72,16 @@ class EyeModel:
     @property
     def cornea_center(self) -> np.ndarray:
         return self.sclera_center + self.cornea_offset * self.optical_axis
+
+
+def _pixel_counts(resolution, least: int, model: str) -> tuple[int, int]:
+    """``resolution`` as two integral pixel counts, each at least ``least``."""
+    r = np.asarray(resolution, dtype=float)
+    if r.shape != (2,) or not (np.isfinite(r) & (r >= least)
+                               & (r == np.round(r))).all():
+        raise InvariantViolation(f"{model}: resolution must be two integers "
+                                 f">= {least}")
+    return int(r[0]), int(r[1])
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,16 @@ class CameraModel:
     resolution: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "principal_point", tuple(float(c) for c in self.principal_point)
-        )
-        object.__setattr__(
-            self, "resolution", tuple(int(r) for r in self.resolution)
-        )
-        if self.focal_length <= 0:
-            raise InvariantViolation("camera: focal_length > 0")
-        if self.resolution[0] < 16 or self.resolution[1] < 16:
-            raise InvariantViolation("camera: resolution >= 16x16")
+        if not 0 < self.focal_length < np.inf:
+            raise InvariantViolation("camera: focal_length finite and > 0")
+        pp = np.asarray(self.principal_point, dtype=float)
+        if pp.shape != (2,) or not np.isfinite(pp).all():
+            raise InvariantViolation("camera: principal_point must be two "
+                                     "finite values")
+        object.__setattr__(self, "principal_point", (float(pp[0]),
+                                                     float(pp[1])))
+        object.__setattr__(self, "resolution",
+                           _pixel_counts(self.resolution, 16, "camera"))
 
     @property
     def center(self) -> np.ndarray:
@@ -155,11 +161,10 @@ class ScreenModel:
     pixel_pitch: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "resolution", tuple(int(r) for r in self.resolution)
-        )
-        if self.pixel_pitch <= 0:
-            raise InvariantViolation("screen: pixel_pitch > 0")
+        object.__setattr__(self, "resolution",
+                           _pixel_counts(self.resolution, 1, "screen"))
+        if not 0 < self.pixel_pitch < np.inf:
+            raise InvariantViolation("screen: pixel_pitch finite and > 0")
 
     @property
     def plane_point(self) -> np.ndarray:
@@ -321,71 +326,47 @@ def _rotated_axis(axis: np.ndarray, azimuth: float, elevation: float,
 
 
 # ---------------------------------------------------------------------------
-# Configuration I/O. JSON, all lengths mm, all angles degrees; unknown fields
-# are rejected so typos fail loudly. ``scene_from_dict`` defines the fields;
-# the shipped data/default_scene.json and data/decode_scene.json use them all.
+# Configuration I/O. JSON, all lengths mm, all angles degrees. An object holds
+# exactly its dataclass's fields, so typos fail loudly; the parser only makes
+# floats and float arrays, and the models check every value.
 
-_POSE_KEYS = {"rotation", "translation"}
-_EYE_KEYS = {"sclera_center", "optical_axis", "sclera_radius", "cornea_radius",
-             "cornea_offset", "cornea_aperture"}
-_CAMERA_KEYS = {"pose", "focal_length", "principal_point", "resolution"}
-_SCREEN_KEYS = {"pose", "resolution", "pixel_pitch"}
-_SCENE_KEYS = {"screen", "cameras", "eye"}
+# Fields that hold a model; ``cameras`` holds a non-empty list of them.
+_NESTED = {"pose": RigidPose, "screen": ScreenModel, "eye": EyeModel,
+           "cameras": CameraModel}
 
 
-def _check_keys(obj: dict, allowed: set, path: str):
+def _parse(cls, obj, path: str):
+    """``cls`` built from the JSON value ``obj`` found at ``path``."""
     if not isinstance(obj, dict):
         raise SceneParseError(f"{path}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SceneParseError(f"{path}: unknown field '{sorted(unknown)[0]}'")
-    missing = allowed - set(obj)
-    if missing:
-        raise SceneParseError(f"{path}: missing field '{sorted(missing)[0]}'")
-
-
-def _pose_from_dict(d: dict, path: str) -> RigidPose:
-    _check_keys(d, _POSE_KEYS, path)
-    try:
-        return RigidPose(np.array(d["rotation"], dtype=float),
-                         np.array(d["translation"], dtype=float))
-    except (ValueError, TypeError) as e:
-        raise SceneParseError(f"{path}: {e}") from e
+    names = {f.name for f in fields(cls)}
+    for problem, keys in (("unknown", set(obj) - names),
+                          ("missing", names - set(obj))):
+        if keys:
+            raise SceneParseError(f"{path}: {problem} field '{min(keys)}'")
+    kw = {}
+    for name, value in obj.items():
+        sub = f"{path}.{name}"
+        if name not in _NESTED:
+            try:
+                a = np.array(value, dtype=float)
+            except (TypeError, ValueError) as e:  # a string, a ragged list
+                raise SceneParseError(f"{sub}: {e}") from e
+            if not np.isfinite(a).all():  # a null reads as NaN
+                raise SceneParseError(f"{sub}: expected finite numbers")
+            kw[name] = float(a) if a.ndim == 0 else a
+        elif name != "cameras":
+            kw[name] = _parse(_NESTED[name], value, sub)
+        elif isinstance(value, list) and value:
+            kw[name] = tuple(_parse(_NESTED[name], c, f"{sub}[{i}]")
+                             for i, c in enumerate(value))
+        else:
+            raise SceneParseError(f"{sub}: expected a non-empty list")
+    return cls(**kw)
 
 
 def scene_from_dict(d: dict) -> SceneConfig:
-    _check_keys(d, _SCENE_KEYS, "scene")
-    _check_keys(d["eye"], _EYE_KEYS, "eye")
-    _check_keys(d["screen"], _SCREEN_KEYS, "screen")
-    if not isinstance(d["cameras"], list) or not d["cameras"]:
-        raise SceneParseError("cameras: expected a non-empty list")
-    cams = []
-    for i, c in enumerate(d["cameras"]):
-        _check_keys(c, _CAMERA_KEYS, f"cameras[{i}]")
-        cams.append(CameraModel(
-            pose=_pose_from_dict(c["pose"], f"cameras[{i}].pose"),
-            focal_length=float(c["focal_length"]),
-            principal_point=tuple(c["principal_point"]),
-            resolution=tuple(c["resolution"]),
-        ))
-    eye = d["eye"]
-    screen = d["screen"]
-    return SceneConfig(
-        screen=ScreenModel(
-            pose=_pose_from_dict(screen["pose"], "screen.pose"),
-            resolution=tuple(screen["resolution"]),
-            pixel_pitch=float(screen["pixel_pitch"]),
-        ),
-        cameras=tuple(cams),
-        eye=EyeModel(
-            sclera_center=np.array(eye["sclera_center"], dtype=float),
-            optical_axis=np.array(eye["optical_axis"], dtype=float),
-            sclera_radius=float(eye["sclera_radius"]),
-            cornea_radius=float(eye["cornea_radius"]),
-            cornea_offset=float(eye["cornea_offset"]),
-            cornea_aperture=float(eye["cornea_aperture"]),
-        ),
-    )
+    return _parse(SceneConfig, d, "scene")
 
 
 def load_scene(path) -> SceneConfig:
@@ -403,6 +384,12 @@ def load_scene(path) -> SceneConfig:
     return scene_from_dict(d)
 
 
+def _shipped_scene(name: str) -> SceneConfig:
+    res = importlib.resources.files("deflect_gaze").joinpath(f"data/{name}")
+    with importlib.resources.as_file(res) as p:
+        return load_scene(p)
+
+
 def default_scene() -> SceneConfig:
     """Load the default scene shipped with the package.
 
@@ -410,11 +397,7 @@ def default_scene() -> SceneConfig:
     from the eye, tilted 30 degrees off the gaze axis, and two 128x128 px
     cameras about 50 mm away with a 15 degree stereo baseline.
     """
-    res = importlib.resources.files("deflect_gaze").joinpath(
-        "data/default_scene.json"
-    )
-    with importlib.resources.as_file(res) as p:
-        return load_scene(p)
+    return _shipped_scene("default_scene.json")
 
 
 def decode_scene() -> SceneConfig:
@@ -426,8 +409,4 @@ def decode_scene() -> SceneConfig:
     periods across the eye; at 128 px the local fringe frequency changes by
     over 100% per period, so the decode path runs at 448 px.
     """
-    res = importlib.resources.files("deflect_gaze").joinpath(
-        "data/decode_scene.json"
-    )
-    with importlib.resources.as_file(res) as p:
-        return load_scene(p)
+    return _shipped_scene("decode_scene.json")

@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(InvariantViolation):
             BenchmarkConfig(positions=(1.0, 2.0))
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf])
+    def test_rejects_non_finite_position(self, a):
+        with pytest.raises(InvariantViolation, match="positions"):
+            BenchmarkConfig(positions=(0.0, a))
+
     def test_unknown_method(self):
         with pytest.raises(InvariantViolation):
             BenchmarkConfig(method="magic")

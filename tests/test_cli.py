@@ -47,6 +47,17 @@ def simdir(scene_file, tmp_path_factory):
     return simdir
 
 
+@pytest.fixture
+def two_line_field(tmp_path):
+    """A valid NormalField CSV of two lines."""
+    field_csv = tmp_path / "field.csv"
+    NormalField(pixels=np.array([[0, 0], [1, 0]]),
+                points=np.array([[0.0, 0, 10], [1.0, 0, 10]]),
+                normals=np.array([[0.0, 0, 1], [0.0, 0.6, 0.8]]),
+                consistency=np.zeros(2)).to_csv(field_csv)
+    return field_csv
+
+
 class TestSimulateDecode:
     def test_phaseshift_round_trip(self, scene_file, tmp_path):
         simdir = tmp_path / "sim"
@@ -91,6 +102,38 @@ class TestSimulateDecode:
                    "--cam", cam])
         assert rc == 2
         assert "InvariantViolation" in capsys.readouterr().err
+        assert not simdir.exists()
+
+    def test_phaseshift_stacks_have_independent_noise(self, scene_file,
+                                                      tmp_path):
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                     "--pattern", "phaseshift", "--shifts", "3", "--cam", "0",
+                     "--sigma-i", "0.05"]) == 0
+        bg = ~imagefiles.read_mask_pgm(simdir / "cam0_mask_000.pgm")
+        fx = imagefiles.read_frame_pgm(simdir / "cam0_psx_001.pgm")[bg]
+        fy = imagefiles.read_frame_pgm(simdir / "cam0_psy_001.pgm")[bg]
+        # equal background plus noise: only the noise can differ
+        assert abs(np.corrcoef(fx, fy)[0, 1]) < 0.1
+
+    def test_simulate_rejects_non_finite_scene_value(self, tmp_path, capsys):
+        d = json.loads(shipped_scene_bytes("default_scene"))
+        d["screen"]["pixel_pitch"] = float("inf")
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps(d))
+        assert "Infinity" in scene.read_text()
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", str(scene), "--out", str(simdir)])
+        assert rc == 2
+        assert "scene.screen.pixel_pitch" in capsys.readouterr().err
+        assert not simdir.exists()
+
+    def test_simulate_scene_directory_exit_code(self, tmp_path, capsys):
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", str(tmp_path), "--out",
+                   str(simdir)])
+        assert rc == 2
+        assert "IsADirectoryError" in capsys.readouterr().err
         assert not simdir.exists()
 
     @pytest.mark.parametrize("omega0", ["-3.2", "0"])
@@ -289,17 +332,23 @@ class TestReconstructAndGaze:
         assert abs(g[2]) > 0.99  # default eye looks along +z
 
     @pytest.mark.parametrize("m", ["0", "1"])
-    def test_gaze_normals_rejects_min_inliers(self, tmp_path, capsys, m):
-        field_csv = tmp_path / "field.csv"
-        NormalField(pixels=np.array([[0, 0], [1, 0]]),
-                    points=np.array([[0.0, 0, 10], [1.0, 0, 10]]),
-                    normals=np.array([[0.0, 0, 1], [0.0, 0.6, 0.8]]),
-                    consistency=np.zeros(2)).to_csv(field_csv)
+    def test_gaze_normals_rejects_min_inliers(self, two_line_field,
+                                              tmp_path, capsys, m):
         out_csv = tmp_path / "gaze.csv"
-        rc = main(["gaze-normals", "--field", str(field_csv),
+        rc = main(["gaze-normals", "--field", str(two_line_field),
                    "--min-inliers", m, "--out", str(out_csv)])
         assert rc == 2
         assert "min_inliers" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_gaze_normals_rejects_non_finite_inlier_tol(
+            self, two_line_field, tmp_path, capsys, tol):
+        out_csv = tmp_path / "gaze.csv"
+        rc = main(["gaze-normals", "--field", str(two_line_field),
+                   "--inlier-tol", tol, "--out", str(out_csv)])
+        assert rc == 2
+        assert "inlier_tol" in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("row,error", [
@@ -498,3 +547,13 @@ class TestBenchCli:
         assert rc == 2
         assert "sigma_c" in capsys.readouterr().err
         assert not (outdir / "result.csv").exists()
+
+    def test_non_finite_position_is_rejected(self, scene_file, tmp_path,
+                                             capsys):
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--method", "stereo-normals", "--scene",
+                   scene_file, "--positions", "0", "nan", "--reps", "2",
+                   "--out", str(outdir)])
+        assert rc == 2
+        assert "positions" in capsys.readouterr().err
+        assert not outdir.exists()

@@ -102,6 +102,11 @@ class TestClusterParams:
         with pytest.raises(InvariantViolation, match="min_inliers"):
             ClusterParams(min_inliers=m)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_inlier_tol_finite_and_positive(self, tol):
+        with pytest.raises(InvariantViolation, match="inlier_tol"):
+            ClusterParams(inlier_tol=tol)
+
     def test_minimal_sample_clusters_six_lines(self):
         points, dirs = two_bundles(n=3, seed=2)
         c_a, c_b, _, _ = two_center_cluster(points, dirs,

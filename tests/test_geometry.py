@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deflect_gaze.errors import DegenerateBundleError
+from deflect_gaze.errors import DegenerateBundleError, InvariantViolation
 from deflect_gaze.geometry import (RigidPose, bisector_masked,
                                    least_squares_point, point_line_distances,
                                    ray_sphere_roots, reflect,
@@ -189,3 +189,12 @@ class TestPoseAndLine:
     def test_rigid_pose_validation(self):
         with pytest.raises(Exception):
             RigidPose(rotation=np.eye(3) * 2.0, translation=np.zeros(3))
+
+    @pytest.mark.parametrize("rotation,translation,field", [
+        (np.full((3, 3), np.nan), np.zeros(3), "rotation"),
+        (np.eye(3), np.zeros(2), "translation"),
+        (np.eye(3), np.array([0.0, np.inf, 0.0]), "translation")])
+    def test_rigid_pose_rejects_non_finite_or_misshaped(self, rotation,
+                                                        translation, field):
+        with pytest.raises(InvariantViolation, match=field):
+            RigidPose(rotation=rotation, translation=translation)

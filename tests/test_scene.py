@@ -1,5 +1,7 @@
 import importlib.resources
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +174,28 @@ class TestRotateEye:
         assert r.optical_axis[1] > 0
 
 
+# (JSON path, bad value, error it raises)
+BAD_VALUES = [
+    ("cameras[0].focal_length", None, SceneParseError),
+    ("eye.sclera_center", "origin", SceneParseError),
+    ("eye.cornea_radius", float("nan"), SceneParseError),
+    ("cameras[1].pose.translation", [float("inf"), 4.0, 50.0],
+     SceneParseError),
+    ("eye.optical_axis", [0.0, 1.0], InvariantViolation),
+    ("cameras[0].principal_point", [63.5], InvariantViolation),
+    ("cameras[0].resolution", [128, 128, 128], InvariantViolation),
+    ("cameras[0].resolution", [128.7, 128], InvariantViolation),
+    ("screen.resolution", [0, 340], InvariantViolation),
+    ("screen.resolution", [-600, 340], InvariantViolation),
+    ("screen.pixel_pitch", float("inf"), SceneParseError),
+    ("screen.pose.rotation", [[float("nan")] * 3] * 3, SceneParseError),
+    ("screen.pose.rotation", [[1.0, 0.0, 0.0], [0.0, 1.0]],
+     SceneParseError),
+    ("cameras[0].pose.translation", [1.0, 2.0], InvariantViolation),
+    ("cameras", [], SceneParseError),
+]
+
+
 class TestSceneIO:
     def test_default_scene_valid(self, scene):
         assert len(scene.cameras) == 2
@@ -197,6 +221,44 @@ class TestSceneIO:
             p.write_text(json.dumps(d))
             with pytest.raises(SceneParseError, match="pupil_radius"):
                 load_scene(p)
+
+    @pytest.mark.parametrize("path,value,error", BAD_VALUES, ids=[
+        f"{path}={json.dumps(value)}" for path, value, _ in BAD_VALUES])
+    def test_bad_value_is_named(self, tmp_path, path, value, error):
+        d = shipped_dict("default_scene")
+        keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+        obj = d
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+        p = tmp_path / "bad.json"
+        # json writes NaN and inf as the bare words NaN and Infinity
+        p.write_text(json.dumps(d))
+        with pytest.raises(error, match=keys[-1]) as info:
+            load_scene(p)
+        if error is SceneParseError:
+            assert f"scene.{path}:" in str(info.value)
+
+    def test_missing_field_named(self, tmp_path):
+        d = shipped_dict("default_scene")
+        del d["cameras"][1]["pose"]["rotation"]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(SceneParseError, match=re.escape(
+                "scene.cameras[1].pose: missing field 'rotation'")):
+            load_scene(p)
+
+    @pytest.mark.parametrize("model,field,value", [
+        ("camera", "focal_length", np.nan),
+        ("camera", "focal_length", np.inf),
+        ("screen", "pixel_pitch", np.inf),
+        ("eye", "cornea_offset", np.inf)])
+    def test_models_built_in_code_check_values(self, scene, model, field,
+                                               value):
+        obj = {"camera": scene.cameras[0], "screen": scene.screen,
+               "eye": scene.eye}[model]
+        with pytest.raises(InvariantViolation, match=f"{model}: {field}"):
+            replace(obj, **{field: value})
 
     def test_parse_error_has_line_info(self, tmp_path):
         p = tmp_path / "broken.json"
