@@ -39,6 +39,16 @@ def _read_corr(outdir: Path, cam: int) -> CorrespondenceMap:
     return CorrespondenceMap(u=u, v=v, valid=valid)
 
 
+def _write_estimate(out, est) -> None:
+    """Write ``est`` as a one-row gaze CSV to ``out``, if given, and print
+    its summary."""
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(GAZE_CSV_HEADER + "\n")
+            f.write(est.csv_row() + "\n")
+    print(est.pretty())
+
+
 def _check_cam(scene, cam: int) -> None:
     if cam >= len(scene.cameras):
         raise InvariantViolation(f"--cam {cam}: the scene has "
@@ -86,7 +96,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_decode(args) -> int:
     indir = Path(getattr(args, "in"))
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if outdir.resolve() == indir.resolve():
+        # the decoded map takes the true map's names
+        raise InvariantViolation(
+            f"decode: --out {outdir} is the --in directory; the decoded map "
+            f"would overwrite its cam{args.cam}_corr_000.pfm anchor")
     anchor = _read_corr(indir, args.cam)
     seam = None
     if args.scene:
@@ -123,11 +137,8 @@ def _cmd_decode(args) -> int:
         py = PhaseShiftSet(period=args.period_y, n_shifts=len(fy),
                            direction="y")
         corr = decode_phase_shift(fx, fy, px, py, anchor, seam_mask=seam)
-    imagefiles.write_two_channel_pfm(
-        outdir / f"cam{args.cam}_decoded_000.pfm", corr.u, corr.v
-    )
-    imagefiles.write_mask_pgm(outdir / f"cam{args.cam}_decodedmask_000.pgm",
-                              corr.valid)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_corr(outdir, args.cam, corr)
     print(f"decoded {corr.n_valid} pixels -> {outdir}")
     return 0
 
@@ -148,12 +159,7 @@ def _cmd_gaze_normals(args) -> int:
                            inlier_tol=args.inlier_tol,
                            min_inliers=args.min_inliers,
                            rng_seed=args.seed)
-    est = estimate_gaze_two_center(field, params)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(GAZE_CSV_HEADER + "\n")
-            f.write(est.csv_row() + "\n")
-    print(est.pretty())
+    _write_estimate(args.out, estimate_gaze_two_center(field, params))
     return 0
 
 
@@ -178,11 +184,7 @@ def _cmd_gaze_optimize(args) -> int:
                     for k in ("iter", "loss", "step", "azimuth", "elevation",
                               "tx", "ty", "tz")
                 ) + "\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(GAZE_CSV_HEADER + "\n")
-            f.write(est.csv_row() + "\n")
-    print(est.pretty())
+    _write_estimate(args.out, est)
     print(f"final loss:     {trace[-1]['loss']:.6g} px^2")
     print(f"stop:           {trace[-1]['stop']}")
     return 0

@@ -1,12 +1,12 @@
-"""PFM / PGM readers and writers for float maps, frames, and masks.
+"""PFM / PGM readers and writers for correspondence maps, frames, and masks.
 
-Float images (correspondence channels, phase maps) use PFM with a
-little-endian scale of -1.0 and bottom-to-top row order, the common
-convention. Two-channel data (u/v, phase/quality) is packed into the
-standard 3-channel 'PF' variant with a zeroed third channel. Intensity
-frames are 16-bit PGM, masks 8-bit PGM (0/255). The PGM readers scale
-by the header's maxval, so a frame or mask of any depth reads on the
-scale these writers use.
+A correspondence map's u and v channels are stored as a standard
+3-channel 'PF' file with a zeroed third channel, written with a
+little-endian scale of -1.0 (either byte order reads) and bottom-to-top
+row order; it is the only PFM layout the package writes or reads.
+Intensity frames are 16-bit PGM, masks 8-bit
+PGM (0/255). The PGM readers scale by the header's maxval, so a frame or
+mask of any depth reads on the scale these writers use.
 """
 
 from __future__ import annotations
@@ -14,60 +14,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-
-
-def write_pfm(path, data: np.ndarray) -> None:
-    data = np.asarray(data, dtype=np.float32)
-    if data.ndim == 2:
-        tag = b"Pf"
-        h, w = data.shape
-    elif data.ndim == 3 and data.shape[2] == 3:
-        tag = b"PF"
-        h, w = data.shape[:2]
-    else:
-        raise ValueError("PFM supports (H,W) or (H,W,3) arrays")
-    with open(path, "wb") as f:
-        f.write(tag + b"\n")
-        f.write(f"{w} {h}\n".encode())
-        f.write(b"-1.000000\n")
-        f.write(np.flipud(data).astype("<f4").tobytes())
-
-
-def read_pfm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        tag = f.readline().strip()
-        if tag == b"PF":
-            channels = 3
-        elif tag == b"Pf":
-            channels = 1
-        else:
-            raise ValueError(f"{path}: not a PFM file")
-        try:
-            w, h = (int(d) for d in f.readline().split())
-        except ValueError:
-            raise ValueError(f"{path}: PFM dimensions line is not "
-                             f"'width height'") from None
-        if w <= 0 or h <= 0:
-            raise ValueError(f"{path}: PFM dimensions {w} x {h} are not "
-                             f"positive")
-        try:
-            scale = float(f.readline())
-        except ValueError:
-            raise ValueError(f"{path}: PFM scale line is not a "
-                             f"number") from None
-        # the scale's sign gives the byte order, so it cannot be 0
-        if scale == 0 or not np.isfinite(scale):
-            raise ValueError(f"{path}: PFM scale {scale} is zero or not "
-                             f"finite")
-        endian = "<" if scale < 0 else ">"
-        count = w * h * channels
-        body = f.read(count * 4)
-        if len(body) < count * 4:
-            raise ValueError(f"{path}: PFM data holds {len(body)} bytes, "
-                             f"its header needs {count * 4}")
-        data = np.frombuffer(body, dtype=endian + "f4", count=count)
-    shape = (h, w, 3) if channels == 3 else (h, w)
-    return np.flipud(data.reshape(shape)).copy()
 
 
 def write_pgm(path, data: np.ndarray) -> None:
@@ -134,12 +80,41 @@ def read_mask_pgm(path) -> np.ndarray:
 
 def write_two_channel_pfm(path, a: np.ndarray, b: np.ndarray) -> None:
     """Pack two float channels into a 3-channel PFM (third channel zero)."""
-    packed = np.stack([a, b, np.zeros_like(a)], axis=-1)
-    write_pfm(path, packed)
+    packed = np.stack([a, b, np.zeros_like(a)], axis=-1).astype(np.float32)
+    h, w = packed.shape[:2]
+    with open(path, "wb") as f:
+        f.write(f"PF\n{w} {h}\n-1.000000\n".encode())
+        f.write(np.flipud(packed).astype("<f4").tobytes())
 
 
 def read_two_channel_pfm(path) -> tuple[np.ndarray, np.ndarray]:
-    data = read_pfm(path)
-    if data.ndim != 3:
-        raise ValueError(f"{path}: expected a 3-channel PFM")
+    """The first two channels of a 3-channel PFM, as float64 (H, W) maps."""
+    with open(path, "rb") as f:
+        if f.readline().strip() != b"PF":
+            raise ValueError(f"{path}: not a 3-channel PFM file")
+        try:
+            w, h = (int(d) for d in f.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}: PFM dimensions line is not "
+                             f"'width height'") from None
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{path}: PFM dimensions {w} x {h} are not "
+                             f"positive")
+        try:
+            scale = float(f.readline())
+        except ValueError:
+            raise ValueError(f"{path}: PFM scale line is not a "
+                             f"number") from None
+        # the scale's sign gives the byte order, so it cannot be 0
+        if scale == 0 or not np.isfinite(scale):
+            raise ValueError(f"{path}: PFM scale {scale} is zero or not "
+                             f"finite")
+        count = w * h * 3
+        body = f.read(count * 4)
+    if len(body) < count * 4:
+        raise ValueError(f"{path}: PFM data holds {len(body)} bytes, "
+                         f"its header needs {count * 4}")
+    data = np.frombuffer(body, dtype=("<" if scale < 0 else ">") + "f4",
+                         count=count)
+    data = np.flipud(data.reshape(h, w, 3))
     return data[..., 0].astype(np.float64), data[..., 1].astype(np.float64)

@@ -8,6 +8,7 @@ import pytest
 from deflect_gaze import imagefiles
 from deflect_gaze.cli import main
 from deflect_gaze.stereo import NormalField
+from helpers import angle_between_deg
 
 
 def shipped_scene_bytes(name):
@@ -74,9 +75,8 @@ class TestSimulateDecode:
                    "--out", str(outdir), "--period-x", "80",
                    "--period-y", "80", "--scene", scene_file])
         assert rc == 0
-        u, v = imagefiles.read_two_channel_pfm(
-            outdir / "cam0_decoded_000.pfm")
-        mask = imagefiles.read_mask_pgm(outdir / "cam0_decodedmask_000.pgm")
+        u, v = imagefiles.read_two_channel_pfm(outdir / "cam0_corr_000.pfm")
+        mask = imagefiles.read_mask_pgm(outdir / "cam0_mask_000.pgm")
         ut, vt = imagefiles.read_two_channel_pfm(
             simdir / "cam0_corr_000.pfm")
         truthmask = imagefiles.read_mask_pgm(simdir / "cam0_mask_000.pgm")
@@ -147,7 +147,7 @@ class TestSimulateDecode:
                    "--out", str(outdir), "--omega0", omega0])
         assert rc == 2
         assert "omega0" in capsys.readouterr().err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
 
     @pytest.mark.parametrize("sigma_i", ["-1", "nan", "inf"])
     def test_simulate_rejects_sigma_i(self, scene_file, tmp_path, capsys,
@@ -182,7 +182,7 @@ class TestSimulateDecode:
                    "--out", str(outdir), "--period-x", "nan"])
         assert rc == 2
         assert "periods" in capsys.readouterr().err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
 
 
     def test_decode_maps_of_another_scene_are_rejected(
@@ -196,7 +196,7 @@ class TestSimulateDecode:
         err = capsys.readouterr().err
         assert "InvariantViolation" in err and "camera 0" in err
         assert "(128, 128)" in err and "(448, 448)" in err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
 
     def test_decode_maps_of_another_size_are_rejected_without_scene(
             self, simdir, tmp_path, capsys):
@@ -218,7 +218,7 @@ class TestSimulateDecode:
         err = capsys.readouterr().err
         assert "InvariantViolation" in err
         assert "(128, 128)" in err and "(160, 160)" in err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
 
     @pytest.mark.parametrize("name", ["frame_000.pgm", "mask_000.pgm"])
     def test_decode_names_truncated_pgm(self, simdir, tmp_path, capsys,
@@ -237,7 +237,7 @@ class TestSimulateDecode:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"ValueError: {cut}: PGM data holds" in err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
 
     def test_decode_rejects_zero_sized_frame(self, simdir, tmp_path, capsys):
         indir = tmp_path / "sim"
@@ -253,7 +253,25 @@ class TestSimulateDecode:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"ValueError: {frame}: PGM dimensions 0 x 3" in err
-        assert not (outdir / "cam0_decoded_000.pfm").exists()
+        assert not (outdir / "cam0_corr_000.pfm").exists()
+
+    @pytest.mark.parametrize("mode", ["cwt", "phaseshift"])
+    def test_decode_into_its_input_is_rejected(self, scene_file, tmp_path,
+                                               capsys, mode):
+        # the decoded map takes the true map's names, so it would overwrite
+        # the anchor; "sim/../sim" names the same directory
+        simdir = tmp_path / "sim"
+        pattern = "crossed" if mode == "cwt" else "phaseshift"
+        assert main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                     "--pattern", pattern, "--shifts", "3", "--cam",
+                     "0"]) == 0
+        before = {p.name: p.read_bytes() for p in simdir.iterdir()}
+        for out in (simdir, simdir / ".." / "sim"):
+            rc = main(["decode", "--mode", mode, "--in", str(simdir),
+                       "--out", str(out)])
+            assert rc == 2
+            assert "InvariantViolation" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in simdir.iterdir()} == before
 
     def test_decode_rejects_camera_index(self, scene_file, simdir, tmp_path,
                                          capsys):
@@ -271,7 +289,7 @@ class TestSimulateDecode:
         assert rc == 2
         err = capsys.readouterr().err
         assert "InvariantViolation" in err and "--cam 2" in err
-        assert not (outdir / "cam2_decoded_000.pfm").exists()
+        assert not (outdir / "cam2_corr_000.pfm").exists()
 
 
 class TestReconstructAndGaze:
@@ -291,6 +309,37 @@ class TestReconstructAndGaze:
         row = text.splitlines()[1].split(",")
         g = np.array([float(x) for x in row[1:4]])
         assert abs(g[2]) > 0.99  # default eye looks along +z
+
+    def test_both_methods_on_decoded_frames(self, decode_scene_file,
+                                            tmp_path):
+        # simulate -> decode -> reconstruct -> gaze-normals, and decode ->
+        # gaze-optimize: decode's --out is read as it is written
+        simdir, decdir = tmp_path / "sim", tmp_path / "dec"
+        periods = ["--period-x", "80", "--period-y", "80"]
+        assert main(["simulate", "--scene", decode_scene_file, "--out",
+                     str(simdir), "--pattern", "phaseshift", "--shifts", "8",
+                     *periods]) == 0
+        for cam in ("0", "1"):
+            assert main(["decode", "--mode", "phaseshift", "--in",
+                         str(simdir), "--out", str(decdir), "--scene",
+                         decode_scene_file, "--cam", cam, *periods]) == 0
+        field_csv = tmp_path / "field.csv"
+        assert main(["reconstruct", "--scene", decode_scene_file,
+                     "--corr-dir", str(decdir), "--out", str(field_csv),
+                     "--stride", "2"]) == 0
+        normals_csv, optimize_csv = tmp_path / "g1.csv", tmp_path / "g2.csv"
+        assert main(["gaze-normals", "--field", str(field_csv), "--out",
+                     str(normals_csv)]) == 0
+        assert main(["gaze-optimize", "--scene", decode_scene_file,
+                     "--measured", str(decdir), "--pixel-stride", "4",
+                     "--out", str(optimize_csv)]) == 0
+        for csv, method in ((normals_csv, "two-center"),
+                            (optimize_csv, "optimize")):
+            row = csv.read_text().splitlines()[1].split(",")
+            assert row[0] == method
+            g = np.array([float(x) for x in row[1:4]])
+            # the decode scene's eye looks along +z
+            assert angle_between_deg(g / np.linalg.norm(g), [0, 0, 1]) < 0.05
 
     def test_gaze_optimize_with_trace(self, scene_file, simdir, tmp_path,
                                       capsys):

@@ -5,49 +5,54 @@ from deflect_gaze import imagefiles
 
 
 class TestPfm:
-    def test_single_channel_round_trip(self, tmp_path):
-        data = np.random.default_rng(0).normal(size=(17, 23)).astype(np.float32)
-        p = tmp_path / "x.pfm"
-        imagefiles.write_pfm(p, data)
-        back = imagefiles.read_pfm(p)
-        assert back.shape == (17, 23)
-        assert np.array_equal(back, data)
-
     def test_three_channel_round_trip(self, tmp_path):
-        data = np.random.default_rng(1).normal(size=(8, 9, 3)).astype(np.float32)
+        data = np.random.default_rng(1).normal(size=(8, 9, 2)).astype(np.float32)
         p = tmp_path / "x.pfm"
-        imagefiles.write_pfm(p, data)
-        assert np.array_equal(imagefiles.read_pfm(p), data)
+        imagefiles.write_two_channel_pfm(p, data[..., 0], data[..., 1])
+        assert np.array_equal(np.stack(imagefiles.read_two_channel_pfm(p),
+                                       axis=-1), data)
+        # the third channel is stored as zeros
+        body = np.frombuffer(p.read_bytes()[-8 * 9 * 3 * 4:], dtype="<f4")
+        assert not body[2::3].any()
 
     def test_nan_preserved(self, tmp_path):
         data = np.full((4, 4), np.nan, dtype=np.float32)
         data[0, 0] = 1.5
         p = tmp_path / "x.pfm"
-        imagefiles.write_pfm(p, data)
-        back = imagefiles.read_pfm(p)
+        imagefiles.write_two_channel_pfm(p, data, data)
+        back, _ = imagefiles.read_two_channel_pfm(p)
         assert back[0, 0] == 1.5
         assert np.isnan(back[1, 1])
 
     def test_header_is_little_endian_scale(self, tmp_path):
         p = tmp_path / "x.pfm"
-        imagefiles.write_pfm(p, np.zeros((2, 2), dtype=np.float32))
+        imagefiles.write_two_channel_pfm(p, np.zeros((2, 2)),
+                                         np.zeros((2, 2)))
         head = p.read_bytes()[:40].split(b"\n")
-        assert head[0] == b"Pf"
+        assert head[0] == b"PF"
         assert head[1] == b"2 2"
         assert float(head[2]) < 0
+
+    @pytest.mark.parametrize("tag", [b"Pf", b"P5", b""])
+    def test_tag_other_than_pf_names_file(self, tmp_path, tag):
+        # a single-channel 'Pf' file holds no second channel
+        p = tmp_path / "x.pfm"
+        p.write_bytes(tag + b"\n2 2\n-1.0\n" + bytes(4 * 12))
+        with pytest.raises(ValueError, match="x.pfm: not a 3-channel PFM"):
+            imagefiles.read_two_channel_pfm(p)
 
     @pytest.mark.parametrize("dims", [b"", b"4", b"4 4 4", b"four 4"])
     def test_bad_dimensions_line_names_file(self, tmp_path, dims):
         p = tmp_path / "x.pfm"
         p.write_bytes(b"PF\n" + dims + b"\n-1.0\n")
         with pytest.raises(ValueError, match="x.pfm"):
-            imagefiles.read_pfm(p)
+            imagefiles.read_two_channel_pfm(p)
 
     def test_bad_scale_line_names_file(self, tmp_path):
         p = tmp_path / "x.pfm"
         p.write_bytes(b"PF\n4 4\nabc\n")
         with pytest.raises(ValueError, match="x.pfm: PFM scale line"):
-            imagefiles.read_pfm(p)
+            imagefiles.read_two_channel_pfm(p)
 
     @pytest.mark.parametrize("floats", [0, 47])
     def test_short_body_names_file(self, tmp_path, floats):
@@ -55,22 +60,32 @@ class TestPfm:
         p = tmp_path / "x.pfm"
         p.write_bytes(b"PF\n4 4\n-1.0\n" + bytes(4 * floats))
         with pytest.raises(ValueError, match="x.pfm: PFM data holds"):
-            imagefiles.read_pfm(p)
+            imagefiles.read_two_channel_pfm(p)
 
     @pytest.mark.parametrize("dims", [b"-2 3", b"0 3", b"3 0"])
     def test_nonpositive_dimensions_name_file(self, tmp_path, dims):
         p = tmp_path / "x.pfm"
-        p.write_bytes(b"Pf\n" + dims + b"\n-1.0\n" + bytes(4 * 9))
+        p.write_bytes(b"PF\n" + dims + b"\n-1.0\n" + bytes(4 * 27))
         with pytest.raises(ValueError, match="x.pfm: PFM dimensions"):
-            imagefiles.read_pfm(p)
+            imagefiles.read_two_channel_pfm(p)
 
     @pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
     def test_zero_or_nonfinite_scale_names_file(self, tmp_path, scale):
         # the scale's sign is the byte order: 0 and NaN name none
         p = tmp_path / "x.pfm"
-        p.write_bytes(b"Pf\n2 2\n" + scale + b"\n" + bytes(4 * 4))
+        p.write_bytes(b"PF\n2 2\n" + scale + b"\n" + bytes(4 * 12))
         with pytest.raises(ValueError, match="x.pfm: PFM scale"):
-            imagefiles.read_pfm(p)
+            imagefiles.read_two_channel_pfm(p)
+
+    def test_big_endian_scale_reads(self, tmp_path):
+        # a positive scale gives big-endian floats
+        data = np.arange(12, dtype=">f4")
+        p = tmp_path / "x.pfm"
+        p.write_bytes(b"PF\n2 2\n1.0\n" + data.tobytes())
+        a, b = imagefiles.read_two_channel_pfm(p)
+        # rows are stored bottom to top
+        assert np.array_equal(a, [[6.0, 9.0], [0.0, 3.0]])
+        assert np.array_equal(b, [[7.0, 10.0], [1.0, 4.0]])
 
     def test_two_channel_packing(self, tmp_path):
         a = np.arange(12.0).reshape(3, 4)
