@@ -660,7 +660,16 @@ def decode_phase_shift(
     seam_mask: np.ndarray | None = None,
 ) -> CorrespondenceMap:
     """N-step decode: two stacks of phase-shifted (H, W) intensity frames
-    to a correspondence map."""
+    to a correspondence map.
+
+    Raises:
+        InvariantViolation: ``pattern_x`` is not an "x" direction or
+            ``pattern_y`` not a "y" one.
+    """
+    if pattern_x.direction != "x" or pattern_y.direction != "y":
+        raise InvariantViolation(
+            f"decode: pattern_x and pattern_y must have directions 'x' and "
+            f"'y', got {pattern_x.direction!r} and {pattern_y.direction!r}")
     pm_x = phase_shift_decode(frames_x, pattern_x)
     pm_y = phase_shift_decode(frames_y, pattern_y)
     return correspondence_from_phases(

@@ -290,6 +290,18 @@ class TestPhaseShiftDecode:
                            match=r"frame 2 .*\(8, 9\).*frame 0 \(8, 8\)"):
             phase_shift_decode(frames, pat)
 
+    @pytest.mark.parametrize("directions", [("y", "x"), ("x", "x"),
+                                            ("y", "y")])
+    def test_rejects_pattern_directions(self, directions):
+        # u is scaled by pattern_x's period and v by pattern_y's, so a
+        # swapped pair would decode each axis with the other's period
+        px, py = (PhaseShiftSet(period=p, n_shifts=4, direction=d)
+                  for p, d in zip((80.0, 60.0), directions))
+        frames = [np.zeros((16, 16))] * 4
+        with pytest.raises(InvariantViolation, match="directions"):
+            decode_phase_shift(frames, frames, px, py,
+                               all_valid_anchor((16, 16)))
+
     def test_noise_rmse(self, scene, corr_pair):
         # per-pixel RMSE vs ground truth on the rendered eye, N=8
         corr = corr_pair[0]
