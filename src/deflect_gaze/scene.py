@@ -56,6 +56,8 @@ class EyeModel:
         if not np.all(np.isfinite(self.sclera_center)):
             raise InvariantViolation("eye: sclera_center must be finite")
         geometry.check_unit(self.optical_axis, "eye: optical_axis")
+        _check_scalars(self, "eye", "sclera_radius", "cornea_radius",
+                       "cornea_offset", "cornea_aperture")
         if self.sclera_radius <= 0 or self.cornea_radius <= 0:
             raise InvariantViolation("eye: radii must be positive")
         if not self.cornea_radius < self.sclera_radius:
@@ -72,6 +74,16 @@ class EyeModel:
     @property
     def cornea_center(self) -> np.ndarray:
         return self.sclera_center + self.cornea_offset * self.optical_axis
+
+
+def _check_scalars(obj, model: str, *names: str) -> None:
+    """Raise unless each named field of ``obj`` is a scalar, so that the
+    range checks compare one value."""
+    for name in names:
+        v = getattr(obj, name)
+        # a float needs no np.ndim, which costs a microsecond per call
+        if not isinstance(v, float) and np.ndim(v) != 0:
+            raise InvariantViolation(f"{model}: {name} must be a scalar")
 
 
 def _pixel_counts(resolution, least: int, model: str) -> tuple[int, int]:
@@ -95,6 +107,7 @@ class CameraModel:
     resolution: tuple[int, int]
 
     def __post_init__(self):
+        _check_scalars(self, "camera", "focal_length")
         if not 0 < self.focal_length < np.inf:
             raise InvariantViolation("camera: focal_length finite and > 0")
         pp = np.asarray(self.principal_point, dtype=float)
@@ -163,6 +176,7 @@ class ScreenModel:
     def __post_init__(self):
         object.__setattr__(self, "resolution",
                            _pixel_counts(self.resolution, 1, "screen"))
+        _check_scalars(self, "screen", "pixel_pitch")
         if not 0 < self.pixel_pitch < np.inf:
             raise InvariantViolation("screen: pixel_pitch finite and > 0")
 
@@ -328,11 +342,21 @@ def _rotated_axis(axis: np.ndarray, azimuth: float, elevation: float,
 # ---------------------------------------------------------------------------
 # Configuration I/O. JSON, all lengths mm, all angles degrees. An object holds
 # exactly its dataclass's fields, so typos fail loudly; the parser only makes
-# floats and float arrays, and the models check every value.
+# floats and float arrays from JSON numbers and lists of them, and the models
+# check every value.
 
 # Fields that hold a model; ``cameras`` holds a non-empty list of them.
 _NESTED = {"pose": RigidPose, "screen": ScreenModel, "eye": EyeModel,
            "cameras": CameraModel}
+
+
+def _leaves(value):
+    """The values inside the JSON value ``value`` that are not lists."""
+    if isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
 
 
 def _parse(cls, obj, path: str):
@@ -348,11 +372,17 @@ def _parse(cls, obj, path: str):
     for name, value in obj.items():
         sub = f"{path}.{name}"
         if name not in _NESTED:
+            # numpy would read "170" and true as numbers, and null as NaN
+            bad = [v for v in _leaves(value)
+                   if isinstance(v, bool) or not isinstance(v, (int, float))]
+            if bad:
+                raise SceneParseError(f"{sub}: expected numbers, got "
+                                      f"{json.dumps(bad[0])}")
             try:
                 a = np.array(value, dtype=float)
-            except (TypeError, ValueError) as e:  # a string, a ragged list
+            except (ValueError, OverflowError) as e:  # ragged, or a huge int
                 raise SceneParseError(f"{sub}: {e}") from e
-            if not np.isfinite(a).all():  # a null reads as NaN
+            if not np.isfinite(a).all():
                 raise SceneParseError(f"{sub}: expected finite numbers")
             kw[name] = float(a) if a.ndim == 0 else a
         elif name != "cameras":

@@ -193,6 +193,12 @@ BAD_VALUES = [
      SceneParseError),
     ("cameras[0].pose.translation", [1.0, 2.0], InvariantViolation),
     ("cameras", [], SceneParseError),
+    ("cameras[0].focal_length", [170.0], InvariantViolation),
+    ("cameras[0].focal_length", [170.0, 171.0], InvariantViolation),
+    ("screen.pixel_pitch", [[0.2]], InvariantViolation),
+    ("cameras[0].focal_length", "170", SceneParseError),
+    ("eye.sclera_center", ["0", "0", "0"], SceneParseError),
+    ("eye.cornea_aperture", True, SceneParseError),
 ]
 
 
