@@ -184,16 +184,13 @@ def _seam_mask(m: CorrespondenceMap, dilate_px: int) -> np.ndarray:
     seam, which is then dilated like the validity-boundary guard.
     """
     jump = np.zeros(m.u.shape)
-    du = np.hypot(np.diff(m.u, axis=1), np.diff(m.v, axis=1))
-    both = m.valid[:, 1:] & m.valid[:, :-1]
-    du = np.where(both, du, 0.0)
-    jump[:, 1:] = np.maximum(jump[:, 1:], du)
-    jump[:, :-1] = np.maximum(jump[:, :-1], du)
-    dv = np.hypot(np.diff(m.u, axis=0), np.diff(m.v, axis=0))
-    both = m.valid[1:, :] & m.valid[:-1, :]
-    dv = np.where(both, dv, 0.0)
-    jump[1:, :] = np.maximum(jump[1:, :], dv)
-    jump[:-1, :] = np.maximum(jump[:-1, :], dv)
+    # steps along rows, then along columns through transposed views
+    for u, v, ok, jmp in ((m.u, m.v, m.valid, jump),
+                          (m.u.T, m.v.T, m.valid.T, jump.T)):
+        d = np.hypot(u[:, 1:] - u[:, :-1], v[:, 1:] - v[:, :-1])
+        d = np.where(ok[:, 1:] & ok[:, :-1], d, 0.0)
+        jmp[:, 1:] = np.maximum(jmp[:, 1:], d)
+        jmp[:, :-1] = np.maximum(jmp[:, :-1], d)
     steps = jump[m.valid & (jump > 0)]
     if steps.size == 0:
         return np.zeros(m.u.shape, dtype=bool)

@@ -544,6 +544,21 @@ class TestMapShape:
                           list(corr_pair), dec_scene)
 
 
+class TestSeamMask:
+    @pytest.mark.parametrize("dilate_px", [0, 1, 3])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_flags_both_sides_of_one_jump(self, axis, dilate_px):
+        # unit steps everywhere, and a 100 px jump in u between columns 9
+        # and 10 (rows, transposed): the seam is the two lines beside it
+        y, x = np.mgrid[0:20, 0:24].astype(float)
+        u = x + 100.0 * (x >= 10)
+        want = (x >= 9 - dilate_px) & (x <= 10 + dilate_px)
+        if axis == 0:
+            u, y, want = u.T, y.T, want.T
+        m = CorrespondenceMap(u=u, v=y, valid=np.ones(u.shape, dtype=bool))
+        assert np.array_equal(_seam_mask(m, dilate_px), want)
+
+
 class TestOptConfig:
     @pytest.mark.parametrize("stride", [0, -2])
     def test_rejects_pixel_stride_below_one(self, stride):
