@@ -6,6 +6,24 @@ frames, ``reconstruct`` runs the stereo depth sweep, ``gaze-normals`` and
 ``gaze-optimize`` estimate gaze, and ``bench`` reproduces the
 rotation-stage evaluation. Exit codes: 0 success, 2 configuration error,
 3 aborted benchmark positions.
+
+Every correspondence map, true or decoded, is the pair
+``cam{c}_corr_000.pfm`` (u, v) plus ``cam{c}_mask_000.pgm`` (valid), so
+any directory of maps feeds any subcommand that reads maps:
+
+- ``simulate --out D`` writes camera c's true map, and either
+  ``cam{c}_frame_000.pgm`` (crossed fringe) or the phase-shift stacks
+  ``cam{c}_psx_{k:03d}.pgm`` and ``cam{c}_psy_{k:03d}.pgm``, k < ``--shifts``.
+- ``decode --in D --out E`` reads ``--cam``'s true map from D as the
+  unwrap anchor, and its frame or its two stacks, and writes the decoded
+  map to E. E must not be D, where the decoded map would replace the
+  anchor.
+- ``reconstruct --corr-dir E`` reads cameras 0 and 1's maps and writes a
+  normal-field CSV; ``gaze-normals --field`` reads that CSV.
+- ``gaze-optimize --measured E`` reads every scene camera's map.
+- ``gaze-normals`` and ``gaze-optimize`` write a one-row gaze CSV to
+  ``--out``; ``bench --out`` writes result.csv, result.json, table.txt and
+  reps.csv.
 """
 
 from __future__ import annotations
@@ -121,21 +139,21 @@ def _cmd_decode(args) -> int:
         corr = decode_crossed_fringe(frame, pattern, anchor, wx, wy,
                                      seam_mask=seam)
     else:
-        def stack(name):
-            frames = []
-            k = 0
-            while (indir / f"cam{args.cam}_{name}_{k:03d}.pgm").exists():
-                frames.append(imagefiles.read_frame_pgm(
-                    indir / f"cam{args.cam}_{name}_{k:03d}.pgm"))
-                k += 1
-            return frames
-        fx, fy = stack("psx"), stack("psy")
-        if not fx or not fy:
+        # both stacks run 000..n-1, n the larger stack's frame count, so
+        # a gap in either, or a last frame missing from one, names a file
+        n = max(len(list(indir.glob(f"cam{args.cam}_{s}_[0-9][0-9][0-9].pgm")))
+                for s in ("psx", "psy"))
+        if n == 0:
             raise SceneParseError(f"no phase-shift frames found in {indir}")
-        px = PhaseShiftSet(period=args.period_x, n_shifts=len(fx),
-                           direction="x")
-        py = PhaseShiftSet(period=args.period_y, n_shifts=len(fy),
-                           direction="y")
+        stacks = [[indir / f"cam{args.cam}_{s}_{k:03d}.pgm" for k in range(n)]
+                  for s in ("psx", "psy")]
+        for path in stacks[0] + stacks[1]:
+            if not path.exists():
+                raise SceneParseError(f"{path} is missing: both phase-shift "
+                                      f"stacks must run 000 to {n - 1:03d}")
+        fx, fy = ([imagefiles.read_frame_pgm(p) for p in st] for st in stacks)
+        px = PhaseShiftSet(period=args.period_x, n_shifts=n, direction="x")
+        py = PhaseShiftSet(period=args.period_y, n_shifts=n, direction="y")
         corr = decode_phase_shift(fx, fy, px, py, anchor, seam_mask=seam)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_corr(outdir, args.cam, corr)
@@ -255,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("reconstruct", help="stereo depth sweep")
     s.add_argument("--scene", required=True)
     s.add_argument("--corr-dir", required=True,
-                   help="directory with cam0/cam1 correspondence PFMs")
+                   help="directory with cam0/cam1 correspondence maps, as "
+                   "written by simulate or decode")
     s.add_argument("--out", required=True)
     s.add_argument("--stride", type=int, default=1)
     s.set_defaults(func=_cmd_reconstruct)
@@ -272,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("gaze-optimize", help="inverse-rendering gaze")
     s.add_argument("--scene", required=True)
     s.add_argument("--measured", required=True,
-                   help="directory with measured correspondence PFMs")
+                   help="directory with measured correspondence maps, as "
+                   "written by simulate or decode")
     s.add_argument("--freeze", choices=["shape", "pose", "none"],
                    default="shape")
     s.add_argument("--max-iters", type=int, default=300,

@@ -255,6 +255,25 @@ class TestSimulateDecode:
         assert f"ValueError: {frame}: PGM dimensions 0 x 3" in err
         assert not (outdir / "cam0_corr_000.pfm").exists()
 
+    @pytest.mark.parametrize("gone", ["psx_003", "psy_007"],
+                             ids=["interior-gap", "last-of-one-stack"])
+    def test_decode_names_missing_phase_shift_frame(self, scene_file,
+                                                    tmp_path, capsys, gone):
+        # frames 0-2 of an 8-step stack would decode as a 3-step one
+        simdir = tmp_path / "sim"
+        assert main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                     "--pattern", "phaseshift", "--shifts", "8", "--cam",
+                     "0"]) == 0
+        missing = simdir / f"cam0_{gone}.pgm"
+        missing.unlink()
+        outdir = tmp_path / "dec"
+        rc = main(["decode", "--mode", "phaseshift", "--in", str(simdir),
+                   "--out", str(outdir)])
+        assert rc == 2
+        assert (f"SceneParseError: {missing} is missing: both phase-shift "
+                f"stacks must run 000 to 007" in capsys.readouterr().err)
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("mode", ["cwt", "phaseshift"])
     def test_decode_into_its_input_is_rejected(self, scene_file, tmp_path,
                                                capsys, mode):
