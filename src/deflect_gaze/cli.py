@@ -139,9 +139,9 @@ def _cmd_decode(args) -> int:
         corr = decode_crossed_fringe(frame, pattern, anchor, wx, wy,
                                      seam_mask=seam)
     else:
-        # both stacks run 000..n-1, n the larger stack's frame count, so
-        # a gap in either, or a last frame missing from one, names a file
-        n = max(len(list(indir.glob(f"cam{args.cam}_{s}_[0-9][0-9][0-9].pgm")))
+        # both stacks run 000..n-1, n the larger stack's file count, so a
+        # gap in either, or a last frame missing from one, names a file
+        n = max(len(list(indir.glob(f"cam{args.cam}_{s}_*.pgm")))
                 for s in ("psx", "psy"))
         if n == 0:
             raise SceneParseError(f"no phase-shift frames found in {indir}")

@@ -4,9 +4,9 @@ A correspondence map's u and v channels are stored as a standard
 3-channel 'PF' file with a zeroed third channel, written with a
 little-endian scale of -1.0 (either byte order reads) and bottom-to-top
 row order; it is the only PFM layout the package writes or reads.
-Intensity frames are 16-bit PGM, masks 8-bit
-PGM (0/255). The PGM readers scale by the header's maxval, so a frame or
-mask of any depth reads on the scale these writers use.
+Intensity frames are 16-bit PGM, masks 8-bit PGM (0/255). The PGM
+readers scale by the header's maxval, so a frame or mask of any depth
+reads on the scale these writers use.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def read_mask_pgm(path) -> np.ndarray:
 
 def write_two_channel_pfm(path, a: np.ndarray, b: np.ndarray) -> None:
     """Pack two float channels into a 3-channel PFM (third channel zero)."""
-    packed = np.stack([a, b, np.zeros_like(a)], axis=-1).astype(np.float32)
+    packed = np.stack([a, b, np.zeros_like(a)], axis=-1).astype("<f4")
     h, w = packed.shape[:2]
     with open(path, "wb") as f:
         f.write(f"PF\n{w} {h}\n-1.000000\n".encode())
-        f.write(np.flipud(packed).astype("<f4").tobytes())
+        f.write(np.flipud(packed).tobytes())
 
 
 def read_two_channel_pfm(path) -> tuple[np.ndarray, np.ndarray]:
