@@ -127,11 +127,10 @@ def _measure_and_estimate(scene: SceneConfig, scene_a: SceneConfig,
     """
     maps = [render_correspondence(scene_a, cam)
             for cam in range(METHOD_CAMERAS[method])]
-    if sigma_c > 0:
-        maps = [add_correspondence_noise(
-                    m, sigma_c, int(seeds[cam]),
-                    screen_resolution=scene.screen.resolution)
-                for cam, m in enumerate(maps)]
+    maps = [add_correspondence_noise(
+                m, sigma_c, int(seeds[cam]),
+                screen_resolution=scene.screen.resolution)
+            for cam, m in enumerate(maps)]
     if method == METHOD_STEREO:
         field_ = reconstruct_field(scene, *maps)
         return estimate_gaze_two_center(

@@ -24,6 +24,12 @@ any directory of maps feeds any subcommand that reads maps:
 - ``gaze-normals`` and ``gaze-optimize`` write a one-row gaze CSV to
   ``--out``; ``bench --out`` writes result.csv, result.json, table.txt and
   reps.csv.
+
+The fringe defaults, a 36 px period on both screen axes and a single-shot
+Morlet sweep over scales 3 to 16 px at omega0 3.2, suit the decode scene.
+``decode --scene`` cuts the cornea/sclera seam at the scene's eye pose;
+without it a component can be decoded a whole period off across the seam,
+with no error.
 """
 
 from __future__ import annotations
@@ -247,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--pattern", choices=["crossed", "phaseshift"],
                    default="crossed")
-    s.add_argument("--period-x", type=float, default=200.0)
-    s.add_argument("--period-y", type=float, default=200.0)
+    s.add_argument("--period-x", type=float, default=36.0)
+    s.add_argument("--period-y", type=float, default=36.0)
     s.add_argument("--shifts", type=int, default=8)
     s.add_argument("--sigma-i", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=0)
@@ -261,13 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="in", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--scene", default=None,
-                   help="scene JSON for the geometric region-seam cut")
+                   help="scene JSON for the geometric region-seam cut; "
+                   "without it a component can be decoded a whole period "
+                   "off across the cornea/sclera seam, with no error")
     s.add_argument("--cam", type=int, default=0)
-    s.add_argument("--period-x", type=float, default=200.0)
-    s.add_argument("--period-y", type=float, default=200.0)
-    s.add_argument("--omega0", type=float, default=5.5)
-    s.add_argument("--scale-min", type=float, default=6.0)
-    s.add_argument("--scale-max", type=float, default=24.0)
+    s.add_argument("--period-x", type=float, default=36.0)
+    s.add_argument("--period-y", type=float, default=36.0)
+    s.add_argument("--omega0", type=float, default=3.2)
+    s.add_argument("--scale-min", type=float, default=3.0)
+    s.add_argument("--scale-max", type=float, default=16.0)
     s.set_defaults(func=_cmd_decode)
 
     s = sub.add_parser("reconstruct", help="stereo depth sweep")
@@ -282,10 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("gaze-normals", help="two-center gaze from a field")
     s.add_argument("--field", required=True, help="NormalField CSV")
     s.add_argument("--out", default=None)
-    s.add_argument("--ransac-iters", type=int, default=500)
-    s.add_argument("--inlier-tol", type=float, default=0.3)
-    s.add_argument("--min-inliers", type=int, default=50)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--ransac-iters", type=int,
+                   default=ClusterParams.ransac_iters)
+    s.add_argument("--inlier-tol", type=float,
+                   default=ClusterParams.inlier_tol)
+    s.add_argument("--min-inliers", type=int,
+                   default=ClusterParams.min_inliers)
+    s.add_argument("--seed", type=int, default=ClusterParams.rng_seed)
     s.set_defaults(func=_cmd_gaze_normals)
 
     s = sub.add_parser("gaze-optimize", help="inverse-rendering gaze")
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "written by simulate or decode")
     s.add_argument("--freeze", choices=["shape", "pose", "none"],
                    default="shape")
-    s.add_argument("--max-iters", type=int, default=300,
+    s.add_argument("--max-iters", type=int, default=OptConfig.max_iters,
                    help="cap on trial steps")
     s.add_argument("--pixel-stride", type=int, default=1)
     s.add_argument("--trace", default=None, help="trace CSV path")
@@ -307,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     s.add_argument("--scene", required=True)
     s.add_argument("--sigma-c", type=float, default=0.5)
-    s.add_argument("--reps", type=int, default=20)
+    s.add_argument("--reps", type=int, default=BenchmarkConfig.reps)
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--positions", type=float, nargs="*", default=None)
     s.add_argument("--out", required=True)

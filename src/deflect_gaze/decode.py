@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NoRidgeError, ShiftCountError
 from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
-                     render_margins)
+                     pixel_footprint, render_margins)
 
 FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -93,9 +93,9 @@ class WaveletParams:
     """
 
     orientation: str
-    scale_min: float = 6.0
-    scale_max: float = 24.0
-    omega0: float = 5.5
+    scale_min: float
+    scale_max: float
+    omega0: float
 
     def __post_init__(self):
         if self.orientation not in ("x", "y"):
@@ -686,11 +686,6 @@ def scene_seam_mask(scene, cam_index: int) -> np.ndarray:
     are flagged so unwrapping treats the two regions as separate
     components.
     """
-    margins = render_margins(scene, cam_index)
-    eye = scene.eye
-    cam = scene.cameras[cam_index]
-    footprint = float(np.linalg.norm(cam.center - eye.sclera_center)
-                      / cam.focal_length)
-    deg_per_px = np.degrees(footprint / eye.cornea_radius)
-    ap = margins["aperture"]
+    ap = render_margins(scene, cam_index)["aperture"]
+    deg_per_px = pixel_footprint(scene, cam_index)[1]
     return np.isfinite(ap) & (np.abs(ap) < SEAM_WIDTH_PX * deg_per_px)

@@ -296,14 +296,13 @@ def relative_gaze_angle(
 
 def estimate_gaze_two_center(
     field: NormalField,
-    params: ClusterParams | None = None,
+    params: ClusterParams,
 ) -> GazeEstimate:
     """Full method-1 gaze stage: back-trace, cluster, identify, connect.
 
     A failed two-center split raises its typed error
     (``InsufficientLinesError`` or ``SecondCenterNotFoundError``).
     """
-    params = params or ClusterParams()
     points, dirs = backtrace_lines(field)
     c_a, c_b, labels, rms = two_center_cluster(points, dirs, params)
     cornea, sclera, cl = identify_cornea(c_a, c_b, points, labels)

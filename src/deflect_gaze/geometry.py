@@ -30,7 +30,7 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def check_unit(v: np.ndarray, name: str = "vector") -> np.ndarray:
+def check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvariantViolation(f"{name} has non-finite components")

@@ -29,8 +29,8 @@ from .decode import FOUR_CONN
 from .errors import (EmptyMapError, InvariantViolation, NoDescentError,
                      UnreliableLossError)
 from .gaze import GazeEstimate
-from .render import (CorrespondenceMap, check_camera_map, ray_margins,
-                     render_correspondence, screen_hits)
+from .render import (CorrespondenceMap, check_camera_map, pixel_footprint,
+                     ray_margins, render_correspondence, screen_hits)
 from .geometry import EPS_GEOM, rotation_about_axis, unit
 from .scene import (CORNEA, WORLD_UP, EyeModel, SceneConfig, ScreenModel,
                     _rotated_axis, eye_surface_hits)
@@ -56,23 +56,22 @@ BOUNDARY_PX = 2
 MISMATCH_WEIGHT = 25.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EyeParamVector:
     """Optimizable eye state relative to a nominal eye.
 
     Rotation in degrees about the nominal pivot, translation in mm of the
     sclera center from nominal, and the three shape radii/offsets in mm.
-    ``active`` masks which entries the fit may move (shape is frozen by
-    default).
+    ``active`` masks which entries the fit may move.
     """
 
     azimuth: float = 0.0
     elevation: float = 0.0
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    cornea_radius: float = 7.8
-    sclera_radius: float = 12.0
-    cornea_offset: float = 5.6
-    active: tuple[bool, ...] = DEFAULT_ACTIVE
+    cornea_radius: float
+    sclera_radius: float
+    cornea_offset: float
+    active: tuple[bool, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
@@ -84,7 +83,7 @@ class EyeParamVector:
 
     @classmethod
     def from_eye(cls, eye: EyeModel,
-                 active: tuple[bool, ...] = DEFAULT_ACTIVE) -> "EyeParamVector":
+                 active: tuple[bool, ...]) -> "EyeParamVector":
         return cls(cornea_radius=eye.cornea_radius,
                    sclera_radius=eye.sclera_radius,
                    cornea_offset=eye.cornea_offset, active=active)
@@ -125,8 +124,8 @@ class OptConfig:
     """Fit settings: the cap on Levenberg-Marquardt trial steps and the
     pixel stride of the :func:`correspondence_loss` grid."""
 
+    pixel_stride: int
     max_iters: int = 300
-    pixel_stride: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -228,7 +227,7 @@ def _measured_terms(
     grid_b = config.grid_boundary_px
     s = config.pixel_stride
     terms = []
-    for cam, meas_full in zip(scene.cameras, measured):
+    for i, (cam, meas_full) in enumerate(zip(scene.cameras, measured)):
         meas = _strided(meas_full, config.pixel_stride)
         weight = _fade_weight(meas.valid, grid_b)
         weight[_seam_mask(meas, grid_b)] = 0.0
@@ -244,9 +243,7 @@ def _measured_terms(
         # ramp widths of the panel-edge distance (screen px), the
         # silhouette clearance (mm), the aperture margin (deg) and the
         # cap-edge clearance (mm): the boundary guard in each unit
-        footprint = (np.linalg.norm(cam.center - scene.eye.sclera_center)
-                     / cam.focal_length)
-        ang_scale = np.degrees(footprint / scene.eye.cornea_radius)
+        footprint, ang_scale = pixel_footprint(scene, i)
         ramp_scales = np.array([max(BOUNDARY_PX * x, 1e-9) for x in (
             step_scale, footprint, ang_scale, footprint)])
         rays = cam.pixel_rays()[1][::s, ::s]
@@ -262,7 +259,7 @@ def correspondence_loss(
     params: EyeParamVector,
     measured: list[CorrespondenceMap],
     scene: SceneConfig,
-    pixel_stride: int = 1,
+    pixel_stride: int,
 ) -> LossReport:
     """Mean squared screen-px distance between measured and simulated
     correspondences, plus a penalty on validity mismatch.
@@ -639,7 +636,7 @@ def optimize_gaze(
     init: EyeParamVector,
     measured: list[CorrespondenceMap],
     scene: SceneConfig,
-    config: OptConfig | None = None,
+    config: OptConfig,
 ) -> tuple[EyeParamVector, GazeEstimate, list[dict]]:
     """Levenberg-Marquardt fit of the active parameters to the loss
     residuals (Moré 1978).
@@ -674,7 +671,6 @@ def optimize_gaze(
             start is not zero.
         UnreliableLossError: the loss is unreliable at ``init``.
     """
-    config = config or OptConfig()
     measured_terms = _measured_terms(measured, scene, config)
     active = np.nonzero(init.active)[0]
     p = project_params(init)

@@ -52,8 +52,8 @@ class PhaseShiftSet:
     """N-step phase-shifted sinusoid along one screen axis."""
 
     period: float
-    n_shifts: int = 4
-    direction: str = "x"
+    n_shifts: int
+    direction: str
 
     def __post_init__(self):
         if not 4 <= self.period < np.inf:
@@ -67,7 +67,7 @@ class PhaseShiftSet:
 PatternSpec = CrossedFringe | PhaseShiftSet
 
 
-def pattern_value(pattern: PatternSpec, u, v, shift_index: int = 0):
+def pattern_value(pattern: PatternSpec, u, v, shift_index: int):
     """Screen intensity at (sub)pixel position (u, v). Vectorized."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -116,6 +116,16 @@ def check_camera_map(scene: SceneConfig, cam_index: int,
             raise InvariantViolation(
                 f"camera {cam_index}: correspondence map {name} has shape "
                 f"{shape}, the camera's (H, W) is {(h, w)}")
+
+
+def pixel_footprint(scene: SceneConfig,
+                    cam_index: int) -> tuple[float, float]:
+    """Size of one pixel of camera ``cam_index`` at the eye: mm at the
+    sclera center's distance, and the degrees they span on the cornea."""
+    cam, eye = scene.cameras[cam_index], scene.eye
+    mm = float(np.linalg.norm(cam.center - eye.sclera_center)
+               / cam.focal_length)
+    return mm, float(np.degrees(mm / eye.cornea_radius))
 
 
 def _grid_rays(scene: SceneConfig, cam_index: int,
@@ -293,18 +303,19 @@ def render_frame(
     cam_index: int,
     pattern: PatternSpec,
     shift_index: int = 0,
-    sigma_i: float = 0.0,
-    seed: int | tuple[int, ...] = 0,
-    correspondence: CorrespondenceMap | None = None,
+    *,
+    sigma_i: float,
+    seed: int | tuple[int, ...],
+    correspondence: CorrespondenceMap,
 ) -> np.ndarray:
     """Render the camera image of the reflected screen pattern: an (H, W)
     intensity array in [0, 1].
 
-    Valid pixels sample the pattern at their correspondence; invalid pixels
-    get the dark background. Additive Gaussian intensity noise (std
-    ``sigma_i``) is clamped to [0, 1] and deterministic per seed; a tuple
-    seed is the entropy of one ``np.random.SeedSequence``. Passing a
-    precomputed ``correspondence`` skips the ray trace.
+    Valid pixels of camera ``cam_index``'s ``correspondence`` map sample
+    the pattern at their correspondence; invalid pixels get the dark
+    background, and ``scene`` is not read. Additive Gaussian intensity
+    noise (std ``sigma_i``) is clamped to [0, 1] and deterministic per
+    seed; a tuple seed is the entropy of one ``np.random.SeedSequence``.
 
     Raises:
         ValueError: ``sigma_i`` is negative, NaN or infinite.
@@ -312,8 +323,6 @@ def render_frame(
     if not 0 <= sigma_i < np.inf:
         raise ValueError(f"sigma_i must be finite and >= 0, got {sigma_i}")
     corr = correspondence
-    if corr is None:
-        corr = render_correspondence(scene, cam_index)
     img = np.full(corr.u.shape, BACKGROUND_INTENSITY)
     m = corr.valid
     img[m] = pattern_value(pattern, corr.u[m], corr.v[m], shift_index)

@@ -153,16 +153,6 @@ class CameraModel:
                       (py - cy) / self.focal_length, 1.0])
         return unit(self.pose.rotation @ d)
 
-    def project(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Project world points; returns (px, py, z_cam). Points with
-        z_cam <= 0 are behind the camera."""
-        pc = self.pose.inverse_points(pts)
-        z = pc[..., 2]
-        safe = np.where(np.abs(z) > 1e-12, z, 1.0)
-        px = self.focal_length * pc[..., 0] / safe + self.principal_point[0]
-        py = self.focal_length * pc[..., 1] / safe + self.principal_point[1]
-        return px, py, z
-
 
 @dataclass(frozen=True)
 class ScreenModel:

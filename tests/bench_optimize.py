@@ -66,7 +66,8 @@ def test_optimize_gaze_448_two_cameras_stride1(benchmark, dec_scene):
         screen_resolution=sc.screen.resolution) for cam in (0, 1)]
     init = init_guess(measured, dec_scene)
     params, _, trace = benchmark.pedantic(
-        optimize_gaze, args=(init, measured, dec_scene, OptConfig()),
+        optimize_gaze,
+        args=(init, measured, dec_scene, OptConfig(pixel_stride=1)),
         rounds=3, iterations=1)
     assert abs(params.azimuth - 3.0) < 0.1
     assert len(trace) > 1

@@ -1,7 +1,8 @@
 """Shared test utilities: analytic surfaces, synthetic line bundles, angle
 and report readers, and the direct-evaluation references of the eye hit
 test and the render, of the fit's Jacobian, of the decode stages, of the
-stereo scoring kernel and of RANSAC scoring."""
+stereo scoring kernel and of RANSAC scoring, and the pinhole projection
+they score with."""
 
 import heapq
 
@@ -500,6 +501,17 @@ def reference_bilinear_uv(corr, x, y):
     return u, v, ok
 
 
+def project(cam, pts):
+    """Pixel position (px, py) and camera-frame depth z of world points
+    ``pts`` seen by camera ``cam``; points with z <= 0 are behind it."""
+    pc = cam.pose.inverse_points(pts)
+    z = pc[..., 2]
+    safe = np.where(np.abs(z) > 1e-12, z, 1.0)
+    px = cam.focal_length * pc[..., 0] / safe + cam.principal_point[0]
+    py = cam.focal_length * pc[..., 1] / safe + cam.principal_point[1]
+    return px, py, z
+
+
 def reference_consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
     """``stereo._consistency_at`` as row-vector arithmetic on ``(n, 3)``
     arrays: the disagreement at depths ``t`` along the rays ``dirs1`` of
@@ -508,7 +520,7 @@ def reference_consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
     p = cam1.center + t[:, None] * dirs1
     n1, ok1 = bisector_masked(unit(cam1.center - p), unit(s1 - p))
 
-    px2, py2, z2 = cam2.project(p)
+    px2, py2, z2 = project(cam2, p)
     front = z2 > 1e-9
     u2, v2, ok2 = reference_bilinear_uv(corr2, px2, py2)
     s2 = scene.screen.uv_to_world(np.where(ok2, u2, 0.0),

@@ -360,6 +360,32 @@ class TestReconstructAndGaze:
             # the decode scene's eye looks along +z
             assert angle_between_deg(g / np.linalg.norm(g), [0, 0, 1]) < 0.05
 
+    def test_default_single_shot_chain(self, decode_scene_file, tmp_path):
+        # simulate -> decode (cwt) -> reconstruct -> gaze-normals on the
+        # decode scene, with no fringe or wavelet flag: the defaults must
+        # decode it within a few px, not periods off
+        simdir, decdir = tmp_path / "sim", tmp_path / "dec"
+        assert main(["simulate", "--scene", decode_scene_file, "--out",
+                     str(simdir), "--sigma-i", "0.01"]) == 0
+        for cam in (0, 1):
+            assert main(["decode", "--mode", "cwt", "--in", str(simdir),
+                         "--out", str(decdir), "--cam", str(cam)]) == 0
+            u, v = imagefiles.read_two_channel_pfm(
+                decdir / f"cam{cam}_corr_000.pfm")
+            ut, vt = imagefiles.read_two_channel_pfm(
+                simdir / f"cam{cam}_corr_000.pfm")
+            both = (imagefiles.read_mask_pgm(decdir / f"cam{cam}_mask_000.pgm")
+                    & imagefiles.read_mask_pgm(
+                        simdir / f"cam{cam}_mask_000.pgm"))
+            assert both.sum() > 3000
+            err = np.hypot(u[both] - ut[both], v[both] - vt[both])
+            assert np.median(err) < 6.0
+        field_csv = tmp_path / "field.csv"
+        assert main(["reconstruct", "--scene", decode_scene_file,
+                     "--corr-dir", str(decdir), "--out", str(field_csv),
+                     "--stride", "2"]) == 0
+        assert main(["gaze-normals", "--field", str(field_csv)]) == 0
+
     def test_gaze_optimize_with_trace(self, scene_file, simdir, tmp_path,
                                       capsys):
         trace_csv = tmp_path / "trace.csv"

@@ -96,7 +96,7 @@ class TestCwt2:
     def test_pure_fringe_phase(self):
         frame = fringe_frame(px=16.0)
         pm = cwt2_phase(frame, WaveletParams(orientation="x", scale_min=8.0,
-                                             scale_max=24.0))
+                                             scale_max=24.0, omega0=5.5))
         m = interior_mask(pm.valid)
         col = 4 + 16 * 3
         rows = np.where(m[:, col])[0]
@@ -105,7 +105,8 @@ class TestCwt2:
 
     def test_wrong_orientation_no_ridge(self):
         frame = fringe_frame(px=16.0)
-        wp = WaveletParams(orientation="y", scale_min=8.0, scale_max=24.0)
+        wp = WaveletParams(orientation="y", scale_min=8.0, scale_max=24.0,
+                           omega0=5.5)
         try:
             pm = cwt2_phase(frame, wp)
             assert (~pm.valid).mean() >= 0.99
@@ -115,7 +116,8 @@ class TestCwt2:
     def test_crossed_decode_ignores_other_axis(self):
         pure = fringe_frame(px=16.0)
         crossed = fringe_frame(px=16.0, py=22.0, crossed=True)
-        wp = WaveletParams(orientation="x", scale_min=8.0, scale_max=24.0)
+        wp = WaveletParams(orientation="x", scale_min=8.0, scale_max=24.0,
+                           omega0=5.5)
         pm_p = cwt2_phase(pure, wp)
         pm_c = cwt2_phase(crossed, wp)
         m = interior_mask(pm_p.valid & pm_c.valid)
@@ -133,13 +135,13 @@ class TestCwt2:
         if case == "fringe128":
             frame = fringe_frame(px=16.0, py=22.0, crossed=True)
             wp = WaveletParams(orientation=orientation, scale_min=8.0,
-                               scale_max=24.0)
+                               scale_max=24.0, omega0=5.5)
         elif case == "frame40x52":
             g = np.random.default_rng(4)
             frame = (fringe_frame(40, 52, px=14.0, py=19.0, crossed=True)
                      + g.normal(0.0, 0.02, (40, 52)))
             wp = WaveletParams(orientation=orientation, scale_min=8.0,
-                               scale_max=24.0)
+                               scale_max=24.0, omega0=5.5)
         elif case == "eye448":
             frame = eye_frame
             wp = WaveletParams(orientation=orientation, **SINGLESHOT_WAVELET)
@@ -158,7 +160,8 @@ class TestCwt2:
     def test_quality_in_unit_range(self):
         pm = cwt2_phase(fringe_frame(), WaveletParams(orientation="x",
                                                       scale_min=8.0,
-                                                      scale_max=24.0))
+                                                      scale_max=24.0,
+                                                      omega0=5.5))
         assert pm.quality.min() >= 0.0
         assert pm.quality.max() <= 1.0
 
@@ -169,7 +172,8 @@ class TestCwt2:
         cases = [(frame, WaveletParams(orientation=o, **kw))
                  for frame in (eye_frame, small)
                  for o, kw in (("x", SINGLESHOT_WAVELET),
-                               ("y", dict(scale_min=8.0, scale_max=24.0)))]
+                               ("y", dict(scale_min=8.0, scale_max=24.0,
+                                          omega0=5.5)))]
         fresh = []
         for frame, wp in cases:
             decode._filter_bank.cache_clear()
@@ -251,19 +255,21 @@ class TestWaveletParams:
     @pytest.mark.parametrize("omega0", [0.0, -3.2, np.nan, np.inf])
     def test_rejects_omega0(self, omega0):
         with pytest.raises(InvariantViolation, match="omega0"):
-            WaveletParams(orientation="x", omega0=omega0)
+            WaveletParams(orientation="x", omega0=omega0, scale_min=6.0,
+                          scale_max=24.0)
 
     @pytest.mark.parametrize("scale_max", [np.inf, np.nan, 4.0])
     def test_rejects_scale_range(self, scale_max):
         with pytest.raises(InvariantViolation, match="scale_max"):
-            WaveletParams(orientation="x", scale_min=6.0, scale_max=scale_max)
+            WaveletParams(orientation="x", scale_min=6.0, scale_max=scale_max,
+                          omega0=5.5)
 
 
 class TestPhaseShiftDecode:
     def test_four_step_exact(self):
         x = np.arange(64)[None, :] * np.ones((8, 1))
         true_phase = 2 * np.pi * x / 32.0
-        pat = PhaseShiftSet(period=32.0, n_shifts=4)
+        pat = PhaseShiftSet(period=32.0, n_shifts=4, direction="x")
         frames = [0.5 + 0.4 * np.cos(true_phase + 2 * np.pi * k / 4)
                   for k in range(4)]
         pm = phase_shift_decode(frames, pat)
@@ -272,18 +278,18 @@ class TestPhaseShiftDecode:
         assert np.abs(d).max() < 1e-6
 
     def test_constant_frames_all_invalid(self):
-        pat = PhaseShiftSet(period=32.0, n_shifts=4)
+        pat = PhaseShiftSet(period=32.0, n_shifts=4, direction="x")
         frames = [np.full((16, 16), 0.5) for _ in range(4)]
         pm = phase_shift_decode(frames, pat)
         assert not pm.valid.any()
 
     def test_shift_count_mismatch(self):
-        pat = PhaseShiftSet(period=32.0, n_shifts=4)
+        pat = PhaseShiftSet(period=32.0, n_shifts=4, direction="x")
         with pytest.raises(ShiftCountError):
             phase_shift_decode([np.zeros((8, 8))] * 3, pat)
 
     def test_rejects_frames_of_different_shapes(self):
-        pat = PhaseShiftSet(period=32.0, n_shifts=4)
+        pat = PhaseShiftSet(period=32.0, n_shifts=4, direction="x")
         frames = [np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((8, 9)),
                   np.zeros((9, 8))]
         with pytest.raises(InvariantViolation,
@@ -305,7 +311,7 @@ class TestPhaseShiftDecode:
     def test_noise_rmse(self, scene, corr_pair):
         # per-pixel RMSE vs ground truth on the rendered eye, N=8
         corr = corr_pair[0]
-        pat = PhaseShiftSet(period=80.0, n_shifts=8)
+        pat = PhaseShiftSet(period=80.0, n_shifts=8, direction="x")
         rng = np.random.default_rng(0)
         frames = [render_frame(scene, 0, pat, k, sigma_i=0.01, seed=300 + k,
                                correspondence=corr) for k in range(8)]
@@ -457,8 +463,9 @@ class TestUnwrap2:
     def test_eye_phase_unwrap_matches_truth(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
-        pat = PhaseShiftSet(period=80.0, n_shifts=8)
-        frames = [render_frame(scene, 0, pat, k, correspondence=corr)
+        pat = PhaseShiftSet(period=80.0, n_shifts=8, direction="x")
+        frames = [render_frame(scene, 0, pat, k, sigma_i=0.0, seed=0,
+                               correspondence=corr)
                   for k in range(8)]
         pm = phase_shift_decode(frames, pat)
         pm.valid &= ~seam
@@ -658,7 +665,8 @@ class TestCorrespondenceFromPhases:
         for direction in ("x", "y"):
             pat = PhaseShiftSet(period=80.0, n_shifts=8, direction=direction)
             maps.append(phase_shift_decode(
-                [render_frame(scene, 0, pat, k, correspondence=corr)
+                [render_frame(scene, 0, pat, k, sigma_i=0.0, seed=0,
+                              correspondence=corr)
                  for k in range(8)], pat))
         seam = scene_seam_mask(scene, 0)
         ref = correspondence_from_phases(*maps, 80.0, 80.0, corr,
@@ -678,7 +686,7 @@ class TestCorrespondenceFromPhases:
     def test_rejects_period(self, period):
         frame = fringe_frame(px=16.0, py=22.0, crossed=True)
         maps = [cwt2_phase(frame, WaveletParams(orientation=o, scale_min=8.0,
-                                                scale_max=24.0))
+                                                scale_max=24.0, omega0=5.5))
                 for o in ("x", "y")]
         for px, py in ((period, 36.0), (36.0, period)):
             with pytest.raises(InvariantViolation, match="periods"):
@@ -691,12 +699,13 @@ class TestDecoderConsistency:
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
         dec = decode_phase_shift(
-            *[[render_frame(scene, 0, p, k, correspondence=corr)
+            *[[render_frame(scene, 0, p, k, sigma_i=0.0, seed=0,
+                            correspondence=corr)
                for k in range(8)]
-              for p in (PhaseShiftSet(period=80.0, n_shifts=8),
+              for p in (PhaseShiftSet(period=80.0, n_shifts=8, direction="x"),
                         PhaseShiftSet(period=80.0, n_shifts=8,
                                       direction="y"))],
-            PhaseShiftSet(period=80.0, n_shifts=8),
+            PhaseShiftSet(period=80.0, n_shifts=8, direction="x"),
             PhaseShiftSet(period=80.0, n_shifts=8, direction="y"),
             corr, seam_mask=seam)
         m = dec.valid & corr.valid
@@ -706,11 +715,13 @@ class TestDecoderConsistency:
     def test_noiseless_median(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
-        px = PhaseShiftSet(period=80.0, n_shifts=8)
+        px = PhaseShiftSet(period=80.0, n_shifts=8, direction="x")
         py = PhaseShiftSet(period=80.0, n_shifts=8, direction="y")
-        fx = [render_frame(scene, 0, px, k, correspondence=corr)
+        fx = [render_frame(scene, 0, px, k, sigma_i=0.0, seed=0,
+                           correspondence=corr)
               for k in range(8)]
-        fy = [render_frame(scene, 0, py, k, correspondence=corr)
+        fy = [render_frame(scene, 0, py, k, sigma_i=0.0, seed=0,
+                           correspondence=corr)
               for k in range(8)]
         dec = decode_phase_shift(fx, fy, px, py, corr, seam_mask=seam)
         m = dec.valid & corr.valid
@@ -721,7 +732,7 @@ class TestDecoderConsistency:
     def test_noisy_median(self, scene, corr_pair):
         corr = corr_pair[0]
         seam = scene_seam_mask(scene, 0)
-        px = PhaseShiftSet(period=80.0, n_shifts=8)
+        px = PhaseShiftSet(period=80.0, n_shifts=8, direction="x")
         py = PhaseShiftSet(period=80.0, n_shifts=8, direction="y")
         fx = [render_frame(scene, 0, px, k, sigma_i=0.01, seed=100 + k,
                            correspondence=corr) for k in range(8)]
@@ -741,11 +752,14 @@ class TestDecoderConsistency:
         corr = render_correspondence(scene, 0, surface=surface)
         period = 24.0
         cf = CrossedFringe(period_x=period, period_y=period)
-        frame = render_frame(scene, 0, cf, correspondence=corr)
-        ps = PhaseShiftSet(period=period, n_shifts=8)
-        frames = [render_frame(scene, 0, ps, k, correspondence=corr)
+        frame = render_frame(scene, 0, cf, sigma_i=0.0, seed=0,
+                             correspondence=corr)
+        ps = PhaseShiftSet(period=period, n_shifts=8, direction="x")
+        frames = [render_frame(scene, 0, ps, k, sigma_i=0.0, seed=0,
+                               correspondence=corr)
                   for k in range(8)]
-        pm_cwt = cwt2_phase(frame, WaveletParams(orientation="x"))
+        pm_cwt = cwt2_phase(frame, WaveletParams(
+            orientation="x", scale_min=6.0, scale_max=24.0, omega0=5.5))
         pm_ps = phase_shift_decode(frames, ps)
         joint = pm_cwt.valid & pm_ps.valid & corr.valid
         joint = ndimage.binary_erosion(joint, FOUR, iterations=3)
@@ -759,7 +773,8 @@ class TestDecoderConsistency:
         corr = render_correspondence(dec_scene, 0)
         seam = scene_seam_mask(dec_scene, 0)
         pat = CrossedFringe(period_x=36.0, period_y=36.0)
-        frame = render_frame(dec_scene, 0, pat, correspondence=corr)
+        frame = render_frame(dec_scene, 0, pat, sigma_i=0.0, seed=0,
+                             correspondence=corr)
         wx = WaveletParams(orientation="x", omega0=3.2, scale_min=3.0,
                            scale_max=16.0)
         wy = WaveletParams(orientation="y", omega0=3.2, scale_min=3.0,
@@ -792,7 +807,8 @@ class TestDecodeCrossedFringe:
     PATTERN = CrossedFringe(period_x=36.0, period_y=36.0)
     WAVELETS = [WaveletParams(orientation=o, **SINGLESHOT_WAVELET)
                 for o in ("x", "y")]
-    SMALL = [WaveletParams(orientation=o, scale_min=8.0, scale_max=24.0)
+    SMALL = [WaveletParams(orientation=o, scale_min=8.0, scale_max=24.0,
+                           omega0=5.5)
              for o in ("x", "y")]
 
     @pytest.mark.parametrize("a", [-6.0, 0.0, 6.0])

@@ -1,20 +1,28 @@
 """Every defaulted parameter of a public ``src/`` function, and every
 defaulted field of a public ``src/`` dataclass, is set by some call in
-``src/`` or ``perfbench/``.
+``src/`` or ``perfbench/``, and unless it is ``None`` it is also left in
+place by one.
 
 A default that no program call overrides is a setting only tests reach;
-it should be a constant. Public means a module-level function, class or
-method not named with a leading underscore. A call resolves its callee
-through the calling module's own definitions and imports, so it matches
-only the function or class it names there; a method called on an object
-the module cannot name matches every method of that name. A call passes
-a parameter by keyword or by position, or passes all of them through
-``*args`` or ``**kwargs``. perfbench's ``tr.call(label, fn, *args,
+it should be a constant. A default that every program call overrides is
+a value only tests get; the parameter should be required. A ``None``
+default marks an optional input and needs no call that leaves it.
+
+Public means a module-level function, class or method not named with a
+leading underscore. A call resolves its callee through the calling
+module's own definitions and imports, so it matches only the function or
+class it names there; a method called on an object the module cannot
+name matches every method of that name. A call passes a parameter by
+keyword or by position, or passes all of them through ``*args`` or
+``**kwargs``; a call through ``*args`` or ``**kwargs`` also counts as
+leaving each of them in place. perfbench's ``tr.call(label, fn, *args,
 **kwargs)`` counts as a call of ``fn``.
 
 A dataclass field counts as set by a call of its class, by a ``cls(...)``
 call inside the class, or by a ``dataclasses.replace`` call anywhere that
-passes it by keyword. A ``ClassVar`` is not a field.
+passes it by keyword. It counts as left in place by a call of its class
+or a ``cls(...)`` call that does not pass it. A ``ClassVar`` is not a
+field.
 """
 
 import ast
@@ -83,9 +91,9 @@ def dotted(node, names):
 
 def defaulted_params(module, source):
     """(dotted path, function name, its positional parameter names,
-    defaulted name) of every defaulted parameter of a public function or
-    method; a method's positional names leave out its ``self`` or
-    ``cls``."""
+    defaulted name, default expression) of every defaulted parameter of a
+    public function or method; a method's positional names leave out its
+    ``self`` or ``cls``."""
     found = []
 
     def visit(body, prefix, in_class):
@@ -101,9 +109,10 @@ def defaulted_params(module, source):
                 if in_class and not static:
                     names = names[1:]
                 path = f"{prefix}.{node.name}"
-                found.extend((path, node.name, names, n)
-                             for n in names[len(names) - len(a.defaults):])
-                found.extend((path, node.name, names, k.arg)
+                found.extend((path, node.name, names, n, d) for n, d in
+                             zip(names[len(names) - len(a.defaults):],
+                                 a.defaults))
+                found.extend((path, node.name, names, k.arg, d)
                              for k, d in zip(a.kwonlyargs, a.kw_defaults)
                              if d is not None)
 
@@ -140,6 +149,19 @@ def passes(args, keywords, names, param):
     return param in names[:len(args)]
 
 
+def leaves(args, keywords, names, param):
+    """Whether a call leaves ``param`` at its default; one through
+    ``*args`` or ``**kwargs`` may."""
+    if any(isinstance(a, ast.Starred) for a in args) or any(
+            k.arg is None for k in keywords):
+        return True
+    return not passes(args, keywords, names, param)
+
+
+def is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
 def call_sites(calling):
     """{callee: [(positional args, keywords)]} of every call in the
     modules of ``calling``."""
@@ -150,22 +172,39 @@ def call_sites(calling):
     return by_callee
 
 
+def param_sites(defining, calling):
+    """(function, its positional names, parameter, default, its call
+    sites) of each defaulted public parameter of ``defining``'s modules,
+    called from ``calling``'s; both map module names to sources."""
+    by_callee = call_sites(calling)
+    for module, source in defining.items():
+        for path, fn, names, param, default in defaulted_params(module,
+                                                                source):
+            is_method = path.count(".") > module.count(".") + 1
+            sites = by_callee.get(path, []) + (
+                by_callee.get(f".{fn}", []) if is_method else [])
+            yield fn, names, param, default, sites
+
+
 def never_passed(defining, calling):
     """(function, parameter) of each defaulted public parameter that no
     call passes; ``defining`` and ``calling`` map module names to
     sources."""
-    by_callee = call_sites(calling)
-    found = set()
-    for module, source in defining.items():
-        for path, fn, names, param in defaulted_params(module, source):
-            is_method = path.count(".") > module.count(".") + 1
-            sites = by_callee.get(path, []) + (
-                by_callee.get(f".{fn}", []) if is_method else [])
-            if (fn, param) not in EXEMPT and not any(
-                    passes(args, keywords, names, param)
-                    for args, keywords in sites):
-                found.add((fn, param))
-    return sorted(found)
+    return sorted({(fn, param) for fn, names, param, _, sites
+                   in param_sites(defining, calling)
+                   if (fn, param) not in EXEMPT and not any(
+                       passes(args, keywords, names, param)
+                       for args, keywords in sites)})
+
+
+def always_passed(defining, calling):
+    """(function, parameter) of each public parameter with a non-``None``
+    default that every call passes."""
+    return sorted({(fn, param) for fn, names, param, default, sites
+                   in param_sites(defining, calling)
+                   if not is_none(default) and not any(
+                       leaves(args, keywords, names, param)
+                       for args, keywords in sites)})
 
 
 def last_name(node):
@@ -183,15 +222,15 @@ def _is_dataclass(node):
 
 
 def dataclass_fields(module, source):
-    """(dotted path, field names in order, defaulted names, the
-    ``cls(...)`` calls of its methods) of every public top-level
-    dataclass."""
+    """(dotted path, field names in order, {defaulted name: default or
+    factory expression}, the ``cls(...)`` calls of its methods) of every
+    public top-level dataclass."""
     found = []
     for node in ast.parse(source).body:
         if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)
                 and not node.name.startswith("_")):
             continue
-        names, defaulted = [], []
+        names, defaulted = [], {}
         for stmt in node.body:
             if not (isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)):
@@ -203,12 +242,11 @@ def dataclass_fields(module, source):
             value = stmt.value
             # ``field(...)`` gives a default only through these keywords
             if isinstance(value, ast.Call) and last_name(value.func) == "field":
-                has_default = any(k.arg in ("default", "default_factory")
-                                  for k in value.keywords)
-            else:
-                has_default = value is not None
-            if has_default:
-                defaulted.append(stmt.target.id)
+                value = next((k.value for k in value.keywords
+                              if k.arg in ("default", "default_factory")),
+                             None)
+            if value is not None:
+                defaulted[stmt.target.id] = value
         own = [(n.args, n.keywords) for n in ast.walk(node)
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                and n.func.id == "cls"]
@@ -230,6 +268,22 @@ def never_set(defining, calling):
                 if not (any(passes(args, keywords, names, name)
                             for args, keywords in sites)
                         or any(k.arg in (None, name) for k in replaced)):
+                    found.add((path.rsplit(".", 1)[1], name))
+    return sorted(found)
+
+
+def always_set(defining, calling):
+    """(class, field) of each field of a public dataclass with a
+    non-``None`` default that every call of the class sets."""
+    by_callee = call_sites(calling)
+    found = set()
+    for module, source in defining.items():
+        for path, names, defaulted, own in dataclass_fields(module, source):
+            sites = by_callee.get(path, []) + own
+            for name, default in defaulted.items():
+                if not is_none(default) and not any(
+                        leaves(args, keywords, names, name)
+                        for args, keywords in sites):
                     found.add((path.rsplit(".", 1)[1], name))
     return sorted(found)
 
@@ -336,3 +390,60 @@ dataclasses.replace(A(0), f=7)
     # have no default to set
     assert never_set(defining, calling) == [("A", "d"), ("A", "h"),
                                             ("A", "j")]
+
+
+def test_every_default_is_left_in_place_by_the_program():
+    defining, calling = modules(SRC), modules(CALLERS)
+    assert always_passed(defining, calling) + always_set(defining,
+                                                         calling) == []
+
+
+def test_checker_finds_defaults_every_call_passes():
+    defining = {"pkg.mod": '''
+from dataclasses import dataclass, field
+
+def f(a, b=1, *, c=2, d=None):
+    pass
+
+def g(x=0, y=0):
+    pass
+
+def h(z=0):
+    pass
+
+def _private(w=0):
+    pass
+
+class K:
+    def m(self, a, b=1):
+        pass
+
+@dataclass
+class A:
+    a: int
+    b: int = 0
+    c: int = 1
+    d: list = field(default_factory=list)
+    e: int = None
+    f: int = 2
+
+    @classmethod
+    def build(cls):
+        return cls(0, f=1)
+'''}
+    calling = {"pkg.user": '''
+from pkg.mod import A, K, f, g
+
+f(0, 5, c=1)
+f(0, b=2, c=3)
+g(*args)
+K().m(1, 2)
+A(0, 1, 2, d=[], f=5)
+A(0, c=4, d=[], f=3)
+'''}
+    # d's None marks an optional input; the starred call may leave g's
+    # parameters in place; h has no call, so none leaves z in place
+    assert always_passed(defining, calling) == [("f", "b"), ("f", "c"),
+                                                ("h", "z"), ("m", "b")]
+    # build's ``cls(0, f=1)`` leaves b, c and d in place; e defaults to None
+    assert always_set(defining, calling) == [("A", "f")]

@@ -66,7 +66,8 @@ from deflect_gaze import bench, decode, gaze, render, scene, stereo
 
 sc = scene.default_scene()
 maps = [render.render_correspondence(sc, cam) for cam in (0, 1)]
-gaze.estimate_gaze_two_center(stereo.reconstruct_field(sc, *maps))
+gaze.estimate_gaze_two_center(stereo.reconstruct_field(sc, *maps),
+                              gaze.ClusterParams())
 bench.run_benchmark(bench.BenchmarkConfig(method=bench.METHOD_STEREO,
                                           reps=1), sc, max_workers=1)
 stereo_loaded = [m for m in ("scipy.ndimage", "scipy.fft",
@@ -80,7 +81,8 @@ frame = (0.5 + 0.25 * np.cos(2 * np.pi * x / 16.0)
 anchor = render.CorrespondenceMap(u=x, v=y, valid=np.ones(x.shape, bool))
 decoded = decode.decode_crossed_fringe(
     frame, render.CrossedFringe(period_x=16.0, period_y=22.0), anchor,
-    *[decode.WaveletParams(orientation=o, scale_min=8.0, scale_max=24.0)
+    *[decode.WaveletParams(orientation=o, scale_min=8.0, scale_max=24.0,
+                           omega0=5.5)
       for o in ("x", "y")])
 print(json.dumps({"stereo_loaded": stereo_loaded,
                   "ndimage_after_mask": ndimage_after_mask,

@@ -123,13 +123,13 @@ def measured_truth(scene1):
 
 
 def truth_params(scene1):
-    return EyeParamVector.from_eye(scene1.eye)
+    return EyeParamVector.from_eye(scene1.eye, DEFAULT_ACTIVE)
 
 
 class TestCorrespondenceLoss:
     def test_zero_at_truth(self, scene1, measured_truth):
         rep = correspondence_loss(truth_params(scene1), measured_truth,
-                                  scene1)
+                                  scene1, pixel_stride=1)
         assert rep.total == 0.0
         assert rep.mismatch_penalty == 0.0
         assert rep.n_valid >= 200
@@ -137,18 +137,20 @@ class TestCorrespondenceLoss:
     def test_positive_when_perturbed(self, scene1, measured_truth):
         p = truth_params(scene1)
         p2 = p.with_array(p.as_array() + np.array([2, 0, 0, 0, 0, 0, 0, 0.0]))
-        assert correspondence_loss(p2, measured_truth, scene1).total > 0
+        assert correspondence_loss(p2, measured_truth, scene1,
+                                   pixel_stride=1).total > 0
 
     def test_local_minimum_on_rotation_grid(self, scene1, measured_truth):
         p = truth_params(scene1)
-        l0 = correspondence_loss(p, measured_truth, scene1).total
+        l0 = correspondence_loss(p, measured_truth, scene1,
+                                 pixel_stride=1).total
         for daz in (-2.0, -1.0, 1.0, 2.0):
             for del_ in (-2.0, -1.0, 1.0, 2.0):
                 x = p.as_array()
                 x[0] += daz
                 x[1] += del_
                 l = correspondence_loss(p.with_array(x), measured_truth,
-                                        scene1).total
+                                        scene1, pixel_stride=1).total
                 assert l > l0
 
     def test_unreliable_when_overlap_too_small(self, scene1, measured_truth):
@@ -163,7 +165,8 @@ class TestCorrespondenceLoss:
             mask[y, x] = True
         tiny.valid &= mask
         with pytest.raises(UnreliableLossError):
-            correspondence_loss(truth_params(scene1), [tiny], scene1)
+            correspondence_loss(truth_params(scene1), [tiny], scene1,
+                                pixel_stride=1)
 
 
 class TestLossMatchesReference:
@@ -174,7 +177,7 @@ class TestLossMatchesReference:
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_equal_report(self, scene, a, stride):
         measured = noisy_maps(scene, a, seed=31)
-        truth = EyeParamVector.from_eye(scene.eye)
+        truth = EyeParamVector.from_eye(scene.eye, DEFAULT_ACTIVE)
         x = truth.as_array()
         x[0] = a
         for dx in (np.zeros(8), [0.7, -0.4, 0.2, -0.1, 0.3, 0, 0, 0],
@@ -189,7 +192,7 @@ class TestLossMatchesReference:
     def test_residuals_match_reference_loss(self, scene, n_cam):
         # the fit minimizes 0.5 * |r|^2, which must be the reference loss
         sc = replace(scene, cameras=scene.cameras[:n_cam])
-        truth = EyeParamVector.from_eye(sc.eye)
+        truth = EyeParamVector.from_eye(sc.eye, DEFAULT_ACTIVE)
         for a in (-4.0, 0.0, 4.0):
             measured = noisy_maps(sc, a, seed=31)
             x = truth.as_array()
@@ -225,8 +228,8 @@ def fit_cases(scene, dec_scene):
             base = {"default": scene, "decode": dec_scene}[name]
             sc = replace(base, cameras=base.cameras[:n_cam])
             cases[name, n_cam] = (sc, noisy_maps(sc, 1.0, 41, elevation=-1.0),
-                                  pose(EyeParamVector.from_eye(sc.eye),
-                                       1.0, -1.0))
+                                  pose(EyeParamVector.from_eye(
+                                      sc.eye, DEFAULT_ACTIVE), 1.0, -1.0))
         return cases[name, n_cam]
     return get
 
@@ -344,13 +347,14 @@ class TestTangentJacobian:
         # elevation turns about the axis's right, which is then undefined
         eye = replace(scene1.eye, optical_axis=np.array([0.0, 1.0, 0.0]))
         with pytest.raises(InvariantViolation, match="parallel to up"):
-            optimize._eye_tangents(EyeParamVector.from_eye(eye), eye, eye)
+            optimize._eye_tangents(
+                EyeParamVector.from_eye(eye, DEFAULT_ACTIVE), eye, eye)
 
 
 class TestStopReason:
     def test_zero_gradient(self, scene1, measured_truth):
         _, _, trace = optimize_gaze(truth_params(scene1), measured_truth,
-                                    scene1, OptConfig())
+                                    scene1, OptConfig(pixel_stride=1))
         assert trace[-1]["stop"] == "zero_gradient"
         assert len(trace) == 1
 
@@ -386,7 +390,8 @@ class TestOptimize:
                            + np.array([0.0, 0.0, 0.5]))
         measured = [render_correspondence(replace(scene1, eye=true_eye), 0)]
         init = init_guess(measured, scene1)
-        pstar, est, trace = optimize_gaze(init, measured, scene1, OptConfig())
+        pstar, est, trace = optimize_gaze(init, measured, scene1,
+                                          OptConfig(pixel_stride=1))
         assert trace[-1]["iter"] <= 300
         assert abs(pstar.azimuth - 2.0) < 0.1
         losses = [t["loss"] for t in trace]
@@ -394,13 +399,13 @@ class TestOptimize:
 
     def test_truth_init_terminates_quickly(self, scene1, measured_truth):
         _, _, trace = optimize_gaze(truth_params(scene1), measured_truth,
-                                    scene1, OptConfig())
+                                    scene1, OptConfig(pixel_stride=1))
         assert trace[-1]["iter"] <= 10
         assert trace[-1]["loss"] < 1e-8
 
     def test_trace_records_params(self, scene1, measured_truth):
         _, _, trace = optimize_gaze(truth_params(scene1), measured_truth,
-                                    scene1, OptConfig())
+                                    scene1, OptConfig(pixel_stride=1))
         for key in ("iter", "loss", "step", "azimuth", "elevation", "tx",
                     "ty", "tz"):
             assert key in trace[0]
@@ -424,7 +429,8 @@ class TestOptimize:
         measured = [render_correspondence(replace(scene1, eye=true_eye), 0)]
         active = (False, False, False, False, False, True, False, False)
         init = EyeParamVector.from_eye(scene1.eye, active=active)
-        pstar, _, _ = optimize_gaze(init, measured, scene1, OptConfig())
+        pstar, _, _ = optimize_gaze(init, measured, scene1,
+                                    OptConfig(pixel_stride=1))
         assert abs(pstar.cornea_radius - 8.1) < 0.05
 
     @pytest.mark.parametrize("a", [-4.0, -2.0, 2.0, 4.0])
@@ -514,7 +520,7 @@ class TestOptimize:
         assert trace[-1]["loss"] < trace[0]["loss"]
 
     def test_projection_keeps_invariants(self, scene1):
-        p = EyeParamVector.from_eye(scene1.eye)
+        p = EyeParamVector.from_eye(scene1.eye, DEFAULT_ACTIVE)
         x = p.as_array()
         x[5] = 20.0   # cornea radius above sclera
         x[7] = -4.0   # negative offset
@@ -532,16 +538,19 @@ class TestMapShape:
                                       valid=m.valid[:64])
         want = rf"camera {cam}: .*\(64, 128\).*\(128, 128\)"
         with pytest.raises(InvariantViolation, match=want):
-            correspondence_loss(EyeParamVector.from_eye(scene.eye), maps,
-                                scene)
+            correspondence_loss(
+                EyeParamVector.from_eye(scene.eye, DEFAULT_ACTIVE), maps,
+                scene, pixel_stride=1)
 
     def test_fit_rejects_maps_of_another_scene(self, corr_pair, dec_scene):
         # 128 px maps of the default scene; the decode scene's cameras
         # are 448 px
         with pytest.raises(InvariantViolation,
                            match=r"camera 0: .*\(128, 128\).*\(448, 448\)"):
-            optimize_gaze(EyeParamVector.from_eye(dec_scene.eye),
-                          list(corr_pair), dec_scene)
+            optimize_gaze(EyeParamVector.from_eye(dec_scene.eye,
+                                                  DEFAULT_ACTIVE),
+                          list(corr_pair), dec_scene,
+                          OptConfig(pixel_stride=1))
 
 
 class TestSeamMask:
@@ -568,7 +577,7 @@ class TestOptConfig:
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_rejects_max_iters_below_one(self, max_iters):
         with pytest.raises(ValueError, match="max_iters"):
-            OptConfig(max_iters=max_iters)
+            OptConfig(max_iters=max_iters, pixel_stride=1)
 
 
 class TestInitGuess:

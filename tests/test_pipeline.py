@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from deflect_gaze.decode import decode_phase_shift, scene_seam_mask
+from deflect_gaze.decode import decode_phase_shift
 from deflect_gaze.gaze import (ClusterParams, estimate_gaze_two_center,
                                relative_gaze_angle)
 from deflect_gaze.render import PhaseShiftSet, render_correspondence, render_frame
@@ -21,15 +21,15 @@ def decoded_gaze(scene, a):
     maps = []
     for cam in (0, 1):
         truth = render_correspondence(sc, cam)
-        seam = scene_seam_mask(sc, cam)
         px = PhaseShiftSet(period=PERIOD, n_shifts=N_SHIFTS, direction="x")
         py = PhaseShiftSet(period=PERIOD, n_shifts=N_SHIFTS, direction="y")
-        fx = [render_frame(sc, cam, px, k, correspondence=truth)
+        fx = [render_frame(sc, cam, px, k, sigma_i=0.0, seed=0,
+                           correspondence=truth)
               for k in range(N_SHIFTS)]
-        fy = [render_frame(sc, cam, py, k, correspondence=truth)
+        fy = [render_frame(sc, cam, py, k, sigma_i=0.0, seed=0,
+                           correspondence=truth)
               for k in range(N_SHIFTS)]
-        maps.append(decode_phase_shift(fx, fy, px, py, truth,
-                                       seam_mask=seam))
+        maps.append(decode_phase_shift(fx, fy, px, py, truth))
     field = reconstruct_field(sc, maps[0], maps[1], stride=2)
     return estimate_gaze_two_center(field, ClusterParams(rng_seed=3)).direction
 

@@ -71,14 +71,14 @@ def assert_maps_equal(a, b):
 class TestPatternValue:
     def test_crossed_fringe_peak(self):
         p = CrossedFringe(period_x=16, period_y=16)
-        assert pattern_value(p, 0.0, 0.0) == pytest.approx(1.0)
+        assert pattern_value(p, 0.0, 0.0, 0) == pytest.approx(1.0)
 
     def test_crossed_fringe_half_period(self):
         p = CrossedFringe(period_x=16, period_y=16)
-        assert pattern_value(p, 8.0, 0.0) == pytest.approx(0.5)
+        assert pattern_value(p, 8.0, 0.0, 0) == pytest.approx(0.5)
 
     def test_phase_shift_quadrature(self):
-        p = PhaseShiftSet(period=32, n_shifts=4)
+        p = PhaseShiftSet(period=32, n_shifts=4, direction="x")
         vals = [pattern_value(p, 8.0, 0.0, k) for k in range(4)]
         assert np.allclose(vals, [0.5, 0.1, 0.5, 0.9])
 
@@ -93,7 +93,7 @@ class TestPatternValue:
             with pytest.raises(InvariantViolation, match="periods"):
                 CrossedFringe(**kw)
         with pytest.raises(InvariantViolation, match="periods"):
-            PhaseShiftSet(period=period)
+            PhaseShiftSet(period=period, n_shifts=4, direction="x")
 
 
 class TestRenderCorrespondence:
@@ -237,24 +237,30 @@ class TestRenderFrame:
                                                         corr_pair):
         corr = corr_pair[0]
         pat = CrossedFringe(period_x=200, period_y=200)
-        frame = render_frame(scene, 0, pat)
+        frame = render_frame(scene, 0, pat, sigma_i=0.0, seed=0,
+                             correspondence=corr)
         m = corr.valid
-        expected = pattern_value(pat, corr.u[m], corr.v[m])
+        expected = pattern_value(pat, corr.u[m], corr.v[m], 0)
         assert np.array_equal(frame[m], expected)
         assert np.all(frame[~m] == 0.02)
 
-    def test_seed_determinism(self, scene):
+    def test_seed_determinism(self, scene, corr_pair):
         pat = CrossedFringe(period_x=200, period_y=200)
-        f1 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9)
-        f2 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9)
+        f1 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9,
+                          correspondence=corr_pair[0])
+        f2 = render_frame(scene, 0, pat, sigma_i=0.02, seed=9,
+                          correspondence=corr_pair[0])
         assert np.array_equal(f1, f2)
-        f3 = render_frame(scene, 0, pat, sigma_i=0.02, seed=10)
+        f3 = render_frame(scene, 0, pat, sigma_i=0.02, seed=10,
+                          correspondence=corr_pair[0])
         assert not np.array_equal(f1, f3)
 
     def test_noise_magnitude(self, scene, corr_pair):
         pat = CrossedFringe(period_x=200, period_y=200)
-        clean = render_frame(scene, 0, pat)
-        noisy = render_frame(scene, 0, pat, sigma_i=0.01, seed=3)
+        clean = render_frame(scene, 0, pat, sigma_i=0.0, seed=0,
+                             correspondence=corr_pair[0])
+        noisy = render_frame(scene, 0, pat, sigma_i=0.01, seed=3,
+                             correspondence=corr_pair[0])
         d = np.abs(noisy - clean)
         assert d.size >= 10_000
         mad = d.mean()
@@ -264,7 +270,7 @@ class TestRenderFrame:
     def test_rejects_sigma_i(self, scene, corr_pair, sigma_i):
         pat = CrossedFringe(period_x=200, period_y=200)
         with pytest.raises(ValueError, match="sigma_i"):
-            render_frame(scene, 0, pat, sigma_i=sigma_i,
+            render_frame(scene, 0, pat, sigma_i=sigma_i, seed=0,
                          correspondence=corr_pair[0])
 
 

@@ -12,7 +12,8 @@ from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import NormalField, depth_grid, reconstruct_field
-from helpers import reference_bilinear_uv, reference_consistency_at
+from helpers import (project, reference_bilinear_uv,
+                     reference_consistency_at)
 
 
 def truth_for(field, truth):
@@ -149,7 +150,7 @@ class TestColumnKernel:
         cam1, cam2 = scene.cameras
         dirs1, s1, t = kernel_rows(scene, c1, 0, 400)
         p = cam1.center + t[:, None] * dirs1
-        px2, py2, z2 = cam2.project(p)
+        px2, py2, z2 = project(cam2, p)
         h, w = c2.valid.shape
         inside = (px2 >= 0) & (px2 <= w - 1) & (py2 >= 0) & (py2 <= h - 1)
         corners = reference_bilinear_uv(c2, px2, py2)[2]
@@ -319,7 +320,7 @@ class TestReconstructField:
     def test_camera2_normal_agrees_within_consistency(self, scene, corr_pair,
                                                       field):
         cam2 = scene.cameras[1]
-        px2, py2, z2 = cam2.project(field.points)
+        px2, py2, z2 = project(cam2, field.points)
         u2, v2, ok = reference_bilinear_uv(corr_pair[1], px2, py2)
         spt = scene.screen.uv_to_world(u2[ok], v2[ok])
         p = field.points[ok]
