@@ -33,7 +33,6 @@ DEFAULT_POSITIONS = {
 }
 # the cameras each method measures with: the stereo pair, or camera 0 alone
 METHOD_CAMERAS = {METHOD_STEREO: 2, METHOD_OPTIMIZE: 1}
-THREADS_ENV = "DEFLECT_GAZE_THREADS"
 DEFAULT_WORKER_CAP = 8
 # the optimize method fits on every second pixel
 OPT_CONFIG = OptConfig(pixel_stride=2)
@@ -49,8 +48,8 @@ class BenchmarkConfig:
     method: str = METHOD_STEREO
     positions: tuple[float, ...] | None = None
     reps: int = 20
-    sigma_c: float = 0.0
-    master_seed: int = 0
+    sigma_c: float = 0.5
+    master_seed: int = 7
     # a constant, kept readable for perfbench's harness
     rotation_axis: ClassVar[tuple[float, ...]] = tuple(WORLD_UP.tolist())
 
@@ -177,30 +176,18 @@ def _run_position(scene: SceneConfig, config: BenchmarkConfig, pos_index: int,
     )
 
 
-def max_workers_from_env() -> int:
-    """Worker count from ``DEFLECT_GAZE_THREADS``, else the CPU count capped
-    at ``DEFAULT_WORKER_CAP``.
-
-    Raises:
-        ValueError: the variable is set but not an integer.
-    """
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return max(1, min(DEFAULT_WORKER_CAP, os.cpu_count() or 1))
-
-
 def run_benchmark(
     config: BenchmarkConfig,
     scene: SceneConfig,
     max_workers: int | None = None,
 ) -> BenchmarkResult:
-    """Execute the benchmark; deterministic for fixed (config, scene)
-    regardless of worker count.
+    """Execute the benchmark; the result is identical for any worker
+    count, given (config, scene).
+
+    The positions run in a pool of ``min(max_workers,
+    len(config.positions))`` worker processes, or in this process where
+    that is 1. ``max_workers`` defaults to the CPUs this process may run
+    on, capped at ``DEFAULT_WORKER_CAP``.
 
     The reference gaze direction comes from a dedicated noiseless run at
     the 0-degree position, so per-rep angles isolate method noise.
@@ -216,7 +203,11 @@ def run_benchmark(
             f"bench: {config.method} needs {n_cams} camera(s), the scene "
             f"has {len(scene.cameras)}")
     if max_workers is None:
-        max_workers = max_workers_from_env()
+        # the CPUs this process may use, fewer than the machine's under
+        # taskset or a cpuset; the call is missing on some platforms
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        max_workers = min(DEFAULT_WORKER_CAP, cpus)
     t0 = time.perf_counter()
     # the scene the method measures and estimates with, one instance for
     # the whole run: init_guess caches its nominal render on it

@@ -50,6 +50,10 @@ from .render import (CorrespondenceMap, CrossedFringe, PhaseShiftSet,
 from .scene import load_scene
 from .stereo import NormalField, reconstruct_field
 
+# screen px, both axes; simulate and decode must agree on it, or the
+# decode comes out off with no error
+FRINGE_PERIOD = 36.0
+
 
 def _write_corr(outdir: Path, cam: int, corr: CorrespondenceMap):
     imagefiles.write_two_channel_pfm(outdir / f"cam{cam}_corr_000.pfm",
@@ -82,7 +86,9 @@ def _check_cam(scene, cam: int) -> None:
 def _cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
     _check_cam(scene, args.cam)
-    # patterns are checked before anything is written
+    # the seed and patterns are checked before anything is written
+    if args.seed < 0:
+        raise InvariantViolation(f"--seed {args.seed}: must be >= 0")
     if args.pattern == "crossed":
         crossed = CrossedFringe(period_x=args.period_x, period_y=args.period_y)
     else:
@@ -178,11 +184,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_gaze_normals(args) -> int:
-    field = NormalField.from_csv(args.field)
     params = ClusterParams(ransac_iters=args.ransac_iters,
                            inlier_tol=args.inlier_tol,
                            min_inliers=args.min_inliers,
                            rng_seed=args.seed)
+    field = NormalField.from_csv(args.field)
     _write_estimate(args.out, estimate_gaze_two_center(field, params))
     return 0
 
@@ -253,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--pattern", choices=["crossed", "phaseshift"],
                    default="crossed")
-    s.add_argument("--period-x", type=float, default=36.0)
-    s.add_argument("--period-y", type=float, default=36.0)
+    s.add_argument("--period-x", type=float, default=FRINGE_PERIOD)
+    s.add_argument("--period-y", type=float, default=FRINGE_PERIOD)
     s.add_argument("--shifts", type=int, default=8)
     s.add_argument("--sigma-i", type=float, default=0.0)
     s.add_argument("--seed", type=int, default=0)
@@ -271,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "without it a component can be decoded a whole period "
                    "off across the cornea/sclera seam, with no error")
     s.add_argument("--cam", type=int, default=0)
-    s.add_argument("--period-x", type=float, default=36.0)
-    s.add_argument("--period-y", type=float, default=36.0)
+    s.add_argument("--period-x", type=float, default=FRINGE_PERIOD)
+    s.add_argument("--period-y", type=float, default=FRINGE_PERIOD)
     s.add_argument("--omega0", type=float, default=3.2)
     s.add_argument("--scale-min", type=float, default=3.0)
     s.add_argument("--scale-max", type=float, default=16.0)
@@ -317,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=["stereo-normals", "optimize"],
                    required=True)
     s.add_argument("--scene", required=True)
-    s.add_argument("--sigma-c", type=float, default=0.5)
+    s.add_argument("--sigma-c", type=float, default=BenchmarkConfig.sigma_c)
     s.add_argument("--reps", type=int, default=BenchmarkConfig.reps)
-    s.add_argument("--seed", type=int, default=7)
+    s.add_argument("--seed", type=int, default=BenchmarkConfig.master_seed)
     s.add_argument("--positions", type=float, nargs="*", default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_bench)

@@ -46,6 +46,9 @@ class ClusterParams:
         if self.min_inliers < 3:
             raise InvariantViolation("cluster: min_inliers >= 3 (the "
                                      "minimal sample)")
+        if self.rng_seed < 0:
+            raise InvariantViolation(
+                f"cluster: rng_seed >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

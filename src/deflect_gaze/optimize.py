@@ -140,16 +140,6 @@ class OptConfig:
         return max(1, int(round(BOUNDARY_PX / self.pixel_stride)))
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Correspondence mismatch cost in screen px^2 plus diagnostics."""
-
-    total: float
-    n_valid: int
-    mismatch_penalty: float
-    per_camera: tuple[dict, ...]
-
-
 def _strided(m: CorrespondenceMap, s: int) -> CorrespondenceMap:
     if s == 1:
         return m
@@ -260,9 +250,10 @@ def correspondence_loss(
     measured: list[CorrespondenceMap],
     scene: SceneConfig,
     pixel_stride: int,
-) -> LossReport:
+) -> float:
     """Mean squared screen-px distance between measured and simulated
-    correspondences, plus a penalty on validity mismatch.
+    correspondences, plus a penalty on validity mismatch, in screen px^2;
+    with several cameras, the mean of the per-camera losses.
 
     Pixels within ``BOUNDARY_PX`` of either validity boundary are excluded
     from the mean (the correspondence field is discontinuous at silhouette
@@ -351,9 +342,9 @@ def _evaluate_loss(
     measured_terms: tuple[_MeasuredTerms, ...],
     scene: SceneConfig,
     config: OptConfig,
-) -> tuple[LossReport, np.ndarray, _Point]:
+) -> tuple[float, np.ndarray, _Point]:
     """:func:`correspondence_loss` on prepared measured-map terms, plus the
-    residual vector ``r`` with ``0.5 * r @ r == report.total`` up to
+    residual vector ``r`` with ``0.5 * r @ r == loss`` up to
     rounding: per camera the weighted, saturated ``(du, dv)`` of every
     loss-grid pixel and the square root of the mismatch penalty, all
     scaled by ``sqrt(2 / n_cameras)``. Its length depends only on the
@@ -363,12 +354,9 @@ def _evaluate_loss(
     pixel_stride = config.pixel_stride
     # on a strided grid the pixel-count floor scales down
     n_min = max(8, N_MIN // (pixel_stride * pixel_stride))
-    per_cam = []
     totals = []
-    penalties = []
     residuals = []
     cameras = []
-    n_total = 0
     for i, terms in enumerate(measured_terms):
         origin = scene.cameras[i].center
         meas = terms.meas
@@ -421,18 +409,11 @@ def _evaluate_loss(
         band = (meas.valid & ~terms.eroded) | (sim_valid & ~er_sim)
         mismatch = float(np.mean((meas.valid ^ sim_valid) & ~band))
         pen = MISMATCH_WEIGHT * mismatch
-        per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
-                        "mismatch_penalty": pen})
         totals.append(sq + pen)
-        penalties.append(pen)
-        n_total += n_core
         f = np.sqrt(w * cap / ((cap + v2) * wsum))
         residuals += [(f * du).ravel(), (f * dv).ravel(), [np.sqrt(pen)]]
-    report = LossReport(total=float(np.mean(totals)), n_valid=n_total,
-                        mismatch_penalty=float(np.mean(penalties)),
-                        per_camera=tuple(per_cam))
     r = np.concatenate(residuals) * np.sqrt(2.0 / len(measured_terms))
-    return report, r, _Point(params, eye, tuple(cameras))
+    return float(np.mean(totals)), r, _Point(params, eye, tuple(cameras))
 
 
 # tangents of the cornea and sclera radii: the unit vectors of their columns
@@ -674,8 +655,7 @@ def optimize_gaze(
     measured_terms = _measured_terms(measured, scene, config)
     active = np.nonzero(init.active)[0]
     p = project_params(init)
-    rep, r, point = _evaluate_loss(p, measured_terms, scene, config)
-    loss = rep.total
+    loss, r, point = _evaluate_loss(p, measured_terms, scene, config)
     lam = LM_LAMBDA0
     stop = "iter_cap"
     trace: list[dict] = []
@@ -704,9 +684,8 @@ def optimize_gaze(
         x[active] += delta
         p_new = project_params(p.with_array(x))
         try:
-            rep_new, r_new, point_new = _evaluate_loss(p_new, measured_terms,
-                                                       scene, config)
-            loss_new = rep_new.total
+            loss_new, r_new, point_new = _evaluate_loss(p_new, measured_terms,
+                                                        scene, config)
         except UnreliableLossError:
             loss_new = np.inf
         step = float(np.linalg.norm(delta))

@@ -54,6 +54,38 @@ class TestConfig:
             BenchmarkConfig(sigma_c=sigma_c)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in an inline pool for the process pool: it records the size
+    it was asked for and runs each position in this process, so no process
+    starts. Returns the recorded sizes."""
+    sizes = []
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            return self.value
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return Done(fn(*args))
+
+    # run_benchmark imports the pool class when it starts a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 @pytest.fixture(scope="module")
 def small_result(scene):
     cfg = BenchmarkConfig(method="stereo-normals", positions=(-3.0, 0.0, 3.0),
@@ -84,49 +116,27 @@ class TestRunBenchmark:
         r2 = run_benchmark(cfg, scene, max_workers=2)
         assert report(r1, "csv") == report(r2, "csv")
 
-    def test_env_thread_cap(self, monkeypatch):
-        from deflect_gaze.bench import max_workers_from_env
-        monkeypatch.setenv("DEFLECT_GAZE_THREADS", "3")
-        assert max_workers_from_env() == 3
-
-    def test_env_thread_cap_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("DEFLECT_GAZE_THREADS", "four")
-        with pytest.raises(ValueError, match="DEFLECT_GAZE_THREADS"):
-            bench.max_workers_from_env()
-
     def test_pool_has_at_most_one_worker_per_position(self, scene,
-                                                      monkeypatch):
-        # an inline stand-in for the pool: it records the size it was asked
-        # for and runs each position in this process, so no process starts
-        sizes = []
-
-        class Done:
-            def __init__(self, value):
-                self.value = value
-
-            def result(self):
-                return self.value
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return Done(fn(*args))
-
-        # run_benchmark imports the pool class when it starts a pool
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            InlinePool)
+                                                      pool_sizes):
         cfg = BenchmarkConfig(method="stereo-normals", positions=(0.0, 3.0),
                               reps=1, sigma_c=0.5, master_seed=9)
         result = run_benchmark(cfg, scene, max_workers=10_000)
-        assert sizes == [2]
+        assert pool_sizes == [2]
+        ref = run_benchmark(cfg, scene, max_workers=1)
+        assert report(result, "csv") == report(ref, "csv")
+
+    @pytest.mark.parametrize("n_cpus, sizes", [(1, []), (3, [2])])
+    def test_default_pool_size_follows_usable_cpus(self, scene, pool_sizes,
+                                                   monkeypatch, n_cpus,
+                                                   sizes):
+        # one CPU runs the positions serially; more than one asks for a
+        # pool of at most one worker per position
+        monkeypatch.setattr(bench.os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        cfg = BenchmarkConfig(method="stereo-normals", positions=(0.0, 3.0),
+                              reps=1, sigma_c=0.5, master_seed=9)
+        result = run_benchmark(cfg, scene)
+        assert pool_sizes == sizes
         ref = run_benchmark(cfg, scene, max_workers=1)
         assert report(result, "csv") == report(ref, "csv")
 

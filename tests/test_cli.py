@@ -161,6 +161,18 @@ class TestSimulateDecode:
         assert not (simdir / "cam0_frame_000.pgm").exists()
 
     @pytest.mark.parametrize("pattern", ["crossed", "phaseshift"])
+    def test_simulate_rejects_negative_seed(self, scene_file, tmp_path,
+                                            capsys, pattern):
+        simdir = tmp_path / "sim"
+        rc = main(["simulate", "--scene", scene_file, "--out", str(simdir),
+                   "--pattern", pattern, "--cam", "0", "--sigma-i", "0.01",
+                   "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation" in err and "--seed -1" in err
+        assert not simdir.exists()
+
+    @pytest.mark.parametrize("pattern", ["crossed", "phaseshift"])
     def test_simulate_rejects_nan_period(self, scene_file, tmp_path, capsys,
                                          pattern):
         simdir = tmp_path / "sim"

@@ -107,6 +107,10 @@ class TestClusterParams:
         with pytest.raises(InvariantViolation, match="inlier_tol"):
             ClusterParams(inlier_tol=tol)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvariantViolation, match="rng_seed"):
+            ClusterParams(rng_seed=-1)
+
     def test_minimal_sample_clusters_six_lines(self):
         points, dirs = two_bundles(n=3, seed=2)
         c_a, c_b, _, _ = two_center_cluster(points, dirs,

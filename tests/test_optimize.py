@@ -10,7 +10,7 @@ from deflect_gaze.errors import (EmptyMapError, InvariantViolation,
                                  NoDescentError, UnreliableLossError)
 from deflect_gaze.gaze import relative_gaze_angle
 from deflect_gaze.optimize import (DEFAULT_ACTIVE, PARAM_NAMES,
-                                   EyeParamVector, LossReport, OptConfig,
+                                   EyeParamVector, OptConfig,
                                    _erode, _evaluate_loss, _fade_weight,
                                    _jacobian, _measured_terms, _seam_mask,
                                    _strided, correspondence_loss, init_guess,
@@ -32,10 +32,7 @@ def reference_loss(params, measured, scene, n_min=200, boundary_px=2,
         raise ValueError("need one measured map per configured camera")
     eye = params.materialize(scene.eye)
     sim_scene = replace(scene, eye=eye)
-    per_cam = []
     totals = []
-    penalties = []
-    n_total = 0
     grid_b = max(1, int(round(boundary_px / pixel_stride)))
     n_min_eff = max(8, n_min // (pixel_stride * pixel_stride))
     for i, meas_full in enumerate(measured):
@@ -91,14 +88,8 @@ def reference_loss(params, measured, scene, n_min=200, boundary_px=2,
         band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
         mismatch = float(np.mean((meas.valid ^ sim.valid) & ~band))
         pen = mismatch_weight * mismatch
-        per_cam.append({"camera": i, "n_valid": n_core, "sq": sq,
-                        "mismatch_penalty": pen})
         totals.append(sq + pen)
-        penalties.append(pen)
-        n_total += n_core
-    return LossReport(total=float(np.mean(totals)), n_valid=n_total,
-                      mismatch_penalty=float(np.mean(penalties)),
-                      per_camera=tuple(per_cam))
+    return float(np.mean(totals))
 
 
 def noisy_maps(scene, a, seed, elevation=0.0):
@@ -128,29 +119,26 @@ def truth_params(scene1):
 
 class TestCorrespondenceLoss:
     def test_zero_at_truth(self, scene1, measured_truth):
-        rep = correspondence_loss(truth_params(scene1), measured_truth,
-                                  scene1, pixel_stride=1)
-        assert rep.total == 0.0
-        assert rep.mismatch_penalty == 0.0
-        assert rep.n_valid >= 200
+        assert correspondence_loss(truth_params(scene1), measured_truth,
+                                   scene1, pixel_stride=1) == 0.0
 
     def test_positive_when_perturbed(self, scene1, measured_truth):
         p = truth_params(scene1)
         p2 = p.with_array(p.as_array() + np.array([2, 0, 0, 0, 0, 0, 0, 0.0]))
         assert correspondence_loss(p2, measured_truth, scene1,
-                                   pixel_stride=1).total > 0
+                                   pixel_stride=1) > 0
 
     def test_local_minimum_on_rotation_grid(self, scene1, measured_truth):
         p = truth_params(scene1)
         l0 = correspondence_loss(p, measured_truth, scene1,
-                                 pixel_stride=1).total
+                                 pixel_stride=1)
         for daz in (-2.0, -1.0, 1.0, 2.0):
             for del_ in (-2.0, -1.0, 1.0, 2.0):
                 x = p.as_array()
                 x[0] += daz
                 x[1] += del_
                 l = correspondence_loss(p.with_array(x), measured_truth,
-                                        scene1, pixel_stride=1).total
+                                        scene1, pixel_stride=1)
                 assert l > l0
 
     def test_unreliable_when_overlap_too_small(self, scene1, measured_truth):
@@ -205,7 +193,7 @@ class TestLossMatchesReference:
                     p = truth.with_array(x + np.asarray(dx))
                     _, r, _ = _evaluate_loss(p, terms, sc, cfg)
                     ref = reference_loss(p, measured, sc,
-                                         pixel_stride=stride).total
+                                         pixel_stride=stride)
                     assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
                                                                abs=0.0)
 
@@ -465,9 +453,8 @@ class TestOptimize:
         for row in trace:
             x[:5] = [row[k] for k in ("azimuth", "elevation", "tx", "ty",
                                       "tz")]
-            rep = correspondence_loss(init.with_array(x), measured, scene1,
-                                      pixel_stride=2)
-            assert row["loss"] == rep.total
+            assert row["loss"] == correspondence_loss(
+                init.with_array(x), measured, scene1, pixel_stride=2)
 
     def test_unreliable_trials_are_rejected(self, scene1, monkeypatch):
         # the loss is unreliable beyond 2.2 deg azimuth, which the first
@@ -500,10 +487,10 @@ class TestOptimize:
         init = init_guess(measured, scene1)
 
         def worse_off_start(params, terms, scene, config):
-            rep, r, point = evaluate(params, terms, scene, config)
+            loss, r, point = evaluate(params, terms, scene, config)
             if np.array_equal(params.as_array(), init.as_array()):
-                return rep, r, point
-            return replace(rep, total=np.inf), r, point
+                return loss, r, point
+            return np.inf, r, point
 
         monkeypatch.setattr(optimize, "_evaluate_loss", worse_off_start)
         with pytest.raises(NoDescentError):
