@@ -71,6 +71,10 @@ class BenchmarkConfig:
             raise InvariantViolation("bench: reps >= 1")
         if not 0 <= self.sigma_c < np.inf:
             raise InvariantViolation("bench: sigma_c finite and >= 0")
+        # _rep_seeds draws each rep's states from the seed as one 32-bit word
+        if not 0 <= self.master_seed <= 0xFFFFFFFF:
+            raise InvariantViolation(f"bench: master_seed {self.master_seed} "
+                                     f"outside 0 .. 2**32 - 1")
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,7 @@ def epsilon(mean_theta_a: float, mean_theta_0: float, a: float) -> float:
 
 
 def _rep_seeds(master_seed: int, pos_index: int, rep: int) -> np.ndarray:
-    ss = np.random.SeedSequence(
-        [master_seed & 0xFFFFFFFF, pos_index & 0xFFFFFFFF, rep & 0xFFFFFFFF]
-    )
+    ss = np.random.SeedSequence([master_seed, pos_index, rep])
     return ss.generate_state(4)
 
 

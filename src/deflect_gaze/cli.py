@@ -86,9 +86,12 @@ def _check_cam(scene, cam: int) -> None:
 def _cmd_simulate(args) -> int:
     scene = load_scene(args.scene)
     _check_cam(scene, args.cam)
-    # the seed and patterns are checked before anything is written
+    # the seed, noise and patterns are checked before anything is written
     if args.seed < 0:
         raise InvariantViolation(f"--seed {args.seed}: must be >= 0")
+    if not 0 <= args.sigma_i < float("inf"):
+        raise InvariantViolation(f"--sigma-i {args.sigma_i}: sigma_i must "
+                                 f"be finite and >= 0")
     if args.pattern == "crossed":
         crossed = CrossedFringe(period_x=args.period_x, period_y=args.period_y)
     else:

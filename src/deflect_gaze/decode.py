@@ -484,12 +484,21 @@ def foreground_mask(frame: np.ndarray) -> np.ndarray:
 
     Separates the fringe-lit eye surface from the dark surround so halo
     pixels (wavelet support bleeding into background) are not decoded.
+
+    The erosion runs on the bounding box of the bright pixels only: every
+    pixel outside it is dark, and the erosion's border counts as dark, so
+    the mask is that of eroding the whole frame.
     """
     from scipy import ndimage
 
     mean = ndimage.uniform_filter(np.asarray(frame, float), FG_SIZE)
-    return ndimage.binary_erosion(mean > FG_THRESHOLD, FOUR_CONN,
-                                  iterations=FG_ERODE)
+    bright = mean > FG_THRESHOLD
+    fg = np.zeros_like(bright)
+    box = _bounding_box(bright)
+    if box is not None:
+        fg[box] = ndimage.binary_erosion(bright[box], FOUR_CONN,
+                                         iterations=FG_ERODE)
+    return fg
 
 
 def _phase_cuts(phase: np.ndarray, valid: np.ndarray) -> np.ndarray:

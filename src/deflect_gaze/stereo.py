@@ -238,38 +238,57 @@ _BLOCK_ROWS = 16384   # (pixel, depth) pairs per block of the usability pass
 _MIN_USABLE = 8       # usable grid depths a pixel needs to be swept
 
 
-def _usable_depths(cam1, cam2, dirs1, cell2, shape2, ts):
-    """(n, n_steps) mask of the grid depths that ``_consistency_at`` can
-    score: camera 2 sees the point in front of it, inside a cell of its
-    map of shape ``shape2`` that ``cell2`` (``_cell_table``) marks valid.
+def _usable_depths(cam1, cam2, dirs1, cell2, shape2, ts, out):
+    """Write into ``out`` (n, n_steps) bool the mask of the grid depths
+    that ``_consistency_at`` can score: camera 2 sees the point in front of
+    it, inside a cell of its map of shape ``shape2`` that ``cell2``
+    (``_cell_table``) marks valid.
 
-    Projection only, a block of pixels at a time. Camera-2 coordinates are
-    affine in the depth along a camera-1 ray, a + t*b, and are computed so;
-    the mask can differ from ``_consistency_at``'s own test only for a
-    point within rounding error of a pixel-cell edge.
+    Projection only, a block of pixels at a time, in buffers that every
+    block reuses. Camera-2 coordinates are affine in the depth along a
+    camera-1 ray, a + t*b, and are computed so: z = a + t*b, 1.0 where
+    z <= 1e-9, then x = f * (a + t*b) / z + cx, and y alike. Nothing is
+    compacted: every element looks up the cell at x and y clipped to the
+    cells' corners, and the frame test masks the lookup. The mask is bit
+    for bit that of the compacting version the tests keep as
+    ``reference_usable_depths``; it can differ from ``_consistency_at``'s
+    own test only for a point within rounding error of a pixel-cell edge.
     """
     h, w = shape2
-    a = cam2.pose.inverse_points(cam1.center)[:, None]
+    a = cam2.pose.inverse_points(cam1.center)
     b = dirs1 @ cam2.pose.rotation
     f = cam2.focal_length
-    cx, cy = cam2.principal_point
-    n, n_steps = len(dirs1), len(ts)
-    usable = np.empty((n, n_steps), dtype=bool)
-    block = max(1, _BLOCK_ROWS // n_steps)
+    center = cam2.principal_point
+    n, n_steps = out.shape
+    block = max(1, min(n, _BLOCK_ROWS // n_steps))
+    xyz = np.empty((3, block, n_steps))
+    corner = np.empty((2, block, n_steps), dtype=np.intp)
+    flags = np.empty((2, block, n_steps), dtype=bool)
     for j in range(0, n, block):
-        pc = a + ts * b[j:j + block, :, None]    # (pixels, xyz, depths)
-        ok = pc[:, 2] > 1e-9
-        z = np.where(ok, pc[:, 2], 1.0)
-        x = f * pc[:, 0] / z + cx
-        y = f * pc[:, 1] / z + cy
-        ok &= (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-        # on the frame floor is truncation; the last row and column belong
-        # to the cell before them, as in _consistency_at
-        x0 = np.minimum(x[ok].astype(int), w - 2)
-        y0 = np.minimum(y[ok].astype(int), h - 2)
-        ok[ok] = cell2[y0 * w + x0]
-        usable[j:j + block] = ok
-    return usable
+        bj = b[j:j + block, :, None]
+        m = len(bj)
+        x, y, z = xyz[:, :m]
+        ok, tmp = flags[:, :m]
+        np.multiply(ts, bj[:, 2], out=z)
+        z += a[2]
+        np.greater(z, 1e-9, out=ok)
+        np.copyto(z, 1.0, where=~ok)
+        for c, v, last in ((0, x, w - 1), (1, y, h - 1)):
+            np.multiply(ts, bj[:, c], out=v)
+            v += a[c]
+            v *= f
+            v /= z
+            v += center[c]
+            ok &= np.greater_equal(v, 0, out=tmp)
+            ok &= np.less_equal(v, last, out=tmp)
+            # on the frame floor is truncation; the last row and column
+            # belong to the cell before them, as in _consistency_at
+            np.clip(v, 0, last - 1, out=v)
+            np.copyto(corner[c, :m], v, casting="unsafe")
+        cell = corner[1, :m]
+        cell *= w
+        cell += corner[0, :m]
+        np.logical_and(ok, np.take(cell2, cell, out=tmp), out=out[j:j + m])
 
 
 def _sweep_pixels(scene, pixels, corr1, corr2):
@@ -295,15 +314,17 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
 
     ts = depth_grid(scene)
     pair = _pair(scene, dirs1, s1, corr2)
-    usable = _usable_depths(cam1, scene.cameras[1], dirs1, pair.cell2,
-                            pair.shape2, ts)
-    good = usable.sum(axis=1) >= _MIN_USABLE
     # one more entry past the grid: the index of a depth off its row's
     # grid, which is never pending
     off = n * N_DEPTHS
     cost = np.full(off + 1, np.inf)
     grid_cost = cost[:off].reshape(n, N_DEPTHS)
-    pending = np.append(usable.ravel(), False)   # usable, not scored yet
+    pending = np.zeros(off + 1, dtype=bool)   # usable, not scored yet
+    # a view of pending, read only before the first pass scores anything
+    usable = pending[:off].reshape(n, N_DEPTHS)
+    _usable_depths(cam1, scene.cameras[1], dirs1, pair.cell2, pair.shape2,
+                   ts, usable)
+    good = usable.sum(axis=1) >= _MIN_USABLE
     base = np.arange(0, off, N_DEPTHS)
 
     def score(index):

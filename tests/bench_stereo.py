@@ -11,7 +11,8 @@ maps decoded from the decode scene at stride 2, as ``singleshot-448`` does;
 decoded maps have holes that split the usable depths of a ray into runs.
 The kernel case scores one batch of the 128-px sweep: every swept pixel
 once, at the grid depth next above its true depth: the size of every batch
-the sweep scores.
+the sweep scores. The mask case builds the 128-px sweep's usable-depth
+mask, every grid depth of every swept pixel.
 """
 
 import numpy as np
@@ -45,3 +46,15 @@ def test_kernel_128_batch(benchmark, scene, maps_128, truth_cam0):
     ang, _, ok = benchmark(stereo._consistency_at, pair, np.arange(len(xs)),
                            t)
     assert ok.sum() > 900
+
+
+def test_usable_depths_128(benchmark, scene, maps_128):
+    corr1, corr2 = maps_128
+    ys, xs = np.nonzero(corr1.valid)
+    cam1, cam2 = scene.cameras[:2]
+    dirs1 = cam1.pixel_rays()[1][ys, xs]
+    ts = depth_grid(scene)
+    usable = np.empty((len(xs), len(ts)), dtype=bool)
+    benchmark(stereo._usable_depths, cam1, cam2, dirs1,
+              stereo._cell_table(corr2.valid), corr2.valid.shape, ts, usable)
+    assert (usable.sum(axis=1) >= 8).sum() > 900

@@ -533,6 +533,28 @@ def reference_consistency_at(scene, cam1, cam2, dirs1, s1, corr2, t):
     return ang, n1, ok
 
 
+def reference_usable_depths(cam1, cam2, dirs1, cell2, shape2, ts):
+    """``stereo._usable_depths`` as it was with boolean compaction, in one
+    block: the (n, n_steps) mask of the depths ``ts`` along the rays
+    ``dirs1`` of ``cam1`` that ``cam2`` sees in front of it, inside a cell
+    of its map of shape ``shape2`` that ``cell2`` marks valid."""
+    h, w = shape2
+    a = cam2.pose.inverse_points(cam1.center)[:, None]
+    b = dirs1 @ cam2.pose.rotation
+    f = cam2.focal_length
+    cx, cy = cam2.principal_point
+    pc = a + ts * b[:, :, None]    # (pixels, xyz, depths)
+    ok = pc[:, 2] > 1e-9
+    z = np.where(ok, pc[:, 2], 1.0)
+    x = f * pc[:, 0] / z + cx
+    y = f * pc[:, 1] / z + cy
+    ok &= (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    x0 = np.minimum(x[ok].astype(int), w - 2)
+    y0 = np.minimum(y[ok].astype(int), h - 2)
+    ok[ok] = cell2[y0 * w + x0]
+    return ok
+
+
 def reference_ransac_counts(centers, points, dirs, tol):
     """``gaze._inlier_counts`` as blocks of 64 candidates, each with its
     (64, n, 3) offsets to every line and their parts across the lines."""

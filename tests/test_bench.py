@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(InvariantViolation, match="sigma_c"):
             BenchmarkConfig(sigma_c=sigma_c)
 
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_rejects_master_seed_outside_32_bits(self, seed):
+        # masked to 32 bits, -1 and 2**32 - 1 would draw the same reps
+        with pytest.raises(InvariantViolation, match="master_seed"):
+            BenchmarkConfig(master_seed=seed)
+        for ok in (0, 2**32 - 1):
+            assert BenchmarkConfig(master_seed=ok).master_seed == ok
+
 
 @pytest.fixture
 def pool_sizes(monkeypatch):

@@ -158,7 +158,7 @@ class TestSimulateDecode:
                    "--sigma-i", sigma_i])
         assert rc == 2
         assert "sigma_i" in capsys.readouterr().err
-        assert not (simdir / "cam0_frame_000.pgm").exists()
+        assert not simdir.exists()
 
     @pytest.mark.parametrize("pattern", ["crossed", "phaseshift"])
     def test_simulate_rejects_negative_seed(self, scene_file, tmp_path,
@@ -653,6 +653,15 @@ class TestBenchCli:
         assert rc == 2
         assert "sigma_c" in capsys.readouterr().err
         assert not (outdir / "result.csv").exists()
+
+    def test_negative_seed_is_rejected(self, scene_file, tmp_path, capsys):
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--method", "stereo-normals", "--scene",
+                   scene_file, "--seed", "-1", "--reps", "2",
+                   "--out", str(outdir)])
+        assert rc == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_non_finite_position_is_rejected(self, scene_file, tmp_path,
                                              capsys):

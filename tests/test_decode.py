@@ -487,6 +487,40 @@ class TestUnwrap2:
         assert_continuity(out)
 
 
+def full_frame_foreground(frame):
+    """``foreground_mask`` with the erosion run on the whole frame."""
+    mean = ndimage.uniform_filter(np.asarray(frame, float), decode.FG_SIZE)
+    return ndimage.binary_erosion(mean > decode.FG_THRESHOLD,
+                                  decode.FOUR_CONN,
+                                  iterations=decode.FG_ERODE)
+
+
+class TestForegroundMask:
+    """``foreground_mask`` erodes only the bright pixels' bounding box; it
+    must return the whole-frame erosion's mask bit for bit."""
+
+    @pytest.mark.parametrize("case", ["eye448", "dark", "bright"]
+                             + [f"edge-{k}" for k in EDGES])
+    def test_equals_full_frame_erosion(self, case, eye_frame):
+        if case == "eye448":
+            frame = eye_frame
+        elif case in ("dark", "bright"):
+            frame = np.full((40, 52), 0.02 if case == "dark" else 0.8)
+        else:
+            frame = edge_eye_frame(case.removeprefix("edge-"))
+        got = foreground_mask(frame)
+        assert same_bits(got, full_frame_foreground(frame))
+        assert got.any() == (case != "dark")
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 40),
+           w=st.integers(1, 40), level=st.floats(0.0, 0.8))
+    def test_random_frames(self, seed, h, w, level):
+        frame = np.random.default_rng(seed).uniform(0.0, level, (h, w))
+        assert same_bits(foreground_mask(frame),
+                         full_frame_foreground(frame))
+
+
 class TestSeverPhaseSeams:
     def test_matches_nan_input_reference(self, eye_frame):
         fg = foreground_mask(eye_frame)

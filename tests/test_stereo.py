@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from deflect_gaze import stereo
 from deflect_gaze.errors import EmptyFieldError, InvariantViolation
-from deflect_gaze.geometry import bisector_masked, unit
+from deflect_gaze.geometry import RigidPose, bisector_masked, unit
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence)
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import NormalField, depth_grid, reconstruct_field
 from helpers import (project, reference_bilinear_uv,
-                     reference_consistency_at)
+                     reference_consistency_at, reference_usable_depths)
 
 
 def truth_for(field, truth):
@@ -173,6 +173,106 @@ class TestColumnKernel:
         pair = stereo._pair(scene, dirs1, s1, c2)
         with pytest.raises(ValueError, match="near-zero"):
             stereo._consistency_at(pair, np.arange(20), t)
+
+
+def mask_rows(scene, corr1, corr2, seed, n, holes):
+    """Argument tuples of ``_usable_depths`` (less ``out``) for ``n`` rows.
+
+    The first has the scene's cameras and ``corr2.valid`` with a share
+    ``holes`` of its pixels dropped. A third of its rays go through valid
+    pixels of ``corr1``, a third in random directions, and a third through
+    points that camera 1 sees on a valid pixel of ``corr2`` at one of the
+    depths: rounding puts those a few ulps to either side of a cell
+    corner. The depths are every other grid depth, those points' depths,
+    and depths that leave camera 1's frame or fall behind it.
+
+    The others have camera 1 at the origin looking along +z, camera 0 on
+    its axis 10 mm behind it, camera 1's principal point on the pixel
+    (0, 0), (w-1, h-1) or a random one, and a random map with that share of
+    holes. A quarter of their ray components are exactly zero: a ray with
+    zero x or y projects exactly onto a column or row of cell edges at
+    every depth. Half of the rays point backwards.
+    """
+    g = np.random.default_rng(seed)
+    cam1, cam2 = scene.cameras[:2]
+    h, w = corr2.valid.shape
+    grid = depth_grid(scene)
+    ys, xs = np.nonzero(corr1.valid)
+    on = g.integers(0, len(xs), n)
+    # points at depth t_edge along camera 0's rays that camera 1 sees on
+    # valid pixels: s along camera 1's ray with |c2 + s*r - c1| = t_edge
+    t_edge = g.uniform(grid[0], grid[-1], 64)
+    t = t_edge[np.arange(n) % 64]
+    ys2, xs2 = np.nonzero(corr2.valid)
+    on2 = g.integers(0, len(xs2), n)
+    r = np.array([cam2.pixel_ray(x, y) for x, y in zip(xs2[on2], ys2[on2])])
+    e = cam2.center - cam1.center
+    er = r @ e
+    s = -er + np.sqrt(er**2 - e @ e + t**2)
+    dirs1 = np.choose((np.arange(n) % 3)[:, None], [
+        cam1.pixel_rays()[1][ys[on], xs[on]],
+        unit(g.normal(size=(n, 3))),
+        unit(e + s[:, None] * r)])
+    ts = np.concatenate([grid[::2], t_edge, g.uniform(-400.0, 800.0, 64)])
+    sets = [(cam1, cam2, dirs1, stereo._cell_table(
+        corr2.valid & (g.random((h, w)) >= holes)), (h, w), ts)]
+    behind = RigidPose(np.eye(3), np.array([0.0, 0.0, -10.0]))
+    origin = RigidPose(np.eye(3), np.zeros(3))
+    f = cam2.focal_length
+    for pp in ((0, 0), (w - 1, h - 1), (g.integers(0, w), g.integers(0, h))):
+        d = g.uniform(-1.0, 1.0, (n, 3)) * [w / f, h / f, 1.0]
+        d[g.random((n, 3)) < 0.25] = 0.0
+        sets.append((replace(cam1, pose=behind),
+                     replace(cam2, pose=origin, principal_point=pp), d,
+                     stereo._cell_table(g.random((h, w)) >= holes), (h, w),
+                     g.uniform(1.0, 100.0, 256)))
+    return sets
+
+
+class TestUsableDepths:
+    """``_usable_depths`` builds its mask in place, without compaction; it
+    must equal the frozen compacting mask bit for bit."""
+
+    BLOCK = stereo._BLOCK_ROWS // 256   # rows per block at 256 depths
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(0, 3),
+           extra=st.integers(1, BLOCK - 1), holes=st.floats(0.0, 0.5))
+    def test_equals_frozen_mask(self, scene, corr_pair, seed, blocks, extra,
+                                holes):
+        # whole blocks and a part block: never a multiple of the block size
+        n = blocks * self.BLOCK + extra
+        for args in mask_rows(scene, *corr_pair, seed, n, holes):
+            want = reference_usable_depths(*args)
+            # random bits in, so an entry left unwritten shows
+            got = np.random.default_rng(seed).random(want.shape) < 0.5
+            stereo._usable_depths(*args, got)
+            assert np.array_equal(got, want)
+
+    def test_rows_cover_every_outcome(self, scene, corr_pair):
+        # the rows mask_rows draws reach each way a depth can fail, and
+        # land usable points exactly on cell edges, the last row and
+        # column among them
+        n = 3 * self.BLOCK + 5
+        for k, args in enumerate(mask_rows(scene, *corr_pair, 0, n, 0.3)):
+            cam1, cam2, dirs1, _, (h, w), ts = args
+            px2, py2, z2 = project(
+                cam2, cam1.center + ts[:, None] * dirs1[:, None])
+            inside = (px2 >= 0) & (px2 <= w - 1) & (py2 >= 0) & (py2 <= h - 1)
+            usable = reference_usable_depths(*args)
+            assert usable.sum() > 100
+            assert (z2 <= 1e-9).sum() > 100
+            assert ((z2 > 1e-9) & ~inside).sum() > 100
+            assert ((z2 > 1e-9) & inside & ~usable).sum() > 100
+            if k:
+                cx, cy = cam2.principal_point
+                assert (usable & (px2 == cx)).sum() > 10
+                assert (usable & (py2 == cy)).sum() > 10
+            else:
+                near = (np.abs(px2 - np.round(px2)) < 1e-9) \
+                    & (np.abs(py2 - np.round(py2)) < 1e-9)
+                assert (usable & near).sum() > 10
 
 
 class TestStereoConsistency:
