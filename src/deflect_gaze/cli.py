@@ -23,7 +23,8 @@ any directory of maps feeds any subcommand that reads maps:
 - ``gaze-optimize --measured E`` reads every scene camera's map.
 - ``gaze-normals`` and ``gaze-optimize`` write a one-row gaze CSV to
   ``--out``; ``bench --out`` writes result.csv, result.json, table.txt and
-  reps.csv.
+  reps.csv, creating the directory only after a successful run, so a
+  rejected or aborted run leaves no ``--out``.
 
 The fringe defaults, a 36 px period on both screen axes and a single-shot
 Morlet sweep over scales 3 to 16 px at omega0 3.2, suit the decode scene.
@@ -232,9 +233,9 @@ def _cmd_bench(args) -> int:
         sigma_c=args.sigma_c,
         master_seed=args.seed,
     )
+    result = run_benchmark(config, scene)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_benchmark(config, scene)
     (outdir / "result.csv").write_text(report(result, "csv"),
                                        encoding="utf-8")
     (outdir / "result.json").write_text(report(result, "json"),
@@ -329,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sigma-c", type=float, default=BenchmarkConfig.sigma_c)
     s.add_argument("--reps", type=int, default=BenchmarkConfig.reps)
     s.add_argument("--seed", type=int, default=BenchmarkConfig.master_seed)
-    s.add_argument("--positions", type=float, nargs="*", default=None)
+    s.add_argument("--positions", type=float, nargs="+", default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_bench)
     return p

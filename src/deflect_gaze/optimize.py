@@ -375,17 +375,16 @@ def _evaluate_loss(
                 f"camera {i}: {n_core} jointly valid core pixels < {n_min}"
             )
 
-        # positions in hits of the jointly valid pixels, and of those with
-        # a positive measured weight: the only pixels with a loss weight
-        joint = np.flatnonzero(ok)
-        joint = joint[meas.valid.ravel()[hits.index[joint]]]
-        jpix = hits.index[joint]
+        # positions in hits of the simulated-valid pixels with a positive
+        # measured weight, the only pixels with a loss weight. The fade
+        # ramp is 0 wherever the measured mask's distance transform is at
+        # most 1, so a positive weight implies a measured-valid pixel.
+        sel = np.flatnonzero(ok & (terms.weight.ravel()[hits.index] > 0))
+        pix = hits.index[sel]
         du = np.zeros(shape)
         dv = np.zeros(shape)
-        du.ravel()[jpix] = meas.u.ravel()[jpix] - u[joint]
-        dv.ravel()[jpix] = meas.v.ravel()[jpix] - v[joint]
-        sel = joint[terms.weight.ravel()[jpix] > 0]
-        pix = hits.index[sel]
+        du.ravel()[pix] = meas.u.ravel()[pix] - u[sel]
+        dv.ravel()[pix] = meas.v.ravel()[pix] - v[sel]
         w_sel, args, ramps = _weights(eye, scene, terms, origin, pix,
                                       hits.points[sel], u[sel], v[sel])
         w = np.zeros(shape)

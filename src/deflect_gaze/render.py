@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .geometry import reflect
-from .scene import (EyeModel, SceneConfig, ScreenModel, SurfaceHits,
-                    eye_surface_hit_batch, eye_surface_hits)
+from .scene import (EyeModel, SceneConfig, ScreenModel, eye_surface_hit_batch,
+                    eye_surface_hits)
 
 BACKGROUND_INTENSITY = 0.02  # near-dark surround, as in real captures
 # crossed fringe: each cosine's amplitude and the common bias, which span
@@ -142,18 +142,6 @@ def _grid_rays(scene: SceneConfig, cam_index: int,
     return origin, dirs[::stride, ::stride]
 
 
-def _surface_hits(eye: EyeModel, origin: np.ndarray, dirs: np.ndarray,
-                  surface) -> SurfaceHits:
-    """:func:`eye_surface_hits` of rays ``dirs`` (N, 3), or the hits of a
-    ``surface`` hook (see :func:`render_correspondence`), compacted."""
-    if surface is None:
-        return eye_surface_hits(eye, origin, dirs)
-    points, normals, region, hit = surface(origin, dirs)
-    index = np.flatnonzero(hit)
-    return SurfaceHits(index, points.reshape(-1, 3)[index],
-                       normals.reshape(-1, 3)[index], region.ravel()[index])
-
-
 def screen_hits(
     screen: ScreenModel, dirs: np.ndarray, points: np.ndarray,
     normals: np.ndarray,
@@ -180,7 +168,7 @@ def screen_hits(
 
 
 def render_correspondence(
-    scene: SceneConfig, cam_index: int, surface=None, stride: int = 1
+    scene: SceneConfig, cam_index: int, stride: int = 1
 ) -> CorrespondenceMap:
     """Trace each ``stride``-th camera pixel to its screen correspondence.
 
@@ -194,11 +182,6 @@ def render_correspondence(
     block are reflected and written to the map, so the temporaries stay
     small next to the map itself.
 
-    ``surface`` optionally replaces the eye-surface hit function (signature
-    ``surface(origin, dirs (N, 3)) -> (points, normals, region, hit)``, NaN
-    points and normals where ``hit`` is False); used by tests with analytic
-    reference surfaces.
-
     Raises:
         InvariantViolation: ``stride`` below 1.
     """
@@ -210,7 +193,7 @@ def render_correspondence(
     rows = max(1, BLOCK_RAYS // w)
     for y0 in range(0, h, rows):
         dirs = grid[y0:y0 + rows].reshape(-1, 3)
-        hits = _surface_hits(scene.eye, origin, dirs, surface)
+        hits = eye_surface_hits(scene.eye, origin, dirs)
         uu, vv, ok = screen_hits(scene.screen, dirs[hits.index], hits.points,
                                  hits.normals)
         at = y0 * w + hits.index[ok]

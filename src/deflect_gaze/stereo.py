@@ -69,9 +69,12 @@ class NormalField:
             if header != NORMAL_FIELD_HEADER:
                 raise ValueError(f"{path}: unexpected NormalField header: "
                                  f"{header!r}")
+            body = f.read()
+        # a header-only file is an empty field; loadtxt would warn on it
+        data = np.empty((0, 9))
+        if body.strip():
             try:
-                data = np.loadtxt(io.StringIO(f.read()), delimiter=",",
-                                  ndmin=2)
+                data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
         if data.size == 0:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from deflect_gaze import bench
 from deflect_gaze.decode import WaveletParams, decode_crossed_fringe
+from deflect_gaze.errors import DeflectGazeError
 from deflect_gaze.render import (CrossedFringe, add_correspondence_noise,
                                  render_correspondence, render_frame)
 from deflect_gaze.scene import (default_scene, decode_scene,
@@ -62,6 +64,25 @@ def maps_448(dec_scene):
                              seed=11 + cam, correspondence=truth)
         maps.append(decode_crossed_fringe(frame, pattern, truth, *wavelets))
     return maps
+
+
+@pytest.fixture
+def rotated_reps_fail(monkeypatch):
+    """Make every bench rep at a turned stage fail: the stand-in for
+    ``bench._measure_and_estimate`` raises a ``DeflectGazeError`` wherever
+    the stage-rotated eye differs from the loaded one, so the noiseless
+    reference and the 0-degree reps still run. A stand-in reaches only
+    reps run in this process, so the default worker count becomes 1."""
+    real = bench._measure_and_estimate
+
+    def measure(scene, scene_a, *args):
+        if not np.array_equal(scene_a.eye.optical_axis,
+                              scene.eye.optical_axis):
+            raise DeflectGazeError("the stage turned the eye")
+        return real(scene, scene_a, *args)
+
+    monkeypatch.setattr(bench, "_measure_and_estimate", measure)
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
 
 
 def rng(seed=0):

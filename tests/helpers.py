@@ -18,13 +18,14 @@ from deflect_gaze.geometry import (bisector_masked, ray_sphere_roots, reflect,
                                    unit)
 from deflect_gaze.optimize import (_eye_tangents, _ramp_tangents,
                                    _uv_tangents, _weights)
-from deflect_gaze.render import CorrespondenceMap
+from deflect_gaze.render import CorrespondenceMap, screen_hits
 from deflect_gaze.scene import CORNEA, SCLERA
 
 
 def plane_mirror_surface(point, normal):
-    """Analytic plane-mirror hit function with the renderer's surface
-    signature; the R -> infinity limit of the eye."""
+    """Analytic plane-mirror hit function, the R -> infinity limit of the
+    eye: ``surface(origin, dirs (..., 3)) -> (points, normals, region,
+    hit)``, with NaN points and normals where ``hit`` is False."""
     p0 = np.asarray(point, dtype=float)
     n = unit(np.asarray(normal, dtype=float))
 
@@ -44,6 +45,31 @@ def plane_mirror_surface(point, normal):
                 region.reshape(sh), hit.reshape(sh))
 
     return surface
+
+
+def plane_mirror_correspondence(scene, cam_index, point, normal, stride=1):
+    """Camera ``cam_index``'s correspondence map of every ``stride``-th
+    pixel off the plane mirror through ``point`` with ``normal``: the
+    production ``render.screen_hits`` on :func:`plane_mirror_surface`'s
+    hits."""
+    origin, dirs = scene.cameras[cam_index].pixel_rays()
+    dirs = dirs[::stride, ::stride]
+    flat = dirs.reshape(-1, 3)
+    points, normals, _, hit = plane_mirror_surface(point, normal)(origin,
+                                                                  flat)
+    index = np.flatnonzero(hit)
+    u, v, ok = screen_hits(scene.screen, flat[index], points[index],
+                           normals[index])
+    at = index[ok]
+    u_map = np.full(len(flat), np.nan)
+    v_map = np.full(len(flat), np.nan)
+    valid = np.zeros(len(flat), dtype=bool)
+    u_map[at] = u[ok]
+    v_map[at] = v[ok]
+    valid[at] = True
+    shape = dirs.shape[:-1]
+    return CorrespondenceMap(u=u_map.reshape(shape), v=v_map.reshape(shape),
+                             valid=valid.reshape(shape))
 
 
 def angle_between_deg(u, v):

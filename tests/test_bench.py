@@ -116,13 +116,18 @@ class TestRunBenchmark:
         for pr in small_result.positions:
             assert abs(pr.mean_theta - pr.position) < 0.2
 
-    def test_deterministic_across_workers(self, scene):
-        cfg = BenchmarkConfig(method="stereo-normals",
-                              positions=(0.0, 3.0), reps=2, sigma_c=0.5,
-                              master_seed=9)
+    @pytest.mark.parametrize("method", ["stereo-normals", "optimize"])
+    def test_deterministic_across_workers(self, scene, method):
+        cfg = BenchmarkConfig(method=method, positions=(0.0, 3.0), reps=2,
+                              sigma_c=0.5, master_seed=9)
         r1 = run_benchmark(cfg, scene, max_workers=1)
         r2 = run_benchmark(cfg, scene, max_workers=2)
         assert report(r1, "csv") == report(r2, "csv")
+        if method == "optimize":
+            # the fit runs to its end on every rep
+            for pr in r1.positions:
+                assert pr.n_failed == 0
+                assert abs(pr.mean_theta - pr.position) < 0.2
 
     def test_pool_has_at_most_one_worker_per_position(self, scene,
                                                       pool_sizes):
@@ -157,6 +162,14 @@ class TestRunBenchmark:
             method="stereo-normals", positions=(0.0, 3.0), reps=2,
             sigma_c=0.0, master_seed=1)
         with pytest.raises(BenchmarkAbortError):
+            run_benchmark(cfg, scene, max_workers=1)
+
+    def test_abort_on_a_failing_position(self, scene, rotated_reps_fail):
+        # the reference and the 0-degree reps pass, every rep at 3 deg fails
+        cfg = BenchmarkConfig(method="stereo-normals", positions=(0.0, 3.0),
+                              reps=2, sigma_c=0.5, master_seed=1)
+        with pytest.raises(BenchmarkAbortError,
+                           match=r"position 3\.0: 2/2 reps failed"):
             run_benchmark(cfg, scene, max_workers=1)
 
 

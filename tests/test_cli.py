@@ -495,6 +495,14 @@ class TestReconstructAndGaze:
         assert "InsufficientLinesError" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_gaze_normals_on_header_only_field(self, tmp_path, capsys):
+        # an empty field reads as 0 lines, which the split rejects
+        field_csv = tmp_path / "field.csv"
+        field_csv.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n")
+        rc = main(["gaze-normals", "--field", str(field_csv)])
+        assert rc == 1
+        assert "InsufficientLinesError" in capsys.readouterr().err
+
     def test_gaze_normals_has_no_axis_fit_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gaze-normals", "--field", str(tmp_path / "field.csv"),
@@ -616,7 +624,18 @@ class TestBenchCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "InvariantViolation" in err and "has 1" in err
-        assert not (outdir / "result.csv").exists()
+        assert not outdir.exists()
+
+    def test_aborted_run_exits_3_and_writes_nothing(
+            self, scene_file, tmp_path, capsys, rotated_reps_fail):
+        outdir = tmp_path / "bench"
+        rc = main(["bench", "--method", "stereo-normals", "--scene",
+                   scene_file, "--positions", "0", "3", "--reps", "2",
+                   "--out", str(outdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "BenchmarkAbortError" in err and "2/2 reps" in err
+        assert not outdir.exists()
 
     def test_bench_outputs(self, scene_file, tmp_path):
         outdir = tmp_path / "bench"
@@ -671,4 +690,14 @@ class TestBenchCli:
                    "--out", str(outdir)])
         assert rc == 2
         assert "positions" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_positions_without_a_value_is_rejected(self, scene_file,
+                                                   tmp_path):
+        outdir = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--method", "stereo-normals", "--scene",
+                  scene_file, "--positions", "--reps", "2",
+                  "--out", str(outdir)])
+        assert exc.value.code == 2
         assert not outdir.exists()

@@ -25,7 +25,7 @@ from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, render_correspondence,
                                  render_frame)
 from deflect_gaze.scene import rotate_eye
-from helpers import (assert_continuity, plane_mirror_surface,
+from helpers import (assert_continuity, plane_mirror_correspondence,
                      reference_correspondence_from_phases,
                      reference_cwt2_phase, reference_sever_phase_seams,
                      reference_unwrap2)
@@ -782,8 +782,7 @@ class TestDecoderConsistency:
         cam = scene.cameras[0]
         screen_mid = scene.screen.uv_to_world(299.5, 169.5)
         n = unit(unit(cam.center - p0) + unit(screen_mid - p0))
-        surface = plane_mirror_surface(p0, n)
-        corr = render_correspondence(scene, 0, surface=surface)
+        corr = plane_mirror_correspondence(scene, 0, p0, n)
         period = 24.0
         cf = CrossedFringe(period_x=period, period_y=period)
         frame = render_frame(scene, 0, cf, sigma_i=0.0, seed=0,

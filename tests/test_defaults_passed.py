@@ -31,10 +31,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src").rglob("*.py"))
 CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py"))
-# render_correspondence's ``surface`` lets tests substitute a hit function;
 # the ``deflect-gaze`` console script calls ``main()`` with no arguments,
 # and only tests pass ``argv``
-EXEMPT = {("render_correspondence", "surface"), ("main", "argv")}
+EXEMPT = {("main", "argv")}
 
 
 def modules(paths):

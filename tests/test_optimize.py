@@ -176,6 +176,24 @@ class TestLossMatchesReference:
             assert got == reference_loss(p, measured, scene,
                                          pixel_stride=stride)
 
+    @pytest.mark.parametrize("sigma_c", [0.0, 0.5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["scene", "dec_scene"])
+    def test_weight_only_on_measured_valid_pixels(self, request, which,
+                                                  stride, sigma_c):
+        # the loss selects its weighted pixels by the measured weight alone,
+        # with no separate measured-validity pass
+        sc = request.getfixturevalue(which)
+        measured = [add_correspondence_noise(
+                        render_correspondence(sc, cam), sigma_c, 31 + cam,
+                        screen_resolution=sc.screen.resolution)
+                    for cam in range(len(sc.cameras))]
+        for terms in _measured_terms(measured, sc,
+                                     OptConfig(pixel_stride=stride)):
+            weighted = terms.weight > 0
+            assert weighted.any()
+            assert not (weighted & ~terms.meas.valid).any()
+
     @pytest.mark.parametrize("n_cam", [1, 2])
     def test_residuals_match_reference_loss(self, scene, n_cam):
         # the fit minimizes 0.5 * |r|^2, which must be the reference loss

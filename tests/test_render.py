@@ -13,8 +13,8 @@ from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  render_margins)
 from deflect_gaze.scene import (ScreenModel, eye_surface_hit_batch,
                                 rotate_eye)
-from helpers import (plane_mirror_surface, reference_correspondence,
-                     reference_surface_hit_batch)
+from helpers import (plane_mirror_correspondence, plane_mirror_surface,
+                     reference_correspondence, reference_surface_hit_batch)
 
 
 def reference_margins(scene, cam_index, stride=1):
@@ -102,8 +102,7 @@ class TestRenderCorrespondence:
         cam = scene.cameras[0]
         screen_mid = scene.screen.uv_to_world(299.5, 169.5)
         n = unit(unit(cam.center - p0) + unit(screen_mid - p0))
-        corr = render_correspondence(scene, 0,
-                                     surface=plane_mirror_surface(p0, n))
+        corr = plane_mirror_correspondence(scene, 0, p0, n)
         assert corr.n_valid > 3000
 
         # oracle: the reflected ray is the mirrored-camera ray
@@ -189,17 +188,18 @@ class TestOneTracePerRender:
                 assert np.array_equal(got[key], ref[key], equal_nan=True)
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_surface_hook_is_honoured(self, scene, stride):
+    def test_plane_mirror_map_equals_reference(self, scene, stride):
+        # the plane-mirror tests' maps: the production screen_hits on the
+        # analytic mirror's hits
         p0 = np.array([0.0, 0.0, 12.0])
         cam = scene.cameras[0]
         screen_mid = scene.screen.uv_to_world(299.5, 169.5)
         n = unit(unit(cam.center - p0) + unit(screen_mid - p0))
-        mirror = plane_mirror_surface(p0, n)
-        got = render_correspondence(scene, 0, surface=mirror, stride=stride)
-        assert_maps_equal(got, reference_correspondence(
-            scene, 0, surface=mirror, stride=stride))
-        assert got.n_valid > render_correspondence(scene, 0,
-                                                   stride=stride).n_valid
+        assert_maps_equal(
+            plane_mirror_correspondence(scene, 0, p0, n, stride=stride),
+            reference_correspondence(
+                scene, 0, surface=plane_mirror_surface(p0, n),
+                stride=stride))
 
     @pytest.mark.parametrize("stride", [0, -1, -2])
     @pytest.mark.parametrize("render", [render_correspondence,
@@ -295,8 +295,7 @@ class TestCorrespondenceNoise:
         cam = scene.cameras[0]
         screen_mid = scene.screen.uv_to_world(299.5, 169.5)
         n = unit(unit(cam.center - p0) + unit(screen_mid - p0))
-        corr = render_correspondence(scene, 0,
-                                     surface=plane_mirror_surface(p0, n))
+        corr = plane_mirror_correspondence(scene, 0, p0, n)
         assert corr.n_valid >= 10_000
         noisy = add_correspondence_noise(corr, 0.5, 21,
                                          scene.screen.resolution)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -459,6 +460,29 @@ class TestReconstructField:
         p.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n"
                      f"{px!r},{py!r},0,0,10,0,0,1,0\n")
         with pytest.raises(ValueError, match="field.csv: a NormalField pixel"):
+            NormalField.from_csv(p)
+
+    def test_csv_header_only_is_an_empty_field(self, tmp_path):
+        p = tmp_path / "field.csv"
+        p.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = NormalField.from_csv(p)
+        assert len(back) == 0
+        assert back.points.shape == (0, 3)
+
+    def test_csv_rejects_other_header(self, tmp_path):
+        p = tmp_path / "field.csv"
+        p.write_text("px,py,X,Y,Z,nx,ny,nz\n1,2,0,0,10,0,0,1\n")
+        with pytest.raises(ValueError,
+                           match="field.csv: unexpected NormalField header"):
+            NormalField.from_csv(p)
+
+    def test_csv_rejects_non_numeric_value(self, tmp_path):
+        p = tmp_path / "field.csv"
+        p.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n"
+                     "1,2,0,0,ten,0,0,1,0\n")
+        with pytest.raises(ValueError, match="field.csv: could not convert"):
             NormalField.from_csv(p)
 
 
