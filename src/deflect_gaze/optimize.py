@@ -12,10 +12,11 @@ hits, the reflection onto the screen, the boundary weight ramps and the
 saturating residual, on the hits, weights and ramps of the evaluation that
 accepted the point, so the pass traces no ray again.
 
-``scipy.ndimage`` is imported inside the three mask helpers that call it,
-not at module scope. Every ``deflect_gaze`` import loads this module, and
-loading ``ndimage`` (about 0.4 s and 26 MB resident on a 2-CPU Xeon)
-would be most of the stereo method's start-up, though it never fits.
+The loss's three mask operations (the 4-connected erosion and
+dilation and the boundary fade's distance ramp) are numpy on shifted
+slices, equal bit for bit to ``scipy.ndimage``'s. A fit loads no scipy
+module: loading ``ndimage`` (about 0.25 s and 25 MB resident on a 2-CPU
+Xeon) would cost a cold fit more than the fit itself.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decode import FOUR_CONN
 from .errors import (EmptyMapError, InvariantViolation, NoDescentError,
                      UnreliableLossError)
 from .gaze import GazeEstimate
@@ -147,22 +147,41 @@ def _strided(m: CorrespondenceMap, s: int) -> CorrespondenceMap:
                              valid=m.valid[::s, ::s])
 
 
-def _erode(mask: np.ndarray, px: int) -> np.ndarray:
-    # px >= 1 (OptConfig.grid_boundary_px): scipy erodes to a fixed point
-    # for iterations below 1
-    from scipy import ndimage
+def _four_conn(mask: np.ndarray, px: int, op: np.ufunc) -> np.ndarray:
+    """``px`` rounds of ``op`` (``logical_and`` erodes, ``logical_or``
+    dilates) over each pixel and its four neighbours, pixels off the grid
+    counting as False, as ``scipy.ndimage``'s ``border_value=0``."""
+    for _ in range(px):
+        p = np.pad(mask, 1)
+        mask = op(op(mask, p[:-2, 1:-1]),
+                  op(p[2:, 1:-1], op(p[1:-1, :-2], p[1:-1, 2:])))
+    return mask
 
-    return ndimage.binary_erosion(mask, FOUR_CONN, iterations=px)
+
+def _erode(mask: np.ndarray, px: int) -> np.ndarray:
+    # px >= 1 (OptConfig.grid_boundary_px); px = 0 returns the mask as is
+    return _four_conn(mask, px, np.logical_and)
 
 
 def _fade_weight(mask: np.ndarray, px: int) -> np.ndarray:
     """Weight ramp that is 0 at the mask boundary and 1 from ``px + 1``
     pixels inward; a smooth realization of the boundary exclusion that
-    keeps the loss from jolting when a silhouette pixel flips."""
-    from scipy import ndimage
+    keeps the loss from jolting when a silhouette pixel flips.
 
-    dt = ndimage.distance_transform_edt(mask)
-    return np.clip((dt - 1.0) / px, 0.0, 1.0)
+    The ramp is ``clip((dt - 1) / px, 0, 1)`` of the distance ``dt`` to
+    the nearest invalid pixel in the grid, so it needs ``dt`` only up to
+    ``r = px + 1``: the smallest squared offset within ``r`` pixels that
+    reaches one, capped at ``r**2``. Like scipy's Euclidean distance
+    transform, ``dt`` is the square root of an exact integer."""
+    r = px + 1
+    h, w = mask.shape
+    invalid = np.pad(~mask, r)
+    d2 = np.full(mask.shape, r * r)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            reach = invalid[r + dy:r + dy + h, r + dx:r + dx + w]
+            np.minimum(d2, dy * dy + dx * dx, out=d2, where=reach)
+    return np.clip((np.sqrt(d2) - 1.0) / px, 0.0, 1.0)
 
 
 def _seam_mask(m: CorrespondenceMap, dilate_px: int) -> np.ndarray:
@@ -185,11 +204,7 @@ def _seam_mask(m: CorrespondenceMap, dilate_px: int) -> np.ndarray:
         return np.zeros(m.u.shape, dtype=bool)
     thresh = max(8.0 * float(np.median(steps)), 30.0)
     seam = m.valid & (jump > thresh)
-    if dilate_px > 0 and seam.any():
-        from scipy import ndimage
-
-        seam = ndimage.binary_dilation(seam, FOUR_CONN, iterations=dilate_px)
-    return seam
+    return _four_conn(seam, dilate_px, np.logical_or)
 
 
 @dataclass(frozen=True)

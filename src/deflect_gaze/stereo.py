@@ -70,11 +70,13 @@ class NormalField:
                 raise ValueError(f"{path}: unexpected NormalField header: "
                                  f"{header!r}")
             body = f.read()
-        # a header-only file is an empty field; loadtxt would warn on it
+        # a header-only file is an empty field; loadtxt would warn on it.
+        # to_csv writes no comments, so a '#' is a bad value, not a comment
         data = np.empty((0, 9))
         if body.strip():
             try:
-                data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+                data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                                  comments=None)
             except ValueError as e:
                 raise ValueError(f"{path}: {e}") from None
         if data.size == 0:

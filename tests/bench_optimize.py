@@ -1,5 +1,5 @@
-"""Layer benchmark of the inverse-rendering loss, its Jacobian and three
-optimizer fits.
+"""Layer benchmark of the inverse-rendering loss, its measured-map terms,
+its Jacobian and three optimizer fits.
 
 Not part of the tier-1 suite: pytest collects only ``test_*.py``. Run with
 
@@ -9,7 +9,9 @@ The 128 px cases use the default scene's first camera and a measured map
 with sigma_c = 0.5, as the ``optimize-128`` benchmark workload does. A
 standalone ``correspondence_loss`` call builds the measured-map terms
 itself; inside a fit they are built once, so the fit cases show what a
-loss evaluation costs there. The Jacobian case is one tangent pass at
+loss evaluation costs there. The measured-terms case builds them once, at
+-2 deg and stride 2: the erosion, boundary fade and seam mask a fit runs
+once per camera. The Jacobian case is one tangent pass at
 ``init_guess`` at -2 deg, stride 2, on terms built once and the hits of
 the evaluation at that point, as a fit takes it at each accepted point.
 The fits start from ``init_guess`` at -2 and +2 deg. The 448 px case is
@@ -47,6 +49,13 @@ def test_correspondence_loss_128(benchmark, scene1, stride):
     loss = benchmark(correspondence_loss, init, measured, scene1,
                      pixel_stride=stride)
     assert loss > 0
+
+
+def test_measured_terms_128_stride2(benchmark, scene1):
+    measured = measured_at(scene1, -2.0)
+    (terms,) = benchmark(_measured_terms, measured, scene1,
+                         OptConfig(pixel_stride=2))
+    assert terms.eroded.any() and (terms.weight > 0).any()
 
 
 def test_jacobian_128_stride2(benchmark, scene1):

@@ -9,7 +9,10 @@ The stereo method loads none of ``scipy.ndimage``, ``scipy.fft`` and the
 process pool: each is imported where it is called, so a stereo run does
 not pay for loading them. A single-shot decode loads no ``scipy.sparse``:
 importing ``scipy.sparse.csgraph`` alone, which pulls in ``scipy.linalg``,
-raised a 448 px single-shot run's peak resident size by 9-10%.
+raised a 448 px single-shot run's peak resident size by 9-10%. The
+inverse-rendering method loads no scipy module at all: its mask helpers
+are numpy, and loading ``scipy.ndimage`` would cost a cold fit more than
+the fit itself.
 """
 
 import ast
@@ -91,13 +94,40 @@ print(json.dumps({"stereo_loaded": stereo_loaded,
 """
 
 
-def test_stereo_path_loads_no_ndimage_or_process_pool():
-    # a fresh interpreter: this test process may have loaded both already
+OPTIMIZE_SCRIPT = """
+import json
+import sys
+
+from deflect_gaze import bench, optimize, render, scene
+
+sc = scene.default_scene()
+maps = [render.render_correspondence(sc, cam) for cam in (0, 1)]
+init = optimize.init_guess(maps, sc)
+optimize.optimize_gaze(init, maps, sc, optimize.OptConfig(pixel_stride=2))
+optimize.correspondence_loss(init, maps, sc, pixel_stride=1)
+bench.run_benchmark(bench.BenchmarkConfig(method=bench.METHOD_OPTIMIZE,
+                                          reps=1), sc, max_workers=1)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def fresh_run(script):
+    """The last stdout line of ``script``, run in a fresh interpreter:
+    this test process may have loaded any module already."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", STEREO_SCRIPT], env=env,
+    run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout.splitlines()[-1])
-    assert got == {"stereo_loaded": [], "ndimage_after_mask": True,
-                   "decoded": True, "sparse_after_decode": False}
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_stereo_path_loads_no_ndimage_or_process_pool():
+    assert fresh_run(STEREO_SCRIPT) == {
+        "stereo_loaded": [], "ndimage_after_mask": True, "decoded": True,
+        "sparse_after_decode": False}
+
+
+def test_inverse_rendering_path_loads_no_scipy():
+    assert fresh_run(OPTIMIZE_SCRIPT) == []

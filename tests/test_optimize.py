@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from deflect_gaze import optimize
+from deflect_gaze.decode import FOUR_CONN
 from deflect_gaze.errors import (EmptyMapError, InvariantViolation,
                                  NoDescentError, UnreliableLossError)
 from deflect_gaze.gaze import relative_gaze_angle
@@ -571,6 +573,57 @@ class TestSeamMask:
             u, y, want = u.T, y.T, want.T
         m = CorrespondenceMap(u=u, v=y, valid=np.ones(u.shape, dtype=bool))
         assert np.array_equal(_seam_mask(m, dilate_px), want)
+
+
+class TestMaskHelpers:
+    """The numpy mask helpers against ``scipy.ndimage`` as an oracle.
+    ``reference_loss`` builds on the same helpers, so it cannot catch a
+    drift in them."""
+
+    @staticmethod
+    def assert_like_scipy(mask, px):
+        assert np.array_equal(
+            _erode(mask, px),
+            ndimage.binary_erosion(mask, FOUR_CONN, iterations=px))
+        # the dilation of _seam_mask
+        assert np.array_equal(
+            optimize._four_conn(mask, px, np.logical_or),
+            ndimage.binary_dilation(mask, FOUR_CONN, iterations=px))
+        want = np.clip((ndimage.distance_transform_edt(mask) - 1.0) / px,
+                       0.0, 1.0)
+        got = _fade_weight(mask, px)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 70), st.integers(1, 70)),
+           centre=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+           radius=st.floats(0.0, 1.0), speckle=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**32 - 1), px=st.integers(1, 3))
+    def test_equal_scipy(self, shape, centre, radius, speckle, seed, px):
+        # a disc, in units of the grid's sides, whose centre may lie off
+        # the grid, with pixels flipped at random: holes, islands and
+        # valid pixels on the grid's edge
+        y, x = np.mgrid[:shape[0], :shape[1]]
+        disc = np.hypot(y / shape[0] - centre[0],
+                        x / shape[1] - centre[1]) < radius
+        flip = np.random.default_rng(seed).random(shape) < speckle
+        mask = disc ^ flip
+        # scipy's distance transform has no background on an all-valid
+        # mask (test_all_valid_fades_nowhere)
+        assume(not mask.all())
+        self.assert_like_scipy(mask, px)
+
+    @pytest.mark.parametrize("px", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (70, 70)])
+    def test_all_invalid_equals_scipy(self, shape, px):
+        self.assert_like_scipy(np.zeros(shape, dtype=bool), px)
+
+    @pytest.mark.parametrize("px", [1, 2, 3])
+    def test_all_valid_fades_nowhere(self, px):
+        # no invalid pixel lies in the grid; scipy would measure distances
+        # to a phantom pixel and return 0 at (0, 0)
+        assert np.array_equal(_fade_weight(np.ones((9, 12), dtype=bool), px),
+                              np.ones((9, 12)))
 
 
 class TestOptConfig:

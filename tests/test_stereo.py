@@ -471,6 +471,16 @@ class TestReconstructField:
         assert len(back) == 0
         assert back.points.shape == (0, 3)
 
+    @pytest.mark.parametrize("body", ["# c\n", "1,2,0,0,10,0,0,1,0 # x\n"],
+                             ids=["comment_line", "trailing_comment"])
+    def test_csv_rejects_comments(self, tmp_path, body):
+        # loadtxt's default comments='#' would read the first as an empty
+        # field, with a warning, and drop the second's comment unseen
+        p = tmp_path / "field.csv"
+        p.write_text("px,py,X,Y,Z,nx,ny,nz,consistency\n" + body)
+        with pytest.raises(ValueError, match="field.csv: could not convert"):
+            NormalField.from_csv(p)
+
     def test_csv_rejects_other_header(self, tmp_path):
         p = tmp_path / "field.csv"
         p.write_text("px,py,X,Y,Z,nx,ny,nz\n1,2,0,0,10,0,0,1\n")
