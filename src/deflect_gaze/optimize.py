@@ -3,14 +3,15 @@
 A simulated eye is adjusted until the correspondences its renders produce
 match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
-bearing channel) and is half the squared norm of a fixed-length residual
-vector, which a Levenberg-Marquardt loop minimizes, projecting every trial
-onto the valid parameter box. Each evaluation traces every camera's
-loss-grid rays once and works on the rays that hit the eye. Its Jacobian
-is exact: one forward-mode tangent pass through the eye geometry, the ray
-hits, the reflection onto the screen, the boundary weight ramps and the
-saturating residual, on the hits, weights and ramps of the evaluation that
-accepted the point, so the pass traces no ray again.
+bearing channel). A Levenberg-Marquardt loop minimizes it on one residual
+pair ``(du, dv)`` per pixel with a positive loss weight, whose half
+squared norm is the loss less its validity-mismatch penalty, projecting
+every trial onto the valid parameter box. Each evaluation traces every
+camera's loss-grid rays once and works on the rays that hit the eye. The
+Jacobian is exact: one forward-mode tangent pass through the eye
+geometry, the ray hits, the reflection onto the screen, the boundary
+weight ramps and the saturating residual, on the hits, weights and ramps
+of the evaluation that accepted the point, so it traces no ray again.
 
 The loss's three mask operations (the 4-connected erosion and
 dilation and the boundary fade's distance ramp) are numpy on shifted
@@ -215,7 +216,7 @@ class _MeasuredTerms:
     meas: CorrespondenceMap  # measured map on the loss grid
     eroded: np.ndarray       # its validity, eroded by the boundary guard
     weight: np.ndarray       # boundary fade ramp, zero on the seam
-    step_scale: float        # median measured step per full-res pixel
+    cap: float               # saturation scale of the squared residual
     ramp_scales: np.ndarray  # (4,) widths of the simulated weight ramps
     dirs: np.ndarray         # (N, 3) camera rays of the loss grid
 
@@ -254,7 +255,8 @@ def _measured_terms(
         rays = cam.pixel_rays()[1][::s, ::s]
         terms.append(_MeasuredTerms(meas=meas,
                                     eroded=_erode(meas.valid, grid_b),
-                                    weight=weight, step_scale=step_scale,
+                                    weight=weight,
+                                    cap=(4.0 * step_scale * s) ** 2,
                                     ramp_scales=ramp_scales,
                                     dirs=rays.reshape(-1, 3)))
     return tuple(terms)
@@ -324,12 +326,13 @@ def _weights(
 
 
 class _CameraHits(NamedTuple):
-    """One camera's loss-grid pixels that are jointly valid and have a
-    positive measured weight, at an evaluated point: their flat indices,
-    rays, eye hits (points, normals, regions), simulated (u, v), loss
-    weights, and the arguments and values of their weight ramps
-    (:func:`_weights`). Only these pixels' residuals move under an
-    infinitesimal step (:func:`_jacobian`)."""
+    """One camera's loss-grid pixels with a positive loss weight at an
+    evaluated point, in ascending pixel order: their flat indices, rays,
+    eye hits (points, normals, regions), simulated (u, v), loss weights,
+    and the arguments and values of their weight ramps (:func:`_weights`);
+    and ``wsum``, the tangent pass's weight sum (:func:`_jacobian`). Only
+    these pixels have residuals, and only they move under an infinitesimal
+    step."""
 
     pix: np.ndarray
     dirs: np.ndarray
@@ -341,6 +344,7 @@ class _CameraHits(NamedTuple):
     w: np.ndarray
     args: np.ndarray
     ramps: np.ndarray
+    wsum: np.float64
 
 
 class _Point(NamedTuple):
@@ -358,17 +362,18 @@ def _evaluate_loss(
     scene: SceneConfig,
     config: OptConfig,
 ) -> tuple[float, np.ndarray, _Point]:
-    """:func:`correspondence_loss` on prepared measured-map terms, plus the
-    residual vector ``r`` with ``0.5 * r @ r == loss`` up to
-    rounding: per camera the weighted, saturated ``(du, dv)`` of every
-    loss-grid pixel and the square root of the mismatch penalty, all
-    scaled by ``sqrt(2 / n_cameras)``. Its length depends only on the
-    measured maps. Last comes the :class:`_Point` that hands the traced
-    hits to the tangent pass."""
+    """:func:`correspondence_loss` on prepared measured-map terms, the
+    residual vector ``r`` and the :class:`_Point` that hands the traced
+    hits to the tangent pass.
+
+    Per camera, ``r`` holds the weighted, saturated ``du`` and then ``dv``
+    of the pixels with a positive loss weight (the point's
+    :class:`_CameraHits`), all scaled by ``sqrt(2 / n_cameras)``, so that
+    ``0.5 * r @ r`` is the loss less its mismatch penalty, up to
+    rounding. The penalty is piecewise constant and has no residual."""
     eye = params.materialize(scene.eye)
-    pixel_stride = config.pixel_stride
     # on a strided grid the pixel-count floor scales down
-    n_min = max(8, N_MIN // (pixel_stride * pixel_stride))
+    n_min = max(8, N_MIN // config.pixel_stride ** 2)
     totals = []
     residuals = []
     cameras = []
@@ -396,36 +401,39 @@ def _evaluate_loss(
         # most 1, so a positive weight implies a measured-valid pixel.
         sel = np.flatnonzero(ok & (terms.weight.ravel()[hits.index] > 0))
         pix = hits.index[sel]
-        du = np.zeros(shape)
-        dv = np.zeros(shape)
-        du.ravel()[pix] = meas.u.ravel()[pix] - u[sel]
-        dv.ravel()[pix] = meas.v.ravel()[pix] - v[sel]
+        du = meas.u.ravel()[pix] - u[sel]
+        dv = meas.v.ravel()[pix] - v[sel]
         w_sel, args, ramps = _weights(eye, scene, terms, origin, pix,
                                       hits.points[sel], u[sel], v[sel])
-        w = np.zeros(shape)
-        w.ravel()[pix] = w_sel
-        cameras.append(_CameraHits(pix, dirs[sel], hits.points[sel],
-                                   hits.normals[sel], hits.region[sel],
-                                   u[sel], v[sel], w_sel, args, ramps))
-
-        wsum = float(np.sum(w))
-        if wsum <= 0:
-            raise UnreliableLossError(f"camera {i}: zero total loss weight")
         # saturating residual: a pixel flipping across an unmasked internal
         # discontinuity (occluded sclera appearing behind the cap edge) has
         # an unbounded squared error; capping its influence keeps the loss
         # landscape smooth while leaving small residuals untouched
         v2 = du * du + dv * dv
-        cap = (4.0 * terms.step_scale * pixel_stride) ** 2
-        sq = float(np.sum(w * cap * v2 / (cap + v2)) / wsum)
+        cap = terms.cap
+        # both sums run over the whole grid, the other pixels adding exact
+        # zeros: a shorter sum would round differently
+        grid = np.zeros(shape)
+        grid.ravel()[pix] = w_sel
+        wsum = float(np.sum(grid))
+        if wsum <= 0:
+            raise UnreliableLossError(f"camera {i}: zero total loss weight")
+        grid.ravel()[pix] = w_sel * cap * v2 / (cap + v2)
+        sq = float(np.sum(grid) / wsum)
         # the discontinuity band is excluded from the mismatch count too,
         # so silhouette-grazing pixel flips cannot jolt the penalty
         band = (meas.valid & ~terms.eroded) | (sim_valid & ~er_sim)
         mismatch = float(np.mean((meas.valid ^ sim_valid) & ~band))
-        pen = MISMATCH_WEIGHT * mismatch
-        totals.append(sq + pen)
-        f = np.sqrt(w * cap / ((cap + v2) * wsum))
-        residuals += [(f * du).ravel(), (f * dv).ravel(), [np.sqrt(pen)]]
+        totals.append(sq + MISMATCH_WEIGHT * mismatch)
+
+        live = w_sel > 0
+        keep = sel[live]
+        f = np.sqrt(w_sel[live] * cap / ((cap + v2[live]) * wsum))
+        residuals += [f * du[live], f * dv[live]]
+        cameras.append(_CameraHits(
+            pix[live], dirs[keep], hits.points[keep], hits.normals[keep],
+            hits.region[keep], u[keep], v[keep], w_sel[live],
+            args[:, live], ramps[:, live], w_sel.sum()))
     r = np.concatenate(residuals) * np.sqrt(2.0 / len(measured_terms))
     return float(np.mean(totals)), r, _Point(params, eye, tuple(cameras))
 
@@ -570,34 +578,29 @@ def _jacobian(
     point: _Point,
     measured_terms: tuple[_MeasuredTerms, ...],
     scene: SceneConfig,
-    config: OptConfig,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Jacobian of :func:`_evaluate_loss`'s residual vector at the
-    evaluated ``point`` by all eight parameters (per degree or mm), as
-    ``(rows, jac)``: the indices into ``r`` of its nonzero rows and those
-    rows, (m, 8).
+    evaluated ``point`` by all eight parameters (per degree or mm): one
+    row per residual, (len(r), 8).
 
     One forward-mode tangent pass on the hits that the evaluation traced;
     it traces nothing itself. Validity, the erosions, the seam and the
     mismatch penalty are piecewise constant, so their tangent is zero, and
     so is that of a weight ramp clipped to 0 or 1 (which keeps the
-    aperture angle's infinite slope at the corneal apex out). So only the
-    rows of pixels with a positive weight move, and those are among the
-    point's :class:`_CameraHits`. Their ``(du, dv)`` move with the hits
-    (:func:`_uv_tangents`), and their saturating factor with the weights
-    (:func:`_ramp_tangents`) and with ``wsum``."""
+    aperture angle's infinite slope at the corneal apex out). So a pixel
+    keeps its weight under an infinitesimal step, and the residuals are
+    the point's :class:`_CameraHits`. Their ``(du, dv)`` move with the
+    hits (:func:`_uv_tangents`), and their saturating factor with the
+    weights (:func:`_ramp_tangents`) and with ``wsum``."""
     eye = point.eye
     tan = _eye_tangents(point.params, eye, scene.eye)
-    rows, jac = [], []
-    offset = 0
+    jac = []
     for i, (terms, hits) in enumerate(zip(measured_terms, point.cameras)):
         origin = scene.cameras[i].center
-        wsum = hits.w.sum()
-        live = hits.w > 0
-        pix, dirs, points, normals, region, u, v, w = (
-            a[live] for a in (hits.pix, hits.dirs, hits.points, hits.normals,
-                              hits.region, hits.u, hits.v, hits.w))
-        args, ramps = hits.args[:, live], hits.ramps[:, live]
+        # wsum sums the weights of the evaluation's selected hits, not the
+        # whole grid as the loss does: equal in exact arithmetic, the two
+        # differ in the last bits, and fits are pinned to this one
+        pix, dirs, points, normals, region, u, v, w, args, ramps, wsum = hits
         d_t, d_uv = _uv_tangents(eye, tan, scene.screen, dirs, points,
                                  normals, region)
         d_args = _ramp_tangents(eye, tan, scene, origin, dirs, points, u, v,
@@ -611,20 +614,16 @@ def _jacobian(
         du = terms.meas.u.ravel()[pix] - u
         dv = terms.meas.v.ravel()[pix] - v
         d_u, d_v = d_uv[..., 0], d_uv[..., 1]
-        cap = (4.0 * terms.step_scale * config.pixel_stride) ** 2
+        cap = terms.cap
         v2 = du * du + dv * dv
         f = np.sqrt(w * cap / ((cap + v2) * wsum))[:, None]
         d_log_f = 0.5 * (d_log_w
                          + (2.0 * (du[:, None] * d_u + dv[:, None] * d_v))
                          / (cap + v2)[:, None]
                          - (w @ d_log_w) / wsum)
-        n = terms.meas.valid.size
-        rows += [offset + pix, offset + n + pix]
         jac += [f * (d_log_f * du[:, None] - d_u),
                 f * (d_log_f * dv[:, None] - d_v)]
-        offset += 2 * n + 1
-    return (np.concatenate(rows),
-            np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms)))
+    return np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms))
 
 
 def optimize_gaze(
@@ -636,11 +635,11 @@ def optimize_gaze(
     """Levenberg-Marquardt fit of the active parameters to the loss
     residuals (Moré 1978).
 
-    At each accepted point the Jacobian ``J`` of the residuals is taken
-    from one tangent pass (``_jacobian``) on the hits of the evaluation
-    that accepted the point, and the fit uses its ``active`` columns; a
-    trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr`` and is evaluated
-    at the projection of ``x + δ`` onto the valid box. A trial
+    At each accepted point the Jacobian ``J`` of the residuals ``r`` is
+    taken from one tangent pass (``_jacobian``) on the hits of the
+    evaluation that accepted the point, and the fit uses its ``active``
+    columns; a trial step solves ``(JᵀJ + λ diag(JᵀJ)) δ = -Jᵀr`` and is
+    evaluated at the projection of ``x + δ`` onto the valid box. A trial
     that lowers the loss is accepted and lowers ``λ``; one that does not,
     or whose loss is unreliable, raises ``λ``. The fit stops at a zero
     gradient, a relative loss decrease below ``LM_FTOL``, a trial step
@@ -650,13 +649,12 @@ def optimize_gaze(
     last row also holds ``stop`` (``zero_gradient``, ``converged``,
     ``step_floor`` or ``iter_cap``).
 
-    The tangent pass re-traces nothing: it reads the jointly valid pixels
-    with a positive measured weight from the accepting evaluation. Every
-    residual that moves under an infinitesimal step sits on one of them,
-    and validity flips elsewhere have a zero tangent. The start and the
-    trials are evaluated on the full grid: a trial moves by degrees, and
-    sclera islands can turn valid anywhere. The eye is materialized once
-    per evaluation and nowhere else.
+    The tangent pass re-traces nothing: it reads the accepting
+    evaluation's pixels with a positive loss weight, the only ones with a
+    residual; validity flips elsewhere have a zero tangent. The start and
+    the trials are evaluated on the full grid: a trial moves by degrees,
+    and sclera islands can turn valid anywhere. The eye is materialized
+    once per evaluation and nowhere else.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its
@@ -686,9 +684,8 @@ def optimize_gaze(
     grad = None
     for it in range(1, config.max_iters + 1):
         if grad is None:
-            rows, jac = _jacobian(point, measured_terms, scene, config)
-            jac = jac[:, active]
-            grad = jac.T @ r[rows]
+            jac = _jacobian(point, measured_terms, scene)[:, active]
+            grad = jac.T @ r
             jtj = jac.T @ jac
             if not grad.any():
                 stop = "zero_gradient"

@@ -108,7 +108,8 @@ class CorrespondenceMap:
 def check_camera_map(scene: SceneConfig, cam_index: int,
                      corr: CorrespondenceMap) -> None:
     """Raise InvariantViolation unless ``corr``'s channels and mask all
-    have camera ``cam_index``'s (H, W) shape."""
+    have camera ``cam_index``'s (H, W) shape and ``u`` and ``v`` are
+    finite at every valid pixel."""
     w, h = scene.cameras[cam_index].resolution
     for name in ("u", "v", "valid"):
         shape = getattr(corr, name).shape
@@ -116,6 +117,11 @@ def check_camera_map(scene: SceneConfig, cam_index: int,
             raise InvariantViolation(
                 f"camera {cam_index}: correspondence map {name} has shape "
                 f"{shape}, the camera's (H, W) is {(h, w)}")
+    for name in ("u", "v"):
+        if not np.isfinite(getattr(corr, name)[corr.valid]).all():
+            raise InvariantViolation(
+                f"camera {cam_index}: correspondence map {name} is not "
+                f"finite at a valid pixel")
 
 
 def pixel_footprint(scene: SceneConfig,

@@ -143,12 +143,11 @@ def _norms(v):
 
 def _consistency_at(pair, j, t):
     """Stereo normal disagreement of the pixels ``j`` of ``pair`` at depths
-    ``t``, one row each. Returns (angle_rad, n1, ok): ``n1`` (rows, 3) is
-    the normal camera 0 implies at that depth, the bisector of the
-    directions back to the camera and to its screen point; ``ok`` is False
-    where camera 1 cannot score the depth (behind it, outside four valid
-    corners of its map) or a bisector is degenerate, and the angle is inf
-    there.
+    ``t``, one row each: the angle in radians between the normals that
+    camera 0 and camera 1 imply there, each the bisector of the directions
+    back to the camera and to its screen point. It is inf where camera 1
+    cannot score the depth (behind it, outside four valid corners of its
+    map) or a bisector is degenerate, and finite everywhere else.
 
     Rows are independent. The arithmetic is that of ``geometry.unit``,
     ``bisector_masked``, ``CameraModel.project`` and ``ScreenModel.
@@ -232,10 +231,7 @@ def _consistency_at(pair, j, t):
         dot = dot[0] + dot[1] + dot[2]
     np.clip(dot, -1.0, 1.0, out=dot)
     ok = ok_n[0] & front & ok2 & ok_n[1]
-    ang = np.where(ok, np.arccos(dot), np.inf)
-    n1 = n[0]
-    n1[:, ~ok_n[0]] = np.nan
-    return ang, n1.T, ok
+    return np.where(ok, np.arccos(dot), np.inf)
 
 
 _COARSE_STEP = 8      # grid steps between the coarse pass's regular depths
@@ -307,7 +303,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
     a window around each pixel's minimum, the neighbour pass two indices
     per pixel. A pass drops the indices already scored, and
     ``_consistency_at`` scores the rest on x, y and z columns, in batches
-    of at most n rows. Returns per pixel the depth, disagreement, point and
+    of at most n rows. Returns per pixel the disagreement, point and
     normal, and ``good``: the pixels with a result, before
     ``reconstruct_field``'s outlier cut.
     """
@@ -340,7 +336,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
         for k in range(0, len(index), n):
             batch = index[k:k + n]
             j, i = np.divmod(batch, N_DEPTHS)
-            cost[batch] = _consistency_at(pair, j, ts[i])[0]
+            cost[batch] = _consistency_at(pair, j, ts[i])
         return len(index)
 
     # coarse: every _COARSE_STEP-th depth, both grid ends and both ends of
@@ -386,8 +382,8 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
                          / np.where(convex, denom, 1.0), 0.0)
         shift = np.clip(shift, -1.0, 1.0)
     t_ref = t_best + shift * step
-    ang_ref, _, ok_ref = _consistency_at(pair, np.arange(n), t_ref)
-    take = convex & ok_ref
+    ang_ref = _consistency_at(pair, np.arange(n), t_ref)
+    take = convex & np.isfinite(ang_ref)
     t_best = np.where(take, t_ref, t_best)
     c_best = np.where(take, ang_ref, c_best)
 
@@ -395,7 +391,7 @@ def _sweep_pixels(scene, pixels, corr1, corr2):
     n_best, ok_n = bisector_masked(unit(cam1.center - p_best),
                                    unit(s1 - p_best))
     good &= ok_n
-    return t_best, c_best, p_best, n_best, good
+    return c_best, p_best, n_best, good
 
 
 def depth_grid(scene: SceneConfig) -> np.ndarray:
@@ -475,7 +471,7 @@ def reconstruct_field(
     pixels = np.column_stack([xs[keep], ys[keep]]).astype(int)
     if len(pixels) == 0:
         raise EmptyFieldError("no valid pixels in corr1")
-    _, c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2)
+    c, p, nrm, good = _sweep_pixels(scene, pixels, corr1, corr2)
     if good.any():
         good &= c <= max(OUTLIER_FACTOR * float(np.median(c[good])),
                          OUTLIER_FLOOR_RAD)

@@ -64,7 +64,7 @@ def test_jacobian_128_stride2(benchmark, scene1):
     terms = _measured_terms(measured, scene1, config)
     point = _evaluate_loss(init_guess(measured, scene1), terms, scene1,
                            config)[2]
-    _, jac = benchmark(_jacobian, point, terms, scene1, config)
+    jac = benchmark(_jacobian, point, terms, scene1)
     assert np.isfinite(jac).all()
 
 

@@ -43,9 +43,8 @@ def test_kernel_128_batch(benchmark, scene, maps_128, truth_cam0):
                             axis=1)
     i = np.searchsorted(ts, np.nan_to_num(true_t, nan=ts[0]))
     t = ts[np.clip(i, 0, len(ts) - 1)]
-    ang, _, ok = benchmark(stereo._consistency_at, pair, np.arange(len(xs)),
-                           t)
-    assert ok.sum() > 900
+    ang = benchmark(stereo._consistency_at, pair, np.arange(len(xs)), t)
+    assert np.isfinite(ang).sum() > 900
 
 
 def test_usable_depths_128(benchmark, scene, maps_128):

@@ -251,14 +251,21 @@ def reference_correspondence(scene, cam_index, surface=None, stride=1):
                                            normals, hit)
 
 
-def reference_jacobian(params, measured_terms, scene, config):
+def with_value_at_valid_pixel(corr, channel, value):
+    """``corr`` with ``value`` in ``channel`` at its first valid pixel."""
+    out = corr.copy()
+    ys, xs = np.nonzero(out.valid)
+    getattr(out, channel)[ys[0], xs[0]] = value
+    return out
+
+
+def reference_jacobian(params, measured_terms, scene):
     """``optimize._jacobian`` re-tracing the rays with a positive measured
     weight at ``params``: it materializes the eye again, runs the full-array
     hit test and render on those rays, then the tangent pass."""
     eye = params.materialize(scene.eye)
     tan = _eye_tangents(params, eye, scene.eye)
-    rows, jac = [], []
-    offset = 0
+    jac = []
     for i, terms in enumerate(measured_terms):
         origin = scene.cameras[i].center
         weighted = np.flatnonzero(terms.weight > 0)
@@ -287,20 +294,16 @@ def reference_jacobian(params, measured_terms, scene, config):
         du = terms.meas.u.ravel()[pix] - u
         dv = terms.meas.v.ravel()[pix] - v
         d_u, d_v = d_uv[..., 0], d_uv[..., 1]
-        cap = (4.0 * terms.step_scale * config.pixel_stride) ** 2
+        cap = terms.cap
         v2 = du * du + dv * dv
         f = np.sqrt(w * cap / ((cap + v2) * wsum))[:, None]
         d_log_f = 0.5 * (d_log_w
                          + (2.0 * (du[:, None] * d_u + dv[:, None] * d_v))
                          / (cap + v2)[:, None]
                          - (w @ d_log_w) / wsum)
-        n = terms.meas.valid.size
-        rows += [offset + pix, offset + n + pix]
         jac += [f * (d_log_f * du[:, None] - d_u),
                 f * (d_log_f * dv[:, None] - d_v)]
-        offset += 2 * n + 1
-    return (np.concatenate(rows),
-            np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms)))
+    return np.concatenate(jac) * np.sqrt(2.0 / len(measured_terms))
 
 
 # ---------------------------------------------------------------------------

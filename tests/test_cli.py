@@ -578,6 +578,30 @@ class TestReconstructOptions:
         assert "(128, 128)" in err and "(448, 448)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", [
+        ["reconstruct", "--corr-dir"],
+        ["gaze-optimize", "--pixel-stride", "2", "--measured"]],
+        ids=["reconstruct", "gaze-optimize"])
+    def test_non_finite_value_at_valid_pixel_is_rejected(
+            self, scene_file, simdir, tmp_path, capsys, cmd):
+        # both name the map's camera: the fit does not blame the eye, and
+        # the sweep does not drop the pixel
+        corr_dir = tmp_path / "corr"
+        corr_dir.mkdir()
+        for path in simdir.iterdir():
+            (corr_dir / path.name).write_bytes(path.read_bytes())
+        u, v = imagefiles.read_two_channel_pfm(corr_dir / "cam0_corr_000.pfm")
+        valid = imagefiles.read_mask_pgm(corr_dir / "cam0_mask_000.pgm")
+        u[np.nonzero(valid)[0][0], np.nonzero(valid)[1][0]] = np.nan
+        imagefiles.write_two_channel_pfm(corr_dir / "cam0_corr_000.pfm", u, v)
+        out = tmp_path / "out.csv"
+        rc = main([cmd[0], "--scene", scene_file, *cmd[1:], str(corr_dir),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvariantViolation: camera 0" in err and "not finite" in err
+        assert not out.exists()
+
     def test_bad_pfm_header_is_rejected(self, scene_file, simdir, tmp_path,
                                         capsys):
         corr_dir = tmp_path / "corr"

@@ -20,7 +20,7 @@ from deflect_gaze.optimize import (DEFAULT_ACTIVE, PARAM_NAMES,
 from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
                                  render_correspondence, render_margins)
 from deflect_gaze.scene import rotate_eye
-from helpers import reference_jacobian
+from helpers import reference_jacobian, with_value_at_valid_pixel
 
 UP = np.array([0.0, 1.0, 0.0])
 
@@ -199,6 +199,7 @@ class TestLossMatchesReference:
     @pytest.mark.parametrize("n_cam", [1, 2])
     def test_residuals_match_reference_loss(self, scene, n_cam):
         # the fit minimizes 0.5 * |r|^2, which must be the reference loss
+        # less its mismatch penalty, which has no residual
         sc = replace(scene, cameras=scene.cameras[:n_cam])
         truth = EyeParamVector.from_eye(sc.eye, DEFAULT_ACTIVE)
         for a in (-4.0, 0.0, 4.0):
@@ -213,7 +214,8 @@ class TestLossMatchesReference:
                     p = truth.with_array(x + np.asarray(dx))
                     _, r, _ = _evaluate_loss(p, terms, sc, cfg)
                     ref = reference_loss(p, measured, sc,
-                                         pixel_stride=stride)
+                                         pixel_stride=stride,
+                                         mismatch_weight=0.0)
                     assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
                                                                abs=0.0)
 
@@ -289,10 +291,7 @@ class TestTangentJacobian:
             _, r0, point0 = _evaluate_loss(p0, terms, sc, cfg)
         except UnreliableLossError:
             assume(False)
-        rows, jac_rows = _jacobian(point0, terms, sc, cfg)
-        jac = np.zeros((len(r0), len(PARAM_NAMES)))
-        jac[rows] = jac_rows
-        still = ~jac.any(axis=1)
+        jac = _jacobian(point0, terms, sc)
         flags0, ramps0 = footprint(point0)
         for j in range(len(PARAM_NAMES)):
             r_h, ramps_h = [], []
@@ -304,8 +303,7 @@ class TestTangentJacobian:
                     _, r, point = _evaluate_loss(p, terms, sc, cfg)
                 except UnreliableLossError:
                     assume(False)
-                # no pixel gains weight, and the mismatch penalty stays
-                assume(np.array_equal(r[still], r0[still]))
+                # the same pixels have residuals, on the same spheres
                 flags, ramps = footprint(point)
                 assume(all(np.array_equal(a, b)
                            for a, b in zip(flags, flags0)))
@@ -328,9 +326,28 @@ class TestTangentJacobian:
         init = init_guess(measured, scene1)
         for p in (init, optimize_gaze(init, measured, scene1, cfg)[0]):
             point = _evaluate_loss(p, terms, scene1, cfg)[2]
-            rows, jac = _jacobian(point, terms, scene1, cfg)
+            jac = _jacobian(point, terms, scene1)
             assert np.isfinite(jac).all()
-            assert len(rows) > 0
+            assert len(jac) > 0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("n_cam", [1, 2])
+    def test_rows_line_up_with_residuals(self, scene, n_cam, stride):
+        # one residual pair and one Jacobian row pair per weighted pixel,
+        # at the start and at the end of the optimize benchmark's fits
+        sc = replace(scene, cameras=scene.cameras[:n_cam])
+        cfg = OptConfig(pixel_stride=stride)
+        for a in (-4.0, -2.0, 0.0, 2.0, 4.0):
+            measured = noisy_maps(sc, a, seed=5)
+            terms = _measured_terms(measured, sc, cfg)
+            init = init_guess(measured, sc)
+            for p in (init, optimize_gaze(init, measured, sc, cfg)[0]):
+                _, r, point = _evaluate_loss(p, terms, sc, cfg)
+                n = sum(len(hits.pix) for hits in point.cameras)
+                assert len(r) == len(_jacobian(point, terms, sc)) == 2 * n
+                for hits in point.cameras:
+                    assert (hits.w > 0).all()
+                    assert (np.diff(hits.pix) > 0).all()
 
     @pytest.mark.parametrize("active", [DEFAULT_ACTIVE, (True,) * 8],
                              ids=["pose", "all"])
@@ -347,9 +364,8 @@ class TestTangentJacobian:
             init = init_guess(measured, sc, active=active)
             for p in (init, optimize_gaze(init, measured, sc, cfg)[0]):
                 point = _evaluate_loss(p, terms, sc, cfg)[2]
-                for got, ref in zip(_jacobian(point, terms, sc, cfg),
-                                    reference_jacobian(p, terms, sc, cfg)):
-                    assert np.array_equal(got, ref)
+                assert np.array_equal(_jacobian(point, terms, sc),
+                                      reference_jacobian(p, terms, sc))
 
     def test_axis_along_up_raises(self, scene1):
         # elevation turns about the axis's right, which is then undefined
@@ -548,6 +564,17 @@ class TestMapShape:
             correspondence_loss(
                 EyeParamVector.from_eye(scene.eye, DEFAULT_ACTIVE), maps,
                 scene, pixel_stride=1)
+
+    @pytest.mark.parametrize("cam", [0, 1])
+    def test_fit_rejects_non_finite_value_at_valid_pixel(self, scene,
+                                                         corr_pair, cam):
+        # the measured map is to blame, not the eye
+        maps = list(corr_pair)
+        maps[cam] = with_value_at_valid_pixel(maps[cam], "u", np.nan)
+        with pytest.raises(InvariantViolation,
+                           match=rf"camera {cam}: .* u is not finite"):
+            optimize_gaze(init_guess(maps, scene), maps, scene,
+                          OptConfig(pixel_stride=2))
 
     def test_fit_rejects_maps_of_another_scene(self, corr_pair, dec_scene):
         # 128 px maps of the default scene; the decode scene's cameras

@@ -8,13 +8,14 @@ from deflect_gaze.errors import InvariantViolation
 from deflect_gaze.geometry import unit
 from deflect_gaze.render import (CorrespondenceMap, CrossedFringe,
                                  PhaseShiftSet, add_correspondence_noise,
-                                 pattern_value, ray_margins,
+                                 check_camera_map, pattern_value, ray_margins,
                                  render_correspondence, render_frame,
                                  render_margins)
 from deflect_gaze.scene import (ScreenModel, eye_surface_hit_batch,
                                 rotate_eye)
 from helpers import (plane_mirror_correspondence, plane_mirror_surface,
-                     reference_correspondence, reference_surface_hit_batch)
+                     reference_correspondence, reference_surface_hit_batch,
+                     with_value_at_valid_pixel)
 
 
 def reference_margins(scene, cam_index, stride=1):
@@ -335,3 +336,15 @@ class TestCorrespondenceNoise:
         with pytest.raises(ValueError, match="sigma_c"):
             add_correspondence_noise(corr_pair[0], sigma_c, 2,
                                      scene.screen.resolution)
+
+
+class TestCheckCameraMap:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channel", ["u", "v"])
+    @pytest.mark.parametrize("cam", [0, 1])
+    def test_rejects_non_finite_value_at_valid_pixel(self, scene, corr_pair,
+                                                     cam, channel, value):
+        bad = with_value_at_valid_pixel(corr_pair[cam], channel, value)
+        with pytest.raises(InvariantViolation,
+                           match=rf"camera {cam}: .* {channel} is not finite"):
+            check_camera_map(scene, cam, bad)

@@ -14,7 +14,8 @@ from deflect_gaze.render import (CorrespondenceMap, add_correspondence_noise,
 from deflect_gaze.scene import rotate_eye
 from deflect_gaze.stereo import NormalField, depth_grid, reconstruct_field
 from helpers import (project, reference_bilinear_uv,
-                     reference_consistency_at, reference_usable_depths)
+                     reference_consistency_at, reference_usable_depths,
+                     with_value_at_valid_pixel)
 
 
 def truth_for(field, truth):
@@ -34,17 +35,32 @@ def pick_pixel(corr, truth, region=None, seed=0):
     raise AssertionError("no pixel found")
 
 
-def consistency_at(scene, corr1, corr2, px, py, t):
-    """``stereo._consistency_at`` for camera-0 pixels (px, py) at depths
-    ``t`` (arrays of one row per hypothesis) against camera 1: the
-    disagreement, camera 0's candidate normal and the ok mask."""
+def pixel_rays(scene, corr1, px, py):
+    """Camera 0's rays through pixels (px, py) and their screen points."""
     cam1 = scene.cameras[0]
     px, py = np.atleast_1d(px), np.atleast_1d(py)
     dirs1 = np.array([cam1.pixel_ray(x, y) for x, y in zip(px, py)])
-    s1 = scene.screen.uv_to_world(corr1.u[py, px], corr1.v[py, px])
+    return dirs1, scene.screen.uv_to_world(corr1.u[py, px], corr1.v[py, px])
+
+
+def consistency_at(scene, corr1, corr2, px, py, t):
+    """``stereo._consistency_at`` for camera-0 pixels (px, py) at depths
+    ``t`` (arrays of one row per hypothesis) against camera 1: the
+    disagreement, inf where the depth cannot be scored."""
+    dirs1, s1 = pixel_rays(scene, corr1, px, py)
     pair = stereo._pair(scene, dirs1, s1, corr2)
-    return stereo._consistency_at(pair, np.arange(len(px)),
+    return stereo._consistency_at(pair, np.arange(len(dirs1)),
                                   np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def candidate_normal(scene, corr1, px, py, t):
+    """Camera 0's candidate normal at pixel (px, py) and depth ``t``, as
+    ``stereo._sweep_pixels`` reports it: the bisector of the directions
+    back to the camera and to the pixel's screen point."""
+    cam1 = scene.cameras[0]
+    dirs1, s1 = pixel_rays(scene, corr1, px, py)
+    p = cam1.center + t * dirs1[0]
+    return bisector_masked(unit(cam1.center - p), unit(s1[0] - p))[0]
 
 
 class TestCandidateNormal:
@@ -54,8 +70,8 @@ class TestCandidateNormal:
         px, py = pick_pixel(corr, truth_cam0)
         p_true = truth_cam0["points"][py, px]
         t_true = float(np.linalg.norm(p_true - cam.center))
-        _, normal, _ = consistency_at(scene, *corr_pair, px, py, t_true)
-        assert np.abs(normal[0] - truth_cam0["normals"][py, px]).max() < 1e-6
+        normal = candidate_normal(scene, corr, px, py, t_true)
+        assert np.abs(normal - truth_cam0["normals"][py, px]).max() < 1e-6
 
     def test_depth_error_tilts_normal(self, scene, corr_pair, truth_cam0):
         corr = corr_pair[0]
@@ -65,9 +81,8 @@ class TestCandidateNormal:
         n_true = truth_cam0["normals"][py, px]
         t_true = float(np.linalg.norm(p_true - cam.center))
         for dt in (-2.0, 2.0):
-            _, normal, _ = consistency_at(scene, *corr_pair, px, py,
-                                          t_true + dt)
-            ang = np.degrees(np.arccos(np.clip(normal[0] @ n_true, -1, 1)))
+            normal = candidate_normal(scene, corr, px, py, t_true + dt)
+            ang = np.degrees(np.arccos(np.clip(normal @ n_true, -1, 1)))
             assert ang > 0.5
 
     def test_degenerate_bisector(self, scene, corr_pair):
@@ -76,10 +91,9 @@ class TestCandidateNormal:
         p = cam1.center + 30.0 * d
         behind = p + (p - cam1.center)  # screen point collinear, beyond P
         pair = stereo._pair(scene, d[None], behind[None], corr_pair[1])
-        ang, normal, ok = stereo._consistency_at(pair, np.array([0]),
-                                                 np.array([30.0]))
-        assert not ok[0]
-        assert np.isnan(normal[0]).all()
+        ang = stereo._consistency_at(pair, np.array([0]), np.array([30.0]))
+        assert not bisector_masked(unit(cam1.center - p),
+                                   unit(behind - p))[1]
         assert ang[0] == np.inf
 
 
@@ -135,15 +149,13 @@ class TestColumnKernel:
         pair = stereo._pair(scene, dirs1[order], s1[order], c2)
         j = np.argsort(order)
         got = stereo._consistency_at(pair, j, t)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(got, want[0])
+        assert np.array_equal(np.isfinite(got), want[2])
         # a batch split anywhere gives the same rows
         k = int(cut * n)
         parts = [stereo._consistency_at(pair, j[sl], t[sl])
                  for sl in (slice(0, k), slice(k, n))]
-        for q in range(3):
-            assert np.array_equal(np.concatenate([a[q] for a in parts]),
-                                  got[q], equal_nan=True)
+        assert np.array_equal(np.concatenate(parts), got)
 
     def test_rows_cover_every_outcome(self, scene, corr_pair):
         # the rows kernel_rows draws reach each way a depth can fail
@@ -284,8 +296,8 @@ class TestStereoConsistency:
             px, py = pick_pixel(corr1, truth_cam0, seed=seed)
             t_true = float(np.linalg.norm(truth_cam0["points"][py, px]
                                           - cam.center))
-            c, _, ok = consistency_at(scene, corr1, corr2, px, py, t_true)
-            if ok[0]:
+            c = consistency_at(scene, corr1, corr2, px, py, t_true)
+            if np.isfinite(c[0]):
                 assert c[0] < 1e-3
 
     def test_projection_outside_is_none(self, scene, corr_pair):
@@ -293,8 +305,8 @@ class TestStereoConsistency:
         ys, xs = np.nonzero(corr1.valid)
         px, py = int(xs[0]), int(ys[0])
         # a depth far behind the eye projects outside camera 2's map
-        _, _, ok = consistency_at(scene, corr1, corr2, px, py, 500.0)
-        assert not ok[0]
+        c = consistency_at(scene, corr1, corr2, px, py, 500.0)
+        assert c[0] == np.inf
 
     def test_unimodal_near_truth(self, scene, corr_pair, truth_cam0):
         corr1, corr2 = corr_pair
@@ -305,10 +317,10 @@ class TestStereoConsistency:
         px, py = xs[sel], ys[sel]
         t_true = np.linalg.norm(truth_cam0["points"][py, px] - cam.center,
                                 axis=1)
-        c0, _, ok0 = consistency_at(scene, corr1, corr2, px, py, t_true)
-        cm, _, okm = consistency_at(scene, corr1, corr2, px, py, t_true - 1.0)
-        cp, _, okp = consistency_at(scene, corr1, corr2, px, py, t_true + 1.0)
-        usable = ok0 & okm & okp
+        c0 = consistency_at(scene, corr1, corr2, px, py, t_true)
+        cm = consistency_at(scene, corr1, corr2, px, py, t_true - 1.0)
+        cp = consistency_at(scene, corr1, corr2, px, py, t_true + 1.0)
+        usable = np.isfinite(c0) & np.isfinite(cm) & np.isfinite(cp)
         total = int(usable.sum())
         wins = int(np.sum(usable & (c0 < cm) & (c0 < cp)))
         assert total > 100
@@ -376,6 +388,16 @@ class TestReconstructField:
         monkeypatch.setattr(stereo, "_sweep_pixels", None)
         want = rf"camera {cam}: .*\(64, 128\).*\(128, 128\)"
         with pytest.raises(InvariantViolation, match=want):
+            reconstruct_field(scene, *maps)
+
+    @pytest.mark.parametrize("cam", [0, 1])
+    def test_non_finite_value_at_valid_pixel_is_rejected(self, scene,
+                                                         corr_pair, cam):
+        # rejected, not dropped from the field
+        maps = list(corr_pair)
+        maps[cam] = with_value_at_valid_pixel(maps[cam], "v", np.nan)
+        with pytest.raises(InvariantViolation,
+                           match=rf"camera {cam}: .* v is not finite"):
             reconstruct_field(scene, *maps)
 
     @pytest.mark.parametrize("stride", [0, -1, -2])
@@ -502,7 +524,7 @@ def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
     """Reference for ``stereo._sweep_pixels``: score every depth of
     ``depth_grid(scene)`` with ``kernel``, the frozen row-vector kernel
     unless given, then pick and refine the minimum exactly as the sweep
-    does. Returns the sweep's five results and each pixel's best grid depth
+    does. Returns the sweep's four results and each pixel's best grid depth
     before the refine."""
     cam1 = scene.cameras[cam1_index]
     cam2 = scene.cameras[cam2_index]
@@ -555,7 +577,7 @@ def dense_reference(scene, pixels, corr1, corr2, cam1_index=0,
     n_best, ok_n = bisector_masked(unit(cam1.center - p_best),
                                    unit(s1 - p_best))
     good &= ok_n
-    return (t_best, c_best, p_best, n_best, good), t_grid
+    return (c_best, p_best, n_best, good), t_grid
 
 
 def dense_sweep(scene, pixels, corr1, corr2):
@@ -568,7 +590,7 @@ def unfiltered_field(scene, corr1, corr2):
     pixel, before ``reconstruct_field``'s outlier cut and sample floor."""
     ys, xs = np.nonzero(corr1.valid)
     pixels = np.column_stack([xs, ys])
-    _, c, p, n, good = stereo._sweep_pixels(scene, pixels, corr1, corr2)
+    c, p, n, good = stereo._sweep_pixels(scene, pixels, corr1, corr2)
     return NormalField(pixels[good], p[good], n[good], c[good])
 
 
@@ -669,10 +691,10 @@ class TestSweepContract:
             return np.where(ok, 2.0 + np.sin(k[0] * t + phase), np.inf)
 
         def wavy(pair, j, t):
-            _, n1, ok = consistency_at(pair, j, t)
+            ok = np.isfinite(consistency_at(pair, j, t))
             dirs1 = np.ascontiguousarray(pair.dirs1[:, j].T)
             calls.append(set(zip(map(bytes, dirs1), t)))
-            return wave(dirs1, t, ok), n1, ok
+            return wave(dirs1, t, ok)
 
         def wavy_reference(scene_, cam1, cam2, dirs1, s1, corr2, t):
             _, n1, ok = reference_consistency_at(scene_, cam1, cam2, dirs1,
@@ -694,7 +716,7 @@ class TestSweepContract:
         ])) @ scene.cameras[0].pose.rotation.T
         hit = np.array([(bytes(d), t) in by_sweep
                         for d, t in zip(dirs, t_grid)])
-        assert np.array_equal(got[4], want[4])
-        assert 0 < hit[want[4]].sum() < want[4].sum()
-        for a, b in zip(got[:4], want[:4]):
+        assert np.array_equal(got[3], want[3])
+        assert 0 < hit[want[3]].sum() < want[3].sum()
+        for a, b in zip(got[:3], want[:3]):
             assert np.array_equal(a[hit], b[hit])
