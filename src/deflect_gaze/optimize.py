@@ -5,13 +5,13 @@ match the measured ones; the fitted eye's optical axis is the gaze
 estimate. The loss is evaluated on correspondences (the information
 bearing channel). A Levenberg-Marquardt loop minimizes it on one residual
 pair ``(du, dv)`` per pixel with a positive loss weight, whose half
-squared norm is the loss less its validity-mismatch penalty, projecting
-every trial onto the valid parameter box. Each evaluation traces every
-camera's loss-grid rays once and works on the rays that hit the eye. The
-Jacobian is exact: one forward-mode tangent pass through the eye
-geometry, the ray hits, the reflection onto the screen, the boundary
-weight ramps and the saturating residual, on the hits, weights and ramps
-of the evaluation that accepted the point, so it traces no ray again.
+squared norm is the loss, projecting every trial onto the valid parameter
+box. Each evaluation traces each camera's measured-valid loss-grid rays
+once and works on the rays that hit the eye. The Jacobian is exact: one
+forward-mode tangent pass through the eye geometry, the ray hits, the
+reflection onto the screen, the boundary weight ramps and the saturating
+residual, on the hits, weights and ramps of the evaluation that accepted
+the point, so it traces no ray again.
 
 The loss's three mask operations (the 4-connected erosion and
 dilation and the boundary fade's distance ramp) are numpy on shifted
@@ -50,11 +50,9 @@ LM_FTOL = 1e-6
 LM_XTOL = 1e-5
 
 # Loss settings, stated at full resolution: the floor on jointly valid core
-# pixels, the boundary guard (px) and the weight of the validity-mismatch
-# fraction
+# pixels and the boundary guard (px)
 N_MIN = 200
 BOUNDARY_PX = 2
-MISMATCH_WEIGHT = 25.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -218,7 +216,8 @@ class _MeasuredTerms:
     weight: np.ndarray       # boundary fade ramp, zero on the seam
     cap: float               # saturation scale of the squared residual
     ramp_scales: np.ndarray  # (4,) widths of the simulated weight ramps
-    dirs: np.ndarray         # (N, 3) camera rays of the loss grid
+    pix: np.ndarray          # (N,) flat indices of the measured-valid pixels
+    dirs: np.ndarray         # (N, 3) their camera rays
 
 
 def _measured_terms(
@@ -258,7 +257,8 @@ def _measured_terms(
                                     weight=weight,
                                     cap=(4.0 * step_scale * s) ** 2,
                                     ramp_scales=ramp_scales,
-                                    dirs=rays.reshape(-1, 3)))
+                                    pix=np.flatnonzero(meas.valid),
+                                    dirs=rays[meas.valid]))
     return tuple(terms)
 
 
@@ -269,22 +269,21 @@ def correspondence_loss(
     pixel_stride: int,
 ) -> float:
     """Mean squared screen-px distance between measured and simulated
-    correspondences, plus a penalty on validity mismatch, in screen px^2;
-    with several cameras, the mean of the per-camera losses.
+    correspondences, in screen px^2; with several cameras, the mean of the
+    per-camera losses.
 
     Pixels within ``BOUNDARY_PX`` of either validity boundary are excluded
     from the mean (the correspondence field is discontinuous at silhouette
-    and region boundaries). The penalty is ``MISMATCH_WEIGHT`` times the
-    fraction of pixels valid in exactly one map.
+    and region boundaries).
 
     The measured-map terms (the map on the ``pixel_stride`` grid, its
     eroded validity, the boundary fade weight with the seam zeroed and the
     median measured step) are constant over a fit: :func:`optimize_gaze`
     builds them once, a standalone call builds them itself. Each
-    evaluation traces every camera once, reflects only the rays that hit
-    the eye, and reads the silhouette, aperture and cap-edge margins only
-    at the jointly valid pixels with a positive measured weight, the only
-    ones given weight.
+    evaluation traces each camera's measured-valid rays once, reflects
+    only the rays that hit the eye, and reads the silhouette, aperture and
+    cap-edge margins only at the jointly valid pixels with a positive
+    measured weight, the only ones given weight.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its
@@ -301,14 +300,14 @@ def correspondence_loss(
 
 def _weights(
     eye: EyeModel, scene: SceneConfig, terms: _MeasuredTerms,
-    origin: np.ndarray, pix: np.ndarray, points: np.ndarray, u: np.ndarray,
-    v: np.ndarray,
+    origin: np.ndarray, pix: np.ndarray, dirs: np.ndarray, points: np.ndarray,
+    u: np.ndarray, v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Loss weights of the jointly valid loss-grid pixels ``pix`` (flat
-    indices), with their hits ``points`` and simulated ``u``, ``v``; and
-    the arguments and values, (4, n) each, of the simulated side's ramps:
-    the panel-edge distance, the silhouette clearance, the absolute
-    aperture margin and the cap-edge clearance.
+    indices), with their rays ``dirs``, hits ``points`` and simulated
+    ``u``, ``v``; and the arguments and values, (4, n) each, of the
+    simulated side's ramps: the panel-edge distance, the silhouette
+    clearance, the absolute aperture margin and the cap-edge clearance.
 
     Weights near every discontinuity fade to zero. The measured map is
     fixed during an optimization, so binary distance fades are fine there;
@@ -318,7 +317,7 @@ def _weights(
     correspondence jump just like the seam."""
     w_s, h_s = scene.screen.resolution
     edge = np.minimum(np.minimum(u, w_s - 1 - u), np.minimum(v, h_s - 1 - v))
-    sil, aper, cap_edge = ray_margins(eye, origin, terms.dirs[pix], points)
+    sil, aper, cap_edge = ray_margins(eye, origin, dirs, points)
     args = np.stack([edge, sil, np.abs(aper), cap_edge])
     ramps = np.clip(args / terms.ramp_scales[:, None], 0.0, 1.0)
     w = terms.weight.ravel()[pix] * ramps[0] * ramps[1] * ramps[2] * ramps[3]
@@ -369,8 +368,7 @@ def _evaluate_loss(
     Per camera, ``r`` holds the weighted, saturated ``du`` and then ``dv``
     of the pixels with a positive loss weight (the point's
     :class:`_CameraHits`), all scaled by ``sqrt(2 / n_cameras)``, so that
-    ``0.5 * r @ r`` is the loss less its mismatch penalty, up to
-    rounding. The penalty is piecewise constant and has no residual."""
+    ``0.5 * r @ r`` is the loss, up to rounding."""
     eye = params.materialize(scene.eye)
     # on a strided grid the pixel-count floor scales down
     n_min = max(8, N_MIN // config.pixel_stride ** 2)
@@ -383,12 +381,14 @@ def _evaluate_loss(
         shape = meas.valid.shape
         hits = eye_surface_hits(eye, origin, terms.dirs)
         dirs = terms.dirs[hits.index]
+        hit_pix = terms.pix[hits.index]
         u, v, ok = screen_hits(scene.screen, dirs, hits.points, hits.normals)
         sim_valid = np.zeros(shape, dtype=bool)
-        sim_valid.ravel()[hits.index[ok]] = True
+        sim_valid.ravel()[hit_pix[ok]] = True
 
-        er_sim = _erode(sim_valid, config.grid_boundary_px)
-        core = terms.eroded & er_sim
+        # sim_valid is known only on the measured mask, all the floor
+        # needs: erode(sim & meas) & erode(meas) == erode(sim) & erode(meas)
+        core = terms.eroded & _erode(sim_valid, config.grid_boundary_px)
         n_core = int(core.sum())
         if n_core < n_min:
             raise UnreliableLossError(
@@ -399,12 +399,13 @@ def _evaluate_loss(
         # measured weight, the only pixels with a loss weight. The fade
         # ramp is 0 wherever the measured mask's distance transform is at
         # most 1, so a positive weight implies a measured-valid pixel.
-        sel = np.flatnonzero(ok & (terms.weight.ravel()[hits.index] > 0))
-        pix = hits.index[sel]
+        sel = np.flatnonzero(ok & (terms.weight.ravel()[hit_pix] > 0))
+        pix = hit_pix[sel]
         du = meas.u.ravel()[pix] - u[sel]
         dv = meas.v.ravel()[pix] - v[sel]
         w_sel, args, ramps = _weights(eye, scene, terms, origin, pix,
-                                      hits.points[sel], u[sel], v[sel])
+                                      dirs[sel], hits.points[sel], u[sel],
+                                      v[sel])
         # saturating residual: a pixel flipping across an unmasked internal
         # discontinuity (occluded sclera appearing behind the cap edge) has
         # an unbounded squared error; capping its influence keeps the loss
@@ -419,12 +420,7 @@ def _evaluate_loss(
         if wsum <= 0:
             raise UnreliableLossError(f"camera {i}: zero total loss weight")
         grid.ravel()[pix] = w_sel * cap * v2 / (cap + v2)
-        sq = float(np.sum(grid) / wsum)
-        # the discontinuity band is excluded from the mismatch count too,
-        # so silhouette-grazing pixel flips cannot jolt the penalty
-        band = (meas.valid & ~terms.eroded) | (sim_valid & ~er_sim)
-        mismatch = float(np.mean((meas.valid ^ sim_valid) & ~band))
-        totals.append(sq + MISMATCH_WEIGHT * mismatch)
+        totals.append(float(np.sum(grid) / wsum))
 
         live = w_sel > 0
         keep = sel[live]
@@ -584,14 +580,14 @@ def _jacobian(
     row per residual, (len(r), 8).
 
     One forward-mode tangent pass on the hits that the evaluation traced;
-    it traces nothing itself. Validity, the erosions, the seam and the
-    mismatch penalty are piecewise constant, so their tangent is zero, and
-    so is that of a weight ramp clipped to 0 or 1 (which keeps the
-    aperture angle's infinite slope at the corneal apex out). So a pixel
-    keeps its weight under an infinitesimal step, and the residuals are
-    the point's :class:`_CameraHits`. Their ``(du, dv)`` move with the
-    hits (:func:`_uv_tangents`), and their saturating factor with the
-    weights (:func:`_ramp_tangents`) and with ``wsum``."""
+    it traces nothing itself. Validity, the erosions and the seam are
+    piecewise constant, so their tangent is zero, and so is that of a
+    weight ramp clipped to 0 or 1 (which keeps the aperture angle's
+    infinite slope at the corneal apex out). So a pixel keeps its weight
+    under an infinitesimal step, and the residuals are the point's
+    :class:`_CameraHits`. Their ``(du, dv)`` move with the hits
+    (:func:`_uv_tangents`), and their saturating factor with the weights
+    (:func:`_ramp_tangents`) and with ``wsum``."""
     eye = point.eye
     tan = _eye_tangents(point.params, eye, scene.eye)
     jac = []
@@ -652,9 +648,10 @@ def optimize_gaze(
     The tangent pass re-traces nothing: it reads the accepting
     evaluation's pixels with a positive loss weight, the only ones with a
     residual; validity flips elsewhere have a zero tangent. The start and
-    the trials are evaluated on the full grid: a trial moves by degrees,
-    and sclera islands can turn valid anywhere. The eye is materialized
-    once per evaluation and nowhere else.
+    the trials trace every measured-valid ray: a trial moves by degrees,
+    and sclera islands can turn valid anywhere on the measured mask. An
+    island off the measured mask carries no weight, so it is not traced.
+    The eye is materialized once per evaluation and nowhere else.
 
     Raises:
         InvariantViolation: a measured map whose shape is not its

@@ -11,6 +11,15 @@ from deflect_gaze.scene import (default_scene, decode_scene,
 from deflect_gaze.stereo import reconstruct_field
 
 
+@pytest.hookimpl(optionalhook=True)
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    """Write each layer benchmark's median, interquartile range and round
+    count to ``--benchmark-json``'s file, not every round's raw time."""
+    for bench in output_json["benchmarks"]:
+        bench["stats"] = {k: bench["stats"][k]
+                          for k in ("median", "iqr", "rounds")}
+
+
 @pytest.fixture(scope="session")
 def scene():
     return default_scene()

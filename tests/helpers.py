@@ -259,17 +259,18 @@ def with_value_at_valid_pixel(corr, channel, value):
     return out
 
 
-def reference_jacobian(params, measured_terms, scene):
+def reference_jacobian(params, measured_terms, scene, pixel_stride):
     """``optimize._jacobian`` re-tracing the rays with a positive measured
-    weight at ``params``: it materializes the eye again, runs the full-array
-    hit test and render on those rays, then the tangent pass."""
+    weight at ``params``: it materializes the eye again, takes those rays
+    from the camera's ray grid at ``pixel_stride``, runs the full-array hit
+    test and render on them, then the tangent pass."""
     eye = params.materialize(scene.eye)
     tan = _eye_tangents(params, eye, scene.eye)
     jac = []
     for i, terms in enumerate(measured_terms):
-        origin = scene.cameras[i].center
+        origin, rays = scene.cameras[i].pixel_rays()
         weighted = np.flatnonzero(terms.weight > 0)
-        dirs = terms.dirs[weighted]
+        dirs = rays[::pixel_stride, ::pixel_stride].reshape(-1, 3)[weighted]
         points, normals, region, hit = reference_surface_hit_batch(
             eye, origin, dirs)
         sim = reference_screen_correspondence(scene.screen, dirs, points,
@@ -277,8 +278,8 @@ def reference_jacobian(params, measured_terms, scene):
         pix, dirs, points, normals, region, u, v = (
             a[sim.valid] for a in (weighted, dirs, points, normals,
                                    region, sim.u, sim.v))
-        w, args, ramps = _weights(eye, scene, terms, origin, pix, points,
-                                  u, v)
+        w, args, ramps = _weights(eye, scene, terms, origin, pix, dirs,
+                                  points, u, v)
         wsum = w.sum()
         live = w > 0
         pix, dirs, points, normals, region, u, v, w = (

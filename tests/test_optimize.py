@@ -26,7 +26,7 @@ UP = np.array([0.0, 1.0, 0.0])
 
 
 def reference_loss(params, measured, scene, n_min=200, boundary_px=2,
-                   mismatch_weight=25.0, pixel_stride=1):
+                   pixel_stride=1):
     """The correspondence loss as first written: two renders per camera
     (correspondence, then margins of every ray) and the measured-map terms
     rebuilt on every call. ``correspondence_loss`` must equal it."""
@@ -86,11 +86,7 @@ def reference_loss(params, measured, scene, n_min=200, boundary_px=2,
             raise UnreliableLossError(f"camera {i}: zero total loss weight")
         v2 = du * du + dv * dv
         cap = (4.0 * step_scale * pixel_stride) ** 2
-        sq = float(np.sum(w * cap * v2 / (cap + v2)) / wsum)
-        band = (meas.valid & ~er_meas) | (sim.valid & ~er_sim)
-        mismatch = float(np.mean((meas.valid ^ sim.valid) & ~band))
-        pen = mismatch_weight * mismatch
-        totals.append(sq + pen)
+        totals.append(float(np.sum(w * cap * v2 / (cap + v2)) / wsum))
     return float(np.mean(totals))
 
 
@@ -196,10 +192,27 @@ class TestLossMatchesReference:
             assert weighted.any()
             assert not (weighted & ~terms.meas.valid).any()
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_traces_only_measured_valid_rays(self, scene, monkeypatch,
+                                             stride):
+        measured = noisy_maps(scene, 2.0, seed=31)
+        cfg = OptConfig(pixel_stride=stride)
+        terms = _measured_terms(measured, scene, cfg)
+        real = optimize.eye_surface_hits
+        traced = []
+
+        def hits(eye, origin, dirs):
+            traced.append(len(dirs))
+            return real(eye, origin, dirs)
+
+        monkeypatch.setattr(optimize, "eye_surface_hits", hits)
+        _evaluate_loss(init_guess(measured, scene), terms, scene, cfg)
+        assert traced == [int(_strided(m, stride).valid.sum())
+                          for m in measured]
+
     @pytest.mark.parametrize("n_cam", [1, 2])
     def test_residuals_match_reference_loss(self, scene, n_cam):
         # the fit minimizes 0.5 * |r|^2, which must be the reference loss
-        # less its mismatch penalty, which has no residual
         sc = replace(scene, cameras=scene.cameras[:n_cam])
         truth = EyeParamVector.from_eye(sc.eye, DEFAULT_ACTIVE)
         for a in (-4.0, 0.0, 4.0):
@@ -214,8 +227,7 @@ class TestLossMatchesReference:
                     p = truth.with_array(x + np.asarray(dx))
                     _, r, _ = _evaluate_loss(p, terms, sc, cfg)
                     ref = reference_loss(p, measured, sc,
-                                         pixel_stride=stride,
-                                         mismatch_weight=0.0)
+                                         pixel_stride=stride)
                     assert 0.5 * float(r @ r) == pytest.approx(ref, rel=1e-12,
                                                                abs=0.0)
 
@@ -365,7 +377,7 @@ class TestTangentJacobian:
             for p in (init, optimize_gaze(init, measured, sc, cfg)[0]):
                 point = _evaluate_loss(p, terms, sc, cfg)[2]
                 assert np.array_equal(_jacobian(point, terms, sc),
-                                      reference_jacobian(p, terms, sc))
+                                      reference_jacobian(p, terms, sc, 2))
 
     def test_axis_along_up_raises(self, scene1):
         # elevation turns about the axis's right, which is then undefined
@@ -639,6 +651,19 @@ class TestMaskHelpers:
         # mask (test_all_valid_fades_nowhere)
         assume(not mask.all())
         self.assert_like_scipy(mask, px)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+           density=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1), px=st.integers(1, 3))
+    def test_erosion_distributes_over_intersection(self, shape, density,
+                                                   seed, px):
+        # the loss knows the simulated validity only on the measured mask,
+        # which is all its core-pixel floor reads
+        a, m = np.random.default_rng(seed).random((2, *shape)) < np.reshape(
+            density, (2, 1, 1))
+        assert np.array_equal(_erode(a & m, px) & _erode(m, px),
+                              _erode(a, px) & _erode(m, px))
 
     @pytest.mark.parametrize("px", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (70, 70)])
